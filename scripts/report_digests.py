@@ -1,0 +1,112 @@
+"""Per-case output digests over the benchmark corpora, for bit-identity checks.
+
+Write the digests of one checkout, then compare two digest files::
+
+    PYTHONPATH=src python scripts/report_digests.py write --seeds 7 11 -o new.json
+    python scripts/report_digests.py compare old.json new.json
+
+Every case of every benchmark corpus (``bench/corpus.py``) is recorded as
+the sha256 of its canonicalization report, or as its error class and
+message, next to a digest of the raw bytes of both eigensystems.  A
+refactor that claims unchanged arithmetic must leave every line equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+#: the corpus sizes bench/run.py uses
+WORKLOADS = {"typeI-random": 1000, "typeII-filtered": 600, "hard-inputs": 800, "cli": 700}
+
+
+def _outcome(fn) -> str:
+    try:
+        return fn()
+    except Exception as exc:  # every failure is part of the record
+        return f"error:{type(exc).__name__}: {exc}"
+
+
+def _sha(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p)
+    return h.hexdigest()
+
+
+def _eigen_digest(omega: np.ndarray) -> str:
+    from lorentzsvd.geigen import g_eigensystem
+
+    s = g_eigensystem(omega)
+    return _sha(
+        s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), s.norms.tobytes(),
+        repr(s.clusters).encode(), s.condition_report.residuals.tobytes(),
+        s.condition_report.gram_top.tobytes(),
+    )
+
+
+def write(seeds: list[int], out: Path) -> None:
+    import cliprobe
+    import corpus
+    from lorentzsvd.canonical import canonicalize
+    from lorentzsvd.geigen import omega_matrices
+    from lorentzsvd.qstate import lambda_from_rho
+    from lorentzsvd.serialize import canonical_report, dumps, loads_state
+
+    records = {}
+    for seed in seeds:
+        for workload, count in WORKLOADS.items():
+            for k, case in enumerate(corpus.build(seed, workload, count)):
+                rho = case.rho
+                if workload == "cli":
+                    rho = loads_state(cliprobe.document_text(rho))[1]
+                report = _outcome(lambda: _sha(dumps(canonical_report(canonicalize(rho))).encode()))
+                pair = omega_matrices(lambda_from_rho(rho))
+                eigen = [_outcome(lambda w=w: _eigen_digest(w)) for w in (pair.omega_a, pair.omega_b)]
+                records[f"{seed}/{workload}/{k}"] = [report, *eigen]
+    out.write_text(json.dumps(records, indent=0), encoding="utf-8")
+
+
+def compare(old: Path, new: Path) -> int:
+    a = json.loads(old.read_text(encoding="utf-8"))
+    b = json.loads(new.read_text(encoding="utf-8"))
+    if a.keys() != b.keys():
+        print("case sets differ")
+        return 1
+    diffs = Counter()
+    for key in a:
+        if a[key] != b[key]:
+            diffs[key.rsplit("/", 1)[0]] += 1
+            print(f"{key}: {a[key][0][:90]} -> {b[key][0][:90]}")
+    total = Counter(key.rsplit("/", 1)[0] for key in a)
+    for group in sorted(total):
+        print(f"{group}: {diffs[group]} of {total[group]} cases differ")
+    return 1 if diffs else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    w = sub.add_parser("write")
+    w.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    w.add_argument("-o", "--output", type=Path, required=True)
+    c = sub.add_parser("compare")
+    c.add_argument("old", type=Path)
+    c.add_argument("new", type=Path)
+    args = parser.parse_args()
+    if args.cmd == "write":
+        write(args.seeds, args.output)
+        return 0
+    return compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

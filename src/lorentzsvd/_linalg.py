@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DegenerateCompletion
 from .minkowski import G_METRIC, g_inner
 
 
@@ -20,25 +21,39 @@ def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
     terminate the elimination, so ``rtol`` is the rank decision
     threshold.
     """
-    A = np.array(M, dtype=float, copy=True)
-    m, n = A.shape
-    scale = max(float(np.abs(A).max()), 1e-300)
+    # The elimination runs on Python floats, because on a 4x4 matrix numpy's
+    # call overhead dwarfs the arithmetic.  Each update is one rounded
+    # multiply and one rounded subtract, exactly what elementwise numpy
+    # does, so the bits match the array form.  The back-substitution stays
+    # on numpy: its BLAS dot products may fuse multiply and add, which
+    # plain Python cannot reproduce.
+    A = np.asarray(M, dtype=float).tolist()
+    m, n = len(A), len(A[0])
+    scale = max(max(abs(v) for row in A for v in row), 1e-300)
     col_perm = list(range(n))
     rank = 0
     for k in range(min(m, n)):
-        sub = np.abs(A[k:, k:])
-        i_rel, j_rel = np.unravel_index(int(sub.argmax()), sub.shape)
-        piv = sub[i_rel, j_rel]
+        # first largest |entry| of A[k:, k:] in row-major order
+        piv, i, j = -1.0, k, k
+        for r in range(k, m):
+            row = A[r]
+            for c in range(k, n):
+                if abs(row[c]) > piv:
+                    piv, i, j = abs(row[c]), r, c
         if piv <= rtol * scale:
             break
-        i, j = k + i_rel, k + j_rel
-        if i != k:
-            A[[k, i], :] = A[[i, k], :]
+        A[k], A[i] = A[i], A[k]
         if j != k:
-            A[:, [k, j]] = A[:, [j, k]]
+            for row in A:
+                row[k], row[j] = row[j], row[k]
             col_perm[k], col_perm[j] = col_perm[j], col_perm[k]
-        A[k + 1:, k:] -= np.outer(A[k + 1:, k] / A[k, k], A[k, k:])
+        top = A[k]
+        for row in A[k + 1:]:
+            f = row[k] / top[k]
+            for c in range(k, n):
+                row[c] -= f * top[c]
         rank += 1
+    A = np.array(A)
 
     if rank == n:
         return np.zeros((n, 0))
@@ -94,7 +109,7 @@ def complete_g_frame(existing: list[np.ndarray], count: int, sign: float) -> lis
             if mag > best_mag:
                 best, best_mag = cand, mag
         if best is None or best_mag <= 1e-12:
-            raise np.linalg.LinAlgError("could not complete indefinite frame")
+            raise DegenerateCompletion("could not complete indefinite frame")
         v = best / np.sqrt(best_mag)
         frame.append(v)
         out.append(v)

@@ -9,11 +9,19 @@ is deliberately avoided: at the defective double roots that characterize
 the non-diagonalizable family it produces spurious complex pairs, while
 the chain degrades gracefully into a cluster count.
 
-Polynomials are coefficient arrays in ascending order: c[k] <-> lambda^k.
+Polynomials are coefficient lists in ascending order: c[k] <-> lambda^k.
+They hold Python floats, not numpy arrays: with five coefficients every
+numpy operation costs far more in call overhead than in arithmetic, and
+the Sturm isolation evaluates thousands of them per solve.  The change
+of representation is meant to be bit-exact: Python floats are IEEE
+doubles, every helper performs the same multiplies, adds and divisions
+in the same order as elementwise numpy would, and nothing is fused or
+reassociated.  Only the public entry points take or return arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,22 +31,34 @@ from .errors import NumericalFailure
 
 _EPS = float(np.finfo(float).eps)
 
+#: principal minors of det(omega - x*G) per coefficient k: (sign, kept
+#: indices) for every k-subset S of deleted indices, in combinations
+#: order; the sign is prod_{j in S} (-G_jj), i.e. -1 iff 0 is deleted
+_MINORS = tuple(
+    tuple(
+        (-1.0 if 0 in S else 1.0, tuple(j for j in range(4) if j not in S))
+        for S in combinations(range(4), k)
+    )
+    for k in range(5)
+)
 
-def _det_small(M: np.ndarray) -> float:
-    """Determinant by cofactor expansion, exact flop pattern for n <= 4."""
-    n = M.shape[0]
+
+def _minor_det(m: list[list[float]], rows: tuple[int, ...], cols: tuple[int, ...]) -> float:
+    """Determinant of m restricted to (rows, cols), by cofactor expansion
+    along the first column: exact flop pattern for up to 4 indices."""
+    n = len(rows)
     if n == 0:
         return 1.0
     if n == 1:
-        return float(M[0, 0])
+        return m[rows[0]][cols[0]]
     if n == 2:
-        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+        (r0, r1), (c0, c1) = rows, cols
+        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
     total = 0.0
-    cols = list(range(1, n))
-    for i in range(n):
-        rows = [r for r in range(n) if r != i]
-        minor = M[np.ix_(rows, cols)]
-        total += (-1.0) ** i * M[i, 0] * _det_small(minor)
+    c0, rest = cols[0], cols[1:]
+    for i, r in enumerate(rows):
+        sign = -1.0 if i % 2 else 1.0
+        total += sign * m[r][c0] * _minor_det(m, rows[:i] + rows[i + 1:], rest)
     return total
 
 
@@ -50,139 +70,133 @@ def charpoly_g(omega: np.ndarray) -> np.ndarray:
               prod_{j in S} (-G_jj) * det(omega with rows+cols S deleted),
     so every coefficient is a signed sum of principal minors.
     """
-    omega = np.asarray(omega, dtype=float)
-    gdiag = np.array([1.0, -1.0, -1.0, -1.0])
-    c = np.zeros(5)
-    idx = (0, 1, 2, 3)
-    for k in range(5):
+    m = np.asarray(omega, dtype=float).tolist()
+    c = []
+    for minors in _MINORS:
         acc = 0.0
-        for S in combinations(idx, k):
-            keep = [j for j in idx if j not in S]
-            sign = 1.0
-            for j in S:
-                sign *= -gdiag[j]
-            acc += sign * _det_small(omega[np.ix_(keep, keep)])
-        c[k] = acc
-    return c
+        for sign, keep in minors:
+            acc += sign * _minor_det(m, keep, keep)
+        c.append(acc)
+    return np.array(c)
 
 
-def polyval(c: np.ndarray, x: float) -> float:
+def polyval(c: list[float], x: float) -> float:
     r = 0.0
-    for ck in c[::-1]:
+    for ck in reversed(c):
         r = r * x + ck
-    return float(r)
+    return r
 
 
-def polyval_bound(c: np.ndarray, x: float) -> float:
-    """Crude running-error bound for Horner evaluation at x."""
-    s = 0.0
-    ax = abs(x)
-    for ck in c[::-1]:
-        s = s * ax + abs(ck)
-    return float((2 * len(c) + 1) * _EPS * s)
-
-
-def polyder(c: np.ndarray) -> np.ndarray:
+def polyder(c: list[float]) -> list[float]:
     if len(c) <= 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, len(c))
+        return [0.0]
+    return [c[k] * k for k in range(1, len(c))]
 
 
-def _trim(c: np.ndarray, rel: float = 1e-12) -> np.ndarray:
-    big = np.abs(c).max()
+def _absmax(c: list[float]) -> float:
+    return max(map(abs, c))
+
+
+def _trim(c: list[float], rel: float = 1e-12) -> list[float]:
+    big = _absmax(c)
     if big == 0.0:
-        return np.zeros(1)
-    out = np.array(c, dtype=float)
-    k = len(out) - 1
-    while k > 0 and abs(out[k]) <= rel * big:
+        return [0.0]
+    k = len(c) - 1
+    while k > 0 and abs(c[k]) <= rel * big:
         k -= 1
-    return out[: k + 1]
+    return c[: k + 1]
 
 
-def _polydiv(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    num = np.array(num, dtype=float)
+def _polydiv(num: list[float], den: list[float]) -> tuple[list[float], list[float]]:
     den = _trim(den)
     dn, dd = len(num) - 1, len(den) - 1
     if dn < dd:
-        return np.zeros(1), num
-    quot = np.zeros(dn - dd + 1)
-    rem = num.copy()
+        return [0.0], list(num)
+    quot = [0.0] * (dn - dd + 1)
+    rem = list(num)
     for k in range(dn - dd, -1, -1):
         q = rem[k + dd] / den[dd]
         quot[k] = q
-        rem[k : k + dd + 1] -= q * den
-    return quot, rem[:dd] if dd > 0 else np.zeros(1)
+        for i, d in enumerate(den):
+            rem[k + i] -= q * d
+    return quot, rem[:dd] if dd > 0 else [0.0]
+
+
+def _scaled(c: list[float], s: float) -> list[float]:
+    return [v / s for v in c]
 
 
 @dataclass
 class SturmData:
-    chain: list[np.ndarray]
+    chain: list[list[float]]
     truncated: bool
-    gcd: np.ndarray  # last chain element; nontrivial iff truncated
+    gcd: list[float]  # last chain element; nontrivial iff truncated
 
 
-def sturm_chain(c: np.ndarray, trunc_rel: float = 1e-11) -> SturmData:
+def sturm_chain(c: list[float], trunc_rel: float = 1e-11) -> SturmData:
     """Euclidean remainder chain of (p, p'), normalized elementwise.
 
     Remainders whose coefficients all fall below `trunc_rel` (relative to
     the running dividend) are treated as zero; the chain then ends at a
     numerical gcd of p and p', whose roots are the multiple roots of p.
     """
-    p0 = np.array(c, dtype=float)
-    p0 /= np.abs(p0).max()
+    p0 = _scaled(c, _absmax(c))
     p1 = _trim(polyder(p0))
-    p1 /= np.abs(p1).max()
+    p1 = _scaled(p1, _absmax(p1))
     chain = [p0, p1]
     truncated = False
     while len(chain[-1]) > 1:
         _, rem = _polydiv(chain[-2], chain[-1])
-        rem = -rem
-        mag = float(np.abs(rem).max())
+        rem = [-v for v in rem]
+        mag = _absmax(rem)
         if mag <= trunc_rel:
             truncated = True
             break
-        rem = _trim(rem / mag)
-        chain.append(rem)
+        chain.append(_trim(_scaled(rem, mag)))
     return SturmData(chain=chain, truncated=truncated, gcd=chain[-1])
 
 
-def _variations(chain: list[np.ndarray], x: float) -> int:
-    signs = []
+def _variations(chain: list[list[float]], x: float) -> int:
+    count, last = 0, 0.0
     for c in chain:
         v = polyval(c, x)
         if v != 0.0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            if last != 0.0 and (v > 0.0) != (last > 0.0):
+                count += 1
+            last = v
+    return count
 
 
-def count_distinct_roots(sd: SturmData, a: float, b: float) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b]."""
-    return _variations(sd.chain, a) - _variations(sd.chain, b)
-
-
-def cauchy_bound(c: np.ndarray) -> float:
+def cauchy_bound(c: list[float]) -> float:
     c = _trim(c)
-    return 1.0 + float(np.abs(c[:-1]).max() / abs(c[-1]))
+    return 1.0 + _absmax(c[:-1]) / abs(c[-1])
 
 
 def _isolate(sd: SturmData, lo: float, hi: float, floor: float) -> list[tuple[float, float, int]]:
+    """Intervals (a, b] holding n >= 1 distinct roots each, n = 1 unless b - a <= floor.
+
+    The number of distinct roots in the half-open (a, b] is the drop in
+    sign variations from a to b; each stack entry carries the variation
+    counts of its ends, so every bisection point is evaluated once.
+    """
     out: list[tuple[float, float, int]] = []
-    stack = [(lo, hi)]
+    stack = [(lo, hi, _variations(sd.chain, lo), _variations(sd.chain, hi))]
     while stack:
-        a, b = stack.pop()
-        n = count_distinct_roots(sd, a, b)
+        a, b, va, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1 or (b - a) <= floor:
             out.append((a, b, n))
             continue
         mid = 0.5 * (a + b)
-        stack.append((a, mid))
-        stack.append((mid, b))
+        vm = _variations(sd.chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
     return sorted(out)
 
 
-def _bisect_refine(c: np.ndarray, a: float, b: float, iters: int = 90) -> float:
+def _bisect_refine(c: list[float], a: float, b: float, iters: int = 90) -> float:
     fb = polyval(c, b)
     if fb == 0.0:
         return b  # intervals are half-open (a, b]; a root at b belongs here
@@ -206,18 +220,18 @@ def _bisect_refine(c: np.ndarray, a: float, b: float, iters: int = 90) -> float:
                 b, fb = x, fx
             else:
                 a, fa = x, fx
-            if (b - a) <= 2.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b)):
+            if (b - a) <= 2.0 * _EPS * max(1.0, abs(a), abs(b)):
                 break
         x = 0.5 * (a + b)
     return _newton_polish(c, x, steps=8)
 
 
-def _real_roots_low_degree(q: np.ndarray) -> list[float]:
+def _real_roots_low_degree(q: list[float]) -> list[float]:
     """Real roots of a degree <= 2 polynomial; a barely-negative discriminant
     is clamped to a double root at the vertex."""
     q = _trim(q)
     if len(q) == 3:
-        a2, a1, a0 = q[2], q[1], q[0]
+        a0, a1, a2 = q
         disc = a1 * a1 - 4.0 * a2 * a0
         scale = max(a1 * a1, abs(4.0 * a2 * a0), 1e-300)
         vertex = -a1 / (2.0 * a2)
@@ -225,11 +239,20 @@ def _real_roots_low_degree(q: np.ndarray) -> list[float]:
             if disc >= -1e-8 * scale:
                 return [vertex, vertex]
             return []
-        s = np.sqrt(disc) / (2.0 * abs(a2))
+        s = math.sqrt(disc) / (2.0 * abs(a2))
         return [vertex - s, vertex + s]
     if len(q) == 2:
-        return [float(-q[0] / q[1])]
+        return [-q[0] / q[1]]
     return []
+
+
+def _mean(g: list[float]) -> float:
+    # left to right from 0.0, as np.mean sums fewer than 8 entries; sum()
+    # compensates its rounding from Python 3.12 on
+    total = 0.0
+    for v in g:
+        total += v
+    return total / len(g)
 
 
 @dataclass
@@ -251,21 +274,21 @@ def quartic_real_roots(
     below this is closed onto the real axis as a double root; beyond it,
     NumericalFailure.
     """
-    c = np.array(c, dtype=float)
-    scale = np.abs(c).max()
+    c = np.asarray(c, dtype=float).tolist()
+    scale = _absmax(c)
     if scale == 0.0:
         raise NumericalFailure("zero characteristic polynomial")
-    c = c / scale
+    c = _scaled(c, scale)
 
     # Square-free decomposition by repeated numerical gcd: levels[k+1] is the
     # gcd of levels[k] with its derivative, so a root of multiplicity m in p
     # survives into levels 0..m-1.  Multiplicities are read off this structure
     # instead of thresholded derivative values, which misjudge roots whose
     # residual sits just above an evaluation-error bound.
-    levels: list[np.ndarray] = [c]
+    levels: list[list[float]] = [c]
     sd = sturm_chain(c)
     while sd.truncated and len(sd.gcd) > 1:
-        levels.append(sd.gcd / sd.gcd[-1])
+        levels.append(_scaled(sd.gcd, sd.gcd[-1]))
         sd = sturm_chain(levels[-1])
 
     # Isolation must run on the square-free part: at a multiple root every
@@ -275,14 +298,14 @@ def quartic_real_roots(
         top_sd = sturm_chain(c)
     else:
         square_free, _ = _polydiv(c, levels[1])
-        square_free = _trim(square_free / np.abs(square_free).max())
+        square_free = _trim(_scaled(square_free, _absmax(square_free)))
         top_sd = sturm_chain(square_free)
         for _ in range(3):
             # division noise can leave a residual near-multiple pair
             if not (top_sd.truncated and len(top_sd.gcd) > 1):
                 break
-            square_free, _ = _polydiv(square_free, top_sd.gcd / top_sd.gcd[-1])
-            square_free = _trim(square_free / np.abs(square_free).max())
+            square_free, _ = _polydiv(square_free, _scaled(top_sd.gcd, top_sd.gcd[-1]))
+            square_free = _trim(_scaled(square_free, _absmax(square_free)))
             top_sd = sturm_chain(square_free)
 
     B = cauchy_bound(c)
@@ -305,7 +328,7 @@ def quartic_real_roots(
             merged[-1].append(r)
         else:
             merged.append([r])
-    centers = [float(np.mean(g)) for g in merged]
+    centers = [_mean(g) for g in merged]
     mults = [len(g) for g in merged]
 
     # each gcd level contributes one extra multiplicity to its nearest root
@@ -317,7 +340,7 @@ def quartic_real_roots(
             else:
                 quot = levels[k]
             for s in _real_roots_low_degree(quot):
-                i = int(np.argmin([abs(r - s) for r in centers]))
+                i = min(range(len(centers)), key=lambda j: abs(centers[j] - s))
                 mults[i] += 1
 
     # polish each root on the derivative matching its multiplicity
@@ -335,26 +358,26 @@ def quartic_real_roots(
         rem_poly = c
         for r, m in zip(centers, mults):
             for _ in range(m):
-                rem_poly, _ = _polydiv(rem_poly, np.array([-r, 1.0]))
+                rem_poly, _ = _polydiv(rem_poly, [-r, 1.0])
         rem_poly = _trim(rem_poly)
         if len(rem_poly) == 3:
-            a2, a1, a0 = rem_poly[2], rem_poly[1], rem_poly[0]
+            a0, a1, a2 = rem_poly
             disc = a1 * a1 - 4.0 * a2 * a0
             vertex = -a1 / (2.0 * a2)
             if disc >= 0.0:
-                s = np.sqrt(disc) / (2.0 * a2)
+                s = math.sqrt(disc) / (2.0 * a2)
                 centers.extend([vertex - s, vertex + s])
                 mults.extend([1, 1])
             else:
-                imag_residue = float(np.sqrt(-disc) / (2.0 * abs(a2)))
+                imag_residue = math.sqrt(-disc) / (2.0 * abs(a2))
                 if imag_residue > imag_tol * max(1.0, abs(vertex)):
                     raise NumericalFailure(
                         f"complex eigenvalue pair with imaginary part {imag_residue:.3e}"
                     )
-                centers.append(float(vertex))
+                centers.append(vertex)
                 mults.append(2)
         elif len(rem_poly) == 2:
-            centers.append(float(-rem_poly[0] / rem_poly[1]))
+            centers.append(-rem_poly[0] / rem_poly[1])
             mults.append(1)
         elif total == 0:
             raise NumericalFailure("no real eigenvalues found for a quartic")
@@ -372,15 +395,12 @@ def quartic_real_roots(
             out_r.append(r)
             out_m.append(m)
     excess = sum(out_m) - 4
-    if excess > 0:
+    if excess != 0:
         # trim from the largest multiplicity (conservative, should not occur)
-        k = int(np.argmax(out_m))
+        k = out_m.index(max(out_m))
         out_m[k] -= excess
         if out_m[k] <= 0:
             raise NumericalFailure("inconsistent multiplicity reconciliation")
-    elif excess < 0:
-        k = int(np.argmax(out_m))
-        out_m[k] -= excess
 
     return QuarticRoots(
         values=np.array(out_r),
@@ -389,7 +409,7 @@ def quartic_real_roots(
     )
 
 
-def _newton_polish(poly: np.ndarray, x: float, steps: int = 4) -> float:
+def _newton_polish(poly: list[float], x: float, steps: int = 4) -> float:
     d = polyder(poly)
     for _ in range(steps):
         fx = polyval(poly, x)
@@ -397,9 +417,9 @@ def _newton_polish(poly: np.ndarray, x: float, steps: int = 4) -> float:
         if dx == 0.0:
             break
         step = fx / dx
-        if not np.isfinite(step) or abs(step) > max(1.0, abs(x)):
+        if not math.isfinite(step) or abs(step) > max(1.0, abs(x)):
             break
         x -= step
         if abs(step) <= 4.0 * _EPS * max(1.0, abs(x)):
             break
-    return float(x)
+    return x

@@ -211,7 +211,11 @@ def type1_canonical(
         )
 
     lambdas = sys_a.eigenvalues.copy()
-    det_sign = int(np.sign(round_to_zero(np.linalg.det(lam), tol * scale**2)))
+    # det Lambda = lam0^2 * d1 * d2 * d3: the cut scales with lam0^2, so the
+    # sign is dropped only when d1 * d2 * d3 itself is below tol, however
+    # far filtering has shrunk lam0
+    det = float(np.linalg.det(lam))
+    det_sign = 0 if abs(det) <= tol * lam0**2 else int(np.sign(det))
     ratios = np.sqrt(np.clip(lambdas / lam0, 0.0, None))
     canon = np.diag([1.0, ratios[1], ratios[2], det_sign * ratios[3]])
     n_scale = float(D[0, 0])
@@ -235,10 +239,6 @@ def type1_canonical(
         normalization_scale=n_scale,
         residuals=residuals,
     )
-
-
-def round_to_zero(x: float, tol: float) -> float:
-    return 0.0 if abs(x) <= tol else x
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +326,20 @@ def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool, tol: float)
     return X
 
 
-def type2_canonical(lam: np.ndarray, side: str, tol: float = DEFAULT_TOL) -> CanonicalResult:
+def type2_canonical(
+    lam: np.ndarray,
+    sys: GEigenSystem,
+    side: str,
+    tol: float = DEFAULT_TOL,
+) -> CanonicalResult:
     """Arrow-shaped canonical form on the requested side ("A" or "B").
 
-    The B side is the A-side construction applied to the transposed
-    correlation matrix, transposed back, so both sides share one code
-    path.  Parameters are (r0, r1) with scale phi0 on side A and
-    (s0, s1) with scale chi0 on side B.
+    ``sys`` is the eigensystem of that side's form: Omega_A for "A",
+    Omega_B (the A-side form of the transpose) for "B".  The B side is
+    the A-side construction applied to the transposed correlation
+    matrix, transposed back, so both sides share one code path.
+    Parameters are (r0, r1) with scale phi0 on side A and (s0, s1) with
+    scale chi0 on side B.
     """
     lam = np.asarray(lam, dtype=float)
     if side not in ("A", "B"):
@@ -340,7 +347,6 @@ def type2_canonical(lam: np.ndarray, side: str, tol: float = DEFAULT_TOL) -> Can
     work = lam if side == "A" else lam.T
 
     omega = omega_matrices(work).omega_a
-    sys = g_eigensystem(omega, tol)
     family = classify_canonical_type(sys)
     if family is not CanonicalFamily.TYPE_II:
         raise NotTypeII(f"state classifies as {family.value}")
@@ -480,8 +486,8 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
         )
     if fam_a is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, sys_b, tol)
-    result = type2_canonical(lam, "A", tol)
-    return replace(result, partner=type2_canonical(lam, "B", tol))
+    result = type2_canonical(lam, sys_a, "A", tol)
+    return replace(result, partner=type2_canonical(lam, sys_b, "B", tol))
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +661,11 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = 1e-8) -> SigmaEquiv
     lam1 = d * d
     expected = np.array(sorted([lam0, lam0, lam1, lam1], reverse=True))
     pair = omega_matrices(sigma)
+    sys_a = g_eigensystem(pair.omega_a)
+    sys_b = g_eigensystem(pair.omega_b)
     ev_res = max(
-        float(np.abs(g_eigensystem(pair.omega_a).eigenvalues - expected).max()),
-        float(np.abs(g_eigensystem(pair.omega_b).eigenvalues - expected).max()),
+        float(np.abs(sys_a.eigenvalues - expected).max()),
+        float(np.abs(sys_b.eigenvalues - expected).max()),
     )
 
     # closed-form B side: a single 03-boost on the left, identity on the right
@@ -693,7 +701,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = 1e-8) -> SigmaEquiv
         a_res = float(np.abs(image_a - _type2_pattern(r0, r1)).max())
         proper = proper and is_orthochronous_proper_lorentz(left_a)
 
-    res_b = type2_canonical(sigma, "B")
+    res_b = type2_canonical(sigma, sys_b, "B")
     s_res = max(
         abs(res_b.parameters["s0"] - s0),
         abs(res_b.parameters["s1"] - abs(s1)),
@@ -702,7 +710,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = 1e-8) -> SigmaEquiv
     # the pipeline pins a different A-side gauge than the closed form, so
     # only the gauge-invariant combination r1^2 / r0 = lambda_1 / lambda_0
     # can be compared there
-    res_a = type2_canonical(sigma, "A")
+    res_a = type2_canonical(sigma, sys_a, "A")
     ratio_pipeline = res_a.parameters["r1"] ** 2 / res_a.parameters["r0"]
     ratio_res = float(abs(ratio_pipeline - lam1 / lam0))
 

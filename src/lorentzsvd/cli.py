@@ -116,6 +116,8 @@ def _run_canonicalize(path: str, tol: float) -> str:
 
 def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
                    csv_path: str | None) -> str:
+    if samples is not None and samples < 1:
+        raise InputFormatError(f"--samples must be at least 1, got {samples}")
     text = _read_text(path)
     try:
         doc = json.loads(text)
@@ -133,7 +135,7 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
         if side == "B" and result.partner is not None:
             result = result.partner
     ell = steering_ellipsoid(result)
-    if samples:
+    if samples is not None:
         direction = "AtoB" if ell.family.value == "TypeII_B" else "BtoA"
         points = sample_steered_surface(result.canonical_lambda, direction, samples)
         if csv_path:

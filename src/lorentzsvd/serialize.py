@@ -88,7 +88,13 @@ def _as_real_4x4(payload: Any, key: str) -> np.ndarray:
         raise InputFormatError(f'"{key}" entries must be real numbers: {exc}') from None
     if arr.shape != (4, 4):
         raise InputFormatError(f'"{key}" must be a 4x4 array, got shape {arr.shape}')
+    _require_finite(arr, key)
     return arr
+
+
+def _require_finite(arr: np.ndarray, key: str) -> None:
+    if not np.isfinite(arr).all():
+        raise InputFormatError(f'"{key}" entries must be finite numbers')
 
 
 def parse_state_document(doc: Any) -> tuple[str, np.ndarray]:
@@ -116,6 +122,7 @@ def parse_state_document(doc: Any) -> tuple[str, np.ndarray]:
         raise InputFormatError(
             f'"rho" must be a 4x4 array of [re, im] pairs, got shape {arr.shape}'
         )
+    _require_finite(arr, key)
     return key, arr[..., 0] + 1j * arr[..., 1]
 
 

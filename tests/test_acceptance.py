@@ -271,7 +271,7 @@ def test_criterion_4_closed_form_equivalence():
 
     # spot value for (b, c, d) = (0.5, 0.1, 0.3)
     sigma, _ = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
-    params = type2_canonical(sigma, "B").parameters
+    params = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma).omega_b), "B").parameters
     if abs(params["s0"] - 5.0 / 9.0) > 1e-12:
         failures.append(f"spot s0 = {params['s0']!r}, expected 0.5555...")
     if abs(params["s1"] - 0.301511) > 5e-7:

@@ -30,10 +30,12 @@ from lorentzsvd.canonical import (
     type2_canonical,
 )
 from lorentzsvd.errors import (
+    DegenerateCompletion,
     InvalidCanonicalParameters,
     InvalidSigmaParameters,
     NotTypeII,
 )
+from lorentzsvd.geigen import g_eigensystem, omega_matrices
 from lorentzsvd.minkowski import G_METRIC, is_orthochronous_proper_lorentz
 from lorentzsvd.qstate import (
     apply_slocc,
@@ -147,6 +149,37 @@ def test_type1_canonical_diagonal_is_orbit_invariant(seed, slocc_seed):
     assert res_m.parameters["detSign"] == res.parameters["detSign"]
 
 
+def filtered_rank4(seed: int, rapidity: float) -> np.ndarray:
+    gen = rng(seed)
+    return apply_slocc(
+        random_state(4, seed=seed), random_sl2c(gen, rapidity), random_sl2c(gen, rapidity)
+    )
+
+
+def test_det_sign_survives_strong_filtering():
+    # rapidity 3 drives lam0 to 1.8e-5 and det Lambda = lam0^2 d1 d2 d3 to
+    # -4e-11 (seed found by search); d3 = -0.31 must keep its sign
+    rho = filtered_rank4(109, 3.0)
+    lam = lambda_from_rho(rho)
+    res = canonicalize(rho)
+    assert res.parameters["lambdas"][0] < 1e-4
+    assert res.parameters["detSign"] == -1
+    image = res.left_lorentz @ lam @ res.right_lorentz.T
+    assert np.abs(image / image[0, 0] - res.canonical_lambda).max() < 1e-8
+    unfiltered = canonicalize(random_state(4, seed=109))
+    np.testing.assert_allclose(
+        np.diag(res.canonical_lambda), np.diag(unfiltered.canonical_lambda), atol=1e-6
+    )
+
+
+def test_frame_completion_failure_is_typed():
+    # a state filtered at rapidity 3.5 whose eigenvector legs cannot be
+    # completed to a tetrad (seed found by search)
+    with pytest.raises(DegenerateCompletion, match="indefinite frame") as info:
+        canonicalize(filtered_rank4(194, 3.5))
+    assert info.value.exit_code == 3
+
+
 # ---------------------------------------------------------------------------
 # arrow family
 
@@ -218,6 +251,28 @@ def test_type2_orbit_ratio_invariant(slocc_seed):
     # the moved state still factors onto a valid arrow pattern
     assert res.residuals["factorization"] <= 1e-8
     assert 0.0 <= res.parameters["r1"] ** 2 <= res.parameters["r0"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "rho, family",
+    [
+        (random_state(4, seed=5), SideFamily.TYPE_I),
+        (sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1], SideFamily.TYPE_II_A),
+    ],
+)
+def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
+    import lorentzsvd.canonical as canonical
+
+    calls = []
+    solve = canonical.g_eigensystem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(canonical, "g_eigensystem", counted)
+    assert canonicalize(rho).family is family
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +353,7 @@ def test_sigma_closed_form_side_a_values():
     assert abs(image[3, 3] - 0.2) < 1e-12
     assert abs(image[1, 1] - 0.18090680674665818) < 1e-12
     # same orbit as the pipeline's A side: equal eigenvalue ratio
-    res_a = type2_canonical(sigma, "A")
+    res_a = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma).omega_a), "A")
     ratio = res_a.parameters["r1"] ** 2 / res_a.parameters["r0"]
     assert abs(ratio - image[1, 1] ** 2 / image[3, 3]) < 1e-12
 
@@ -341,7 +396,7 @@ def test_sigma_equivalence_random_region(seed):
 def test_sigma_eigenvalues_closed_form():
     b, c, d = 0.5, 0.1, 0.3
     sigma, _ = sigma_from_bcd(SigmaParameters(b, c, d))
-    res = type2_canonical(sigma, "A")
+    res = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma).omega_a), "A")
     lam0, lam1 = 0.55, 0.09
     assert abs(res.parameters["r0"] * res.parameters["phi0"] - lam0) < 1e-12
     assert abs(res.parameters["r1"] ** 2 * res.parameters["phi0"] - lam1) < 1e-12

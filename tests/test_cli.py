@@ -174,6 +174,32 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert json.loads(err)["error"] == "InputFormatError"
 
 
+@pytest.mark.parametrize(
+    "key, row, col, value",
+    [("lambda", 1, 1, float("nan")), ("rho", 0, 0, [float("inf"), 0.0])],
+)
+def test_non_finite_entries_exit_one(tmp_path, capsys, key, row, col, value):
+    doc = json.loads(json.dumps(TYPE2_LAMBDA if key == "lambda" else MIXED))
+    doc[key][row][col] = value
+    path = write_state(tmp_path, "bad.json", doc)
+    for command in ("classify", "canonicalize"):
+        code, out, err = run([command, path], capsys)
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["error"] == "InputFormatError"
+        assert "finite" in blob["message"]
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_ellipsoid_rejects_samples_below_one(tmp_path, capsys, samples):
+    path = write_state(tmp_path, "t2.json", TYPE2_LAMBDA)
+    code, out, err = run(["ellipsoid", path, "--samples", samples], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "InputFormatError"
+    assert "--samples" in blob["message"]
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(["classify", "/no/such/file.json"], capsys)
     assert code == 1

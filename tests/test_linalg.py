@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorentzsvd._linalg import complete_g_frame, gram_eigenbasis, null_space_basis
+from lorentzsvd.errors import DegenerateCompletion
 from lorentzsvd.minkowski import G_METRIC
 
 from conftest import rng
@@ -64,5 +65,5 @@ def test_complete_g_frame_from_boosted_leg():
 
 def test_complete_g_frame_exhausted():
     frame = [np.eye(4)[k] for k in range(4)]
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(DegenerateCompletion):
         complete_g_frame(frame, count=1, sign=-1.0)
