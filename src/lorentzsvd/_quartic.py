@@ -31,6 +31,10 @@ from .errors import NumericalFailure
 
 _EPS = float(np.finfo(float).eps)
 
+_TRIM_REL = 1e-12
+_STURM_TRUNC_REL = 1e-11
+_BISECT_ITERS = 90
+
 #: principal minors of det(omega - x*G) per coefficient k: (sign, kept
 #: indices) for every k-subset S of deleted indices, in combinations
 #: order; the sign is prod_{j in S} (-G_jj), i.e. -1 iff 0 is deleted
@@ -97,12 +101,12 @@ def _absmax(c: list[float]) -> float:
     return max(map(abs, c))
 
 
-def _trim(c: list[float], rel: float = 1e-12) -> list[float]:
+def _trim(c: list[float]) -> list[float]:
     big = _absmax(c)
     if big == 0.0:
         return [0.0]
     k = len(c) - 1
-    while k > 0 and abs(c[k]) <= rel * big:
+    while k > 0 and abs(c[k]) <= _TRIM_REL * big:
         k -= 1
     return c[: k + 1]
 
@@ -129,16 +133,17 @@ def _scaled(c: list[float], s: float) -> list[float]:
 @dataclass
 class SturmData:
     chain: list[list[float]]
+    #: the chain ended early; its last element is then a numerical gcd
     truncated: bool
-    gcd: list[float]  # last chain element; nontrivial iff truncated
 
 
-def sturm_chain(c: list[float], trunc_rel: float = 1e-11) -> SturmData:
+def sturm_chain(c: list[float]) -> SturmData:
     """Euclidean remainder chain of (p, p'), normalized elementwise.
 
-    Remainders whose coefficients all fall below `trunc_rel` (relative to
-    the running dividend) are treated as zero; the chain then ends at a
-    numerical gcd of p and p', whose roots are the multiple roots of p.
+    Remainders whose coefficients all fall below `_STURM_TRUNC_REL`
+    (relative to the running dividend) are treated as zero; the chain then
+    ends at a numerical gcd of p and p', whose roots are the multiple
+    roots of p.
     """
     p0 = _scaled(c, _absmax(c))
     p1 = _trim(polyder(p0))
@@ -149,11 +154,11 @@ def sturm_chain(c: list[float], trunc_rel: float = 1e-11) -> SturmData:
         _, rem = _polydiv(chain[-2], chain[-1])
         rem = [-v for v in rem]
         mag = _absmax(rem)
-        if mag <= trunc_rel:
+        if mag <= _STURM_TRUNC_REL:
             truncated = True
             break
         chain.append(_trim(_scaled(rem, mag)))
-    return SturmData(chain=chain, truncated=truncated, gcd=chain[-1])
+    return SturmData(chain=chain, truncated=truncated)
 
 
 def _variations(chain: list[list[float]], x: float) -> int:
@@ -196,7 +201,7 @@ def _isolate(sd: SturmData, lo: float, hi: float, floor: float) -> list[tuple[fl
     return sorted(out)
 
 
-def _bisect_refine(c: list[float], a: float, b: float, iters: int = 90) -> float:
+def _bisect_refine(c: list[float], a: float, b: float) -> float:
     fb = polyval(c, b)
     if fb == 0.0:
         return b  # intervals are half-open (a, b]; a root at b belongs here
@@ -211,7 +216,7 @@ def _bisect_refine(c: list[float], a: float, b: float, iters: int = 90) -> float
         # no bracket (nudge overshot, or near-double smear): midpoint + Newton
         x = 0.5 * (a + b)
     else:
-        for _ in range(iters):
+        for _ in range(_BISECT_ITERS):
             x = 0.5 * (a + b)
             fx = polyval(c, x)
             if fx == 0.0:
@@ -272,7 +277,8 @@ def quartic_real_roots(
     cluster_radius: distinct refined roots closer than this merge into one.
     imag_tol: a leftover irreducible quadratic factor with imaginary part
     below this is closed onto the real axis as a double root; beyond it,
-    NumericalFailure.
+    NumericalFailure.  NumericalFailure also when the reconciled
+    multiplicities do not add up to four.
     """
     c = np.asarray(c, dtype=float).tolist()
     scale = _absmax(c)
@@ -287,26 +293,19 @@ def quartic_real_roots(
     # residual sits just above an evaluation-error bound.
     levels: list[list[float]] = [c]
     sd = sturm_chain(c)
-    while sd.truncated and len(sd.gcd) > 1:
-        levels.append(_scaled(sd.gcd, sd.gcd[-1]))
+    while sd.truncated and len(sd.chain[-1]) > 1:
+        gcd = sd.chain[-1]
+        levels.append(_scaled(gcd, gcd[-1]))
         sd = sturm_chain(levels[-1])
 
     # Isolation must run on the square-free part: at a multiple root every
     # element of a truncated chain vanishes, breaking sign-variation counts.
     if len(levels) == 1:
-        square_free = c
-        top_sd = sturm_chain(c)
+        square_free, top_sd = c, sd
     else:
         square_free, _ = _polydiv(c, levels[1])
         square_free = _trim(_scaled(square_free, _absmax(square_free)))
         top_sd = sturm_chain(square_free)
-        for _ in range(3):
-            # division noise can leave a residual near-multiple pair
-            if not (top_sd.truncated and len(top_sd.gcd) > 1):
-                break
-            square_free, _ = _polydiv(square_free, _scaled(top_sd.gcd, top_sd.gcd[-1]))
-            square_free = _trim(_scaled(square_free, _absmax(square_free)))
-            top_sd = sturm_chain(square_free)
 
     B = cauchy_bound(c)
     floor = max(1e-13 * B, 64.0 * _EPS * B)
@@ -379,14 +378,12 @@ def quartic_real_roots(
         elif len(rem_poly) == 2:
             centers.append(-rem_poly[0] / rem_poly[1])
             mults.append(1)
-        elif total == 0:
-            raise NumericalFailure("no real eigenvalues found for a quartic")
 
-    # re-merge after reconciliation, then force the total to 4
-    pairs = sorted(zip(centers, mults))
+    # Newton polish can pull two roots, and the closure can place a real
+    # pair, within the cluster radius of each other: merge those
     out_r: list[float] = []
     out_m: list[int] = []
-    for r, m in pairs:
+    for r, m in sorted(zip(centers, mults)):
         if out_r and r - out_r[-1] <= cluster_radius * max(1.0, abs(r)):
             tot = out_m[-1] + m
             out_r[-1] = (out_r[-1] * out_m[-1] + r * m) / tot
@@ -394,14 +391,10 @@ def quartic_real_roots(
         else:
             out_r.append(r)
             out_m.append(m)
-    excess = sum(out_m) - 4
-    if excess != 0:
-        # trim from the largest multiplicity (conservative, should not occur)
-        k = out_m.index(max(out_m))
-        out_m[k] -= excess
-        if out_m[k] <= 0:
-            raise NumericalFailure("inconsistent multiplicity reconciliation")
-
+    if sum(out_m) != 4:
+        raise NumericalFailure(
+            f"root reconciliation gave multiplicities {out_m} at {out_r}, not four roots"
+        )
     return QuarticRoots(
         values=np.array(out_r),
         multiplicities=np.array(out_m, dtype=int),

@@ -135,24 +135,25 @@ def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
 def type1_canonical(
     lam: np.ndarray,
     sys_a: GEigenSystem,
-    sys_b: GEigenSystem,
     tol: float = DEFAULT_TOL,
 ) -> CanonicalResult:
     """Diagonal canonical form from the timelike eigenvector tetrad.
 
-    The A-side tetrad is read off the eigensystem (timelike leg first,
-    spacelike legs in descending eigenvalue order); the B-side tetrad is
-    transported through Lambda itself, b = G Lambda^T a / sqrt(l), which
-    lands on eigenvectors of the B-side form with matched ordering.
+    ``sys_a`` is the eigensystem of Omega_A; the B side needs no solve of
+    its own, since `canonicalize` has already checked that it classifies
+    the same.  The A-side tetrad is read off the eigensystem (timelike
+    leg first, spacelike legs in descending eigenvalue order); the B-side
+    tetrad is transported through Lambda itself, b = G Lambda^T a /
+    sqrt(l), which lands on eigenvectors of the B-side form with matched
+    ordering.
     Signs are then fixed: both determinants +1, the first three diagonal
     entries non-negative, leaving the last diagonal sign equal to
     sgn(det Lambda).
     """
     lam = np.asarray(lam, dtype=float)
-    for label, sys in (("A", sys_a), ("B", sys_b)):
-        family = classify_canonical_type(sys)
-        if family is not CanonicalFamily.TYPE_I:
-            raise NotTypeI(f"side {label} classifies as {family.value}")
+    family = classify_canonical_type(sys_a)
+    if family is not CanonicalFamily.TYPE_I:
+        raise NotTypeI(f"side A classifies as {family.value}")
     lam0 = float(sys_a.eigenvalues[0])
     scale = max(1.0, lam0)
     # Transporting a leg through Lambda divides eigenvector noise by the
@@ -220,11 +221,10 @@ def type1_canonical(
     canon = np.diag([1.0, ratios[1], ratios[2], det_sign * ratios[3]])
     n_scale = float(D[0, 0])
 
-    omega_a = omega_matrices(lam).omega_a
     omega_target = np.diag([lam0, -lambdas[1], -lambdas[2], -lambdas[3]])
     residuals = {
         "factorization": float(np.abs(D / n_scale - canon).max()),
-        "omegaCanonical": float(np.abs(a_rows @ omega_a @ a_rows.T - omega_target).max()),
+        "omegaCanonical": float(np.abs(a_rows @ sys_a.omega @ a_rows.T - omega_target).max()),
     }
     rho_c = canonical_rho_type1(ratios[1], ratios[2], det_sign * ratios[3], tol=max(tol, 1e-8))
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
@@ -334,10 +334,11 @@ def type2_canonical(
 ) -> CanonicalResult:
     """Arrow-shaped canonical form on the requested side ("A" or "B").
 
-    ``sys`` is the eigensystem of that side's form: Omega_A for "A",
-    Omega_B (the A-side form of the transpose) for "B".  The B side is
-    the A-side construction applied to the transposed correlation
-    matrix, transposed back, so both sides share one code path.
+    ``sys`` is the eigensystem of that side's form, Omega_A for "A" and
+    Omega_B (the A-side form of the transpose) for "B", and supplies the
+    form itself as ``sys.omega``.  The B side is the A-side construction
+    applied to the transposed correlation matrix, transposed back, so
+    both sides share one code path.
     Parameters are (r0, r1) with scale phi0 on side A and (s0, s1) with
     scale chi0 on side B.
     """
@@ -345,8 +346,8 @@ def type2_canonical(
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     work = lam if side == "A" else lam.T
+    omega = sys.omega
 
-    omega = omega_matrices(work).omega_a
     family = classify_canonical_type(sys)
     if family is not CanonicalFamily.TYPE_II:
         raise NotTypeII(f"state classifies as {family.value}")
@@ -485,7 +486,7 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
             residuals={},
         )
     if fam_a is CanonicalFamily.TYPE_I:
-        return type1_canonical(lam, sys_a, sys_b, tol)
+        return type1_canonical(lam, sys_a, tol)
     result = type2_canonical(lam, sys_a, "A", tol)
     return replace(result, partner=type2_canonical(lam, sys_b, "B", tol))
 

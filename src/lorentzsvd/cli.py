@@ -41,7 +41,7 @@ from .geometry import (
     sample_steered_surface,
     steering_ellipsoid,
 )
-from .minkowski import G_METRIC
+from .minkowski import DEFAULT_TOL, G_METRIC
 from .qstate import lambda_from_rho, random_state, rho_from_lambda
 from .serialize import (
     CONVENTIONS,
@@ -53,8 +53,6 @@ from .serialize import (
     parse_state_document,
     state_document,
 )
-
-DEFAULT_TOL = 1e-10
 
 
 def _resolve_tol(value: float | None) -> float:
@@ -98,20 +96,6 @@ def _write_output(text: str, output: str | None) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand bodies (each returns the output text)
-
-
-def _run_classify(path: str, tol: float) -> str:
-    _, lam = _load_state(path)
-    pair = omega_matrices(lam)
-    sys_a = g_eigensystem(pair.omega_a, tol)
-    family = classify_canonical_type(sys_a)
-    spectrum = ",".join(format_float(v) for v in sys_a.eigenvalues)
-    return f"{family.value}, eigenvalues [{spectrum}]\n"
-
-
-def _run_canonicalize(path: str, tol: float) -> str:
-    rho, _ = _load_state(path)
-    return dumps(canonical_report(canonicalize(rho, tol)))
 
 
 def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
@@ -212,6 +196,23 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     return dumps(doc), ok
 
 
+def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
+                       samples: int | None = None, csv_path: str | None = None) -> tuple[str, int]:
+    """(output text, exit code) of one state subcommand on one input."""
+    if cmd == "classify":
+        _, lam = _load_state(path)
+        sys_a = g_eigensystem(omega_matrices(lam).omega_a, tol)
+        spectrum = ",".join(format_float(v) for v in sys_a.eigenvalues)
+        return f"{classify_canonical_type(sys_a).value}, eigenvalues [{spectrum}]\n", 0
+    if cmd == "canonicalize":
+        rho, _ = _load_state(path)
+        return dumps(canonical_report(canonicalize(rho, tol))), 0
+    if cmd == "ellipsoid":
+        return _run_ellipsoid(path, tol, side, samples, csv_path), 0
+    text, ok = _run_verify(path, tol)
+    return text, 0 if ok else 4
+
+
 # ---------------------------------------------------------------------------
 # batch mode
 
@@ -220,20 +221,9 @@ def _batch_one(task: tuple[str, str, str, float, dict]) -> tuple[str, int, str]:
     """(input name, exit code, message); never raises."""
     cmd, in_path, out_path, tol, extra = task
     try:
-        if cmd == "classify":
-            text = _run_classify(in_path, tol)
-        elif cmd == "canonicalize":
-            text = _run_canonicalize(in_path, tol)
-        elif cmd == "ellipsoid":
-            text = _run_ellipsoid(in_path, tol, extra.get("side", "A"),
-                                  extra.get("samples"), None)
-        else:
-            text, ok = _run_verify(in_path, tol)
-            if not ok:
-                Path(out_path).write_text(text, encoding="utf-8")
-                return Path(in_path).name, 4, "verification failed"
+        text, code = _run_state_command(cmd, in_path, tol, **extra)
         Path(out_path).write_text(text, encoding="utf-8")
-        return Path(in_path).name, 0, ""
+        return Path(in_path).name, code, "verification failed" if code else ""
     except LorentzSvdError as exc:
         return Path(in_path).name, exc.exit_code, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # per-file isolation: report, never abort the pool
@@ -319,23 +309,14 @@ def main(argv: list[str] | None = None) -> int:
             text, ok = _run_sigma(args.b, args.c, args.d, tol)
             _write_output(text, args.output)
             return 0 if ok else 4
+        extra = {"side": args.side, "samples": args.samples} if args.command == "ellipsoid" else {}
         if getattr(args, "batch", None):
-            extra = {}
-            if args.command == "ellipsoid":
-                extra = {"side": args.side, "samples": args.samples}
             return _run_batch(args.command, args.batch, tol, extra)
-        if args.command == "classify":
-            text = _run_classify(args.input, tol)
-        elif args.command == "canonicalize":
-            text = _run_canonicalize(args.input, tol)
-        elif args.command == "ellipsoid":
-            text = _run_ellipsoid(args.input, tol, args.side, args.samples, args.csv)
-        else:
-            text, ok = _run_verify(args.input, tol)
-            _write_output(text, args.output)
-            return 0 if ok else 4
+        if args.command == "ellipsoid":
+            extra["csv_path"] = args.csv
+        text, code = _run_state_command(args.command, args.input, tol, **extra)
         _write_output(text, args.output)
-        return 0
+        return code
     except LorentzSvdError as exc:
         error = {
             "error": type(exc).__name__,

@@ -19,6 +19,7 @@ import numpy as np
 from .canonical import CanonicalResult, SideFamily
 from .errors import DegenerateProductGeometry
 from .qstate import SteerDirection, steer
+from .serialize import format_float
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -131,14 +132,10 @@ def fit_axis_aligned_ellipsoid(points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.array([0.0, 0.0, z0]), semi
 
 
-def _fmt(x: float) -> str:
-    return format(0.0 if x == 0.0 else float(x), ".17g")
-
-
 def points_to_csv(points: np.ndarray) -> str:
     lines = ["x,y,z"]
     for p in np.atleast_2d(points):
-        lines.append(",".join(_fmt(v) for v in p))
+        lines.append(",".join(format_float(v) for v in p))
     return "\n".join(lines) + "\n"
 
 

@@ -26,10 +26,7 @@ from lorentzsvd.geigen import (
     CanonicalFamily,
     classify_canonical_type,
     g_eigensystem,
-    h_function,
     omega_matrices,
-    oracle_eigenvalues,
-    spectral_oracle,
 )
 from lorentzsvd.geometry import (
     sample_steered_surface,
@@ -45,6 +42,7 @@ from lorentzsvd.qstate import (
     rho_from_lambda,
     sl2c_to_lorentz,
 )
+from lorentzsvd.secular import h_function, oracle_eigenvalues, spectral_oracle
 
 RANKS = (1, 2, 3, 4)
 PER_RANK = 2500

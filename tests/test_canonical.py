@@ -261,18 +261,19 @@ def test_type2_orbit_ratio_invariant(slocc_seed):
     ],
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
+    """One eigensolve per side, and the two Omega forms built once."""
     import lorentzsvd.canonical as canonical
 
-    calls = []
-    solve = canonical.g_eigensystem
+    calls = {"g_eigensystem": 0, "omega_matrices": 0}
+    for name in calls:
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+        def counted(*args, _name=name, _fn=getattr(canonical, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(canonical, "g_eigensystem", counted)
+        monkeypatch.setattr(canonical, name, counted)
     assert canonicalize(rho).family is family
-    assert len(calls) == 2
+    assert calls == {"g_eigensystem": 2, "omega_matrices": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +250,19 @@ def test_batch_classify_writes_text(tmp_path, capsys):
     code, out, _ = run(["classify", "--batch", str(batch)], capsys)
     assert code == 0
     assert (batch / "mixed.classify.txt").read_text() == "TypeI, eigenvalues [1,0,0,0]\n"
+
+
+def test_production_path_leaves_the_oracle_unimported():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import lorentzsvd.cli\n"
+        "from lorentzsvd.canonical import canonicalize\n"
+        "from lorentzsvd.qstate import random_state\n"
+        "canonicalize(random_state(4, seed=5))\n"
+        "print('lorentzsvd.secular' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

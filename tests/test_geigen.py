@@ -18,13 +18,8 @@ from lorentzsvd.geigen import (
     CanonicalFamily,
     classify_canonical_type,
     g_eigensystem,
-    h_derivative,
-    h_derivative_norm_check,
-    h_function,
     lorentz_invariants,
     omega_matrices,
-    oracle_eigenvalues,
-    spectral_oracle,
 )
 from lorentzsvd.minkowski import G_METRIC, VectorClass
 from lorentzsvd.qstate import (
@@ -32,6 +27,13 @@ from lorentzsvd.qstate import (
     lambda_from_rho,
     random_state,
     sl2c_to_lorentz,
+)
+from lorentzsvd.secular import (
+    h_derivative,
+    h_derivative_norm_check,
+    h_function,
+    oracle_eigenvalues,
+    spectral_oracle,
 )
 
 from conftest import random_sl2c, rng

@@ -5,9 +5,12 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+import pytest
 
-from lorentzsvd._quartic import charpoly_g, polyval
-from lorentzsvd.geigen import omega_matrices
+from lorentzsvd._quartic import charpoly_g, polyval, quartic_real_roots
+from lorentzsvd.errors import NumericalFailure
+from lorentzsvd.geigen import CLUSTER_RADIUS_REL, omega_matrices
+from lorentzsvd.minkowski import G_METRIC
 from lorentzsvd.qstate import lambda_from_rho, random_state
 
 from conftest import rng
@@ -44,3 +47,74 @@ def test_polyval_is_bitwise_numpy_horner():
             c = gen.normal(size=n) * 10.0 ** gen.integers(-8, 8, size=n)
             x = float(gen.normal() * 10.0 ** gen.integers(-4, 4))
             assert polyval(c.tolist(), x) == np.polynomial.polynomial.polyval(x, c)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [0.05, 0.2, 0.5, 0.9],
+        [0.1, 0.3, 0.6, 0.6],
+        [0.2, 0.2, 0.7, 0.7],
+        [0.1, 0.4, 0.4, 0.4],
+        [0.3, 0.3, 0.3, 0.3],
+    ],
+    ids=["1-1-1-1", "2-1-1", "2-2", "3-1", "4"],
+)
+def test_quartic_root_patterns(roots):
+    c = np.polynomial.polynomial.polyfromroots(roots)
+    q = quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL, imag_tol=1e-9)
+    distinct = sorted(set(roots))
+    assert q.multiplicities.tolist() == [roots.count(r) for r in distinct]
+    np.testing.assert_allclose(q.values, distinct, rtol=0, atol=1e-6)
+    assert q.imag_residue == 0.0
+
+
+#: Omega_B forms of Sigma(b, c, d) states mixed with eps * I/4, whose
+#: spatial block keeps an exact double eigenvalue -omega[1][1].  Rounding
+#: in the quartic's coefficients splits it, and each form takes another
+#: route back to one root of multiplicity 2; each was found by search.
+SPLIT_DOUBLE_ROOTS = {
+    # a complex pair the gcd tower misses, closed by the remainder
+    # (Sigma(0.2, -0.4, 0.5), eps = 5e-9; the pair's imaginary part is 8.9e-8)
+    "complex-pair-closure": ([
+        [0.8400000015999999, 0.0, 0.0, 0.35999999739999994],
+        [0.0, -0.24999999750000002, 0.0, 0.0],
+        [0.0, 0.0, -0.24999999750000002, 0.0],
+        [0.35999999739999994, 0.0, 0.0, -0.11999999880000001],
+    ], 1e-7),
+    # a real pair from the remainder closure, within the cluster radius
+    # (hard-inputs benchmark corpus, seed 97, case 455)
+    "real-pair-merge": ([
+        [0.6949368817173682, 0.0, 0.0, 0.1966649121435959],
+        [0.0, -0.12696135259236377, 0.0, 0.0],
+        [0.0, 0.0, -0.12696135259236377, 0.0],
+        [0.1966649121435959, 0.0, 0.0, -0.30160641546192357],
+    ], 1e-9),
+    # two isolated roots that Newton polish pulls within the cluster radius
+    # (hard-inputs benchmark corpus, seed 97, case 65)
+    "polish-merge": ([
+        [0.7673539323133866, 0.0, 0.0, 0.1288633235653023],
+        [0.0, -0.3462592626207758, 0.0, 0.0],
+        [0.0, 0.0, -0.3462592626207758, 0.0],
+        [0.1288633235653023, 0.0, 0.0, -0.5096264237165283],
+    ], 1e-9),
+}
+
+
+@pytest.mark.parametrize("route", list(SPLIT_DOUBLE_ROOTS))
+def test_quartic_recovers_a_split_double_root(route):
+    rows, imag_tol = SPLIT_DOUBLE_ROOTS[route]
+    omega = np.array(rows)
+    radius = CLUSTER_RADIUS_REL * max(1.0, abs(float(np.trace(G_METRIC @ omega))))
+    q = quartic_real_roots(charpoly_g(omega), radius, imag_tol)
+    assert q.multiplicities.tolist() == [2, 1, 1]
+    assert abs(q.values[0] + omega[1, 1]) <= radius
+    assert (q.imag_residue > 0.0) == (route == "complex-pair-closure")
+    assert q.imag_residue <= imag_tol
+
+
+def test_quartic_refuses_a_complex_pair():
+    pair = np.polynomial.polynomial.polyfromroots([0.5, 0.5]) + [1e-6, 0.0, 0.0]
+    c = np.polynomial.polynomial.polymul(pair, np.polynomial.polynomial.polyfromroots([0.9, 0.1]))
+    with pytest.raises(NumericalFailure, match="complex eigenvalue pair"):
+        quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL, imag_tol=1e-9)
