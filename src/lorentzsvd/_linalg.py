@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateCompletion
-from .minkowski import G_METRIC, g_inner
+from .minkowski import G_METRIC, SCALE_FLOOR, ZERO_REL, g_inner
 
 
 def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
@@ -29,7 +29,7 @@ def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
     # plain Python cannot reproduce.
     A = np.asarray(M, dtype=float).tolist()
     m, n = len(A), len(A[0])
-    scale = max(max(abs(v) for row in A for v in row), 1e-300)
+    scale = max(max(abs(v) for row in A for v in row), SCALE_FLOOR)
     col_perm = list(range(n))
     rank = 0
     for k in range(min(m, n)):
@@ -87,8 +87,8 @@ def gram_eigenbasis(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], V @ U[:, order]
 
 
-def complete_g_frame(existing: list[np.ndarray], count: int, sign: float) -> list[np.ndarray]:
-    """Extend G-orthonormal vectors with `count` unit vectors of G-norm `sign`.
+def complete_g_frame(existing: list[np.ndarray], count: int) -> list[np.ndarray]:
+    """Extend G-orthonormal vectors with `count` unit spacelike vectors.
 
     `existing` must hold vectors with G-norms close to +/-1.  Candidates
     are drawn from the standard basis, G-projected against everything
@@ -105,10 +105,10 @@ def complete_g_frame(existing: list[np.ndarray], count: int, sign: float) -> lis
             for y in frame:
                 eps = g_inner(y, y)
                 cand = cand - (g_inner(y, cand) / eps) * y
-            mag = sign * g_inner(cand, cand)
+            mag = -g_inner(cand, cand)
             if mag > best_mag:
                 best, best_mag = cand, mag
-        if best is None or best_mag <= 1e-12:
+        if best is None or best_mag <= ZERO_REL:
             raise DegenerateCompletion("could not complete indefinite frame")
         v = best / np.sqrt(best_mag)
         frame.append(v)

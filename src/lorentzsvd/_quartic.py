@@ -28,12 +28,33 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NumericalFailure
+from .minkowski import SCALE_FLOOR
 
 _EPS = float(np.finfo(float).eps)
 
+#: leading coefficients at most this fraction of the largest one are
+#: dropped, so a remainder's rounding residue does not pose as its degree
 _TRIM_REL = 1e-12
+#: a Sturm remainder whose coefficients all fall at or below this
+#: (relative to the unit-normalized dividend) is zero: the chain ends at a
+#: numerical gcd, i.e. p has a multiple root
 _STURM_TRUNC_REL = 1e-11
+#: a cap only: bisection normally stops first, at two ulps of max(1, |x|)
 _BISECT_ITERS = 90
+#: bisection steps a left end that is an exact root of the neighbouring
+#: interval by this fraction of max(width, 1), well beyond one ulp; a step
+#: past the right end shows up as a missing bracket and is handled there
+_STEP_OFF_REL = 1e-12
+#: a gcd-level quadratic whose discriminant is negative by at most this
+#: fraction of its terms' size is a double root at its vertex.  The gcd
+#: levels are only as exact as the chain truncation at `_STURM_TRUNC_REL`,
+#: which moves the discriminant of a true double root by about that much
+#: relative; this leaves a wide margin above it
+_DISC_CLAMP_REL = 1e-8
+#: isolation stops splitting an interval narrower than this fraction of
+#: the Cauchy root bound (or 64 ulps of it), and reports the roots still
+#: inside it as one cluster
+_ISOLATION_FLOOR_REL = 1e-13
 
 #: principal minors of det(omega - x*G) per coefficient k: (sign, kept
 #: indices) for every k-subset S of deleted indices, in combinations
@@ -208,7 +229,7 @@ def _bisect_refine(c: list[float], a: float, b: float) -> float:
     fa = polyval(c, a)
     if fa == 0.0:
         # a is a root of the *neighbouring* interval; step off it
-        a += max(b - a, 1.0) * 1e-12
+        a += max(b - a, 1.0) * _STEP_OFF_REL
         fa = polyval(c, a)
     if fa == 0.0:
         return a
@@ -238,10 +259,10 @@ def _real_roots_low_degree(q: list[float]) -> list[float]:
     if len(q) == 3:
         a0, a1, a2 = q
         disc = a1 * a1 - 4.0 * a2 * a0
-        scale = max(a1 * a1, abs(4.0 * a2 * a0), 1e-300)
+        scale = max(a1 * a1, abs(4.0 * a2 * a0), SCALE_FLOOR)
         vertex = -a1 / (2.0 * a2)
         if disc < 0.0:
-            if disc >= -1e-8 * scale:
+            if disc >= -_DISC_CLAMP_REL * scale:
                 return [vertex, vertex]
             return []
         s = math.sqrt(disc) / (2.0 * abs(a2))
@@ -308,7 +329,7 @@ def quartic_real_roots(
         top_sd = sturm_chain(square_free)
 
     B = cauchy_bound(c)
-    floor = max(1e-13 * B, 64.0 * _EPS * B)
+    floor = max(_ISOLATION_FLOOR_REL * B, 64.0 * _EPS * B)
     intervals = _isolate(top_sd, -B, B, floor)
 
     roots: list[float] = []

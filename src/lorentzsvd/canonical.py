@@ -53,11 +53,24 @@ from .geigen import (
 from .minkowski import (
     DEFAULT_TOL,
     G_METRIC,
+    LORENTZ_TOL_FLOOR,
+    SCALE_FLOOR,
+    ZERO_REL,
     complete_tetrad_from_neutral_triad,
     g_inner,
     is_orthochronous_proper_lorentz,
 )
 from .qstate import lambda_from_rho, rho_from_lambda
+
+#: Tolerance on the canonical parameter region (Bell weights >= 0;
+#: 0 <= p1^2 <= p0 <= 1) when a canonical state is built from parameters
+#: alone.
+_PARAMETER_TOL = 1e-9
+
+#: Floor of the same tolerance inside the pipeline, whose parameters are
+#: eigenvalue ratios; near a defective double root those are accurate
+#: only to about sqrt(eps) ~ 1.5e-8.
+_PIPELINE_PARAMETER_FLOOR = 1e-8
 
 
 class SideFamily(Enum):
@@ -131,6 +144,20 @@ def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # diagonal (TypeI) construction
 
+#: Eigenvalue slots at or below this fraction of max(1, lam0), or ``tol``
+#: when larger, are zero.  Transporting a leg through Lambda divides
+#: eigenvector noise by the slot's eigenvalue, so slots below ~1e-7 lose
+#: G-orthonormality at working precision; they go through the exact frame
+#: completion instead, and a top eigenvalue that small has no usable scale
+#: at all.
+_ZERO_SLOT_REL = 1e-7
+
+#: Floor of the tolerance, relative to max(1, max |D|), on the off-diagonal
+#: entries of D = L_A Lambda L_B^T.  D is built from the two tetrads and
+#: inherits their defect, which `LORENTZ_TOL_FLOOR` bounds at the same
+#: value.
+_DIAGONAL_TOL_FLOOR = 1e-8
+
 
 def type1_canonical(
     lam: np.ndarray,
@@ -156,11 +183,7 @@ def type1_canonical(
         raise NotTypeI(f"side A classifies as {family.value}")
     lam0 = float(sys_a.eigenvalues[0])
     scale = max(1.0, lam0)
-    # Transporting a leg through Lambda divides eigenvector noise by the
-    # slot's eigenvalue, so slots below ~1e-7 lose G-orthonormality at
-    # working precision; they go through the exact frame completion
-    # instead, and a top eigenvalue that small has no usable scale at all.
-    zero_tol = max(tol, 1e-7) * scale
+    zero_tol = max(tol, _ZERO_SLOT_REL) * scale
     if lam0 <= zero_tol:
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
 
@@ -173,7 +196,7 @@ def type1_canonical(
     if len(space) < 3:
         space += [
             (v, 0.0)
-            for v in complete_g_frame([a0] + [v for v, _ in space], 3 - len(space), -1.0)
+            for v in complete_g_frame([a0] + [v for v, _ in space], 3 - len(space))
         ]
     a_legs = space[:3]
 
@@ -187,7 +210,7 @@ def type1_canonical(
         if lam_slots[mu] > zero_tol:
             b_vecs[mu] = G_METRIC @ lam.T @ a_rows[mu] / np.sqrt(lam_slots[mu])
     known = [b for b in b_vecs if b is not None]
-    filled = iter(complete_g_frame(known, 4 - len(known), -1.0)) if len(known) < 4 else iter(())
+    filled = iter(complete_g_frame(known, 4 - len(known))) if len(known) < 4 else iter(())
     b_rows = _g_orthonormalize(
         np.vstack([b if b is not None else next(filled) for b in b_vecs])
     )
@@ -202,10 +225,10 @@ def type1_canonical(
         D[:, 3] = -D[:, 3]
 
     for rows, side in ((a_rows, "left"), (b_rows, "right")):
-        if not is_orthochronous_proper_lorentz(rows, tol=max(tol, 1e-8)):
+        if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
             raise NumericalFailure(f"{side} tetrad failed the Lorentz-group check")
     off = D - np.diag(np.diag(D))
-    if np.abs(off).max() > max(tol, 1e-8) * max(1.0, np.abs(D).max()):
+    if np.abs(off).max() > max(tol, _DIAGONAL_TOL_FLOOR) * max(1.0, np.abs(D).max()):
         raise NumericalFailure(
             f"transformed correlation matrix is not diagonal "
             f"(largest off-diagonal {np.abs(off).max():.3e})"
@@ -226,7 +249,9 @@ def type1_canonical(
         "factorization": float(np.abs(D / n_scale - canon).max()),
         "omegaCanonical": float(np.abs(a_rows @ sys_a.omega @ a_rows.T - omega_target).max()),
     }
-    rho_c = canonical_rho_type1(ratios[1], ratios[2], det_sign * ratios[3], tol=max(tol, 1e-8))
+    rho_c = canonical_rho_type1(
+        ratios[1], ratios[2], det_sign * ratios[3], tol=max(tol, _PIPELINE_PARAMETER_FLOOR)
+    )
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
 
     return CanonicalResult(
@@ -244,6 +269,39 @@ def type1_canonical(
 # ---------------------------------------------------------------------------
 # arrow (TypeII) construction
 
+#: Two eigenvalues of one side within this fraction of max(1, lam0) are the
+#: same: a lightlike eigenvector belongs to the top eigenvalue, and the two
+#: spacelike eigenvalues form the pair the arrow form needs.  Both come
+#: from a defective double root, fixed only to about sqrt(eps) ~ 1.5e-8.
+_EIGENVALUE_MATCH_REL = 1e-6
+
+#: Rank threshold for the G-orthogonal complement of legs already found
+#: (extension legs, completion plane).  The legs are G-orthonormal, so the
+#: pivots that count are of the order of their entries; the threshold only
+#: has to clear rounding.
+_COMPLEMENT_RTOL = 1e-10
+
+#: A direction is a usable unit spacelike leg, or kernel column of the
+#: right factor, only when its Minkowski Gram eigenvalue is below -this:
+#: normalizing divides by the square root of it.
+_SPACELIKE_GRAM_MIN = 1e-10
+
+#: Floor of the tolerance handed to the neutral-triad completion.  The
+#: triad is read off eigenvectors at a defective double root, which are
+#: G-orthonormal only to about sqrt(eps) ~ 1.5e-8.
+_TRIAD_TOL_FLOOR = 1e-7
+
+#: r1^2 at or below this fraction of max(1, r0) is zero, and the right
+#: factor is solved on the kernel of L_A Lambda.  This puts the cut at
+#: r1 ~ 1e-7, which must sit below the kernel-detection threshold
+#: `_FACTOR_KERNEL_RTOL`, or borderline spectra fall between the routes.
+_R1_ZERO_REL = 1e-14
+
+#: Rank threshold of the kernel of L_A Lambda when r1 = 0.  The kernel is
+#: two-dimensional in exact arithmetic and known only as well as the
+#: double root that gave r1 = 0.
+_FACTOR_KERNEL_RTOL = 1e-6
+
 
 def _pin_boost_gauge(u0: np.ndarray, plane: np.ndarray) -> np.ndarray:
     """Deterministic timelike pivot in the completion plane.
@@ -257,22 +315,22 @@ def _pin_boost_gauge(u0: np.ndarray, plane: np.ndarray) -> np.ndarray:
     sum.  Canonical inputs then reproduce their own parameters, because
     for them the pinned pivot is exactly e0.
     """
-    overlaps = np.abs(plane.T @ u0) / max(float(np.linalg.norm(u0)), 1e-300)
+    overlaps = np.abs(plane.T @ u0) / max(float(np.linalg.norm(u0)), SCALE_FLOOR)
     w = plane[:, int(np.argmin(overlaps))]
     q = g_inner(w, u0)
     scale = max(1.0, float(w @ w), float(u0 @ u0))
-    if abs(q) <= 1e-12 * scale:
+    if abs(q) <= ZERO_REL * scale:
         raise TriadConstructionFailure(
             "completion plane is G-degenerate along the null eigenvector"
         )
     second = w - (g_inner(w, w) / (2.0 * q)) * u0
-    if abs(second[0]) <= 1e-12 * float(np.linalg.norm(second)):
+    if abs(second[0]) <= ZERO_REL * float(np.linalg.norm(second)):
         raise TriadConstructionFailure("second null ray has no time component")
-    if abs(u0[0]) <= 1e-12 * float(np.linalg.norm(u0)):
+    if abs(u0[0]) <= ZERO_REL * float(np.linalg.norm(u0)):
         raise TriadConstructionFailure("null eigenvector has no time component")
     pivot = u0 / u0[0] + second / second[0]
     nrm = g_inner(pivot, pivot)
-    if nrm <= 1e-12:
+    if nrm <= ZERO_REL:
         raise TriadConstructionFailure(f"pinned pivot is not timelike (norm {nrm:.3e})")
     return pivot / np.sqrt(nrm)
 
@@ -288,7 +346,7 @@ def _type2_pattern(r0: float, r1: float) -> np.ndarray:
     )
 
 
-def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool, tol: float) -> np.ndarray:
+def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool) -> np.ndarray:
     """Solve M X = P for X with G-orthonormal columns (X = right-Lorentz^T).
 
     For r1 > 0, M is invertible and X = M^-1 P; the Lorentz property is
@@ -300,13 +358,13 @@ def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool, tol: float)
     if not r1_zero:
         X = np.linalg.solve(M, P)
     else:
-        K = null_space_basis(M, rtol=1e-6)
+        K = null_space_basis(M, rtol=_FACTOR_KERNEL_RTOL)
         if K.shape[1] != 2:
             raise NumericalFailure(
                 f"rank-deficient factor solve expected a 2-dim kernel, got {K.shape[1]}"
             )
         gram, W = gram_eigenbasis(K)
-        if np.any(gram > -1e-10):
+        if np.any(gram > -_SPACELIKE_GRAM_MIN):
             raise NumericalFailure("kernel directions of the factor solve are not spacelike")
         k = W / np.sqrt(-gram)
         cols = []
@@ -318,11 +376,6 @@ def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool, tol: float)
         X = np.column_stack([cols[0], k[:, 0], k[:, 1], cols[1]])
         if np.linalg.det(X) < 0:
             X[:, 2] = -X[:, 2]
-    if not is_orthochronous_proper_lorentz(X.T, tol=max(tol, 1e-8)):
-        raise NumericalFailure(
-            "right factor is not a proper orthochronous Lorentz matrix; "
-            "the input violates positivity transfer"
-        )
     return X
 
 
@@ -355,58 +408,61 @@ def type2_canonical(
     lam0 = float(sys.eigenvalues[0])
     scale = max(1.0, lam0)
     pairs = _distinct_eigenpairs(sys)
-    neutral = [v for c, n, v in pairs if n == 0 and abs(c - lam0) <= 1e-6 * scale]
+    neutral = [v for c, n, v in pairs if n == 0 and abs(c - lam0) <= _EIGENVALUE_MATCH_REL * scale]
     if not neutral:
         raise NotTypeII("no lightlike eigenvector at the top eigenvalue")
     u0 = neutral[0] if neutral[0][0] >= 0 else -neutral[0]
     space = [(v, c) for c, n, v in pairs if n == -1]
     while len(space) < 2:
         rows = [G_METRIC @ u0] + [G_METRIC @ v for v, _ in space]
-        B = null_space_basis(np.vstack(rows), rtol=1e-10)
+        B = null_space_basis(np.vstack(rows), rtol=_COMPLEMENT_RTOL)
         if B.shape[1] == 0:
             raise TriadConstructionFailure("could not extend the spacelike legs")
         gram, W = gram_eigenbasis(B)
         idx = int(np.argmin(gram))
-        if gram[idx] > -1e-10:
+        if gram[idx] > -_SPACELIKE_GRAM_MIN:
             raise TriadConstructionFailure("could not extend the spacelike legs")
         leg = W[:, idx] / np.sqrt(-gram[idx])
         space.append((leg, -float(leg @ omega @ leg)))
     (a1, l1), (a2, l2) = space[:2]
-    if abs(l1 - l2) > 1e-6 * scale:
+    if abs(l1 - l2) > _EIGENVALUE_MATCH_REL * scale:
         raise NumericalFailure(
             f"lower eigenvalue pair splits by {abs(l1 - l2):.3e}; "
             "no non-negative state realizes this spectrum"
         )
     lam1 = 0.5 * (l1 + l2)
 
-    plane = null_space_basis(np.vstack([G_METRIC @ a1, G_METRIC @ a2]), rtol=1e-10)
+    plane = null_space_basis(np.vstack([G_METRIC @ a1, G_METRIC @ a2]), rtol=_COMPLEMENT_RTOL)
     if plane.shape[1] != 2:
         raise TriadConstructionFailure(
             f"completion plane has dimension {plane.shape[1]}, expected 2"
         )
     pivot = _pin_boost_gauge(u0, plane)
     tetrad, _, _ = complete_tetrad_from_neutral_triad(
-        u0, a1, a2, tol=max(tol, 1e-7), timelike_pivot=pivot
+        u0, a1, a2, tol=max(tol, _TRIAD_TOL_FLOOR), timelike_pivot=pivot
     )
     left = np.vstack([tetrad.y0, a1, a2, tetrad.y3])
     if np.linalg.det(left) < 0:
         left[2] = -left[2]
-    if not is_orthochronous_proper_lorentz(left, tol=max(tol, 1e-8)):
+    if not is_orthochronous_proper_lorentz(left, tol=max(tol, LORENTZ_TOL_FLOOR)):
         raise NumericalFailure("left tetrad failed the Lorentz-group check")
 
     phi0 = float(left[0] @ omega @ left[0])
-    if phi0 <= max(tol, 1e-12) * scale:
+    if phi0 <= max(tol, ZERO_REL) * scale:
         raise NumericalFailure(f"canonical 00-scale {phi0:.3e} is not positive")
     r0 = lam0 / phi0
     r1sq = lam1 / phi0
-    # the cutoff must sit below the kernel-detection threshold of the
-    # right-factor solve, or borderline spectra fall between the routes
-    r1_zero = r1sq <= 1e-14 * max(1.0, r0)
+    r1_zero = r1sq <= _R1_ZERO_REL * max(1.0, r0)
     r1 = 0.0 if r1_zero else float(np.sqrt(max(r1sq, 0.0)))
 
     pattern = _type2_pattern(r0, r1)
     n_scale = float(np.sqrt(phi0))
-    X = _solve_right_factor(left @ work, n_scale * pattern, r1_zero, tol)
+    X = _solve_right_factor(left @ work, n_scale * pattern, r1_zero)
+    if not is_orthochronous_proper_lorentz(X.T, tol=max(tol, LORENTZ_TOL_FLOOR)):
+        raise NumericalFailure(
+            "right factor is not a proper orthochronous Lorentz matrix; "
+            "the input violates positivity transfer"
+        )
     right = X.T
 
     achieved = (left @ work @ X) / n_scale
@@ -426,13 +482,13 @@ def type2_canonical(
 
     if side == "A":
         canon = pattern
-        rho_c = canonical_rho_type2(r0, r1, "A", tol=max(tol, 1e-8))
+        rho_c = canonical_rho_type2(r0, r1, "A", tol=max(tol, _PIPELINE_PARAMETER_FLOOR))
         params = {"r0": float(r0), "r1": float(r1), "phi0": float(phi0)}
         left_out, right_out = left, right
     else:
         # transpose the factorization back: right and left swap roles
         canon = pattern.T
-        rho_c = canonical_rho_type2(r0, r1, "B", tol=max(tol, 1e-8))
+        rho_c = canonical_rho_type2(r0, r1, "B", tol=max(tol, _PIPELINE_PARAMETER_FLOOR))
         params = {"s0": float(r0), "s1": float(r1), "chi0": float(phi0)}
         left_out, right_out = right, left
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
@@ -463,10 +519,16 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     general.  The degenerate product family yields a report without
     canonical normalization.
     """
-    lam = lambda_from_rho(rho)
+    lam = lambda_from_rho(rho, tol)
     pair = omega_matrices(lam)
     sys_a = g_eigensystem(pair.omega_a, tol)
-    sys_b = g_eigensystem(pair.omega_b, tol)
+    return _factor_solved(lam, sys_a, g_eigensystem(pair.omega_b, tol), tol)
+
+
+def _factor_solved(
+    lam: np.ndarray, sys_a: GEigenSystem, sys_b: GEigenSystem, tol: float
+) -> CanonicalResult:
+    """`canonicalize` after its two eigensolves, for callers that already hold them."""
     fam_a = classify_canonical_type(sys_a)
     fam_b = classify_canonical_type(sys_b)
     if fam_a is not fam_b:
@@ -478,7 +540,7 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
         return CanonicalResult(
             family=SideFamily.DEGENERATE_PRODUCT,
             canonical_lambda=lam.copy(),
-            canonical_rho=rho_from_lambda(lam),
+            canonical_rho=rho_from_lambda(lam, tol),
             left_lorentz=np.eye(4),
             right_lorentz=np.eye(4),
             parameters={"lambdas": [float(v) for v in sys_a.eigenvalues]},
@@ -495,7 +557,7 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
 # canonical density matrices from parameters alone
 
 
-def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float = 1e-9) -> np.ndarray:
+def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float = _PARAMETER_TOL) -> np.ndarray:
     """Bell-diagonal state with correlation diag(1, d1, d2, d3)."""
     weights = 0.25 * np.array(
         [
@@ -521,7 +583,7 @@ def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float = 1e-9) -> n
     )
 
 
-def canonical_rho_type2(p0: float, p1: float, side: str, tol: float = 1e-9) -> np.ndarray:
+def canonical_rho_type2(p0: float, p1: float, side: str, tol: float = _PARAMETER_TOL) -> np.ndarray:
     """Rank <= 3 state of the arrow canonical form with parameters (p0, p1)."""
     if not (-tol <= p1 * p1 <= p0 + tol and p0 <= 1.0 + tol):
         raise InvalidCanonicalParameters(
@@ -536,7 +598,7 @@ def canonical_rho_type2(p0: float, p1: float, side: str, tol: float = 1e-9) -> n
     return rho
 
 
-def canonical_density(result: CanonicalResult, tol: float = 1e-9) -> np.ndarray:
+def canonical_density(result: CanonicalResult) -> np.ndarray:
     """Rebuild the canonical state from a result's parameters alone."""
     if result.family is SideFamily.DEGENERATE_PRODUCT:
         raise InvalidCanonicalParameters(
@@ -546,15 +608,31 @@ def canonical_density(result: CanonicalResult, tol: float = 1e-9) -> np.ndarray:
     if result.family is SideFamily.TYPE_I:
         lams = np.asarray(p["lambdas"], dtype=float)
         r = np.sqrt(np.clip(lams / lams[0], 0.0, None))
-        return canonical_rho_type1(r[1], r[2], p["detSign"] * r[3], tol)
+        return canonical_rho_type1(r[1], r[2], p["detSign"] * r[3])
     if result.family is SideFamily.TYPE_II_A:
-        return canonical_rho_type2(p["r0"], p["r1"], "A", tol)
-    return canonical_rho_type2(p["s0"], p["s1"], "B", tol)
+        return canonical_rho_type2(p["r0"], p["r1"], "A")
+    return canonical_rho_type2(p["s0"], p["s1"], "B")
 
 
 # ---------------------------------------------------------------------------
 # a three-parameter closed-form family of non-diagonalizable states, used
 # as an independent cross-check of the general pipeline
+
+#: Least tolerance of `sigma_equivalence_check`: the closed forms and the
+#: pipeline agree only as well as a defective double root is resolved,
+#: about sqrt(eps) ~ 1.5e-8.
+_SIGMA_CHECK_TOL_FLOOR = 1e-8
+
+#: (b, c) within this of b = c, or of |b| = 1 or |c| = 1, is on the edge of
+#: the closed forms' domain: b = c is the diagonalizable family, which has
+#: no arrow form, and |b| or |c| = 1 a pure product, where the closed
+#: forms divide by zero.
+_SIGMA_EDGE = 1e-12
+
+#: The A-side closed form's boost grows without bound as 1 + c - 2b falls
+#: to zero and does not exist below it; at or below this value the A-side
+#: comparison is skipped.
+_SIGMA_A_BOOST_MIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -638,7 +716,7 @@ def _boost_0z(t: float, x: float) -> np.ndarray:
     return L
 
 
-def sigma_equivalence_check(p: SigmaParameters, tol: float = 1e-8) -> SigmaEquivalenceReport:
+def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> SigmaEquivalenceReport:
     """Check Sigma(b,c,d) against its closed-form canonical factorizations.
 
     The closed forms fix their own boost gauge, which agrees with the
@@ -650,9 +728,10 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = 1e-8) -> SigmaEquiv
     if bad:
         raise InvalidSigmaParameters("; ".join(bad))
     b, c, d = p.b, p.c, p.d
-    if abs(b - c) < 1e-12:
+    tol = max(tol, _SIGMA_CHECK_TOL_FLOOR)
+    if abs(b - c) < _SIGMA_EDGE:
         raise NotTypeII("b = c gives diagonal quadratic forms (diagonalizable family)")
-    if min(1.0 - abs(b), 1.0 - abs(c)) < 1e-12:
+    if min(1.0 - abs(b), 1.0 - abs(c)) < _SIGMA_EDGE:
         raise InvalidSigmaParameters(
             "b or c at +-1 collapses the state to a pure product (no canonical scale)"
         )
@@ -691,7 +770,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = 1e-8) -> SigmaEquiv
     # A-side closed form has no valid gauge and the check is skipped.
     proper = is_orthochronous_proper_lorentz(left_b)
     a_res = 0.0
-    if 1.0 + c - 2.0 * b > 1e-9:
+    if 1.0 + c - 2.0 * b > _SIGMA_A_BOOST_MIN:
         h = np.sqrt((1.0 + c) * (1.0 + c - 2.0 * b))
         left_a = _boost_0z((1.0 - b + c) / h, -b / h)
         r0 = (1.0 - 2.0 * b + c) / (1.0 - b)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .canonical import (
     SigmaParameters,
+    _factor_solved,
     canonicalize,
     sigma_equivalence_check,
     sigma_from_bcd,
@@ -53,6 +54,24 @@ from .serialize import (
     parse_state_document,
     state_document,
 )
+
+# Floors of the `verify` thresholds: each check passes at max(k * tol,
+# floor) for its own multiple k, so a tiny ``--tol`` cannot fail a state
+# on rounding alone.
+
+#: |rho(Lambda(rho)) - rho|, entries at most 1: a few ulps of rounding
+_ROUND_TRIP_FLOOR = 1e-10
+#: |spectrum(A) - spectrum(B)| relative to max(1, lambda0): the two sides
+#: agree only as well as a defective double root is resolved, about
+#: sqrt(eps) ~ 1.5e-8
+_SHARED_SPECTRUM_FLOOR = 1e-8
+#: factorization residual |L_A Lambda L_B^T / N - Lambda^c|, which
+#: inherits the same double-root accuracy
+_FACTOR_FLOOR = 1e-8
+#: |L^T G L - G| of either factor
+_LORENTZ_DEFECT_FLOOR = 1e-9
+#: how far below zero the canonical state's smallest eigenvalue may reach
+_RHO_POSITIVE_FLOOR = 1e-9
 
 
 def _resolve_tol(value: float | None) -> float:
@@ -79,12 +98,17 @@ def _read_text(path: str) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
 
 
-def _load_state(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _load_state(path: str, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(rho, lambda) from a state document, validating physicality."""
     kind, value = loads_state(_read_text(path))
     if kind == "rho":
-        return value, lambda_from_rho(value)
-    return rho_from_lambda(value), value
+        return value, lambda_from_rho(value, tol)
+    return rho_from_lambda(value, tol), value
+
+
+def _state_rho(kind: str, value: np.ndarray, tol: float) -> np.ndarray:
+    """rho of a parsed state document; a lambda document is validated on the way."""
+    return value if kind == "rho" else rho_from_lambda(value, tol)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -113,9 +137,7 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
             doc = doc["partner"]
         result = parse_canonical_report(doc)
     else:
-        kind, value = parse_state_document(doc)
-        rho = value if kind == "rho" else rho_from_lambda(value)
-        result = canonicalize(rho, tol)
+        result = canonicalize(_state_rho(*parse_state_document(doc), tol), tol)
         if side == "B" and result.partner is not None:
             result = result.partner
     ell = steering_ellipsoid(result)
@@ -131,7 +153,7 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
 
 def _run_sigma(b: float, c: float, d: float, tol: float) -> tuple[str, bool]:
     sigma, _ = sigma_from_bcd(SigmaParameters(b, c, d))
-    report = sigma_equivalence_check(SigmaParameters(b, c, d), tol=max(tol, 1e-8))
+    report = sigma_equivalence_check(SigmaParameters(b, c, d), tol)
     lam0 = (1.0 + c) * (1.0 - b)
     s0 = (1.0 - b) / (1.0 - c)
     s1 = abs(d) / np.sqrt(1.0 - c * c)
@@ -157,7 +179,9 @@ def _run_random(rank: int, seed: int) -> str:
 
 
 def _run_verify(path: str, tol: float) -> tuple[str, bool]:
-    rho, lam = _load_state(path)
+    kind, payload = loads_state(_read_text(path))
+    rho = _state_rho(kind, payload, tol)
+    lam = lambda_from_rho(rho, tol)  # the Lambda canonicalize would factor
     checks: dict[str, dict] = {}
 
     def record(name: str, value: float, threshold: float) -> None:
@@ -167,25 +191,26 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
             "ok": bool(value <= threshold),
         }
 
-    record("rhoRoundTrip", np.abs(rho_from_lambda(lam, validate=False) - rho).max(),
-           max(tol, 1e-10))
+    # a lambda document's rho was built from the document's own Lambda
+    doc_lam = payload if kind == "lambda" else lam
+    record("rhoRoundTrip", np.abs(rho_from_lambda(doc_lam, validate=False) - rho).max(),
+           max(tol, _ROUND_TRIP_FLOOR))
     pair = omega_matrices(lam)
     sys_a = g_eigensystem(pair.omega_a, tol)
     sys_b = g_eigensystem(pair.omega_b, tol)
     scale = max(1.0, float(sys_a.eigenvalues[0]))
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
-           max(100 * tol, 1e-8) * scale)
-    result = canonicalize(rho, tol)
+           max(100 * tol, _SHARED_SPECTRUM_FLOOR) * scale)
+    result = _factor_solved(lam, sys_a, sys_b, tol)
     if result.residuals:
-        record("factorization", result.residuals["factorization"], max(100 * tol, 1e-8))
+        record("factorization", result.residuals["factorization"], max(100 * tol, _FACTOR_FLOOR))
         lorentz_defect = max(
             np.abs(L.T @ G_METRIC @ L - G_METRIC).max()
             for L in (result.left_lorentz, result.right_lorentz)
         )
-        record("lorentzFactors", lorentz_defect, max(10 * tol, 1e-9))
-        record("canonicalRhoPositive",
-               max(0.0, -float(np.linalg.eigvalsh(result.canonical_rho).min())),
-               max(10 * tol, 1e-9))
+        record("lorentzFactors", lorentz_defect, max(10 * tol, _LORENTZ_DEFECT_FLOOR))
+        record("canonicalRhoPositive", max(0.0, -result.residuals["rhoMinEigenvalue"]),
+               max(10 * tol, _RHO_POSITIVE_FLOOR))
     ok = all(c["ok"] for c in checks.values())
     doc = {
         "conventions": CONVENTIONS,
@@ -200,12 +225,12 @@ def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
                        samples: int | None = None, csv_path: str | None = None) -> tuple[str, int]:
     """(output text, exit code) of one state subcommand on one input."""
     if cmd == "classify":
-        _, lam = _load_state(path)
+        _, lam = _load_state(path, tol)
         sys_a = g_eigensystem(omega_matrices(lam).omega_a, tol)
         spectrum = ",".join(format_float(v) for v in sys_a.eigenvalues)
         return f"{classify_canonical_type(sys_a).value}, eigenvalues [{spectrum}]\n", 0
     if cmd == "canonicalize":
-        rho, _ = _load_state(path)
+        rho = _state_rho(*loads_state(_read_text(path)), tol)
         return dumps(canonical_report(canonicalize(rho, tol))), 0
     if cmd == "ellipsoid":
         return _run_ellipsoid(path, tol, side, samples, csv_path), 0
@@ -271,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument("--batch", metavar="DIR",
                            help="process every *.json in DIR on a worker pool")
         p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default: CANON_TOL env or 1e-10)")
+                       help=f"tolerance (default: CANON_TOL env or {DEFAULT_TOL:g})")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
         return p
 

@@ -25,7 +25,7 @@ import numpy as np
 from ._linalg import gram_eigenbasis, null_space_basis
 from ._quartic import charpoly_g, quartic_real_roots
 from .errors import NormalizationFailure, NumericalFailure
-from .minkowski import DEFAULT_TOL, G_METRIC, VectorClass
+from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, VectorClass
 
 _EPS = float(np.finfo(float).eps)
 
@@ -39,6 +39,19 @@ SIGNATURE_TOL = 1e-8
 #: orders below this, while generic random states keep eigenvalue gaps
 #: a few orders above it.
 CLUSTER_RADIUS_REL = 1e-7
+
+#: Floor of ``imag_tol``, the largest imaginary part (relative to
+#: max(1, |vertex|)) of a leftover root pair that the quartic closes onto
+#: the real axis as a double root.  The spectrum of a state is real; an
+#: imaginary part above the floor, or above ``tol`` when that is larger,
+#: is reported as a complex pair.
+_IMAG_TOL_FLOOR = 1e-9
+
+#: Floor of the tolerance, relative to max(1, top eigenvalue), above which
+#: a subdominant eigenvalue counts as nonzero.  A lightlike eigenvector at
+#: a nonzero subdominant eigenvalue is refused, because no state has one;
+#: at a zero eigenvalue it is the expected kernel direction.
+_SUBDOMINANT_ZERO_FLOOR = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +157,7 @@ def _signed_unit(x: np.ndarray) -> np.ndarray:
     big = float(np.abs(x).max())
     if big == 0.0:
         return x
-    if abs(x[0]) > 1e-12 * big:
+    if abs(x[0]) > ZERO_REL * big:
         return x if x[0] > 0 else -x
     k = int(np.abs(x).argmax())
     return x if x[k] > 0 else -x
@@ -165,7 +178,7 @@ def _cluster_vectors(
     the two, with progressive widening if the first cut finds nothing.
     """
     m = G_METRIC @ omega - center * np.eye(4)
-    mscale = max(float(np.abs(m).max()), 1e-300)
+    mscale = max(float(np.abs(m).max()), SCALE_FLOOR)
     thresh = max(CLUSTER_RADIUS_REL * scale, 64.0 * _EPS * mscale)
     if np.isfinite(gap):
         thresh = max(min(thresh, 0.45 * gap), 64.0 * _EPS * mscale)
@@ -261,7 +274,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     quartic = quartic_real_roots(
         charpoly_g(omega),
         cluster_radius=CLUSTER_RADIUS_REL * scale,
-        imag_tol=max(tol, 1e-9),
+        imag_tol=max(tol, _IMAG_TOL_FLOOR),
     )
     order = np.argsort(quartic.values)[::-1]
     centers = quartic.values[order]
@@ -292,7 +305,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
             if abs(gam) <= SIGNATURE_TOL:
                 x = _signed_unit(col / np.linalg.norm(col))
                 cls = 0
-                if ci > 0 and center > max(tol, 1e-9) * max(1.0, centers[0]):
+                if ci > 0 and center > max(tol, _SUBDOMINANT_ZERO_FLOOR) * max(1.0, centers[0]):
                     raise NormalizationFailure(
                         f"lightlike eigenvector at subdominant eigenvalue "
                         f"{center:.6g} (Minkowski norm {gam:.3e})"

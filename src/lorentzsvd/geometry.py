@@ -23,6 +23,10 @@ from .serialize import format_float
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
+#: a TypeI ellipsoid whose semi-axes (ratios, at most 1) are all at or
+#: below this is a point: its correlation diagonal is zero up to rounding
+_POINT_SEMI_AXIS = 1e-12
+
 
 class GeometryFamily(Enum):
     TYPE_I = "TypeI"
@@ -45,7 +49,7 @@ class SteeringEllipsoid:
     family: GeometryFamily
 
 
-def steering_ellipsoid(result: CanonicalResult, tol: float = 1e-12) -> SteeringEllipsoid:
+def steering_ellipsoid(result: CanonicalResult) -> SteeringEllipsoid:
     """Closed-form steering geometry of a canonical factorization result."""
     if result.family is SideFamily.DEGENERATE_PRODUCT:
         raise DegenerateProductGeometry(
@@ -54,7 +58,7 @@ def steering_ellipsoid(result: CanonicalResult, tol: float = 1e-12) -> SteeringE
     if result.family is SideFamily.TYPE_I:
         semi = np.abs(np.diag(result.canonical_lambda)[1:])
         center = np.zeros(3)
-        family = GeometryFamily.POINT if np.all(semi <= tol) else GeometryFamily.TYPE_I
+        family = GeometryFamily.POINT if np.all(semi <= _POINT_SEMI_AXIS) else GeometryFamily.TYPE_I
     else:
         p = result.parameters
         if result.family is SideFamily.TYPE_II_A:
@@ -85,7 +89,6 @@ def sample_steered_surface(
     lam: np.ndarray,
     direction: SteerDirection | str,
     count: int,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Conditional Bloch vectors steered through lam, one per sphere sample.
 
@@ -95,7 +98,7 @@ def sample_steered_surface(
     """
     points = np.empty((count, 3))
     for i, x in enumerate(fibonacci_sphere(count)):
-        q = steer(lam, np.concatenate([[1.0], x]), direction, tol=tol)
+        q = steer(lam, np.concatenate([[1.0], x]), direction)
         points[i] = q[1:] / q[0]
     return points
 

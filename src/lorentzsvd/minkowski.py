@@ -17,8 +17,54 @@ from .errors import DegenerateCompletion, TriadNotGOrthogonal
 
 G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-#: Default absolute/relative tolerance used across the package.
+#: The user's tolerance (``--tol``, ``CANON_TOL``) when none is given.
+#: Through `canonicalize` and the CLI it reaches these decisions and no
+#: others:
+#:
+#: * whether a matrix is a state: hermiticity, trace and positivity of rho,
+#:   and positivity of the rho rebuilt from a Lambda;
+#: * the G-eigensystem: the all-zero form, the largest imaginary part of a
+#:   root pair closed onto the real axis, which subdominant eigenvalues
+#:   count as nonzero, and the zero top eigenvalue of the degenerate
+#:   product family;
+#: * the constructions: zero eigenvalue slots, the sign of det Lambda, the
+#:   00-scale, neutral-triad completion, the Lorentz-group checks of both
+#:   factors, diagonality of the TypeI result and the canonical parameter
+#:   region;
+#: * the CLI's ``verify`` thresholds and its ``sigma`` comparison.
+#:
+#: Most of these take ``max(tol, floor)`` with a floor of their own, so a
+#: smaller ``tol`` never asks for more than the arithmetic can deliver.
+#: Root clustering, eigenspace signatures and rank decisions do not
+#: depend on it.
 DEFAULT_TOL = 1e-10
+
+#: Floor of the tolerance at which a factor built or mapped by the package
+#: must pass `is_orthochronous_proper_lorentz`.  At a defective double
+#: root eigenvectors are accurate only to about sqrt(eps) ~ 1.5e-8, and
+#: the factors inherit that defect; anything outside SO+(1,3) misses the
+#: group by far more.
+LORENTZ_TOL_FLOOR = 1e-8
+
+#: A quantity at most this fraction of the magnitude it is measured
+#: against is zero: a component of a vector against the vector's size, a
+#: G-norm, overlap or quadratic-form value against the squared size of
+#: what it is built from.  Rounding in 4-vector arithmetic stays near
+#: 1e-16 relative, four orders below.
+ZERO_REL = 1e-12
+
+#: Least value a scale may take before it divides something or multiplies
+#: a relative threshold, so an all-zero input gives a zero ratio or rank
+#: zero instead of 0/0.  It sits just above the smallest normal double
+#: (2.2e-308) and below any scale a state produces.
+SCALE_FLOOR = 1e-300
+
+#: Floor of the tolerance at which a tetrad completed from a neutral triad
+#: must be G-orthonormal (relative to its largest squared entry).  The
+#: new legs add multiples of the null leg y0 to the pivot, so the triad's
+#: own defect carries into them; a ``tol`` near machine precision would
+#: refuse frames that the Lorentz-group check downstream accepts.
+_TETRAD_TOL_FLOOR = 1e-9
 
 
 def g_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -176,5 +222,5 @@ def complete_tetrad_from_neutral_triad(
         t0, t3 = -t0, -t3
         tau, kappa = -tau, -kappa
     tetrad = Tetrad(y0=t0, y1=y1.copy(), y2=y2.copy(), y3=t3)
-    validate_g_orthogonal_tetrad(tetrad, tol=max(tol, 1e-9))
+    validate_g_orthogonal_tetrad(tetrad, tol=max(tol, _TETRAD_TOL_FLOOR))
     return tetrad, float(tau), float(kappa)

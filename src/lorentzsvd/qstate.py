@@ -24,7 +24,7 @@ from .errors import (
     NotUnitDeterminant,
     PositivityTransferViolated,
 )
-from .minkowski import DEFAULT_TOL, is_orthochronous_proper_lorentz, minkowski_norm
+from .minkowski import DEFAULT_TOL, LORENTZ_TOL_FLOOR, is_orthochronous_proper_lorentz, minkowski_norm
 
 PAULI = np.array(
     [
@@ -38,6 +38,21 @@ PAULI = np.array(
 
 #: PAULI_KRON[mu, nu] = sigma_mu (x) sigma_nu, shape (4, 4, 4, 4)
 PAULI_KRON = np.array([[np.kron(PAULI[m], PAULI[n]) for n in range(4)] for m in range(4)])
+
+#: eigenvalues of rho above this fraction of the largest count towards its
+#: rank (reported only); it sits well above the ~1e-16 relative noise of
+#: `eigvalsh`
+_RANK_REL = 1e-9
+
+#: floor of the tolerance on |det A - 1| for an SL(2,C) filter: det A of a
+#: filter with large entries carries rounding well above a small ``tol``
+_UNIT_DET_FLOOR = 1e-9
+
+#: floor of the tolerance, relative to max(1, |q|^2), by which a steered
+#: vector q may fall outside the forward cone: q may lie on the cone
+#: itself (a pure state steered by a probe on the cone), where rounding
+#: alone takes it just outside
+_CONE_TOL_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,7 +83,7 @@ class ValidityReport:
 def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Hermiticity / trace / positivity report for a 4x4 complex matrix.
 
-    Rank counts eigenvalues above 1e-9 times the largest one, which
+    Rank counts eigenvalues above `_RANK_REL` times the largest one, which
     separates genuine rank deficiency from float noise.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -79,7 +94,7 @@ def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
     trace_defect = abs(tr - 1.0)
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     top = float(evals.max())
-    rank = int(np.sum(evals > 1e-9 * max(top, 0.0))) if top > 0 else 0
+    rank = int(np.sum(evals > _RANK_REL * max(top, 0.0))) if top > 0 else 0
     return ValidityReport(
         hermiticity_defect=herm,
         trace_defect=float(trace_defect),
@@ -124,14 +139,14 @@ def sl2c_to_lorentz(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Image of A in SO+(1,3): L[alpha, mu] = Re Tr[sigma_alpha A sigma_mu A^dag] / 2."""
     A = np.asarray(A, dtype=complex)
     det = complex(np.linalg.det(A))
-    if abs(det - 1.0) > max(tol, 1e-9):
+    if abs(det - 1.0) > max(tol, _UNIT_DET_FLOOR):
         raise NotUnitDeterminant(f"det A = {det:.12g}, expected 1")
     L = np.empty((4, 4))
     for mu in range(4):
         conj = A @ PAULI[mu] @ A.conj().T
         for alpha in range(4):
             L[alpha, mu] = 0.5 * np.real(np.trace(PAULI[alpha] @ conj))
-    if not is_orthochronous_proper_lorentz(L, tol=max(tol, 1e-8)):
+    if not is_orthochronous_proper_lorentz(L, tol=max(tol, LORENTZ_TOL_FLOOR)):
         raise NotUnitDeterminant("image of A failed the Lorentz-group check")
     return L
 
@@ -175,7 +190,7 @@ def steer(
         raise ValueError("p does not encode a non-negative qubit operator")
     q = lam.T @ p if direction is SteerDirection.A_TO_B else lam @ p
     qscale = max(1.0, float(q @ q))
-    if q[0] <= 0.0 or minkowski_norm(q) < -max(tol, 1e-9) * qscale:
+    if q[0] <= 0.0 or minkowski_norm(q) < -max(tol, _CONE_TOL_FLOOR) * qscale:
         raise PositivityTransferViolated(
             f"steering output left the forward cone: q0={q[0]:.3e}, "
             f"norm={minkowski_norm(q):.3e}"

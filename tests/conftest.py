@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from lorentzsvd.minkowski import G_METRIC
+from lorentzsvd.qstate import random_state
 
 
 # one-line verdicts appended by the acceptance suite, echoed after the run
@@ -68,6 +69,15 @@ def random_sl2c(gen: np.random.Generator, max_rapidity: float = 0.7) -> np.ndarr
     r = gen.uniform(-max_rapidity, max_rapidity)
     D = np.diag([np.exp(r), np.exp(-r)]).astype(complex)
     return random_su2(gen) @ D @ random_su2(gen)
+
+
+def slightly_negative_state(seed: int) -> np.ndarray:
+    """random_state(4, seed) with its smallest eigenvalue set to -1e-8,
+    renormalized: invalid at the default tolerance, valid at 1e-6."""
+    w, V = np.linalg.eigh(random_state(4, seed=seed))
+    w[0] = -1e-8
+    rho = (V * w) @ V.conj().T
+    return rho / np.real(np.trace(rho))
 
 
 def assert_lorentz(L: np.ndarray, tol: float = 1e-12) -> None:

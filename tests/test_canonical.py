@@ -33,6 +33,7 @@ from lorentzsvd.errors import (
     DegenerateCompletion,
     InvalidCanonicalParameters,
     InvalidSigmaParameters,
+    InvalidState,
     NotTypeII,
 )
 from lorentzsvd.geigen import g_eigensystem, omega_matrices
@@ -45,7 +46,7 @@ from lorentzsvd.qstate import (
     rho_from_lambda,
 )
 
-from conftest import random_sl2c, rng
+from conftest import random_sl2c, rng, slightly_negative_state
 
 
 def type2_lambda(r0: float, r1: float) -> np.ndarray:
@@ -274,6 +275,16 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
         monkeypatch.setattr(canonical, name, counted)
     assert canonicalize(rho).family is family
     assert calls == {"g_eigensystem": 2, "omega_matrices": 1}
+
+
+def test_tol_reaches_state_validation():
+    for seed in range(3, 13):
+        rho = slightly_negative_state(seed)
+        with pytest.raises(InvalidState):
+            canonicalize(rho)
+        res = canonicalize(rho, tol=1e-6)
+        assert res.family is SideFamily.TYPE_I
+        assert res.residuals["factorization"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from lorentzsvd.cli import main
+from lorentzsvd.serialize import dumps, state_document
+
+from conftest import slightly_negative_state
 
 MIXED = {"rho": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
 TYPE2_LAMBDA = {
@@ -223,6 +226,39 @@ def test_canon_tol_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CANON_TOL", "1e-9")
     code, out, _ = run(["classify", path], capsys)
     assert code == 0
+
+
+def test_tol_reaches_state_validation(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(dumps(state_document(rho=slightly_negative_state(3))), encoding="utf-8")
+    for command in ("classify", "canonicalize", "verify"):
+        code, _, err = run([command, str(path)], capsys)
+        assert code == 2 and json.loads(err)["error"] == "InvalidState"
+        code, out, err = run([command, str(path), "--tol", "1e-6"], capsys)
+        assert code == 0, err
+        assert out.startswith("TypeI,") or json.loads(out)["family"] == "TypeI"
+
+
+@pytest.mark.parametrize("command", ["canonicalize", "verify"])
+def test_one_conversion_and_two_solves_per_state(tmp_path, capsys, monkeypatch, command):
+    """Each state command converts rho once, builds Omega once, solves each side once."""
+    import lorentzsvd.canonical as canonical
+    import lorentzsvd.cli as cli
+
+    calls = {"lambda_from_rho": 0, "omega_matrices": 0, "g_eigensystem": 0}
+    for module in (cli, canonical):
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    _, state, _ = run(["random", "--rank", "4", "--seed", "7"], capsys)
+    path = write_state(tmp_path, "s.json", json.loads(state))
+    code, _, err = run([command, path], capsys)
+    assert code == 0, err
+    assert calls == {"lambda_from_rho": 1, "omega_matrices": 1, "g_eigensystem": 2}
 
 
 def test_batch_isolates_failures(tmp_path, capsys):

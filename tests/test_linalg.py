@@ -51,14 +51,14 @@ def test_gram_eigenbasis_diagonalizes():
 
 def test_complete_g_frame_builds_tetrad():
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    legs = complete_g_frame([e0], count=3, sign=-1.0)
+    legs = complete_g_frame([e0], count=3)
     Y = np.vstack([e0] + legs)
     np.testing.assert_allclose(Y @ G_METRIC @ Y.T, G_METRIC, atol=1e-12)
 
 
 def test_complete_g_frame_from_boosted_leg():
     t = np.array([np.cosh(0.8), 0.0, np.sinh(0.8), 0.0])
-    legs = complete_g_frame([t], count=3, sign=-1.0)
+    legs = complete_g_frame([t], count=3)
     Y = np.vstack([t] + legs)
     np.testing.assert_allclose(Y @ G_METRIC @ Y.T, G_METRIC, atol=1e-12)
 
@@ -66,4 +66,4 @@ def test_complete_g_frame_from_boosted_leg():
 def test_complete_g_frame_exhausted():
     frame = [np.eye(4)[k] for k in range(4)]
     with pytest.raises(DegenerateCompletion):
-        complete_g_frame(frame, count=1, sign=-1.0)
+        complete_g_frame(frame, count=1)

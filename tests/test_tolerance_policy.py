@@ -1,0 +1,52 @@
+"""The production modules keep every tolerance in a named, documented constant.
+
+A threshold typed inline hides which decision it makes and lets two
+modules drift apart on the same decision.  Each one therefore lives in a
+module-level constant whose ``#:`` comment says what it decides.  The
+test-only reference oracle `secular` is exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lorentzsvd"
+
+
+def _constant_lines(tree: ast.Module) -> dict[int, int]:
+    """first line of each module-level UPPER_CASE assignment, by each of its lines"""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if all(isinstance(t, ast.Name) and t.id.lstrip("_").isupper() for t in targets):
+            for line in range(node.lineno, node.end_lineno + 1):
+                out[line] = node.lineno
+    return out
+
+
+def test_tolerance_literals_are_named_constants():
+    inline, undocumented = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "secular.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        constants = _constant_lines(ast.parse(source))
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type != tokenize.NUMBER or "e-" not in tok.string.lower():
+                continue
+            row = tok.start[0]
+            if row not in constants:
+                inline.append(f"{path.name}:{row}: {tok.string}")
+            elif not lines[constants[row] - 2].lstrip().startswith("#:"):
+                undocumented.append(f"{path.name}:{row}")
+    assert inline == []
+    assert undocumented == []
