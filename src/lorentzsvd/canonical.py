@@ -20,9 +20,9 @@ G-eigensystem of Omega_A = Lambda G Lambda^T:
 The left matrices come from eigenvector tetrads; the right matrices are
 then forced by the factorization and solved for directly.  Residual
 gauge freedom in the non-diagonalizable family (the null top eigenvector
-has no preferred scale) is pinned by a fixed rule, documented at
-`_pin_boost_gauge`, chosen so that canonical inputs reproduce their own
-parameters exactly.
+has no preferred scale) is pinned by a fixed rule, documented at the
+gauge boost in `type2_canonical`, chosen so that canonical inputs
+reproduce their own parameters exactly.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .minkowski import (
     DEFAULT_TOL,
     G_METRIC,
     LORENTZ_TOL_FLOOR,
-    SCALE_FLOOR,
     ZERO_REL,
     complete_tetrad_from_neutral_triad,
     g_inner,
@@ -275,14 +274,8 @@ def type1_canonical(
 #: from a defective double root, fixed only to about sqrt(eps) ~ 1.5e-8.
 _EIGENVALUE_MATCH_REL = 1e-6
 
-#: Rank threshold for the G-orthogonal complement of legs already found
-#: (extension legs, completion plane).  The legs are G-orthonormal, so the
-#: pivots that count are of the order of their entries; the threshold only
-#: has to clear rounding.
-_COMPLEMENT_RTOL = 1e-10
-
-#: A direction is a usable unit spacelike leg, or kernel column of the
-#: right factor, only when its Minkowski Gram eigenvalue is below -this:
+#: A kernel direction of the right factor is a usable unit spacelike
+#: column only when its Minkowski Gram eigenvalue is below -this:
 #: normalizing divides by the square root of it.
 _SPACELIKE_GRAM_MIN = 1e-10
 
@@ -301,38 +294,6 @@ _R1_ZERO_REL = 1e-14
 #: two-dimensional in exact arithmetic and known only as well as the
 #: double root that gave r1 = 0.
 _FACTOR_KERNEL_RTOL = 1e-6
-
-
-def _pin_boost_gauge(u0: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """Deterministic timelike pivot in the completion plane.
-
-    The plane G-orthogonal to the spacelike legs is hyperbolic: it holds
-    exactly two null rays, one of them along the top eigenvector u0.
-    Any choice of timelike pivot in this plane yields a valid canonical
-    form, but with different (r0, r1) -- the boost along u0 is genuine
-    residual freedom.  We pin it scale-freely: normalize both null rays
-    to unit time component, add them, and G-normalize the (timelike)
-    sum.  Canonical inputs then reproduce their own parameters, because
-    for them the pinned pivot is exactly e0.
-    """
-    overlaps = np.abs(plane.T @ u0) / max(float(np.linalg.norm(u0)), SCALE_FLOOR)
-    w = plane[:, int(np.argmin(overlaps))]
-    q = g_inner(w, u0)
-    scale = max(1.0, float(w @ w), float(u0 @ u0))
-    if abs(q) <= ZERO_REL * scale:
-        raise TriadConstructionFailure(
-            "completion plane is G-degenerate along the null eigenvector"
-        )
-    second = w - (g_inner(w, w) / (2.0 * q)) * u0
-    if abs(second[0]) <= ZERO_REL * float(np.linalg.norm(second)):
-        raise TriadConstructionFailure("second null ray has no time component")
-    if abs(u0[0]) <= ZERO_REL * float(np.linalg.norm(u0)):
-        raise TriadConstructionFailure("null eigenvector has no time component")
-    pivot = u0 / u0[0] + second / second[0]
-    nrm = g_inner(pivot, pivot)
-    if nrm <= ZERO_REL:
-        raise TriadConstructionFailure(f"pinned pivot is not timelike (norm {nrm:.3e})")
-    return pivot / np.sqrt(nrm)
 
 
 def _type2_pattern(r0: float, r1: float) -> np.ndarray:
@@ -413,17 +374,10 @@ def type2_canonical(
         raise NotTypeII("no lightlike eigenvector at the top eigenvalue")
     u0 = neutral[0] if neutral[0][0] >= 0 else -neutral[0]
     space = [(v, c) for c, n, v in pairs if n == -1]
-    while len(space) < 2:
-        rows = [G_METRIC @ u0] + [G_METRIC @ v for v, _ in space]
-        B = null_space_basis(np.vstack(rows), rtol=_COMPLEMENT_RTOL)
-        if B.shape[1] == 0:
-            raise TriadConstructionFailure("could not extend the spacelike legs")
-        gram, W = gram_eigenbasis(B)
-        idx = int(np.argmin(gram))
-        if gram[idx] > -_SPACELIKE_GRAM_MIN:
-            raise TriadConstructionFailure("could not extend the spacelike legs")
-        leg = W[:, idx] / np.sqrt(-gram[idx])
-        space.append((leg, -float(leg @ omega @ leg)))
+    if len(space) < 2:
+        raise TriadConstructionFailure(
+            f"expected two spacelike eigenvectors, found {len(space)}"
+        )
     (a1, l1), (a2, l2) = space[:2]
     if abs(l1 - l2) > _EIGENVALUE_MATCH_REL * scale:
         raise NumericalFailure(
@@ -432,16 +386,27 @@ def type2_canonical(
         )
     lam1 = 0.5 * (l1 + l2)
 
-    plane = null_space_basis(np.vstack([G_METRIC @ a1, G_METRIC @ a2]), rtol=_COMPLEMENT_RTOL)
-    if plane.shape[1] != 2:
+    tetrad, _, _ = complete_tetrad_from_neutral_triad(u0, a1, a2, tol=max(tol, _TRIAD_TOL_FLOOR))
+    t0, t3 = tetrad.y0, tetrad.y3
+    # Gauge: the plane G-orthogonal to a1, a2 holds exactly two null rays,
+    # t0 - t3 along u0 and t0 + t3.  Any unit timelike leg in this plane
+    # yields a valid canonical form, but with different (r0, r1) -- the
+    # boost along u0 is genuine residual freedom.  It is pinned
+    # scale-freely: the timelike leg is the G-normalized sum of the two
+    # null rays, each scaled to unit time component.  That is the boost
+    # of (t0, t3) by eta = ln(alpha / beta) / 2, and it leaves the last
+    # leg with no time component.  Canonical inputs then reproduce their
+    # own parameters, because for them the pinned leg is exactly e0.
+    alpha = float(t0[0] - t3[0])
+    beta = float(t0[0] + t3[0])
+    if not (alpha > 0.0 and beta > 0.0):
         raise TriadConstructionFailure(
-            f"completion plane has dimension {plane.shape[1]}, expected 2"
+            f"null rays of the completion plane do not both point to the future "
+            f"(time components {alpha:.3e}, {beta:.3e})"
         )
-    pivot = _pin_boost_gauge(u0, plane)
-    tetrad, _, _ = complete_tetrad_from_neutral_triad(
-        u0, a1, a2, tol=max(tol, _TRIAD_TOL_FLOOR), timelike_pivot=pivot
-    )
-    left = np.vstack([tetrad.y0, a1, a2, tetrad.y3])
+    eta = 0.5 * np.log(alpha / beta)
+    ch, sh = np.cosh(eta), np.sinh(eta)
+    left = np.vstack([ch * t0 + sh * t3, a1, a2, sh * t0 + ch * t3])
     if np.linalg.det(left) < 0:
         left[2] = -left[2]
     if not is_orthochronous_proper_lorentz(left, tol=max(tol, LORENTZ_TOL_FLOOR)):

@@ -42,7 +42,7 @@ from .geometry import (
     sample_steered_surface,
     steering_ellipsoid,
 )
-from .minkowski import DEFAULT_TOL, G_METRIC
+from .minkowski import DEFAULT_TOL, lorentz_defect
 from .qstate import lambda_from_rho, random_state, rho_from_lambda
 from .serialize import (
     CONVENTIONS,
@@ -59,7 +59,8 @@ from .serialize import (
 # floor) for its own multiple k, so a tiny ``--tol`` cannot fail a state
 # on rounding alone.
 
-#: |rho(Lambda(rho)) - rho|, entries at most 1: a few ulps of rounding
+#: |rho(Lambda(rho)) - rho|, or |Lambda(rho(Lambda)) - Lambda| for a
+#: lambda document, entries at most 1: a few ulps of rounding
 _ROUND_TRIP_FLOOR = 1e-10
 #: |spectrum(A) - spectrum(B)| relative to max(1, lambda0): the two sides
 #: agree only as well as a defective double root is resolved, about
@@ -68,7 +69,7 @@ _SHARED_SPECTRUM_FLOOR = 1e-8
 #: factorization residual |L_A Lambda L_B^T / N - Lambda^c|, which
 #: inherits the same double-root accuracy
 _FACTOR_FLOOR = 1e-8
-#: |L^T G L - G| of either factor
+#: `lorentz_defect` of any of the four factors
 _LORENTZ_DEFECT_FLOOR = 1e-9
 #: how far below zero the canonical state's smallest eigenvalue may reach
 _RHO_POSITIVE_FLOOR = 1e-9
@@ -96,14 +97,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
-
-
-def _load_state(path: str, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, lambda) from a state document, validating physicality."""
-    kind, value = loads_state(_read_text(path))
-    if kind == "rho":
-        return value, lambda_from_rho(value, tol)
-    return rho_from_lambda(value, tol), value
 
 
 def _state_rho(kind: str, value: np.ndarray, tol: float) -> np.ndarray:
@@ -191,10 +184,13 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
             "ok": bool(value <= threshold),
         }
 
-    # a lambda document's rho was built from the document's own Lambda
-    doc_lam = payload if kind == "lambda" else lam
-    record("rhoRoundTrip", np.abs(rho_from_lambda(doc_lam, validate=False) - rho).max(),
-           max(tol, _ROUND_TRIP_FLOOR))
+    # a lambda document's rho was built from the document's own Lambda, so
+    # its round trip ends on Lambda, the matrix canonicalize factors
+    if kind == "lambda":
+        round_trip = np.abs(lam - payload).max()
+    else:
+        round_trip = np.abs(rho_from_lambda(lam, validate=False) - rho).max()
+    record("rhoRoundTrip", round_trip, max(tol, _ROUND_TRIP_FLOOR))
     pair = omega_matrices(lam)
     sys_a = g_eigensystem(pair.omega_a, tol)
     sys_b = g_eigensystem(pair.omega_b, tol)
@@ -204,11 +200,9 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     result = _factor_solved(lam, sys_a, sys_b, tol)
     if result.residuals:
         record("factorization", result.residuals["factorization"], max(100 * tol, _FACTOR_FLOOR))
-        lorentz_defect = max(
-            np.abs(L.T @ G_METRIC @ L - G_METRIC).max()
-            for L in (result.left_lorentz, result.right_lorentz)
-        )
-        record("lorentzFactors", lorentz_defect, max(10 * tol, _LORENTZ_DEFECT_FLOOR))
+        sides = [result] + ([result.partner] if result.partner is not None else [])
+        defect = max(lorentz_defect(L) for s in sides for L in (s.left_lorentz, s.right_lorentz))
+        record("lorentzFactors", defect, max(10 * tol, _LORENTZ_DEFECT_FLOOR))
         record("canonicalRhoPositive", max(0.0, -result.residuals["rhoMinEigenvalue"]),
                max(10 * tol, _RHO_POSITIVE_FLOOR))
     ok = all(c["ok"] for c in checks.values())
@@ -225,7 +219,7 @@ def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
                        samples: int | None = None, csv_path: str | None = None) -> tuple[str, int]:
     """(output text, exit code) of one state subcommand on one input."""
     if cmd == "classify":
-        _, lam = _load_state(path, tol)
+        lam = lambda_from_rho(_state_rho(*loads_state(_read_text(path)), tol), tol)
         sys_a = g_eigensystem(omega_matrices(lam).omega_a, tol)
         spectrum = ",".join(format_float(v) for v in sys_a.eigenvalues)
         return f"{classify_canonical_type(sys_a).value}, eigenvalues [{spectrum}]\n", 0

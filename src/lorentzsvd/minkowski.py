@@ -100,15 +100,22 @@ def classify_four_vector(x: np.ndarray, tol: float = DEFAULT_TOL) -> VectorClass
     return VectorClass.POSITIVE if n > 0 else VectorClass.NEGATIVE
 
 
+def lorentz_defect(L: np.ndarray) -> float:
+    """max |L^T G L - G| relative to max(1, max |L|^2), the squared size of
+    L's largest entry: how far a 4x4 matrix misses the Lorentz group."""
+    L = np.asarray(L, dtype=float)
+    scale = max(1.0, float(np.abs(L).max()) ** 2)
+    return float(np.abs(L.T @ G_METRIC @ L - G_METRIC).max()) / scale
+
+
 def is_orthochronous_proper_lorentz(L: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when L^T G L = G within tol, det L = +1 and L[0,0] > 0."""
+    """True when `lorentz_defect` is within tol, det L = +1 and L[0,0] > 0."""
     L = np.asarray(L, dtype=float)
     if L.shape != (4, 4):
         return False
-    resid = L.T @ G_METRIC @ L - G_METRIC
-    scale = max(1.0, float(np.abs(L).max()) ** 2)
-    if float(np.abs(resid).max()) > tol * scale:
+    if lorentz_defect(L) > tol:
         return False
+    scale = max(1.0, float(np.abs(L).max()) ** 2)
     if abs(float(np.linalg.det(L)) - 1.0) > tol * scale:
         return False
     return float(L[0, 0]) > 0.0
@@ -168,7 +175,6 @@ def complete_tetrad_from_neutral_triad(
     y1: np.ndarray,
     y2: np.ndarray,
     tol: float = DEFAULT_TOL,
-    timelike_pivot: np.ndarray | None = None,
 ) -> tuple[Tetrad, float, float]:
     """Complete a neutral triad {y0, y1, y2} to a G-orthonormal tetrad.
 
@@ -183,11 +189,9 @@ def complete_tetrad_from_neutral_triad(
     which satisfies ytilde0^T G ytilde0 = +1, ytilde3^T G ytilde3 = -1
     and all cross terms zero, independent of the causal class of y3.
 
-    By default y3 = G y0 + (y1.y0) y1 + (y2.y0) y2 (Euclidean dots),
+    The pivot is y3 = G y0 + (y1.y0) y1 + (y2.y0) y2 (Euclidean dots),
     which is automatically G-orthogonal to y1, y2 and has
-    q = ||y0||^2 > 0.  Callers may instead supply `timelike_pivot` to
-    select a different fourth direction in the completion plane; it is
-    validated before use.
+    q = ||y0||^2 > 0.
 
     Returns (tetrad, tau, kappa).  The timelike leg is sign-fixed to a
     positive time component.
@@ -198,14 +202,7 @@ def complete_tetrad_from_neutral_triad(
     _check_neutral_triad(y0, y1, y2, tol)
     scale = max(1.0, float(y0 @ y0))
 
-    if timelike_pivot is None:
-        y3 = G_METRIC @ y0 + (y1 @ y0) * y1 + (y2 @ y0) * y2
-    else:
-        y3 = np.asarray(timelike_pivot, dtype=float).copy()
-        pscale = max(1.0, float(y3 @ y3))
-        if abs(g_inner(y3, y1)) > tol * pscale or abs(g_inner(y3, y2)) > tol * pscale:
-            raise DegenerateCompletion("pivot is not G-orthogonal to the spacelike pair")
-
+    y3 = G_METRIC @ y0 + (y1 @ y0) * y1 + (y2 @ y0) * y2
     q = g_inner(y3, y0)
     if abs(q) <= tol * scale * max(1.0, float(np.abs(y3).max())):
         raise DegenerateCompletion(

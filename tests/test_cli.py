@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from lorentzsvd.cli import main
-from lorentzsvd.serialize import dumps, state_document
+from lorentzsvd.qstate import lambda_from_rho, random_state, rho_from_lambda
+from lorentzsvd.serialize import dumps, loads_state, state_document
 
 from conftest import slightly_negative_state
 
@@ -58,7 +59,21 @@ def test_classify_type2(tmp_path, capsys):
     path = write_state(tmp_path, "t2.json", TYPE2_LAMBDA)
     code, out, _ = run(["classify", path], capsys)
     assert code == 0
-    assert out.startswith("TypeII, eigenvalues [0.64")
+    assert out.startswith("TypeII, eigenvalues [")
+    # the spectrum of Lambda(rho(Lambda)), which carries rounding of the round trip
+    spectrum = [float(v) for v in out.split("[", 1)[1].rstrip("]\n").split(",")]
+    np.testing.assert_allclose(spectrum, [0.64, 0.64, 0.36, 0.36], rtol=0.0, atol=1e-12)
+
+
+def test_classify_and_canonicalize_agree_on_a_lambda_document(tmp_path, capsys):
+    """Both commands work on the Lambda of the rho the document validates to."""
+    doc = state_document(lam=lambda_from_rho(random_state(4, seed=7)))
+    path = write_state(tmp_path, "lam.json", doc)
+    _, classified, _ = run(["classify", path], capsys)
+    _, report, _ = run(["canonicalize", path], capsys)
+    lambdas = json.loads(report)["parameters"]["lambdas"]
+    spectrum = classified.split("[", 1)[1].rstrip("]\n")
+    assert [float(v) for v in spectrum.split(",")] == lambdas
 
 
 def test_canonicalize_is_byte_deterministic(tmp_path, capsys):
@@ -159,6 +174,45 @@ def test_verify_accepts_good_state(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert set(doc["checks"]) >= {"rhoRoundTrip", "sharedSpectrum"}
+
+
+# case 111 of the cli benchmark corpus at seed 7: a filtered Sigma(b, c, d)
+# state whose factors have entries up to about 1.5
+FILTERED_TYPE2 = {
+    "rho": [
+        [[0.61536713164176293, -2.4999937384516207e-17], [0.28843923121033321, -0.28576760665907036],
+         [0.12208853484724481, 0.17630992669476186], [0.14623342162250708, 0.029954870363727491]],
+        [[0.28843923121033316, 0.28576760665907036], [0.26905619314268597, -2.4999937384516207e-17],
+         [-0.024234733512153751, 0.13886636859251084], [0.054715805981761637, 0.08156293823538957]],
+        [[0.1220885348472448, -0.17630992669476186], [-0.024234733512153765, -0.13886636859251084],
+         [0.077838904014314717, -6.2499843461290517e-18], [0.039191222476313972, -0.037424714157888617]],
+        [[0.14623342162250708, -0.029954870363727491], [0.054715805981761644, -0.081562938235389598],
+         [0.039191222476313972, 0.03742471415788861], [0.037737771201236323, -9.7656005408266433e-20]],
+    ]
+}
+
+
+def test_verify_accepts_filtered_type2_state(tmp_path, capsys):
+    """lorentzFactors measures all four factors the way the construction does."""
+    path = write_state(tmp_path, "t2.json", FILTERED_TYPE2)
+    code, out, _ = run(["verify", path], capsys)
+    doc = json.loads(out)
+    assert doc["family"] == "TypeII_A"
+    assert doc["checks"]["lorentzFactors"]["value"] <= 1e-9
+    assert code == 0 and doc["ok"] is True
+
+
+def test_verify_round_trip_of_lambda_document(tmp_path, capsys):
+    """On a lambda document the round trip ends on Lambda, and measures it."""
+    text = dumps(state_document(lam=lambda_from_rho(random_state(3, seed=7))))
+    path = tmp_path / "lam.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 0
+    lam = loads_state(text)[1]
+    expected = np.abs(lambda_from_rho(rho_from_lambda(lam)) - lam).max()
+    assert expected > 0.0
+    assert json.loads(out)["checks"]["rhoRoundTrip"]["value"] == expected
 
 
 def test_verify_names_trace_defect(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentzsvd.errors import DegenerateCompletion, TriadNotGOrthogonal
+from lorentzsvd.errors import TriadNotGOrthogonal
 from lorentzsvd.minkowski import (
     G_METRIC,
     VectorClass,
@@ -61,15 +61,6 @@ def test_completion_reference_example():
     assert validate_g_orthogonal_tetrad(tet) < 1e-12
 
 
-def test_completion_with_pivot():
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])
-    tet, tau, kappa = complete_tetrad_from_neutral_triad(y0, E[1], E[2], timelike_pivot=E[0])
-    assert tau == pytest.approx(0.0, abs=1e-15)
-    assert kappa == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(tet.y0, E[0], atol=1e-15)
-    np.testing.assert_allclose(tet.y3, [0.0, 0.0, 0.0, -1.0], atol=1e-15)
-
-
 def test_completion_rejects_bad_triads():
     y0 = np.array([1.0, 0.0, 0.0, 1.0])
     with pytest.raises(TriadNotGOrthogonal):
@@ -78,8 +69,6 @@ def test_completion_rejects_bad_triads():
         complete_tetrad_from_neutral_triad(y0, 2.0 * E[1], E[2])  # y1 not unit
     with pytest.raises(TriadNotGOrthogonal):
         complete_tetrad_from_neutral_triad(y0, np.array([0.0, 0.7, 0.0, 0.0]), E[2])
-    with pytest.raises(DegenerateCompletion):
-        complete_tetrad_from_neutral_triad(y0, E[1], E[2], timelike_pivot=y0)
 
 
 def _random_neutral_triad(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@
 A threshold typed inline hides which decision it makes and lets two
 modules drift apart on the same decision.  Each one therefore lives in a
 module-level constant whose ``#:`` comment says what it decides.  The
-test-only reference oracle `secular` is exempt.
+test-only reference oracle `secular` is exempt.  The same scan also
+checks that every module uses each name it imports.
 """
 
 from __future__ import annotations
@@ -50,3 +51,30 @@ def test_tolerance_literals_are_named_constants():
                 undocumented.append(f"{path.name}:{row}")
     assert inline == []
     assert undocumented == []
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """name bound by each import statement, with its line"""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def test_imports_are_used():
+    """An import left behind by a deletion fails here."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in used
+        ]
+    assert unused == []
