@@ -67,6 +67,9 @@ def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
         for pos, orig in enumerate(col_perm):
             y[orig] = x[pos]
         basis.append(y)
+    if len(basis) == 1:
+        # a single vector only needs its norm; QR would cost more than the elimination
+        return (basis[0] / np.linalg.norm(basis[0]))[:, None]
     B = np.array(basis).T
     # orthonormalize (Euclidean) for numerical hygiene
     Q, _ = np.linalg.qr(B)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -166,12 +166,13 @@ def type1_canonical(
     """Diagonal canonical form from the timelike eigenvector tetrad.
 
     ``sys_a`` is the eigensystem of Omega_A; the B side needs no solve of
-    its own, since `canonicalize` has already checked that it classifies
-    the same.  The A-side tetrad is read off the eigensystem (timelike
+    its own.  The A-side tetrad is read off the eigensystem (timelike
     leg first, spacelike legs in descending eigenvalue order); the B-side
     tetrad is transported through Lambda itself, b = G Lambda^T a /
     sqrt(l), which lands on eigenvectors of the B-side form with matched
-    ordering.
+    ordering.  A B side of another family shows up in the transported
+    tetrad: a row loses its causal character, the tetrad fails the
+    Lorentz-group check, or Lambda does not come out diagonal.
     Signs are then fixed: both determinants +1, the first three diagonal
     entries non-negative, leaving the last diagonal sign equal to
     sgn(det Lambda).
@@ -477,24 +478,31 @@ def type2_canonical(
 def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """Full factorization pipeline for a two-qubit density matrix.
 
-    Dispatches on the eigensystem classification.  The diagonalizable
-    family reports one result (the two sides coincide); the
-    non-diagonalizable family reports the A side with the B side
-    attached as ``partner``, since the two canonical states differ in
-    general.  The degenerate product family yields a report without
-    canonical normalization.
+    Dispatches on the classification of side A.  The diagonalizable
+    family reports one result (the two sides coincide) and solves only
+    side A's eigensystem; the non-diagonalizable family reports the A
+    side with the B side attached as ``partner``, since the two
+    canonical states differ in general.  The degenerate product family
+    yields a report without canonical normalization.
     """
     lam = lambda_from_rho(rho, tol)
     pair = omega_matrices(lam)
     sys_a = g_eigensystem(pair.omega_a, tol)
-    return _factor_solved(lam, sys_a, g_eigensystem(pair.omega_b, tol), tol)
+    return _factor_solved(lam, sys_a, lambda: g_eigensystem(pair.omega_b, tol), tol)
 
 
 def _factor_solved(
-    lam: np.ndarray, sys_a: GEigenSystem, sys_b: GEigenSystem, tol: float
+    lam: np.ndarray, sys_a: GEigenSystem, solve_b: Callable[[], GEigenSystem], tol: float
 ) -> CanonicalResult:
-    """`canonicalize` after its two eigensolves, for callers that already hold them."""
+    """`canonicalize` after side A's eigensolve; ``solve_b`` yields side B's.
+
+    A TypeI side A never asks for side B: its B tetrad is transported
+    through Lambda and checked there (see `type1_canonical`).
+    """
     fam_a = classify_canonical_type(sys_a)
+    if fam_a is CanonicalFamily.TYPE_I:
+        return type1_canonical(lam, sys_a, tol)
+    sys_b = solve_b()
     fam_b = classify_canonical_type(sys_b)
     if fam_a is not fam_b:
         raise NumericalFailure(
@@ -512,8 +520,6 @@ def _factor_solved(
             normalization_scale=1.0,
             residuals={},
         )
-    if fam_a is CanonicalFamily.TYPE_I:
-        return type1_canonical(lam, sys_a, tol)
     result = type2_canonical(lam, sys_a, "A", tol)
     return replace(result, partner=type2_canonical(lam, sys_b, "B", tol))
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
 import os
 import sys
 from pathlib import Path
@@ -49,6 +48,7 @@ from .serialize import (
     canonical_report,
     dumps,
     format_float,
+    loads_json,
     loads_state,
     parse_canonical_report,
     parse_state_document,
@@ -119,11 +119,7 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
                    csv_path: str | None) -> str:
     if samples is not None and samples < 1:
         raise InputFormatError(f"--samples must be at least 1, got {samples}")
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"not valid JSON: {exc}") from None
+    doc = loads_json(_read_text(path))
     if isinstance(doc, dict) and "family" in doc:
         # a canonical report carries everything the geometry needs
         if side == "B" and "partner" in doc:
@@ -197,7 +193,7 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     scale = max(1.0, float(sys_a.eigenvalues[0]))
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
            max(100 * tol, _SHARED_SPECTRUM_FLOOR) * scale)
-    result = _factor_solved(lam, sys_a, sys_b, tol)
+    result = _factor_solved(lam, sys_a, lambda: sys_b, tol)
     if result.residuals:
         record("factorization", result.residuals["factorization"], max(100 * tol, _FACTOR_FLOOR))
         sides = [result] + ([result.partner] if result.partner is not None else [])

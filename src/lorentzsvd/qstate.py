@@ -80,6 +80,15 @@ class ValidityReport:
         )
 
 
+def _hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of m, NaN when entries near the
+    float range overflow it and LAPACK gives up."""
+    try:
+        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    except np.linalg.LinAlgError:
+        return np.full(m.shape[0], np.nan)
+
+
 def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Hermiticity / trace / positivity report for a 4x4 complex matrix.
 
@@ -89,10 +98,13 @@ def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {rho.shape}")
-    herm = float(np.abs(rho - rho.conj().T).max())
-    tr = complex(np.trace(rho))
-    trace_defect = abs(tr - 1.0)
-    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    # entries near the float range overflow to inf or NaN, which the
+    # report counts as invalid; that is not worth a warning on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = float(np.abs(rho - rho.conj().T).max())
+        tr = complex(np.trace(rho))
+        trace_defect = abs(tr - 1.0)
+        evals = _hermitian_eigenvalues(rho)
     top = float(evals.max())
     rank = int(np.sum(evals > _RANK_REL * max(top, 0.0))) if top > 0 else 0
     return ValidityReport(
@@ -124,14 +136,14 @@ def rho_from_lambda(lam: np.ndarray, tol: float = DEFAULT_TOL, validate: bool = 
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4, 4):
         raise NotAState(f"expected a 4x4 Lambda, got shape {lam.shape}")
-    rho = 0.25 * np.einsum("mn,mnij->ij", lam, PAULI_KRON)
-    if validate:
-        evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if float(evals.min()) < -tol:
-            raise NotAState(
-                f"Lambda is not the parametrization of any state "
-                f"(min eigenvalue {evals.min():.3e})"
-            )
+    # as in `is_valid_state`, overflow to inf or NaN fails validation quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = 0.25 * np.einsum("mn,mnij->ij", lam, PAULI_KRON)
+        low = float(_hermitian_eigenvalues(rho).min()) if validate else 0.0
+    if not low >= -tol:  # NaN fails too
+        raise NotAState(
+            f"Lambda is not the parametrization of any state (min eigenvalue {low:.3e})"
+        )
     return rho
 
 

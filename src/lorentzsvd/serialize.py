@@ -84,7 +84,7 @@ def state_document(rho: np.ndarray | None = None, lam: np.ndarray | None = None)
 def _as_real_4x4(payload: Any, key: str) -> np.ndarray:
     try:
         arr = np.asarray(payload, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f'"{key}" entries must be real numbers: {exc}') from None
     if arr.shape != (4, 4):
         raise InputFormatError(f'"{key}" must be a 4x4 array, got shape {arr.shape}')
@@ -116,7 +116,7 @@ def parse_state_document(doc: Any) -> tuple[str, np.ndarray]:
     payload = doc[key]
     try:
         arr = np.asarray(payload, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f'"rho" entries must be [re, im] pairs: {exc}') from None
     if arr.shape != (4, 4, 2):
         raise InputFormatError(
@@ -126,12 +126,18 @@ def parse_state_document(doc: Any) -> tuple[str, np.ndarray]:
     return key, arr[..., 0] + 1j * arr[..., 1]
 
 
-def loads_state(text: str) -> tuple[str, np.ndarray]:
+def loads_json(text: str) -> Any:
+    """Parse a JSON document; anything the parser refuses is an InputFormatError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed text and integers beyond Python's
+        # digit limit; RecursionError arrays nested too deep to parse
         raise InputFormatError(f"not valid JSON: {exc}") from None
-    return parse_state_document(doc)
+
+
+def loads_state(text: str) -> tuple[str, np.ndarray]:
+    return parse_state_document(loads_json(text))
 
 
 def canonical_report(result: CanonicalResult, include_conventions: bool = True) -> dict:

@@ -34,6 +34,7 @@ from lorentzsvd.errors import (
     InvalidCanonicalParameters,
     InvalidSigmaParameters,
     InvalidState,
+    LorentzSvdError,
     NotTypeII,
 )
 from lorentzsvd.geigen import g_eigensystem, omega_matrices
@@ -302,6 +303,28 @@ def test_filtered_type2_factors_pass_the_lorentz_check():
             assert is_orthochronous_proper_lorentz(L, tol=1e-9)
 
 
+# case 71 of the hard-inputs benchmark corpus at seed 7: a Sigma(b, c, d)
+# state mixed with 1e-10 * I/4.  Side A classifies TypeI and side B
+# TypeII, which `canonicalize` once refused as "the two sides disagree on
+# the family" after solving both sides.  With side A solved alone, the
+# checks on the B tetrad transported through Lambda must catch it instead.
+SIDES_DISAGREE_RHO = np.diag([0.8614918919463076, 2.5e-11, 0.013197638862997919,
+                              0.12531046916569452]).astype(complex)
+SIDES_DISAGREE_RHO[0, 3] = SIDES_DISAGREE_RHO[3, 0] = 0.1736557419776451
+
+
+def test_sides_of_different_families_are_refused_or_factor_cleanly():
+    try:
+        res = canonicalize(SIDES_DISAGREE_RHO)
+    except LorentzSvdError:
+        return
+    assert res.family is SideFamily.TYPE_I
+    assert res.residuals["factorization"] <= 1e-8
+    for side in [res] + ([res.partner] if res.partner is not None else []):
+        for L in (side.left_lorentz, side.right_lorentz):
+            assert is_orthochronous_proper_lorentz(L, tol=1e-9)
+
+
 @pytest.mark.parametrize(
     "rho, family",
     [
@@ -310,7 +333,8 @@ def test_filtered_type2_factors_pass_the_lorentz_check():
     ],
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
-    """One eigensolve per side, and the two Omega forms built once."""
+    """The two Omega forms built once; one eigensolve for TypeI, whose B
+    tetrad comes from Lambda, and one per side for TypeII."""
     import lorentzsvd.canonical as canonical
 
     calls = {"g_eigensystem": 0, "omega_matrices": 0}
@@ -322,7 +346,8 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
 
         monkeypatch.setattr(canonical, name, counted)
     assert canonicalize(rho).family is family
-    assert calls == {"g_eigensystem": 2, "omega_matrices": 1}
+    solves = 1 if family is SideFamily.TYPE_I else 2
+    assert calls == {"g_eigensystem": solves, "omega_matrices": 1}
 
 
 def test_tol_reaches_state_validation():

@@ -6,6 +6,7 @@ the console entry point is the same function.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -15,7 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lorentzsvd import errors
+from lorentzsvd.canonical import SigmaParameters, sigma_from_bcd
 from lorentzsvd.cli import main
 from lorentzsvd.qstate import lambda_from_rho, random_state, rho_from_lambda
 from lorentzsvd.serialize import dumps, loads_state, state_document
@@ -250,6 +255,101 @@ def test_non_finite_entries_exit_one(tmp_path, capsys, key, row, col, value):
         assert "finite" in blob["message"]
 
 
+#: a JSON integer that parses but does not fit in a float
+HUGE_INT = 10**400
+
+
+@pytest.mark.parametrize("key", ["rho", "lambda"])
+def test_integer_beyond_float_range_exits_one(tmp_path, capsys, key):
+    doc = json.loads(json.dumps(TYPE2_LAMBDA if key == "lambda" else MIXED))
+    doc[key][0][0] = [HUGE_INT, 0] if key == "rho" else HUGE_INT
+    path = write_state(tmp_path, "huge.json", doc)
+    for command in ("classify", "canonicalize", "verify", "ellipsoid"):
+        code, out, err = run([command, path], capsys)
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["error"] == "InputFormatError"
+        assert "too large" in blob["message"]
+    batch = tmp_path / "states"
+    batch.mkdir()
+    write_state(batch, "huge.json", doc)
+    code, out, _ = run(["canonicalize", "--batch", str(batch)], capsys)
+    failure = json.loads(out)["failures"]["huge.json"]
+    assert code == 1 and failure["exitCode"] == 1
+    assert failure["message"].startswith("InputFormatError:")
+
+
+# ---------------------------------------------------------------------------
+# the input boundary under generated payloads
+
+#: one matrix entry as JSON can carry it
+ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([1e308, -1e308, 5e-324, 10**309, "0.5", "x", None, True, [], {}]),
+)
+
+
+def _matrix(shape, entries):
+    return st.lists(
+        _matrix(shape[1:], entries) if len(shape) > 1 else entries,
+        min_size=shape[0], max_size=shape[0],
+    )
+
+
+def _perturbed_state(seed, kind, mode, factor, row, col):
+    """A valid state, then unnormalized, made non-Hermitian or left as is."""
+    rho = random_state(1 + seed % 4, seed=seed)
+    m = rho if kind == "rho" else lambda_from_rho(rho)
+    if mode == "scale":
+        m = m * factor
+    elif mode == "skew":
+        m = m.copy()
+        m[row, col] += factor
+    if kind == "rho":
+        return {"rho": [[[z.real, z.imag] for z in r] for r in m.tolist()]}
+    return {"lambda": m.tolist()}
+
+
+#: a state document: right shapes with any entries, valid states pushed off
+#: the state set, wrong and ragged shapes, and documents of the wrong kind
+PAYLOADS = st.one_of(
+    st.builds(lambda m: {"rho": m}, _matrix((4, 4, 2), ENTRIES)),
+    st.builds(lambda m: {"lambda": m}, _matrix((4, 4), ENTRIES)),
+    st.builds(_perturbed_state, st.integers(0, 10_000), st.sampled_from(["rho", "lambda"]),
+              st.sampled_from(["none", "scale", "skew"]),
+              st.sampled_from([0.0, 1e-12, 0.5, 2.0, -1.0, 1e300]),
+              st.integers(0, 3), st.integers(0, 3)),
+    st.builds(lambda k, m: {k: m}, st.sampled_from(["rho", "lambda"]),
+              st.recursive(ENTRIES, lambda inner: st.lists(inner, max_size=5), max_leaves=40)),
+    st.builds(lambda m: {"rho": m, "lambda": m}, _matrix((4, 4), ENTRIES)),
+    st.recursive(ENTRIES, lambda inner: st.lists(inner, max_size=4), max_leaves=10),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PAYLOADS, st.sampled_from(["canonicalize", "classify", "verify", "ellipsoid"]))
+def test_generated_payloads_fail_only_with_documented_errors(tmp_path_factory, payload, command):
+    """No exception escapes main(), and every non-zero exit is a package
+    error's documented exit code (or 4 for a `verify` that ran and failed)."""
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    if code == 0:
+        return
+    if not err.getvalue():
+        assert command == "verify" and code == 4
+        assert json.loads(out.getvalue())["ok"] is False
+        return
+    blob = json.loads(err.getvalue())
+    cls = getattr(errors, blob["error"])
+    assert issubclass(cls, errors.LorentzSvdError)
+    assert code == blob["exitCode"] == cls.exit_code
+
+
 @pytest.mark.parametrize("samples", ["-3", "0"])
 def test_ellipsoid_rejects_samples_below_one(tmp_path, capsys, samples):
     path = write_state(tmp_path, "t2.json", TYPE2_LAMBDA)
@@ -293,9 +393,24 @@ def test_tol_reaches_state_validation(tmp_path, capsys):
         assert out.startswith("TypeI,") or json.loads(out)["family"] == "TypeI"
 
 
-@pytest.mark.parametrize("command", ["canonicalize", "verify"])
-def test_one_conversion_and_two_solves_per_state(tmp_path, capsys, monkeypatch, command):
-    """Each state command converts rho once, builds Omega once, solves each side once."""
+RANK4_SEED7 = state_document(rho=random_state(4, seed=7))
+TYPE2_SIGMA = state_document(rho=sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1])
+
+
+@pytest.mark.parametrize(
+    "command, doc, solves",
+    [
+        ("canonicalize", RANK4_SEED7, 1),
+        ("verify", RANK4_SEED7, 2),
+        ("canonicalize", TYPE2_SIGMA, 2),
+        ("verify", TYPE2_SIGMA, 2),
+    ],
+    ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII"],
+)
+def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves):
+    """Each state command converts rho once and builds Omega once.  TypeI
+    solves side A only; TypeII, and `verify` for its shared spectrum,
+    solve each side once."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
 
@@ -308,11 +423,10 @@ def test_one_conversion_and_two_solves_per_state(tmp_path, capsys, monkeypatch, 
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-    _, state, _ = run(["random", "--rank", "4", "--seed", "7"], capsys)
-    path = write_state(tmp_path, "s.json", json.loads(state))
+    path = write_state(tmp_path, "s.json", json.loads(dumps(doc)))
     code, _, err = run([command, path], capsys)
     assert code == 0, err
-    assert calls == {"lambda_from_rho": 1, "omega_matrices": 1, "g_eigensystem": 2}
+    assert calls == {"lambda_from_rho": 1, "omega_matrices": 1, "g_eigensystem": solves}
 
 
 def test_batch_isolates_failures(tmp_path, capsys):

@@ -26,6 +26,29 @@ def test_null_space_known_rank():
     np.testing.assert_allclose(B.T @ B, np.eye(2), atol=1e-13)
 
 
+def test_one_dimensional_kernel_is_one_unit_column():
+    gen = rng(11)
+    for _ in range(50):
+        M = gen.normal(size=(4, 3)) @ gen.normal(size=(3, 4))
+        B = null_space_basis(M, rtol=1e-12)
+        assert B.shape == (4, 1)
+        assert abs(np.linalg.norm(B[:, 0]) - 1.0) <= 1e-15
+        np.testing.assert_allclose(M @ B, 0.0, atol=1e-12 * np.abs(M).max())
+        # it spans the kernel: the last right singular vector is parallel to it
+        kernel = np.linalg.svd(M)[2][-1]
+        assert abs(abs(kernel @ B[:, 0]) - 1.0) <= 1e-12
+
+
+def test_two_dimensional_kernel_stays_orthonormal():
+    gen = rng(13)
+    for _ in range(50):
+        M = gen.normal(size=(4, 2)) @ gen.normal(size=(2, 4))
+        B = null_space_basis(M, rtol=1e-12)
+        assert B.shape == (4, 2)
+        np.testing.assert_allclose(B.T @ B, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(M @ B, 0.0, atol=1e-12 * np.abs(M).max())
+
+
 def test_null_space_full_rank_is_empty():
     assert null_space_basis(np.eye(4), rtol=1e-12).shape == (4, 0)
 
