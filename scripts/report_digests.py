@@ -43,6 +43,15 @@ def _sha(*parts: bytes) -> str:
 
 
 def _eigen_digest(omega: np.ndarray) -> str:
+    """Hash of one eigensystem: the four eigenvalues, one vector row per
+    geometric eigenvector with its norm and residual, the clusters and
+    the top Gram eigenvalues.
+
+    ``vector_eigenvalues`` follows from the clusters and is not hashed.
+    Digests of the earlier slot-expanded record, which repeated a
+    defective cluster's lightlike row in every algebraic slot, differ
+    from these exactly on the eigensystems with a defective cluster.
+    """
     from lorentzsvd.geigen import g_eigensystem
 
     s = g_eigensystem(omega)

@@ -101,21 +101,6 @@ class CanonicalResult:
     partner: "CanonicalResult | None" = None
 
 
-def _distinct_eigenpairs(sys: GEigenSystem) -> list[tuple[float, int, np.ndarray]]:
-    """(eigenvalue, norm, vector) per geometric eigenvector, repeats dropped.
-
-    Defective clusters repeat their lightlike vector across algebraic
-    slots; only the first copy is kept.
-    """
-    out: list[tuple[float, int, np.ndarray]] = []
-    slot = 0
-    for center, mult, dim in sys.clusters:
-        for j in range(dim):
-            out.append((center, int(sys.norms[slot + j]), sys.eigenvectors[slot + j]))
-        slot += mult
-    return out
-
-
 def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
     """One Minkowski Gram-Schmidt pass over a near-tetrad (time leg first).
 
@@ -187,12 +172,12 @@ def type1_canonical(
     if lam0 <= zero_tol:
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
 
-    pairs = _distinct_eigenpairs(sys_a)
-    timelike = [(v, c) for c, n, v in pairs if n == 1]
+    rows = list(zip(sys_a.eigenvectors, sys_a.vector_eigenvalues.tolist(), sys_a.norms.tolist()))
+    timelike = [v for v, _, n in rows if n == 1]
     if len(timelike) != 1:
         raise NotTypeI(f"expected exactly one timelike eigenvector, found {len(timelike)}")
-    a0, _ = timelike[0]
-    space = [(v, c) for c, n, v in pairs if n == -1]
+    a0 = timelike[0]
+    space = [(v, c) for v, c, n in rows if n == -1]
     if len(space) < 3:
         space += [
             (v, 0.0)
@@ -369,12 +354,12 @@ def type2_canonical(
 
     lam0 = float(sys.eigenvalues[0])
     scale = max(1.0, lam0)
-    pairs = _distinct_eigenpairs(sys)
-    neutral = [v for c, n, v in pairs if n == 0 and abs(c - lam0) <= _EIGENVALUE_MATCH_REL * scale]
+    rows = list(zip(sys.eigenvectors, sys.vector_eigenvalues.tolist(), sys.norms.tolist()))
+    neutral = [v for v, c, n in rows if n == 0 and abs(c - lam0) <= _EIGENVALUE_MATCH_REL * scale]
     if not neutral:
         raise NotTypeII("no lightlike eigenvector at the top eigenvalue")
     u0 = neutral[0] if neutral[0][0] >= 0 else -neutral[0]
-    space = [(v, c) for c, n, v in pairs if n == -1]
+    space = [(v, c) for v, c, n in rows if n == -1]
     if len(space) < 2:
         raise TriadConstructionFailure(
             f"expected two spacelike eigenvectors, found {len(space)}"
@@ -567,22 +552,6 @@ def canonical_rho_type2(p0: float, p1: float, side: str, tol: float = _PARAMETER
     middle = 1 if side == "A" else 2
     rho[middle, middle] = 0.5 * (1.0 - p0)
     return rho
-
-
-def canonical_density(result: CanonicalResult) -> np.ndarray:
-    """Rebuild the canonical state from a result's parameters alone."""
-    if result.family is SideFamily.DEGENERATE_PRODUCT:
-        raise InvalidCanonicalParameters(
-            "the degenerate product family has no normalized canonical state"
-        )
-    p = result.parameters
-    if result.family is SideFamily.TYPE_I:
-        lams = np.asarray(p["lambdas"], dtype=float)
-        r = np.sqrt(np.clip(lams / lams[0], 0.0, None))
-        return canonical_rho_type1(r[1], r[2], p["detSign"] * r[3])
-    if result.family is SideFamily.TYPE_II_A:
-        return canonical_rho_type2(p["r0"], p["r1"], "A")
-    return canonical_rho_type2(p["s0"], p["s1"], "B")
 
 
 # ---------------------------------------------------------------------------

@@ -80,10 +80,6 @@ class NormalizationFailure(LorentzSvdError):
     """An eigenvector could not be G-normalized to +/-1 at tolerance."""
 
 
-class PoleEvaluation(LorentzSvdError):
-    """Secular function evaluated too close to one of its poles."""
-
-
 # ---------------------------------------------------------------------------
 # Canonicalization layer
 

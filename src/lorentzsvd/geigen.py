@@ -10,9 +10,7 @@ spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
 The spectrum comes from the exact characteristic quartic (`_quartic`),
-the eigenvectors from null spaces at the clustered roots.  An
-independent secular-function route to the same spectrum, used only to
-validate this one, lives in `secular`.
+the eigenvectors from null spaces at the clustered roots.
 """
 
 from __future__ import annotations
@@ -90,23 +88,6 @@ def omega_matrices(lam: np.ndarray) -> OmegaPair:
     )
 
 
-def lorentz_invariants(lam: np.ndarray) -> np.ndarray:
-    """Power traces Tr[(G Omega_A)^n], n = 1..4.
-
-    These four numbers are unchanged by normalized filtering operations
-    on either side, and coincide with the same traces built from
-    Omega_B.
-    """
-    pair = omega_matrices(lam)
-    k = G_METRIC @ pair.omega_a
-    out = np.empty(4)
-    p = np.eye(4)
-    for n in range(4):
-        p = p @ k
-        out[n] = np.trace(p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # production eigensystem
 
@@ -115,7 +96,7 @@ def lorentz_invariants(lam: np.ndarray) -> np.ndarray:
 class ConditionReport:
     """Numerical health data attached to a solved eigensystem."""
 
-    #: per-eigenpair residual norms ||G Omega x - lambda x||_2
+    #: residual norm ||G Omega x - lambda x||_2 per eigenvector row
     residuals: np.ndarray
     #: imaginary scale absorbed when a near-complex root pair was closed
     imag_residue: float
@@ -131,18 +112,21 @@ class ConditionReport:
 class GEigenSystem:
     """Solved eigenproblem of G @ Omega for one symmetric form Omega.
 
-    ``eigenvalues`` are descending with algebraic multiplicity expanded;
-    ``eigenvectors[i]`` is the row vector paired with ``eigenvalues[i]``,
+    ``eigenvalues`` are the four algebraic eigenvalues, descending.
+    ``eigenvectors`` has one row per geometric eigenvector, cluster by
+    cluster; within a cluster timelike rows come first, then lightlike,
+    then spacelike, larger Rayleigh quotient first.  Row i belongs to the
+    eigenvalue ``vector_eigenvalues[i]`` (its cluster center) and is
     normalized so its Minkowski norm is +1, 0 or -1 (``norms[i]``).  A
-    defective cluster repeats its lightlike direction in every algebraic
-    slot and reports the shortfall in the condition report.
+    defective cluster has fewer rows than its algebraic multiplicity;
+    the shortfall is the condition report's ``defect``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    vector_eigenvalues: np.ndarray
     norms: np.ndarray
     top_class: VectorClass
-    degeneracy: int
     #: (center, algebraic multiplicity, geometric dimension) per cluster
     clusters: tuple[tuple[float, int, int], ...]
     condition_report: ConditionReport
@@ -255,9 +239,9 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         return GEigenSystem(
             eigenvalues=np.zeros(4),
             eigenvectors=np.eye(4),
+            vector_eigenvalues=np.zeros(4),
             norms=np.array([1, -1, -1, -1], dtype=int),
             top_class=VectorClass.POSITIVE,
-            degeneracy=4,
             clusters=((0.0, 4, 4),),
             condition_report=ConditionReport(
                 residuals=np.zeros(4),
@@ -280,7 +264,6 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     centers = quartic.values[order]
     mults = quartic.multiplicities[order]
 
-    eigenvalues: list[float] = []
     vectors: list[np.ndarray] = []
     norms: list[int] = []
     residuals: list[float] = []
@@ -325,15 +308,13 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
                 reverse=True,
             ))
 
-        slot_vectors = [e[2] for e in entries]
-        for slot in range(int(mult)):
-            x = slot_vectors[slot % dim]
-            eigenvalues.append(float(center))
+        for cls, _, x in entries:
             vectors.append(x)
-            norms.append(entries[slot % dim][0])
+            norms.append(cls)
             residuals.append(float(np.linalg.norm(k_op @ x - center * x)))
 
-    top_classes = norms[: mults[0]]
+    dims = [dim for _, _, dim in clusters]
+    top_classes = norms[: dims[0]]
     if 1 in top_classes:
         top_class = VectorClass.POSITIVE
     elif 0 in top_classes:
@@ -345,11 +326,11 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         )
 
     return GEigenSystem(
-        eigenvalues=np.array(eigenvalues),
+        eigenvalues=np.repeat(centers, mults),
         eigenvectors=np.array(vectors),
+        vector_eigenvalues=np.repeat(centers, dims),
         norms=np.array(norms, dtype=int),
         top_class=top_class,
-        degeneracy=int(mults[0]),
         clusters=tuple(clusters),
         condition_report=ConditionReport(
             residuals=np.array(residuals),

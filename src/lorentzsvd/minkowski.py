@@ -85,21 +85,6 @@ class VectorClass(Enum):
     NEGATIVE = "Negative"   # spacelike, x^T G x < 0
 
 
-def classify_four_vector(x: np.ndarray, tol: float = DEFAULT_TOL) -> VectorClass:
-    """Causal class of a four-vector.
-
-    The neutral band is |x^T G x| <= tol * max(1, ||x||^2), so the
-    classification is scale-aware but never sharper than `tol` in
-    absolute terms for small vectors.
-    """
-    x = np.asarray(x, dtype=float)
-    n = minkowski_norm(x)
-    scale = max(1.0, float(x @ x))
-    if abs(n) <= tol * scale:
-        return VectorClass.NEUTRAL
-    return VectorClass.POSITIVE if n > 0 else VectorClass.NEGATIVE
-
-
 def lorentz_defect(L: np.ndarray) -> float:
     """max |L^T G L - G| relative to max(1, max |L|^2), the squared size of
     L's largest entry: how far a 4x4 matrix misses the Lorentz group."""

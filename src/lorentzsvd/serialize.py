@@ -81,11 +81,27 @@ def state_document(rho: np.ndarray | None = None, lam: np.ndarray | None = None)
     return doc
 
 
-def _as_real_4x4(payload: Any, key: str) -> np.ndarray:
+def _number_array(payload: Any, key: str, entries: str) -> np.ndarray:
+    """Nested JSON arrays of numbers as a float array.
+
+    Every leaf must be a JSON number: a string that spells one, a boolean
+    or null is refused rather than converted.
+    """
+    stack = [payload]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise InputFormatError(f'"{key}" entries must be {entries}, got {type(item).__name__}')
     try:
-        arr = np.asarray(payload, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputFormatError(f'"{key}" entries must be real numbers: {exc}') from None
+        return np.asarray(payload, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise InputFormatError(f'"{key}" entries must be {entries}: {exc}') from None
+
+
+def _as_real_4x4(payload: Any, key: str) -> np.ndarray:
+    arr = _number_array(payload, key, "real numbers")
     if arr.shape != (4, 4):
         raise InputFormatError(f'"{key}" must be a 4x4 array, got shape {arr.shape}')
     _require_finite(arr, key)
@@ -113,11 +129,7 @@ def parse_state_document(doc: Any) -> tuple[str, np.ndarray]:
     key = present[0]
     if key == "lambda":
         return key, _as_real_4x4(doc[key], key)
-    payload = doc[key]
-    try:
-        arr = np.asarray(payload, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputFormatError(f'"rho" entries must be [re, im] pairs: {exc}') from None
+    arr = _number_array(doc[key], key, "[re, im] pairs of real numbers")
     if arr.shape != (4, 4, 2):
         raise InputFormatError(
             f'"rho" must be a 4x4 array of [re, im] pairs, got shape {arr.shape}'
@@ -160,8 +172,13 @@ def canonical_report(result: CanonicalResult, include_conventions: bool = True) 
     return doc
 
 
+#: the parameters the steering geometry reads, per arrow family
+_ARROW_PARAMETERS = {SideFamily.TYPE_II_A: ("r0", "r1"), SideFamily.TYPE_II_B: ("s0", "s1")}
+
+
 def parse_canonical_report(doc: Any) -> CanonicalResult:
-    """Rebuild enough of a report for downstream geometry commands."""
+    """Rebuild what the geometry commands read from a report: the family,
+    ``lambdaCanonical`` and the arrow parameters.  Other fields are placeholders."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise InputFormatError('canonical report must be a JSON object with a "family" key')
     try:
@@ -172,6 +189,10 @@ def parse_canonical_report(doc: Any) -> CanonicalResult:
     params = doc.get("parameters")
     if not isinstance(params, dict):
         raise InputFormatError('canonical report must carry a "parameters" object')
+    names = _ARROW_PARAMETERS.get(family, ())
+    if any(k not in params for k in names):
+        raise InputFormatError(f"a {family.value} report must carry parameters {names}")
+    _number_array([params[k] for k in names], "parameters", "real numbers")
     return CanonicalResult(
         family=family,
         canonical_lambda=lam_c,
@@ -179,6 +200,6 @@ def parse_canonical_report(doc: Any) -> CanonicalResult:
         left_lorentz=np.eye(4),
         right_lorentz=np.eye(4),
         parameters=params,
-        normalization_scale=float(doc.get("normalizationScale", 1.0)),
-        residuals={k: float(v) for k, v in doc.get("residuals", {}).items()},
+        normalization_scale=1.0,
+        residuals={},
     )

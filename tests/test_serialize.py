@@ -112,3 +112,7 @@ def test_parse_canonical_report_rejects_garbage():
         parse_canonical_report({"family": "TypeIX"})
     with pytest.raises(InputFormatError):
         parse_canonical_report([1, 2, 3])
+    with pytest.raises(InputFormatError, match="must carry parameters"):
+        parse_canonical_report(
+            {"family": "TypeII_B", "lambdaCanonical": np.eye(4).tolist(), "parameters": {"s0": 0.5}}
+        )

@@ -3,8 +3,7 @@
 A threshold typed inline hides which decision it makes and lets two
 modules drift apart on the same decision.  Each one therefore lives in a
 module-level constant whose ``#:`` comment says what it decides.  The
-test-only reference oracle `secular` is exempt.  The same scan also
-checks that every module uses each name it imports.
+same scan also checks that every module uses each name it imports.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ def _constant_lines(tree: ast.Module) -> dict[int, int]:
 def test_tolerance_literals_are_named_constants():
     inline, undocumented = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "secular.py":
-            continue
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
         constants = _constant_lines(ast.parse(source))
