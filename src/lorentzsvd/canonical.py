@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import (
 from .geigen import (
     CanonicalFamily,
     GEigenSystem,
+    carried_eigensystem,
     classify_canonical_type,
     g_eigensystem,
     omega_matrices,
@@ -54,6 +55,8 @@ from .minkowski import (
     DEFAULT_TOL,
     G_METRIC,
     LORENTZ_TOL_FLOOR,
+    PIPELINE_PARAMETER_FLOOR,
+    TRANSPORT_ZERO_REL,
     ZERO_REL,
     complete_tetrad_from_neutral_triad,
     g_inner,
@@ -65,11 +68,6 @@ from .qstate import lambda_from_rho, rho_from_lambda
 #: 0 <= p1^2 <= p0 <= 1) when a canonical state is built from parameters
 #: alone.
 _PARAMETER_TOL = 1e-9
-
-#: Floor of the same tolerance inside the pipeline, whose parameters are
-#: eigenvalue ratios; near a defective double root those are accurate
-#: only to about sqrt(eps) ~ 1.5e-8.
-_PIPELINE_PARAMETER_FLOOR = 1e-8
 
 
 class SideFamily(Enum):
@@ -109,11 +107,12 @@ def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
     O(delta^2), restoring the group property at working precision.
     """
     out = rows.copy()
+    # (u G, u G u) of each finished row u
+    done: list[tuple[np.ndarray, float]] = []
     for mu in range(4):
         v = out[mu]
-        for nu in range(mu):
-            u = out[nu]
-            v = v - (float(u @ G_METRIC @ v) / float(u @ G_METRIC @ u)) * u
+        for (ug, uu), u in zip(done, out):
+            v = v - (float(ug @ v) / uu) * u
         norm = float(v @ G_METRIC @ v)
         want = 1.0 if mu == 0 else -1.0
         if norm * want <= 0.0 or abs(norm) < 0.25:
@@ -122,19 +121,13 @@ def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
                 f"(Minkowski norm {norm:.3e})"
             )
         out[mu] = v / np.sqrt(abs(norm))
+        ug = out[mu] @ G_METRIC
+        done.append((ug, float(ug @ out[mu])))
     return out
 
 
 # ---------------------------------------------------------------------------
 # diagonal (TypeI) construction
-
-#: Eigenvalue slots at or below this fraction of max(1, lam0), or ``tol``
-#: when larger, are zero.  Transporting a leg through Lambda divides
-#: eigenvector noise by the slot's eigenvalue, so slots below ~1e-7 lose
-#: G-orthonormality at working precision; they go through the exact frame
-#: completion instead, and a top eigenvalue that small has no usable scale
-#: at all.
-_ZERO_SLOT_REL = 1e-7
 
 #: Floor of the tolerance, relative to max(1, max |D|), on the off-diagonal
 #: entries of D = L_A Lambda L_B^T.  D is built from the two tetrads and
@@ -168,7 +161,7 @@ def type1_canonical(
         raise NotTypeI(f"side A classifies as {family.value}")
     lam0 = float(sys_a.eigenvalues[0])
     scale = max(1.0, lam0)
-    zero_tol = max(tol, _ZERO_SLOT_REL) * scale
+    zero_tol = max(tol, TRANSPORT_ZERO_REL) * scale
     if lam0 <= zero_tol:
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
 
@@ -235,7 +228,7 @@ def type1_canonical(
         "omegaCanonical": float(np.abs(a_rows @ sys_a.omega @ a_rows.T - omega_target).max()),
     }
     rho_c = canonical_rho_type1(
-        ratios[1], ratios[2], det_sign * ratios[3], tol=max(tol, _PIPELINE_PARAMETER_FLOOR)
+        ratios[1], ratios[2], det_sign * ratios[3], tol=max(tol, PIPELINE_PARAMETER_FLOOR)
     )
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
 
@@ -281,6 +274,12 @@ _R1_ZERO_REL = 1e-14
 #: double root that gave r1 = 0.
 _FACTOR_KERNEL_RTOL = 1e-6
 
+#: Floor of the tolerance on the factorization residual
+#: |L_A Lambda L_B^T / N - Lambda^c| of an arrow result, rechecked after
+#: the right factor is polished.  The result is known only as well as the
+#: defective double root, about sqrt(eps) ~ 1.5e-8.
+_FACTOR_RESIDUAL_FLOOR = 1e-8
+
 
 def _type2_pattern(r0: float, r1: float) -> np.ndarray:
     return np.array(
@@ -297,13 +296,15 @@ def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool) -> np.ndarr
     """Solve M X = P for X with G-orthonormal columns (X = right-Lorentz^T).
 
     For r1 > 0, M is invertible and X = M^-1 P; the Lorentz property is
-    then forced by M G M^T = P G P^T.  For r1 = 0, M has a rank-2 kernel
-    that must supply the middle columns: the outer columns are the
-    unique solutions G-orthogonal to the kernel, which pins X completely
-    up to a kernel-plane reflection fixed by det X.
+    then forced by M G M^T = P G P^T, which holds only as well as the
+    eigenvectors behind M, so X^T takes one Minkowski Gram-Schmidt pass
+    and the caller rechecks the factorization.  For r1 = 0, M has a
+    rank-2 kernel that must supply the middle columns: the outer columns
+    are the unique solutions G-orthogonal to the kernel, which pins X
+    completely up to a kernel-plane reflection fixed by det X.
     """
     if not r1_zero:
-        X = np.linalg.solve(M, P)
+        X = _g_orthonormalize(np.linalg.solve(M, P).T).T
     else:
         K = null_space_basis(M, rtol=_FACTOR_KERNEL_RTOL)
         if K.shape[1] != 2:
@@ -425,21 +426,27 @@ def type2_canonical(
             [phi0 - lam0, 0.0, 0.0, phi0 - 2.0 * lam0],
         ]
     )
+    factor_residual = float(np.abs(achieved - pattern).max())
+    if factor_residual > max(tol, _FACTOR_RESIDUAL_FLOOR):
+        raise NumericalFailure(
+            f"factorization residual {factor_residual:.3e} exceeds "
+            f"{max(tol, _FACTOR_RESIDUAL_FLOOR):.1e}"
+        )
     residuals = {
-        "factorization": float(np.abs(achieved - pattern).max()),
+        "factorization": factor_residual,
         "omegaCanonical": float(np.abs(left @ omega @ left.T - omega_target).max()),
         "lambdaPairSplit": float(abs(l1 - l2)),
     }
 
     if side == "A":
         canon = pattern
-        rho_c = canonical_rho_type2(r0, r1, "A", tol=max(tol, _PIPELINE_PARAMETER_FLOOR))
+        rho_c = canonical_rho_type2(r0, r1, "A", tol=max(tol, PIPELINE_PARAMETER_FLOOR))
         params = {"r0": float(r0), "r1": float(r1), "phi0": float(phi0)}
         left_out, right_out = left, right
     else:
         # transpose the factorization back: right and left swap roles
         canon = pattern.T
-        rho_c = canonical_rho_type2(r0, r1, "B", tol=max(tol, _PIPELINE_PARAMETER_FLOOR))
+        rho_c = canonical_rho_type2(r0, r1, "B", tol=max(tol, PIPELINE_PARAMETER_FLOOR))
         params = {"s0": float(r0), "s1": float(r1), "chi0": float(phi0)}
         left_out, right_out = right, left
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
@@ -463,50 +470,54 @@ def type2_canonical(
 def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """Full factorization pipeline for a two-qubit density matrix.
 
-    Dispatches on the classification of side A.  The diagonalizable
-    family reports one result (the two sides coincide) and solves only
-    side A's eigensystem; the non-diagonalizable family reports the A
-    side with the B side attached as ``partner``, since the two
-    canonical states differ in general.  The degenerate product family
-    yields a report without canonical normalization.
+    Dispatches on the classification of side A, the only side whose
+    eigensystem is solved for a TypeI or TypeII state.  The
+    diagonalizable family reports one result (the two sides coincide);
+    the non-diagonalizable family reports the A side with the B side
+    attached as ``partner``, since the two canonical states differ in
+    general.  The degenerate product family yields a report without
+    canonical normalization.
     """
     lam = lambda_from_rho(rho, tol)
     pair = omega_matrices(lam)
-    sys_a = g_eigensystem(pair.omega_a, tol)
-    return _factor_solved(lam, sys_a, lambda: g_eigensystem(pair.omega_b, tol), tol)
+    return _factor_solved(lam, g_eigensystem(pair.omega_a, tol), pair.omega_b, tol)
 
 
 def _factor_solved(
-    lam: np.ndarray, sys_a: GEigenSystem, solve_b: Callable[[], GEigenSystem], tol: float
+    lam: np.ndarray, sys_a: GEigenSystem, omega_b: np.ndarray, tol: float
 ) -> CanonicalResult:
-    """`canonicalize` after side A's eigensolve; ``solve_b`` yields side B's.
+    """`canonicalize` after side A's eigensolve.
 
-    A TypeI side A never asks for side B: its B tetrad is transported
-    through Lambda and checked there (see `type1_canonical`).
+    Neither a TypeI nor a TypeII side A solves side B: a TypeI B tetrad is
+    transported through Lambda (see `type1_canonical`), and a TypeII B
+    eigensystem is carried over by `carried_eigensystem`; a B side of
+    another family shows up in the checks of the B-side construction.
+    Only a degenerate product side A solves ``omega_b``, to confirm the
+    family on both sides.
     """
     fam_a = classify_canonical_type(sys_a)
     if fam_a is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
-    sys_b = solve_b()
-    fam_b = classify_canonical_type(sys_b)
-    if fam_a is not fam_b:
+    if fam_a is CanonicalFamily.TYPE_II:
+        result = type2_canonical(lam, sys_a, "A", tol)
+        sys_b = carried_eigensystem(sys_a, lam, omega_b)
+        return replace(result, partner=type2_canonical(lam, sys_b, "B", tol))
+
+    fam_b = classify_canonical_type(g_eigensystem(omega_b, tol))
+    if fam_b is not fam_a:
         raise NumericalFailure(
             f"the two sides disagree on the family: {fam_a.value} vs {fam_b.value}"
         )
-
-    if fam_a is CanonicalFamily.DEGENERATE_PRODUCT:
-        return CanonicalResult(
-            family=SideFamily.DEGENERATE_PRODUCT,
-            canonical_lambda=lam.copy(),
-            canonical_rho=rho_from_lambda(lam, tol),
-            left_lorentz=np.eye(4),
-            right_lorentz=np.eye(4),
-            parameters={"lambdas": [float(v) for v in sys_a.eigenvalues]},
-            normalization_scale=1.0,
-            residuals={},
-        )
-    result = type2_canonical(lam, sys_a, "A", tol)
-    return replace(result, partner=type2_canonical(lam, sys_b, "B", tol))
+    return CanonicalResult(
+        family=SideFamily.DEGENERATE_PRODUCT,
+        canonical_lambda=lam.copy(),
+        canonical_rho=rho_from_lambda(lam, tol),
+        left_lorentz=np.eye(4),
+        right_lorentz=np.eye(4),
+        parameters={"lambdas": [float(v) for v in sys_a.eigenvalues]},
+        normalization_scale=1.0,
+        residuals={},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +692,11 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     lam1 = d * d
     expected = np.array(sorted([lam0, lam0, lam1, lam1], reverse=True))
     pair = omega_matrices(sigma)
+    # the B side is carried over from side A, as `canonicalize` builds it,
+    # and shares its eigenvalues
     sys_a = g_eigensystem(pair.omega_a)
-    sys_b = g_eigensystem(pair.omega_b)
-    ev_res = max(
-        float(np.abs(sys_a.eigenvalues - expected).max()),
-        float(np.abs(sys_b.eigenvalues - expected).max()),
-    )
+    sys_b = carried_eigensystem(sys_a, sigma, pair.omega_b)
+    ev_res = float(np.abs(sys_a.eigenvalues - expected).max())
 
     # closed-form B side: a single 03-boost on the left, identity on the right
     g = np.sqrt(1.0 - c * c)

@@ -124,7 +124,7 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
         # a canonical report carries everything the geometry needs
         if side == "B" and "partner" in doc:
             doc = doc["partner"]
-        result = parse_canonical_report(doc)
+        result = parse_canonical_report(doc, tol)
     else:
         result = canonicalize(_state_rho(*parse_state_document(doc), tol), tol)
         if side == "B" and result.partner is not None:
@@ -193,7 +193,7 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     scale = max(1.0, float(sys_a.eigenvalues[0]))
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
            max(100 * tol, _SHARED_SPECTRUM_FLOOR) * scale)
-    result = _factor_solved(lam, sys_a, lambda: sys_b, tol)
+    result = _factor_solved(lam, sys_a, pair.omega_b, tol)
     if result.residuals:
         record("factorization", result.residuals["factorization"], max(100 * tol, _FACTOR_FLOOR))
         sides = [result] + ([result.partner] if result.partner is not None else [])

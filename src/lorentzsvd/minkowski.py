@@ -53,6 +53,21 @@ LORENTZ_TOL_FLOOR = 1e-8
 #: 1e-16 relative, four orders below.
 ZERO_REL = 1e-12
 
+#: An eigenvalue at or below this fraction of max(1, top eigenvalue), or
+#: ``tol`` when larger, is zero for transport through Lambda: mapping an
+#: eigenvector of one side onto the other divides its noise by the square
+#: root of the eigenvalue, so below ~1e-7 the mapped vector loses
+#: G-orthonormality at working precision.  A TypeI leg at such a slot
+#: comes from frame completion, a TypeII cluster from its own null space,
+#: and a top eigenvalue that small has no usable scale at all.
+TRANSPORT_ZERO_REL = 1e-7
+
+#: Floor of the tolerance on the arrow parameter region 0 <= p1^2 <= p0 <= 1
+#: for parameters the pipeline computed, in `canonicalize` and when a
+#: report is read back; they are eigenvalue ratios, which near a
+#: defective double root are accurate only to about sqrt(eps) ~ 1.5e-8.
+PIPELINE_PARAMETER_FLOOR = 1e-8
+
 #: Least value a scale may take before it divides something or multiplies
 #: a relative threshold, so an all-zero input gives a zero ratio or rank
 #: zero instead of 0/0.  It sits just above the smallest normal double
@@ -67,10 +82,8 @@ SCALE_FLOOR = 1e-300
 _TETRAD_TOL_FLOOR = 1e-9
 
 
-def g_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Minkowski inner product x^T G y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def g_inner(x: np.ndarray | list[float], y: np.ndarray | list[float]) -> float:
+    """Minkowski inner product x^T G y of two real 4-vectors."""
     return float(x[0] * y[0] - x[1] * y[1] - x[2] * y[2] - x[3] * y[3])
 
 

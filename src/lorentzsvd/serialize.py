@@ -10,14 +10,16 @@ cannot silently mismatch conventions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any
 
 import numpy as np
 
-from .canonical import CanonicalResult, SideFamily
+from .canonical import CanonicalResult, SideFamily, canonical_rho_type2
 from .errors import InputFormatError
+from .minkowski import DEFAULT_TOL, PIPELINE_PARAMETER_FLOOR
 
 CONVENTIONS = {
     "basis": "sigma_0 = I, sigma_1 = X, sigma_2 = Y, sigma_3 = Z; rho in the product basis |00>,|01>,|10>,|11>",
@@ -37,12 +39,20 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _key_text(key: Any) -> str:
+    return json.dumps(str(key))
+
+
 def _emit(obj: Any) -> str:
-    if isinstance(obj, dict):
-        parts = (f"{json.dumps(str(k))}:{_emit(v)}" for k, v in obj.items())
-        return "{" + ",".join(parts) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
+    # exact types first: a report is mostly floats in lists
+    kind = type(obj)
+    if kind is float:
+        return format_float(obj)
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        return "[" + ",".join([format_float(v) if type(v) is float else _emit(v) for v in obj]) + "]"
+    if kind is dict or isinstance(obj, dict):
+        return "{" + ",".join([f"{_key_text(k)}:{_emit(v)}" for k, v in obj.items()]) + "}"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -176,9 +186,12 @@ def canonical_report(result: CanonicalResult, include_conventions: bool = True) 
 _ARROW_PARAMETERS = {SideFamily.TYPE_II_A: ("r0", "r1"), SideFamily.TYPE_II_B: ("s0", "s1")}
 
 
-def parse_canonical_report(doc: Any) -> CanonicalResult:
+def parse_canonical_report(doc: Any, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """Rebuild what the geometry commands read from a report: the family,
-    ``lambdaCanonical`` and the arrow parameters.  Other fields are placeholders."""
+    ``lambdaCanonical`` and the arrow parameters, which must lie in the
+    canonical region (checked as `canonicalize` checks its own, at
+    ``max(tol, PIPELINE_PARAMETER_FLOOR)``).  An arrow report's canonical
+    state is rebuilt from them; other fields are placeholders."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise InputFormatError('canonical report must be a JSON object with a "family" key')
     try:
@@ -192,11 +205,15 @@ def parse_canonical_report(doc: Any) -> CanonicalResult:
     names = _ARROW_PARAMETERS.get(family, ())
     if any(k not in params for k in names):
         raise InputFormatError(f"a {family.value} report must carry parameters {names}")
-    _number_array([params[k] for k in names], "parameters", "real numbers")
+    values = _number_array([params[k] for k in names], "parameters", "real numbers")
+    rho_c = np.zeros((4, 4), dtype=complex)
+    if names:
+        side = "A" if family is SideFamily.TYPE_II_A else "B"
+        rho_c = canonical_rho_type2(*values, side, tol=max(tol, PIPELINE_PARAMETER_FLOOR))
     return CanonicalResult(
         family=family,
         canonical_lambda=lam_c,
-        canonical_rho=np.zeros((4, 4), dtype=complex),
+        canonical_rho=rho_c,
         left_lorentz=np.eye(4),
         right_lorentz=np.eye(4),
         parameters=params,

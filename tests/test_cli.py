@@ -323,6 +323,24 @@ def test_non_number_entries_exit_one(tmp_path, capsys, case):
     assert failure["message"].startswith("InputFormatError:")
 
 
+def test_ellipsoid_refuses_a_report_outside_the_parameter_region(tmp_path, capsys):
+    """A report whose arrow parameters leave the canonical region describes
+    no state, so it has no steering ellipsoid (exit 1)."""
+    doc = {"family": "TypeII_A", "lambdaCanonical": TYPE2_LAMBDA["lambda"],
+           "parameters": {"r0": 5, "r1": 3}}
+    path = write_state(tmp_path, "report.json", doc)
+    code, out, err = run(["ellipsoid", path], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidCanonicalParameters"
+    batch = tmp_path / "reports"
+    batch.mkdir()
+    write_state(batch, "report.json", doc)
+    code, out, _ = run(["ellipsoid", "--batch", str(batch)], capsys)
+    failure = json.loads(out)["failures"]["report.json"]
+    assert code == 1 and failure["exitCode"] == 1
+    assert failure["message"].startswith("InvalidCanonicalParameters:")
+
+
 # ---------------------------------------------------------------------------
 # the input boundary under generated payloads
 
@@ -446,15 +464,15 @@ TYPE2_SIGMA = state_document(rho=sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[
     [
         ("canonicalize", RANK4_SEED7, 1),
         ("verify", RANK4_SEED7, 2),
-        ("canonicalize", TYPE2_SIGMA, 2),
+        ("canonicalize", TYPE2_SIGMA, 1),
         ("verify", TYPE2_SIGMA, 2),
     ],
     ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII"],
 )
 def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves):
-    """Each state command converts rho once and builds Omega once.  TypeI
-    solves side A only; TypeII, and `verify` for its shared spectrum,
-    solve each side once."""
+    """Each state command converts rho once and builds Omega once.
+    `canonicalize` solves side A only; `verify` solves each side once,
+    for its shared spectrum."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
 

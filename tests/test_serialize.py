@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from lorentzsvd.canonical import canonicalize
-from lorentzsvd.errors import InputFormatError
+from lorentzsvd.canonical import SigmaParameters, canonicalize, sigma_from_bcd
+from lorentzsvd.errors import InputFormatError, InvalidCanonicalParameters
 from lorentzsvd.geometry import steering_ellipsoid
 from lorentzsvd.qstate import random_state, rho_from_lambda
 from lorentzsvd.serialize import (
@@ -47,6 +47,52 @@ def test_dumps_is_plain_json_with_fixed_order():
     assert text.endswith("\n")
     assert text.index('"b"') < text.index('"a"')  # insertion order, not sorted
     assert json.loads(text) == {"b": [1, 2.5], "a": {"x": True, "y": None}}
+
+
+def _reference_emit(obj):
+    """The emitter as an isinstance chain: the fast path's reference."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_reference_emit(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_emit(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    return _reference_emit(obj.tolist())
+
+
+class _Floats(list):
+    pass
+
+
+def test_dumps_matches_the_reference_emitter():
+    gen = np.random.default_rng(11)
+    docs = [
+        canonical_report(canonicalize(rho))
+        for rho in (
+            random_state(4, seed=2),
+            rho_from_lambda(np.diag([1.0, 0.5, -0.5, 0.5])),
+            sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1],
+        )
+    ]
+    docs.append({
+        "floats": [-0.0, 0.0, 1e-300, -2.5, 1e300] + gen.normal(size=8).tolist(),
+        "numpy": [np.float64(-0.0), np.float32(0.5), np.int64(-3), np.arange(3), np.eye(2)],
+        "scalars": (True, False, None, 7, "text \"quoted\""),
+        "subclasses": _Floats([1.5, -0.0]),
+        1: "int key", True: "bool key", 2.5: "float key", None: "none key",
+    })
+    for doc in docs:
+        assert dumps(doc) == _reference_emit(doc) + "\n"
+    with pytest.raises(InputFormatError, match="non-finite"):
+        dumps({"x": [1.0, float("nan")]})
+    with pytest.raises(InputFormatError, match="cannot serialize"):
+        dumps({"x": {1, 2}})
 
 
 def test_state_document_round_trip():
@@ -116,3 +162,20 @@ def test_parse_canonical_report_rejects_garbage():
         parse_canonical_report(
             {"family": "TypeII_B", "lambdaCanonical": np.eye(4).tolist(), "parameters": {"s0": 0.5}}
         )
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("TypeII_A", {"r0": 5, "r1": 3}),
+        ("TypeII_A", {"r0": 0.5, "r1": 0.8}),
+        ("TypeII_B", {"s0": 0.5, "s1": -0.8}),
+        ("TypeII_B", {"s0": -0.1, "s1": 0.0}),
+    ],
+)
+def test_parse_canonical_report_refuses_parameters_outside_the_region(family, params):
+    """Arrow parameters must satisfy 0 <= p1^2 <= p0 <= 1, as for a state
+    built from them."""
+    doc = {"family": family, "lambdaCanonical": np.eye(4).tolist(), "parameters": params}
+    with pytest.raises(InvalidCanonicalParameters, match="0 <= p1"):
+        parse_canonical_report(doc)
