@@ -46,7 +46,6 @@ from .errors import (
 from .geigen import (
     CanonicalFamily,
     GEigenSystem,
-    carried_eigensystem,
     classify_canonical_type,
     g_eigensystem,
     omega_matrices,
@@ -327,28 +326,11 @@ def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool) -> np.ndarr
     return X
 
 
-def type2_canonical(
-    lam: np.ndarray,
-    sys: GEigenSystem,
-    side: str,
-    tol: float = DEFAULT_TOL,
-) -> CanonicalResult:
-    """Arrow-shaped canonical form on the requested side ("A" or "B").
-
-    ``sys`` is the eigensystem of that side's form, Omega_A for "A" and
-    Omega_B (the A-side form of the transpose) for "B", and supplies the
-    form itself as ``sys.omega``.  The B side is the A-side construction
-    applied to the transposed correlation matrix, transposed back, so
-    both sides share one code path.
-    Parameters are (r0, r1) with scale phi0 on side A and (s0, s1) with
-    scale chi0 on side B.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    work = lam if side == "A" else lam.T
-    omega = sys.omega
-
+def _arrow_eigenpairs(sys: GEigenSystem) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+    """The neutral triad (u0, a1, a2) of a TypeII eigensystem and its
+    spectrum (lam0, lam1, split): the future null eigenvector at the top
+    eigenvalue lam0, and the spacelike pair at eigenvalues l1, l2 with
+    mean lam1 and split |l1 - l2|."""
     family = classify_canonical_type(sys)
     if family is not CanonicalFamily.TYPE_II:
         raise NotTypeII(f"state classifies as {family.value}")
@@ -371,7 +353,48 @@ def type2_canonical(
             f"lower eigenvalue pair splits by {abs(l1 - l2):.3e}; "
             "no non-negative state realizes this spectrum"
         )
-    lam1 = 0.5 * (l1 + l2)
+    return (u0, a1, a2), (lam0, 0.5 * (l1 + l2), abs(l1 - l2))
+
+
+def type2_canonical(
+    lam: np.ndarray,
+    sys: GEigenSystem,
+    side: str,
+    tol: float = DEFAULT_TOL,
+) -> CanonicalResult:
+    """Arrow-shaped canonical form on the requested side ("A" or "B").
+
+    ``sys`` is the eigensystem of that side's form, Omega_A for "A" and
+    Omega_B (the A-side form of the transpose) for "B", and supplies the
+    form itself as ``sys.omega``.  The B side is the A-side construction
+    applied to the transposed correlation matrix, transposed back, so
+    both sides share one code path.
+    Parameters are (r0, r1) with scale phi0 on side A and (s0, s1) with
+    scale chi0 on side B.  `canonicalize` solves no B eigensystem: its B
+    side is this construction from the triad of side A's right factor
+    (see `_factor_solved`).
+    """
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    triad, spectrum = _arrow_eigenpairs(sys)
+    return _arrow_from_triad(lam, sys.omega, side, triad, spectrum, tol)
+
+
+def _arrow_from_triad(
+    lam: np.ndarray,
+    omega: np.ndarray,
+    side: str,
+    triad: tuple[np.ndarray, ...],
+    spectrum: tuple[float, ...],
+    tol: float,
+) -> CanonicalResult:
+    """`type2_canonical` from the neutral triad (u0, a1, a2) of ``omega``,
+    the form of ``side``, and the spectrum (lam0, lam1, split) onward."""
+    lam = np.asarray(lam, dtype=float)
+    work = lam if side == "A" else lam.T
+    u0, a1, a2 = triad
+    lam0, lam1, split = spectrum
+    scale = max(1.0, lam0)
 
     tetrad, _, _ = complete_tetrad_from_neutral_triad(u0, a1, a2, tol=max(tol, _TRIAD_TOL_FLOOR))
     t0, t3 = tetrad.y0, tetrad.y3
@@ -435,7 +458,7 @@ def type2_canonical(
     residuals = {
         "factorization": factor_residual,
         "omegaCanonical": float(np.abs(left @ omega @ left.T - omega_target).max()),
-        "lambdaPairSplit": float(abs(l1 - l2)),
+        "lambdaPairSplit": float(split),
     }
 
     if side == "A":
@@ -488,25 +511,41 @@ def _factor_solved(
 ) -> CanonicalResult:
     """`canonicalize` after side A's eigensolve.
 
-    Neither a TypeI nor a TypeII side A solves side B: a TypeI B tetrad is
-    transported through Lambda (see `type1_canonical`), and a TypeII B
-    eigensystem is carried over by `carried_eigensystem`; a B side of
-    another family shows up in the checks of the B-side construction.
-    Only a degenerate product side A solves ``omega_b``, to confirm the
-    family on both sides.
+    Neither a TypeI nor a TypeII side A solves side B.  A TypeI B tetrad is
+    transported through Lambda (see `type1_canonical`).  A TypeII B side is
+    read off side A's right factor L_B: L_A Lambda L_B^T = N P(r0, r1)
+    gives L_B Omega_B L_B^T = N^2 P^T G P, whose G-eigenvectors are e1, e2
+    at N^2 r1^2 = lam1 and the null e0 + e3 at N^2 r0 = lam0, so rows 1
+    and 2 of L_B are side B's spacelike pair and row0 + row3 its null
+    eigenvector.  A B side of another family shows up in the checks of the
+    B-side construction.  Only a degenerate product side A solves
+    ``omega_b``, to confirm the family on both sides.
     """
     fam_a = classify_canonical_type(sys_a)
     if fam_a is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
     if fam_a is CanonicalFamily.TYPE_II:
         result = type2_canonical(lam, sys_a, "A", tol)
-        sys_b = carried_eigensystem(sys_a, lam, omega_b)
-        return replace(result, partner=type2_canonical(lam, sys_b, "B", tol))
+        L_B = result.right_lorentz
+        u0 = L_B[0] + L_B[3]
+        # unit length, as an eigensystem row has: |u0| grows with the
+        # rapidity of L_B, and the completion loses accuracy with it (raw,
+        # it refused 135 more of 3,200 hard-inputs benchmark states)
+        triad = (u0 / np.linalg.norm(u0), L_B[1], L_B[2])
+        partner = _arrow_from_triad(lam, omega_b, "B", triad, _arrow_eigenpairs(sys_a)[1], tol)
+        return replace(result, partner=partner)
+    return _degenerate_product(lam, sys_a, g_eigensystem(omega_b, tol), tol)
 
-    fam_b = classify_canonical_type(g_eigensystem(omega_b, tol))
-    if fam_b is not fam_a:
+
+def _degenerate_product(
+    lam: np.ndarray, sys_a: GEigenSystem, sys_b: GEigenSystem, tol: float
+) -> CanonicalResult:
+    """Report of a degenerate product side A, once the solved side B
+    ``sys_b`` confirms the family."""
+    fam_b = classify_canonical_type(sys_b)
+    if fam_b is not CanonicalFamily.DEGENERATE_PRODUCT:
         raise NumericalFailure(
-            f"the two sides disagree on the family: {fam_a.value} vs {fam_b.value}"
+            f"the two sides disagree on the family: DegenerateProduct vs {fam_b.value}"
         )
     return CanonicalResult(
         family=SideFamily.DEGENERATE_PRODUCT,
@@ -673,7 +712,9 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     The closed forms fix their own boost gauge, which agrees with the
     pinned pipeline gauge on the B side (both land on chi0 = 1 - c^2)
     but not on the A side, where only the gauge-invariant combination
-    r1^2 / r0 = lambda_1 / lambda_0 can be compared.
+    r1^2 / r0 = lambda_1 / lambda_0 can be compared.  The pipeline's B
+    side is read off its A-side right factor, as `canonicalize` builds
+    it, so only Omega_A is solved.
     """
     bad = p.violations()
     if bad:
@@ -692,10 +733,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     lam1 = d * d
     expected = np.array(sorted([lam0, lam0, lam1, lam1], reverse=True))
     pair = omega_matrices(sigma)
-    # the B side is carried over from side A, as `canonicalize` builds it,
-    # and shares its eigenvalues
     sys_a = g_eigensystem(pair.omega_a)
-    sys_b = carried_eigensystem(sys_a, sigma, pair.omega_b)
     ev_res = float(np.abs(sys_a.eigenvalues - expected).max())
 
     # closed-form B side: a single 03-boost on the left, identity on the right
@@ -731,7 +769,11 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
         a_res = float(np.abs(image_a - _type2_pattern(r0, r1)).max())
         proper = proper and is_orthochronous_proper_lorentz(left_a)
 
-    res_b = type2_canonical(sigma, sys_b, "B")
+    # both sides as `canonicalize` builds them
+    res_a = _factor_solved(sigma, sys_a, pair.omega_b, DEFAULT_TOL)
+    res_b = res_a.partner
+    if res_b is None:
+        raise NotTypeII(f"state classifies as {res_a.family.value}")
     s_res = max(
         abs(res_b.parameters["s0"] - s0),
         abs(res_b.parameters["s1"] - abs(s1)),
@@ -740,7 +782,6 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     # the pipeline pins a different A-side gauge than the closed form, so
     # only the gauge-invariant combination r1^2 / r0 = lambda_1 / lambda_0
     # can be compared there
-    res_a = type2_canonical(sigma, sys_a, "A")
     ratio_pipeline = res_a.parameters["r1"] ** 2 / res_a.parameters["r0"]
     ratio_res = float(abs(ratio_pipeline - lam1 / lam0))
 

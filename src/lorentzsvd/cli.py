@@ -28,13 +28,14 @@ import numpy as np
 
 from .canonical import (
     SigmaParameters,
+    _degenerate_product,
     _factor_solved,
     canonicalize,
     sigma_equivalence_check,
     sigma_from_bcd,
 )
 from .errors import InputFormatError, LorentzSvdError
-from .geigen import classify_canonical_type, g_eigensystem, omega_matrices
+from .geigen import CanonicalFamily, classify_canonical_type, g_eigensystem, omega_matrices
 from .geometry import (
     ellipsoid_json_dict,
     points_to_csv,
@@ -193,7 +194,11 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     scale = max(1.0, float(sys_a.eigenvalues[0]))
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
            max(100 * tol, _SHARED_SPECTRUM_FLOOR) * scale)
-    result = _factor_solved(lam, sys_a, pair.omega_b, tol)
+    # a degenerate product side A confirms its family on the B side just solved
+    if classify_canonical_type(sys_a) is CanonicalFamily.DEGENERATE_PRODUCT:
+        result = _degenerate_product(lam, sys_a, sys_b, tol)
+    else:
+        result = _factor_solved(lam, sys_a, pair.omega_b, tol)
     if result.residuals:
         record("factorization", result.residuals["factorization"], max(100 * tol, _FACTOR_FLOOR))
         sides = [result] + ([result.partner] if result.partner is not None else [])

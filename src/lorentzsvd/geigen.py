@@ -10,14 +10,12 @@ spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
 The spectrum comes from the exact characteristic quartic (`_quartic`),
-the eigenvectors from null spaces at the clustered roots.  Side B's
-eigensystem can instead be carried over from side A's through Lambda
-(`carried_eigensystem`), which solves no second quartic.
+the eigenvectors from null spaces at the clustered roots.  `canonical`
+reads a TypeI or TypeII side B off side A, so it solves one form only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,15 +24,7 @@ import numpy as np
 from ._linalg import gram_eigenbasis, null_space_basis
 from ._quartic import charpoly_g, quartic_real_roots
 from .errors import NormalizationFailure, NumericalFailure
-from .minkowski import (
-    DEFAULT_TOL,
-    G_METRIC,
-    SCALE_FLOOR,
-    TRANSPORT_ZERO_REL,
-    ZERO_REL,
-    VectorClass,
-    g_inner,
-)
+from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, VectorClass
 
 _EPS = float(np.finfo(float).eps)
 
@@ -228,62 +218,6 @@ def _rediagonalize_cluster(omega: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return wn
 
 
-def _cluster_rows(
-    omega: np.ndarray,
-    centers: np.ndarray,
-    ci: int,
-    mult: int,
-    scale: float,
-    tol: float,
-) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
-    """Eigenvector rows of cluster ``ci``, read from the null space of
-    G Omega - centers[ci].
-
-    Returns (class, row) pairs in the record's order and the Minkowski
-    Gram eigenvalues of the cluster, descending.
-    """
-    center = centers[ci]
-    others = np.delete(centers, ci)
-    gap = float(np.abs(others - center).min()) if others.size else np.inf
-    basis = _cluster_vectors(omega, float(center), mult, gap, scale)
-    w = _rediagonalize_cluster(omega, basis)
-    entries: list[tuple[int, float, np.ndarray]] = []
-    grams: list[float] = []
-    for j in range(w.shape[1]):
-        col = w[:, j]
-        gam = float(col @ G_METRIC @ col)
-        grams.append(gam)
-        if abs(gam) <= SIGNATURE_TOL:
-            x = _signed_unit(col / np.linalg.norm(col))
-            cls = 0
-            if ci > 0 and center > max(tol, _SUBDOMINANT_ZERO_FLOOR) * max(1.0, centers[0]):
-                raise NormalizationFailure(
-                    f"lightlike eigenvector at subdominant eigenvalue "
-                    f"{center:.6g} (Minkowski norm {gam:.3e})"
-                )
-        else:
-            x = _signed_unit(col / np.sqrt(abs(gam)))
-            cls = 1 if gam > 0 else -1
-        rayleigh = float(x @ omega @ x) * (cls if cls else 1)
-        entries.append((cls, rayleigh, x))
-    # timelike first, then lightlike, then spacelike; within a class
-    # larger Rayleigh quotient first — a deterministic total order
-    entries.sort(key=lambda e: (-e[0], -e[1]))
-    return [(cls, x) for cls, _, x in entries], np.array(sorted(grams, reverse=True))
-
-
-def _top_class(classes: list[int], gram_top: np.ndarray, top: float) -> VectorClass:
-    """Causal class of the top eigenspace from the classes of its rows."""
-    if 1 in classes:
-        return VectorClass.POSITIVE
-    if 0 in classes:
-        return VectorClass.NEUTRAL
-    raise NumericalFailure(
-        "top eigenspace contains no timelike or lightlike direction; "
-        f"Gram eigenvalues {gram_top}, eigenvalue {top:.6g}"
-    )
-
-
 def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form.
 
@@ -339,17 +273,53 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     k_op = G_METRIC @ omega
 
     for ci, (center, mult) in enumerate(zip(centers, mults)):
-        rows, gram = _cluster_rows(omega, centers, ci, int(mult), scale, tol)
-        clusters.append((float(center), int(mult), len(rows)))
+        others = np.delete(centers, ci)
+        gap = float(np.abs(others - center).min()) if others.size else np.inf
+        basis = _cluster_vectors(omega, float(center), int(mult), gap, scale)
+        clusters.append((float(center), int(mult), basis.shape[1]))
+
+        w = _rediagonalize_cluster(omega, basis)
+        entries: list[tuple[int, float, np.ndarray]] = []
+        for j in range(w.shape[1]):
+            col = w[:, j]
+            gam = float(col @ G_METRIC @ col)
+            if abs(gam) <= SIGNATURE_TOL:
+                x = _signed_unit(col / np.linalg.norm(col))
+                cls = 0
+                if ci > 0 and center > max(tol, _SUBDOMINANT_ZERO_FLOOR) * max(1.0, centers[0]):
+                    raise NormalizationFailure(
+                        f"lightlike eigenvector at subdominant eigenvalue "
+                        f"{center:.6g} (Minkowski norm {gam:.3e})"
+                    )
+            else:
+                x = _signed_unit(col / np.sqrt(abs(gam)))
+                cls = 1 if gam > 0 else -1
+            rayleigh = float(x @ omega @ x) * (cls if cls else 1)
+            entries.append((cls, rayleigh, x))
+        # timelike first, then lightlike, then spacelike; within a class
+        # larger Rayleigh quotient first — a deterministic total order
+        entries.sort(key=lambda e: (-e[0], -e[1]))
         if ci == 0:
-            gram_top = gram
-        for cls, x in rows:
+            gram_top = np.array(sorted(
+                (float(w[:, j] @ G_METRIC @ w[:, j]) for j in range(w.shape[1])),
+                reverse=True,
+            ))
+        for cls, _, x in entries:
             vectors.append(x)
             norms.append(cls)
             residuals.append(float(np.linalg.norm(k_op @ x - center * x)))
 
     dims = [dim for _, _, dim in clusters]
-    top_class = _top_class(norms[: dims[0]], gram_top, float(centers[0]))
+    top_classes = norms[: dims[0]]
+    if 1 in top_classes:
+        top_class = VectorClass.POSITIVE
+    elif 0 in top_classes:
+        top_class = VectorClass.NEUTRAL
+    else:
+        raise NumericalFailure(
+            "top eigenspace contains no timelike or lightlike direction; "
+            f"Gram eigenvalues {gram_top}, eigenvalue {centers[0]:.6g}"
+        )
 
     return GEigenSystem(
         eigenvalues=np.repeat(centers, mults),
@@ -367,121 +337,6 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         ),
         tol=tol,
         omega=omega,
-    )
-
-
-def _polish_carried(classes: list[int], rows: list[list[float]]) -> list[list[float]]:
-    """G-orthonormalize carried-over eigenvector rows.
-
-    One Minkowski Gram-Schmidt pass runs over the non-null rows.  Each
-    null row is then projected off them and slid, along the time axis
-    projected into the same plane, onto the nearer null ray, since the
-    map scales its null defect as well; it leaves with unit length.
-    Runs on Python floats: numpy's call overhead dwarfs 4-vector
-    arithmetic.
-    """
-
-    def axpy(a: float, x: list[float], y: list[float]) -> list[float]:
-        return [a * xi + yi for xi, yi in zip(x, y)]
-
-    out = list(rows)
-    done: list[tuple[int, list[float]]] = []
-    for i in sorted(range(len(out)), key=lambda i: classes[i] == 0):
-        v = out[i]
-        for cls, u in done:
-            v = axpy(-cls * g_inner(u, v), u, v)
-        if classes[i] != 0:
-            norm = g_inner(v, v)
-            if norm * classes[i] <= 0.0:
-                raise NumericalFailure(
-                    f"carried-over eigenvector {i} lost its causal character "
-                    f"(Minkowski norm {norm:.3e})"
-                )
-            v = [x / math.sqrt(abs(norm)) for x in v]
-            done.append((classes[i], v))
-        else:
-            t = [1.0, 0.0, 0.0, 0.0]
-            for cls, u in done:
-                t = axpy(-cls * u[0], u, t)
-            # smaller root s of (v + s t)^T G (v + s t) = 0
-            n, beta, tau = g_inner(v, v), g_inner(v, t), g_inner(t, t)
-            disc = beta * beta - n * tau
-            if beta != 0.0 and disc >= 0.0:
-                v = axpy(-n / (beta + math.copysign(math.sqrt(disc), beta)), t, v)
-            length = math.sqrt(sum(x * x for x in v))
-            v = [x / length for x in v]
-        out[i] = v
-    return out
-
-
-def carried_eigensystem(sys_a: GEigenSystem, lam: np.ndarray, omega_b: np.ndarray) -> GEigenSystem:
-    """Side B's eigensystem, carried over from side A's through Lambda.
-
-    G Omega_A = (G Lambda)(G Lambda^T) and G Omega_B = (G Lambda^T)(G Lambda)
-    share the characteristic quartic, and b = G Lambda^T a maps an
-    eigenvector a of side A at eigenvalue c onto one of side B at c, with
-    b^T G b = c a^T G a; so no second quartic is solved and every row
-    keeps its class.  Rows of a cluster at c > 0 are mapped: timelike and
-    spacelike rows divided by sqrt(c), lightlike rows scaled to unit
-    length, each with the deterministic sign; `_polish_carried` then
-    removes the error the map amplifies.  A cluster at or below
-    `TRANSPORT_ZERO_REL` cannot be mapped, since the map divides its
-    noise by sqrt(c); its rows are read from Omega_B's null space at side
-    A's cluster center, as `g_eigensystem` reads them.
-    """
-    lam = np.asarray(lam, dtype=float)
-    omega_b = np.asarray(omega_b, dtype=float)
-    symmetry_defect = float(np.abs(omega_b - omega_b.T).max())
-    omega_b = 0.5 * (omega_b + omega_b.T)
-    tol = sys_a.tol
-    centers = np.array([center for center, _, _ in sys_a.clusters])
-    zero_cut = max(tol, TRANSPORT_ZERO_REL) * max(1.0, float(centers[0]))
-    # row i is (G Lambda^T a_i)^T
-    mapped = sys_a.eigenvectors @ lam @ G_METRIC
-
-    classes: list[int] = []
-    rows: list[list[float]] = []
-    clusters: list[tuple[float, int, int]] = []
-    gram_top = None
-    start = 0
-    for ci, (center, mult, dim) in enumerate(sys_a.clusters):
-        if center > zero_cut:
-            cluster = [
-                (cls, _signed_unit(b / (np.linalg.norm(b) if cls == 0 else np.sqrt(center))))
-                for b, cls in zip(mapped[start:start + dim], sys_a.norms[start:start + dim].tolist())
-            ]
-        else:
-            scale = max(1.0, abs(float(np.trace(G_METRIC @ omega_b))))
-            cluster, gram = _cluster_rows(omega_b, centers, ci, mult, scale, tol)
-            if ci == 0:
-                gram_top = gram
-        start += dim
-        clusters.append((center, mult, len(cluster)))
-        classes.extend(cls for cls, _ in cluster)
-        rows.extend(x.tolist() for _, x in cluster)
-
-    out = np.array(_polish_carried(classes, rows))
-    dims = [dim for _, _, dim in clusters]
-    if gram_top is None:
-        gram_top = np.array(sorted((g_inner(x, x) for x in out[: dims[0]]), reverse=True))
-    vector_eigenvalues = np.repeat(centers, dims)
-    k_op = G_METRIC @ omega_b
-    return GEigenSystem(
-        eigenvalues=sys_a.eigenvalues,
-        eigenvectors=out,
-        vector_eigenvalues=vector_eigenvalues,
-        norms=np.array(classes, dtype=int),
-        top_class=_top_class(classes[: dims[0]], gram_top, float(centers[0])),
-        clusters=tuple(clusters),
-        condition_report=ConditionReport(
-            residuals=np.linalg.norm(out @ k_op.T - vector_eigenvalues[:, None] * out, axis=1),
-            imag_residue=sys_a.condition_report.imag_residue,
-            symmetry_defect=symmetry_defect,
-            defect=sum(mult - dim for _, mult, dim in clusters),
-            gram_top=gram_top,
-        ),
-        tol=tol,
-        omega=omega_b,
     )
 
 

@@ -54,12 +54,12 @@ LORENTZ_TOL_FLOOR = 1e-8
 ZERO_REL = 1e-12
 
 #: An eigenvalue at or below this fraction of max(1, top eigenvalue), or
-#: ``tol`` when larger, is zero for transport through Lambda: mapping an
-#: eigenvector of one side onto the other divides its noise by the square
-#: root of the eigenvalue, so below ~1e-7 the mapped vector loses
+#: ``tol`` when larger, is zero for the TypeI transport through Lambda:
+#: mapping an eigenvector of side A onto side B divides its noise by the
+#: square root of the eigenvalue, so below ~1e-7 the mapped vector loses
 #: G-orthonormality at working precision.  A TypeI leg at such a slot
-#: comes from frame completion, a TypeII cluster from its own null space,
-#: and a top eigenvalue that small has no usable scale at all.
+#: comes from frame completion, and a top eigenvalue that small has no
+#: usable scale at all.
 TRANSPORT_ZERO_REL = 1e-7
 
 #: Floor of the tolerance on the arrow parameter region 0 <= p1^2 <= p0 <= 1

@@ -17,8 +17,8 @@ from typing import Any
 
 import numpy as np
 
-from .canonical import CanonicalResult, SideFamily, canonical_rho_type2
-from .errors import InputFormatError
+from .canonical import CanonicalResult, SideFamily, canonical_rho_type1, canonical_rho_type2
+from .errors import InputFormatError, InvalidCanonicalParameters
 from .minkowski import DEFAULT_TOL, PIPELINE_PARAMETER_FLOOR
 
 CONVENTIONS = {
@@ -188,10 +188,12 @@ _ARROW_PARAMETERS = {SideFamily.TYPE_II_A: ("r0", "r1"), SideFamily.TYPE_II_B: (
 
 def parse_canonical_report(doc: Any, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """Rebuild what the geometry commands read from a report: the family,
-    ``lambdaCanonical`` and the arrow parameters, which must lie in the
-    canonical region (checked as `canonicalize` checks its own, at
-    ``max(tol, PIPELINE_PARAMETER_FLOOR)``).  An arrow report's canonical
-    state is rebuilt from them; other fields are placeholders."""
+    ``lambdaCanonical`` and the arrow parameters.  A TypeI
+    ``lambdaCanonical`` must be diag(1, d1, d2, d3), and (d1, d2, d3) or
+    the arrow parameters must lie in the canonical region, both checked
+    as `canonicalize` checks its own, at ``max(tol,
+    PIPELINE_PARAMETER_FLOOR)``.  The canonical state is rebuilt from
+    them; other fields are placeholders."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise InputFormatError('canonical report must be a JSON object with a "family" key')
     try:
@@ -206,10 +208,19 @@ def parse_canonical_report(doc: Any, tol: float = DEFAULT_TOL) -> CanonicalResul
     if any(k not in params for k in names):
         raise InputFormatError(f"a {family.value} report must carry parameters {names}")
     values = _number_array([params[k] for k in names], "parameters", "real numbers")
+    region_tol = max(tol, PIPELINE_PARAMETER_FLOOR)
     rho_c = np.zeros((4, 4), dtype=complex)
     if names:
         side = "A" if family is SideFamily.TYPE_II_A else "B"
-        rho_c = canonical_rho_type2(*values, side, tol=max(tol, PIPELINE_PARAMETER_FLOOR))
+        rho_c = canonical_rho_type2(*values, side, tol=region_tol)
+    elif family is SideFamily.TYPE_I:
+        diag = np.diag(lam_c)
+        deviation = max(float(np.abs(lam_c - np.diag(diag)).max()), abs(float(diag[0]) - 1.0))
+        if deviation > region_tol:
+            raise InvalidCanonicalParameters(
+                f"a TypeI lambdaCanonical must be diag(1, d1, d2, d3); it deviates by {deviation:.3e}"
+            )
+        rho_c = canonical_rho_type1(*diag[1:], tol=region_tol)
     return CanonicalResult(
         family=family,
         canonical_lambda=lam_c,

@@ -323,7 +323,10 @@ def test_filtered_type2_factors_pass_the_lorentz_check():
 # solved, X = M^-1 P gave a right factor outside the Lorentz group at 1e-9
 # (defects 1.3e-9 and 1.1e-9 on side A, 2.1e-9 on side B); one Minkowski
 # Gram-Schmidt pass brings all four factors below 1e-13, and the rechecked
-# factorization stays inside 1e-8.
+# factorization stays inside 1e-8.  Case 363 at seed 7 was refused when its
+# partner came from a second, carried-over B eigensystem (factorization
+# residual 3.6e-8); read off side A's right factor, its worst factor
+# misses the Lorentz group by 8.5e-10.
 SOLVED_FACTOR_RHOS = [
     np.array(
         [
@@ -349,10 +352,20 @@ SOLVED_FACTOR_RHOS = [
             [complex(0.011482835834580651, -0.0071745716014919025), complex(-0.022249892543156263, 0.013842837479539415), complex(-0.04890560038392171, 0.28426601188436323), complex(0.5467597803504809, 0.0)],
         ]
     ),
+    np.array(
+        [
+            [complex(0.40627086002876855, 1.6147988483063623e-17), complex(0.09151087171197456, -0.038291144855108504), complex(-0.2697892414394194, 0.3770662117673796), complex(-0.02790838448304281, 0.1130559296383369)],
+            [complex(0.09151087171197456, 0.03829114485510851), complex(0.02723337459825644, -1.2615616002393455e-19), complex(-0.096319356545407, 0.059532555720511394), complex(-0.018914355602032612, 0.02565252246208406)],
+            [complex(-0.2697892414394194, -0.3770662117673797), complex(-0.096319356545407, -0.059532555720511394), complex(0.5291492047079086, -3.2295976966127245e-17), complex(0.12352862871089401, -0.04918019148804571)],
+            [complex(-0.027908384483042798, -0.1130559296383369), complex(-0.018914355602032612, -0.02565252246208406), complex(0.12352862871089401, 0.04918019148804571), complex(0.03734656066506641, 2.018498560382953e-18)],
+        ]
+    ),
 ]
 
 
-@pytest.mark.parametrize("rho", SOLVED_FACTOR_RHOS, ids=["s7-case9", "s7-case25", "s11-case127"])
+@pytest.mark.parametrize(
+    "rho", SOLVED_FACTOR_RHOS, ids=["s7-case9", "s7-case25", "s11-case127", "s7-case363"]
+)
 def test_polished_right_factors_pass_the_lorentz_check(rho):
     res = canonicalize(rho)
     assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
@@ -362,10 +375,38 @@ def test_polished_right_factors_pass_the_lorentz_check(rho):
             assert is_orthochronous_proper_lorentz(L, tol=1e-9)
 
 
+@pytest.mark.parametrize("d", [0.3, 0.0])
+def test_partner_triad_is_a_b_side_eigenvector_triad(d):
+    """The partner's neutral triad, rows 0 + 3, 1 and 2 of side A's right
+    factor L_B, is G-orthonormal, made of eigenvectors of G Omega_B at
+    side A's eigenvalues, and its null row is a B solve's null ray.  d = 0
+    gives a double zero eigenvalue, where rows 1 and 2 come from the
+    kernel of the right-factor solve."""
+    gen = rng(29)
+    rho = rho_from_lambda(sigma_from_bcd(SigmaParameters(0.5, 0.1, d))[0])
+    for _ in range(5):
+        moved = apply_slocc(rho, random_sl2c(gen), random_sl2c(gen))
+        lam = lambda_from_rho(moved)
+        pair = omega_matrices(lam)
+        L_B = canonicalize(moved).right_lorentz
+        u0 = L_B[0] + L_B[3]
+        rows = np.vstack([u0 / np.linalg.norm(u0), L_B[1], L_B[2]])
+        np.testing.assert_allclose(
+            rows @ G_METRIC @ rows.T, np.diag([0.0, -1.0, -1.0]), atol=1e-12
+        )
+        values = g_eigensystem(pair.omega_a).eigenvalues[[0, 2, 2]]
+        k_op = G_METRIC @ pair.omega_b
+        for x, c in zip(rows, values):
+            assert np.linalg.norm(k_op @ x - c * x) <= 1e-9
+        solved = g_eigensystem(pair.omega_b)
+        assert abs(rows[0] @ solved.eigenvectors[0]) == pytest.approx(1.0, abs=1e-7)
+
+
 @pytest.mark.parametrize("slocc_seed", range(5))
 def test_carried_partner_matches_a_b_side_solve(slocc_seed):
-    """The partner built from side A's eigenvectors carried through Lambda
-    agrees with the one built from a B-side eigensolve of its own."""
+    """The partner, carried over from side A by reading its triad off side
+    A's right factor, agrees with the one built from a B-side eigensolve
+    of its own."""
     _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
     gen = rng(slocc_seed)
     moved = apply_slocc(rho, random_sl2c(gen), random_sl2c(gen))
@@ -378,9 +419,9 @@ def test_carried_partner_matches_a_b_side_solve(slocc_seed):
 
 
 def test_carried_partner_on_the_r1_zero_route():
-    """Sigma(0.5, 0.1, 0) has a double zero eigenvalue, whose eigenvectors
-    the map through Lambda cannot carry; side B reads them from its own
-    null space."""
+    """Sigma(0.5, 0.1, 0) has a double zero eigenvalue; side A's right
+    factor takes its middle rows from the kernel of L_A Lambda, and the
+    partner reads them from there."""
     _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.0))
     gen = rng(3)
     moved = apply_slocc(rho, random_sl2c(gen, 0.7), random_sl2c(gen, 0.7))

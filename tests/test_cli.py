@@ -324,21 +324,33 @@ def test_non_number_entries_exit_one(tmp_path, capsys, case):
 
 
 def test_ellipsoid_refuses_a_report_outside_the_parameter_region(tmp_path, capsys):
-    """A report whose arrow parameters leave the canonical region describes
-    no state, so it has no steering ellipsoid (exit 1)."""
-    doc = {"family": "TypeII_A", "lambdaCanonical": TYPE2_LAMBDA["lambda"],
-           "parameters": {"r0": 5, "r1": 3}}
-    path = write_state(tmp_path, "report.json", doc)
-    code, out, err = run(["ellipsoid", path], capsys)
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "InvalidCanonicalParameters"
+    """A report whose arrow parameters leave the canonical region, or whose
+    TypeI lambdaCanonical is not a Bell-diagonal state's, describes no
+    state, so it has no steering ellipsoid (exit 1)."""
+    docs = {
+        "arrow": {"family": "TypeII_A", "lambdaCanonical": TYPE2_LAMBDA["lambda"],
+                  "parameters": {"r0": 5, "r1": 3}},
+        "outside-the-ball": {"family": "TypeI", "parameters": {},
+                             "lambdaCanonical": np.diag([1.0, 5.0, 5.0, 5.0]).tolist()},
+        "negative-weight": {"family": "TypeI", "parameters": {},
+                            "lambdaCanonical": np.diag([1.0, 0.9, 0.9, 0.9]).tolist()},
+        "not-diagonal": {"family": "TypeI", "parameters": {},
+                         "lambdaCanonical": TYPE2_LAMBDA["lambda"]},
+    }
     batch = tmp_path / "reports"
     batch.mkdir()
-    write_state(batch, "report.json", doc)
+    for name, doc in docs.items():
+        path = write_state(tmp_path, f"{name}.json", doc)
+        code, out, err = run(["ellipsoid", path], capsys)
+        assert code == 1 and out == "", name
+        assert json.loads(err)["error"] == "InvalidCanonicalParameters", name
+        write_state(batch, f"{name}.json", doc)
     code, out, _ = run(["ellipsoid", "--batch", str(batch)], capsys)
-    failure = json.loads(out)["failures"]["report.json"]
-    assert code == 1 and failure["exitCode"] == 1
-    assert failure["message"].startswith("InvalidCanonicalParameters:")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and sorted(failures) == sorted(f"{name}.json" for name in docs)
+    for failure in failures.values():
+        assert failure["exitCode"] == 1
+        assert failure["message"].startswith("InvalidCanonicalParameters:")
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +469,8 @@ def test_tol_reaches_state_validation(tmp_path, capsys):
 
 RANK4_SEED7 = state_document(rho=random_state(4, seed=7))
 TYPE2_SIGMA = state_document(rho=sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1])
+#: the pure product |00>, a DegenerateProduct state
+PURE_PRODUCT_LAMBDA = {"lambda": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}
 
 
 @pytest.mark.parametrize(
@@ -466,13 +480,16 @@ TYPE2_SIGMA = state_document(rho=sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[
         ("verify", RANK4_SEED7, 2),
         ("canonicalize", TYPE2_SIGMA, 1),
         ("verify", TYPE2_SIGMA, 2),
+        ("verify", PURE_PRODUCT_LAMBDA, 2),
     ],
-    ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII"],
+    ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII",
+         "verify-DegenerateProduct"],
 )
 def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves):
     """Each state command converts rho once and builds Omega once.
     `canonicalize` solves side A only; `verify` solves each side once,
-    for its shared spectrum."""
+    for its shared spectrum, and a DegenerateProduct state's family check
+    reuses that B solve."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
 

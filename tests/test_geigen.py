@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from lorentzsvd.errors import NumericalFailure
 from lorentzsvd.geigen import (
     CanonicalFamily,
-    carried_eigensystem,
     classify_canonical_type,
     g_eigensystem,
     omega_matrices,
@@ -223,31 +222,6 @@ def test_type2_rows_follow_the_geometric_dimensions():
             assert len(sys.norms) == len(sys.vector_eigenvalues) == rows
             assert len(sys.condition_report.residuals) == rows
             assert len(sys.eigenvalues) == 4
-
-
-@pytest.mark.parametrize("d", [0.3, 0.0])
-def test_carried_eigensystem_is_a_b_side_eigensystem(d):
-    """Side B carried over from side A through Lambda matches a B-side
-    solve: eigenvalues, clusters, row classes, G-orthonormal rows that are
-    eigenvectors of G Omega_B, and the null ray.  d = 0 gives a double zero
-    eigenvalue, read from Omega_B's null space instead."""
-    gen = rng(29)
-    rho = rho_from_lambda(sigma_matrix(0.5, 0.1, d))
-    for _ in range(5):
-        lam = lambda_from_rho(apply_slocc(rho, random_sl2c(gen), random_sl2c(gen)))
-        pair = omega_matrices(lam)
-        carried = carried_eigensystem(g_eigensystem(pair.omega_a), lam, pair.omega_b)
-        solved = g_eigensystem(pair.omega_b)
-        np.testing.assert_allclose(carried.eigenvalues, solved.eigenvalues, atol=1e-7)
-        assert [c[1:] for c in carried.clusters] == [c[1:] for c in solved.clusters]
-        assert carried.norms.tolist() == solved.norms.tolist() == [0, -1, -1]
-        assert carried.top_class is VectorClass.NEUTRAL
-        rows = carried.eigenvectors
-        np.testing.assert_allclose(
-            rows @ G_METRIC @ rows.T, np.diag([0.0, -1.0, -1.0]), atol=1e-12
-        )
-        assert carried.condition_report.residuals.max() <= 1e-9
-        assert abs(rows[0] @ solved.eigenvectors[0]) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_eigensystem_degenerate_diagonal():

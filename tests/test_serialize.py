@@ -164,18 +164,33 @@ def test_parse_canonical_report_rejects_garbage():
         )
 
 
+#: (family, lambdaCanonical, parameters, message) of reports that describe
+#: no state: arrow parameters outside 0 <= p1^2 <= p0 <= 1, a TypeI
+#: diagonal with a negative Bell weight (diag(1, 5, 5, 5) would give
+#: semi-axes outside the Bloch ball) and a TypeI lambdaCanonical that is
+#: not diagonal
+OUTSIDE_THE_REGION = [
+    ("TypeII_A", np.eye(4), {"r0": 5, "r1": 3}, "0 <= p1"),
+    ("TypeII_A", np.eye(4), {"r0": 0.5, "r1": 0.8}, "0 <= p1"),
+    ("TypeII_B", np.eye(4), {"s0": 0.5, "s1": -0.8}, "0 <= p1"),
+    ("TypeII_B", np.eye(4), {"s0": -0.1, "s1": 0.0}, "0 <= p1"),
+    ("TypeI", np.diag([1.0, 5.0, 5.0, 5.0]), {}, "Bell weight"),
+    ("TypeI", np.diag([1.0, 0.9, 0.9, 0.9]), {}, "Bell weight"),
+    ("TypeI", np.diag([1.0, 0.5, 0.5, 0.5]) + np.diag([0.1, 0.0, 0.0], 1), {}, "diag"),
+]
+
+
 @pytest.mark.parametrize(
-    "family, params",
-    [
-        ("TypeII_A", {"r0": 5, "r1": 3}),
-        ("TypeII_A", {"r0": 0.5, "r1": 0.8}),
-        ("TypeII_B", {"s0": 0.5, "s1": -0.8}),
-        ("TypeII_B", {"s0": -0.1, "s1": 0.0}),
-    ],
+    "family, lam_c, params, message",
+    OUTSIDE_THE_REGION,
+    ids=[f"{case[0]}-params{i}" for i, case in enumerate(OUTSIDE_THE_REGION)],
 )
-def test_parse_canonical_report_refuses_parameters_outside_the_region(family, params):
-    """Arrow parameters must satisfy 0 <= p1^2 <= p0 <= 1, as for a state
-    built from them."""
-    doc = {"family": family, "lambdaCanonical": np.eye(4).tolist(), "parameters": params}
-    with pytest.raises(InvalidCanonicalParameters, match="0 <= p1"):
+def test_parse_canonical_report_refuses_parameters_outside_the_region(
+    family, lam_c, params, message
+):
+    """Arrow parameters must satisfy 0 <= p1^2 <= p0 <= 1, and a TypeI
+    lambdaCanonical must be diag(1, d1, d2, d3) with non-negative Bell
+    weights, as for a state built from them."""
+    doc = {"family": family, "lambdaCanonical": lam_c.tolist(), "parameters": params}
+    with pytest.raises(InvalidCanonicalParameters, match=message):
         parse_canonical_report(doc)
