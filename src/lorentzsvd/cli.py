@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import os
 import sys
 from pathlib import Path
@@ -86,8 +87,8 @@ def _resolve_tol(value: float | None) -> float:
                 raise InputFormatError(f"CANON_TOL is not a number: {env!r}") from None
         else:
             value = DEFAULT_TOL
-    if not value > 0.0:
-        raise InputFormatError(f"tolerance must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise InputFormatError(f"tolerance must be finite and positive, got {value}")
     return value
 
 
@@ -260,8 +261,11 @@ def _run_batch(cmd: str, directory: str, tol: float, extra: dict) -> int:
         (cmd, str(p), str(p.with_suffix(f".{cmd}{suffix}")), tol, extra) for p in files
     ]
     workers = min(8, max(1, os.cpu_count() or 1), max(1, len(tasks)))
+    # about four chunks per worker: one task per round trip leaves the pool
+    # no faster than a serial loop, while a few chunks still balance the load
+    chunksize = max(1, math.ceil(len(tasks) / (4 * workers)))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_batch_one, tasks))
+        results = list(pool.map(_batch_one, tasks, chunksize=chunksize))
     results.sort(key=lambda r: r[0])
     summary = {
         "command": cmd,

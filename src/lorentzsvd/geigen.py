@@ -16,6 +16,7 @@ reads a TypeI or TypeII side B off side A, so it solves one form only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,17 +140,17 @@ class GEigenSystem:
 def _signed_unit(x: np.ndarray) -> np.ndarray:
     """Deterministic overall sign: time component non-negative when it is
     significant, otherwise the largest-magnitude component non-negative."""
-    big = float(np.abs(x).max())
+    values = x.tolist()
+    mags = [abs(v) for v in values]
+    big = max(mags)
     if big == 0.0:
         return x
-    if abs(x[0]) > ZERO_REL * big:
-        return x if x[0] > 0 else -x
-    k = int(np.abs(x).argmax())
-    return x if x[k] > 0 else -x
+    k = 0 if mags[0] > ZERO_REL * big else mags.index(big)
+    return x if values[k] > 0 else -x
 
 
 def _cluster_vectors(
-    omega: np.ndarray,
+    k_rows: list[list[float]],
     center: float,
     mult: int,
     gap: float,
@@ -157,15 +158,20 @@ def _cluster_vectors(
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the eigenspace at a cluster center.
 
-    The rank decision must swallow the in-cluster eigenvalue smear (at
-    most the merge radius) yet reject directions belonging to the next
-    cluster (at least ``gap`` away), so the threshold is pinched between
-    the two, with progressive widening if the first cut finds nothing.
+    ``k_rows`` is G @ Omega as nested lists.  The rank decision must
+    swallow the in-cluster eigenvalue smear (at most the merge radius)
+    yet reject directions belonging to the next cluster (at least
+    ``gap`` away), so the threshold is pinched between the two, with
+    progressive widening if the first cut finds nothing.
     """
-    m = G_METRIC @ omega - center * np.eye(4)
-    mscale = max(float(np.abs(m).max()), SCALE_FLOOR)
+    # G Omega - center * I on Python floats: subtracting center * 0.0 off
+    # the diagonal keeps the signed zeros of the array form, bit for bit
+    off = center * 0.0
+    m = [[v - (center if i == j else off) for j, v in enumerate(row)]
+         for i, row in enumerate(k_rows)]
+    mscale = max(max(abs(v) for row in m for v in row), SCALE_FLOOR)
     thresh = max(CLUSTER_RADIUS_REL * scale, 64.0 * _EPS * mscale)
-    if np.isfinite(gap):
+    if math.isfinite(gap):
         thresh = max(min(thresh, 0.45 * gap), 64.0 * _EPS * mscale)
     for widen in range(4):
         basis = null_space_basis(m, rtol=thresh * 8.0**widen / mscale)
@@ -191,12 +197,14 @@ def _rediagonalize_cluster(omega: np.ndarray, basis: np.ndarray) -> np.ndarray:
     an orthogonal mix of the G-normalized columns; an indefinite pair
     takes the hyperbolic mix that preserves the (+, -) Gram, when the
     cross term is small enough for it to exist.  Anything lightlike is
-    left exactly as the Gram eigenbasis produced it.
+    left exactly as the Gram eigenbasis produced it.  A single column is
+    its own Gram eigenbasis: ``eigh`` of a 1x1 matrix returns U = [[1.0]],
+    and ``basis @ U`` equals ``basis + 0.0``, which turns -0.0 into +0.0.
     """
+    if basis.shape[1] == 1:
+        return basis + 0.0
     gram, w = gram_eigenbasis(basis)
     dim = w.shape[1]
-    if dim < 2:
-        return w
     signs = np.zeros(dim, dtype=int)
     signs[gram > SIGNATURE_TOL] = 1
     signs[gram < -SIGNATURE_TOL] = -1
@@ -255,7 +263,8 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
             omega=omega,
         )
 
-    scale = max(1.0, abs(float(np.trace(G_METRIC @ omega))))
+    k_op = G_METRIC @ omega
+    scale = max(1.0, abs(float(np.trace(k_op))))
     quartic = quartic_real_roots(
         charpoly_g(omega),
         cluster_radius=CLUSTER_RADIUS_REL * scale,
@@ -270,19 +279,22 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     residuals: list[float] = []
     clusters: list[tuple[float, int, int]] = []
     gram_top = np.zeros(0)
-    k_op = G_METRIC @ omega
+    k_rows = k_op.tolist()
+    center_list = centers.tolist()
 
-    for ci, (center, mult) in enumerate(zip(centers, mults)):
-        others = np.delete(centers, ci)
-        gap = float(np.abs(others - center).min()) if others.size else np.inf
-        basis = _cluster_vectors(omega, float(center), int(mult), gap, scale)
-        clusters.append((float(center), int(mult), basis.shape[1]))
+    for ci, (center, mult) in enumerate(zip(center_list, mults.tolist())):
+        gap = min((abs(c - center) for k, c in enumerate(center_list) if k != ci),
+                  default=math.inf)
+        basis = _cluster_vectors(k_rows, center, mult, gap, scale)
+        clusters.append((center, mult, basis.shape[1]))
 
         w = _rediagonalize_cluster(omega, basis)
         entries: list[tuple[int, float, np.ndarray]] = []
+        grams: list[float] = []
         for j in range(w.shape[1]):
             col = w[:, j]
             gam = float(col @ G_METRIC @ col)
+            grams.append(gam)
             if abs(gam) <= SIGNATURE_TOL:
                 x = _signed_unit(col / np.linalg.norm(col))
                 cls = 0
@@ -300,10 +312,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         # larger Rayleigh quotient first — a deterministic total order
         entries.sort(key=lambda e: (-e[0], -e[1]))
         if ci == 0:
-            gram_top = np.array(sorted(
-                (float(w[:, j] @ G_METRIC @ w[:, j]) for j in range(w.shape[1])),
-                reverse=True,
-            ))
+            gram_top = np.array(sorted(grams, reverse=True))
         for cls, _, x in entries:
             vectors.append(x)
             norms.append(cls)

@@ -72,12 +72,11 @@ def dumps(obj: Any) -> str:
 
 
 def real_matrix(m: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
 def state_document(rho: np.ndarray | None = None, lam: np.ndarray | None = None) -> dict:

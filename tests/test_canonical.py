@@ -462,23 +462,29 @@ def test_sides_of_different_families_are_refused_or_factor_cleanly():
     [
         (random_state(4, seed=5), SideFamily.TYPE_I),
         (sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1], SideFamily.TYPE_II_A),
+        (random_state(3, seed=5), SideFamily.TYPE_I),
     ],
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     """The two Omega forms built once and one eigensolve: the TypeI B
-    tetrad and the TypeII B eigenvectors both come from Lambda."""
+    tetrad and the TypeII B eigenvectors both come from Lambda.  Only a
+    cluster of two or more dimensions takes Gram eigensolves (`eigh`):
+    none on a rank-3 or rank-4 TypeI state, whose four roots are simple,
+    and two for the spacelike pair of a TypeII state."""
     import lorentzsvd.canonical as canonical
 
-    calls = {"g_eigensystem": 0, "omega_matrices": 0}
-    for name in calls:
+    calls = {"g_eigensystem": 0, "omega_matrices": 0, "eigh": 0}
+    targets = {"g_eigensystem": canonical, "omega_matrices": canonical, "eigh": np.linalg}
+    for name, module in targets.items():
 
-        def counted(*args, _name=name, _fn=getattr(canonical, name), **kwargs):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(canonical, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert canonicalize(rho).family is family
-    assert calls == {"g_eigensystem": 1, "omega_matrices": 1}
+    eighs = 0 if family is SideFamily.TYPE_I else 2
+    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "eigh": eighs}
 
 
 def test_tol_reaches_state_validation():

@@ -439,10 +439,25 @@ def test_missing_file_exits_one(capsys):
     assert code == 1
 
 
-def test_tolerance_must_be_positive(tmp_path, capsys):
-    path = write_state(tmp_path, "mixed.json", MIXED)
-    code, _, err = run(["classify", path, "--tol", "-1"], capsys)
-    assert code == 1
+def test_tolerance_must_be_positive(tmp_path, capsys, monkeypatch):
+    """A tolerance must be finite and positive, from --tol or CANON_TOL.
+    At inf a rank-3 state once came out DegenerateProduct, and nan
+    compares false against every check.  A refused batch writes nothing."""
+    doc = state_document(rho=random_state(3, seed=7))
+    path = write_state(tmp_path, "rank3.json", doc)
+    batch = tmp_path / "states"
+    batch.mkdir()
+    write_state(batch, "rank3.json", doc)
+    cases = [(["--tol", value], None) for value in ("-1", "inf", "nan")] + [([], "inf")]
+    for tol_args, env in cases:
+        if env is not None:
+            monkeypatch.setenv("CANON_TOL", env)
+        for command in ("classify", "canonicalize"):
+            for target in ([path], ["--batch", str(batch)]):
+                code, out, err = run([command, *target, *tol_args], capsys)
+                assert code == 1 and out == "", (command, target, tol_args, env)
+                assert json.loads(err)["error"] == "InputFormatError"
+    assert [p.name for p in batch.iterdir()] == ["rank3.json"]
 
 
 def test_canon_tol_env_fallback(tmp_path, capsys, monkeypatch):

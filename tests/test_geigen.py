@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentzsvd._linalg import gram_eigenbasis
 from lorentzsvd.errors import NumericalFailure
 from lorentzsvd.geigen import (
     CanonicalFamily,
+    _rediagonalize_cluster,
     classify_canonical_type,
     g_eigensystem,
     omega_matrices,
@@ -233,6 +235,18 @@ def test_eigensystem_degenerate_diagonal():
     assert sys.clusters[0][1] == 2
     assert list(sys.norms) == [1, -1, -1, -1]
     assert classify_canonical_type(sys) is CanonicalFamily.TYPE_I
+
+
+def test_one_column_cluster_is_its_own_gram_eigenbasis():
+    """A one-dimensional cluster skips the Gram eigensolve and returns the
+    same bytes it would produce, signed zeros included: U = [[1.0]] and
+    basis @ U turns -0.0 into +0.0."""
+    omega = np.diag([1.0, 0.5, 0.25, 0.125])
+    for column in ([0.6, -0.0, 0.8, -0.0], [-0.0, 1.0, -0.0, 0.0], [-3e-200, 0.0, -0.0, 2.0]):
+        basis = np.array(column)[:, None]
+        fast = _rediagonalize_cluster(omega, basis)
+        assert fast.tobytes() == gram_eigenbasis(basis)[1].tobytes()
+        assert not np.signbit(fast[fast == 0.0]).any()
 
 
 def test_eigensystem_zero_form():
