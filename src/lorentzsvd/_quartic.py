@@ -4,7 +4,10 @@ det(Omega - lambda * G) is a quartic in lambda whose roots are the
 eigenvalues of G @ Omega.  The coefficients come from principal minors
 (exact multilinear expansion), the real roots from Sturm-chain
 isolation and safeguarded Newton, and multiple roots from the truncated
-tail of the chain (a numerical gcd of p and p').  General-purpose
+tail of the chain (a numerical gcd of p and p').  A double root that the
+chain misses is closed from the quadratic left after dividing out the
+others, by the same truncation threshold applied to p's own rounding,
+so no caller tolerance enters root finding.  General-purpose
 nonsymmetric iteration is deliberately avoided: at the defective double
 roots that characterize the non-diagonalizable family it produces
 spurious complex pairs, while the chain degrades gracefully into a
@@ -38,11 +41,14 @@ _EPS = float(np.finfo(float).eps)
 _TRIM_REL = 1e-12
 #: a Sturm remainder whose coefficients all fall at or below this
 #: (relative to the unit-normalized dividend) is zero: the chain ends at a
-#: numerical gcd, i.e. p has a multiple root
+#: numerical gcd, i.e. p has a multiple root.  The remainder closure of
+#: `quartic_real_roots` takes the same bound, relative to the size of the
+#: quartic's terms, for a leftover root pair to be a double root
 _STURM_TRUNC_REL = 1e-11
 #: a cap only on the steps of one root refinement: safeguarded Newton
-#: normally stops after a handful, bisection after about 52 + log2(B)
-#: halvings of an isolating interval inside the root bound [-B, B]
+#: normally stops after a handful; its bisection steps alone would take
+#: about 52 + log2(B) halvings of an isolating interval inside the root
+#: bound [-B, B]
 _REFINE_ITERS = 90
 #: root refinement steps a left end that is an exact root of the
 #: neighbouring interval by this fraction of max(width, 1), well beyond one
@@ -226,15 +232,11 @@ def _isolate(sd: SturmData, lo: float, hi: float, floor: float) -> list[tuple[fl
     return sorted(out)
 
 
-def _refine(c: list[float], a: float, b: float, newton: bool) -> float:
-    """The one root of c in the isolating interval (a, b].
-
-    With ``newton``, safeguarded Newton (the ``rtsafe`` scheme): each step
-    is Newton's unless it would leave the bracket or fails to halve the
-    step before last, and then it bisects; it stops once a step falls to
-    a few ulps.  Without, bisection to two ulps and then Newton steps.
-    Both end inside the rounding band of c around the root, at different
-    points; `quartic_real_roots` says which one a root gets.
+def _refine(c: list[float], a: float, b: float) -> float:
+    """The one root of c in the isolating interval (a, b], by safeguarded
+    Newton (the ``rtsafe`` scheme): each step is Newton's unless it would
+    leave the bracket or fails to halve the step before last, and then it
+    bisects; it stops once a step falls to a few ulps.
     """
     fb = polyval(c, b)
     if fb == 0.0:
@@ -248,19 +250,6 @@ def _refine(c: list[float], a: float, b: float, newton: bool) -> float:
         return a
     if fa * fb > 0.0:
         # no bracket (nudge overshot, or near-double smear): midpoint + Newton
-        return _newton_polish(c, 0.5 * (a + b), steps=8)
-    if not newton:
-        for _ in range(_REFINE_ITERS):
-            x = 0.5 * (a + b)
-            fx = polyval(c, x)
-            if fx == 0.0:
-                break
-            if fa * fx < 0.0:
-                b = x
-            else:
-                a, fa = x, fx
-            if (b - a) <= 2.0 * _EPS * max(1.0, abs(a), abs(b)):
-                break
         return _newton_polish(c, 0.5 * (a + b), steps=8)
     lo, hi = (a, b) if fa < 0.0 else (b, a)  # c(lo) < 0 < c(hi)
     d = polyder(c)
@@ -322,18 +311,17 @@ class QuarticRoots:
     imag_residue: float         # imaginary scale absorbed when closing a near-complex pair
 
 
-def quartic_real_roots(
-    c: np.ndarray,
-    cluster_radius: float,
-    imag_tol: float,
-) -> QuarticRoots:
+def quartic_real_roots(c: np.ndarray, cluster_radius: float) -> QuarticRoots:
     """All real roots (with multiplicity) of an exactly-quartic polynomial.
 
     cluster_radius: distinct refined roots closer than this merge into one.
-    imag_tol: a leftover irreducible quadratic factor with imaginary part
-    below this is closed onto the real axis as a double root; beyond it,
-    NumericalFailure.  NumericalFailure also when the reconciled
-    multiplicities do not add up to four.
+    Roots the isolation misses leave a quadratic factor once the refined
+    roots are divided out.  Its pair is a double root at the factor's
+    vertex v when |c(v)| lies within the rounding bound of c at v
+    (`_STURM_TRUNC_REL` times the size of c's terms there), whether the
+    pair came out real or complex; otherwise a real pair is two simple
+    roots and a complex pair raises NumericalFailure.  NumericalFailure
+    also when the reconciled multiplicities do not add up to four.
     """
     c = np.asarray(c, dtype=float).tolist()
     scale = _absmax(c)
@@ -373,19 +361,10 @@ def quartic_real_roots(
         quot = _trim(_polydiv(levels[k], levels[k + 1])[0]) if k + 1 < len(levels) else levels[k]
         level_roots.extend(_real_roots_low_degree(quot))
 
-    # Fewer than four real roots leave a quadratic for the remainder
-    # closure below, which divides the refined roots out of c.  Where c's
-    # rounding band is wide, the closure's verdict (a real pair, a double
-    # root or a refused complex pair) follows the last bits of those
-    # roots, and another refinement would redraw it; so they keep the
-    # bisection with which the closure's cases in tests/test_quartic.py
-    # were found.  A closure bound set by the rounding would free them.
-    # All other roots take safeguarded Newton.
-    newton = len(intervals) + len(level_roots) >= 4
     roots: list[float] = []
     for a, b, n in intervals:
         if n == 1:
-            roots.append(_refine(square_free, a, b, newton))
+            roots.append(_refine(square_free, a, b))
         else:
             # width-floor cluster: several distinct roots we cannot split
             roots.append(0.5 * (a + b))
@@ -428,18 +407,19 @@ def quartic_real_roots(
             a0, a1, a2 = rem_poly
             disc = a1 * a1 - 4.0 * a2 * a0
             vertex = -a1 / (2.0 * a2)
-            if disc >= 0.0:
+            imag = math.sqrt(-disc) / (2.0 * abs(a2)) if disc < 0.0 else 0.0
+            reach = max(1.0, abs(vertex))
+            terms = sum(abs(ck) * reach ** k for k, ck in enumerate(c))
+            if abs(polyval(c, vertex)) <= _STURM_TRUNC_REL * terms:
+                imag_residue = imag
+                centers.append(vertex)
+                mults.append(2)
+            elif disc >= 0.0:
                 s = math.sqrt(disc) / (2.0 * a2)
                 centers.extend([vertex - s, vertex + s])
                 mults.extend([1, 1])
             else:
-                imag_residue = math.sqrt(-disc) / (2.0 * abs(a2))
-                if imag_residue > imag_tol * max(1.0, abs(vertex)):
-                    raise NumericalFailure(
-                        f"complex eigenvalue pair with imaginary part {imag_residue:.3e}"
-                    )
-                centers.append(vertex)
-                mults.append(2)
+                raise NumericalFailure(f"complex eigenvalue pair with imaginary part {imag:.3e}")
         elif len(rem_poly) == 2:
             centers.append(-rem_poly[0] / rem_poly[1])
             mults.append(1)

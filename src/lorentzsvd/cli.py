@@ -33,7 +33,6 @@ from .canonical import (
     _factor_solved,
     canonicalize,
     sigma_equivalence_check,
-    sigma_from_bcd,
 )
 from .errors import InputFormatError, LorentzSvdError
 from .geigen import CanonicalFamily, classify_canonical_type, g_eigensystem, omega_matrices
@@ -143,7 +142,6 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
 
 
 def _run_sigma(b: float, c: float, d: float, tol: float) -> tuple[str, bool]:
-    sigma, _ = sigma_from_bcd(SigmaParameters(b, c, d))
     report = sigma_equivalence_check(SigmaParameters(b, c, d), tol)
     lam0 = (1.0 + c) * (1.0 - b)
     s0 = (1.0 - b) / (1.0 - c)
@@ -255,7 +253,9 @@ def _run_batch(cmd: str, directory: str, tol: float, extra: dict) -> int:
     root = Path(directory)
     if not root.is_dir():
         raise InputFormatError(f"batch target {directory} is not a directory")
-    files = sorted(p for p in root.glob("*.json") if not p.name.endswith(f".{cmd}.json"))
+    # skip the JSON any state command wrote here, not only this command's
+    outputs = tuple(f".{c}.json" for c in ("canonicalize", "ellipsoid", "verify"))
+    files = sorted(p for p in root.glob("*.json") if not p.name.endswith(outputs))
     suffix = ".txt" if cmd == "classify" else ".json"
     tasks = [
         (cmd, str(p), str(p.with_suffix(f".{cmd}{suffix}")), tol, extra) for p in files

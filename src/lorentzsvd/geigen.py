@@ -40,13 +40,6 @@ SIGNATURE_TOL = 1e-8
 #: a few orders above it.
 CLUSTER_RADIUS_REL = 1e-7
 
-#: Floor of ``imag_tol``, the largest imaginary part (relative to
-#: max(1, |vertex|)) of a leftover root pair that the quartic closes onto
-#: the real axis as a double root.  The spectrum of a state is real; an
-#: imaginary part above the floor, or above ``tol`` when that is larger,
-#: is reported as a complex pair.
-_IMAG_TOL_FLOOR = 1e-9
-
 #: Floor of the tolerance, relative to max(1, top eigenvalue), above which
 #: a subdominant eigenvalue counts as nonzero.  A lightlike eigenvector at
 #: a nonzero subdominant eigenvalue is refused, because no state has one;
@@ -231,9 +224,10 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
 
     Eigenvalues come from the exact characteristic quartic with Sturm
     isolation; eigenvectors from null spaces at the clustered roots,
-    G-normalized to norm +1/0/-1 with a deterministic sign.  Raises
-    NumericalFailure when the quartic has a genuinely complex pair
-    (input violating the positivity-transfer precondition) and
+    G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
+    plays no part in root finding.  Raises NumericalFailure when the
+    quartic has a complex pair that is not a double root within its
+    rounding (input violating the positivity-transfer precondition) and
     NormalizationFailure when a subdominant eigenvector turns out
     lightlike, which no valid input can produce.
     """
@@ -265,11 +259,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
 
     k_op = G_METRIC @ omega
     scale = max(1.0, abs(float(np.trace(k_op))))
-    quartic = quartic_real_roots(
-        charpoly_g(omega),
-        cluster_radius=CLUSTER_RADIUS_REL * scale,
-        imag_tol=max(tol, _IMAG_TOL_FLOOR),
-    )
+    quartic = quartic_real_roots(charpoly_g(omega), cluster_radius=CLUSTER_RADIUS_REL * scale)
     order = np.argsort(quartic.values)[::-1]
     centers = quartic.values[order]
     mults = quartic.multiplicities[order]

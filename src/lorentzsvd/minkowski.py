@@ -23,8 +23,7 @@ G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 #:
 #: * whether a matrix is a state: hermiticity, trace and positivity of rho,
 #:   and positivity of the rho rebuilt from a Lambda;
-#: * the G-eigensystem: the all-zero form, the largest imaginary part of a
-#:   root pair closed onto the real axis, which subdominant eigenvalues
+#: * the G-eigensystem: the all-zero form, which subdominant eigenvalues
 #:   count as nonzero, and the zero top eigenvalue of the degenerate
 #:   product family;
 #: * the constructions: zero eigenvalue slots, the sign of det Lambda, the
@@ -35,8 +34,8 @@ G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 #:
 #: Most of these take ``max(tol, floor)`` with a floor of their own, so a
 #: smaller ``tol`` never asks for more than the arithmetic can deliver.
-#: Root clustering, eigenspace signatures and rank decisions do not
-#: depend on it.
+#: Root finding (the closure of a double root included), root clustering,
+#: eigenspace signatures and rank decisions do not depend on it.
 DEFAULT_TOL = 1e-10
 
 #: Floor of the tolerance at which a factor built or mapped by the package

@@ -457,6 +457,23 @@ def test_sides_of_different_families_are_refused_or_factor_cleanly():
             assert is_orthochronous_proper_lorentz(L, tol=1e-9)
 
 
+@pytest.mark.parametrize("eps", [5e-9, 1e-10])
+def test_eps_mixed_sigma_closes_its_split_double_root(eps):
+    """Sigma(0.2, -0.4, 0.5) mixed with eps * I/4 keeps an exact double
+    eigenvalue d^2 (1 - eps)^2, which rounding splits into a pair the
+    quartic's remainder closure must take back as a double root.  With a
+    fixed bound on the pair's imaginary part these were refused: as a
+    complex pair at 1e-10, and by a tetrad row losing its causal
+    character at 5e-9."""
+    rho = sigma_from_bcd(SigmaParameters(0.2, -0.4, 0.5))[1]
+    rho = (1.0 - eps) * rho + eps * np.eye(4) / 4.0
+    res = canonicalize(rho)
+    assert res.family is SideFamily.TYPE_I
+    double = 0.25 * (1.0 - eps) ** 2
+    assert [abs(v - double) <= 1e-11 for v in res.parameters["lambdas"]] == [False, False, True, True]
+    assert res.residuals["factorization"] <= 1e-10
+
+
 @pytest.mark.parametrize(
     "rho, family",
     [

@@ -541,6 +541,24 @@ def test_batch_isolates_failures(tmp_path, capsys):
     assert not (batch / "broken.canonicalize.json").exists()
 
 
+def test_batch_skips_outputs_of_other_commands(tmp_path, capsys):
+    """Each state command in turn over one directory reads only the state
+    files, not the reports the commands before it wrote there."""
+    batch = tmp_path / "states"
+    batch.mkdir()
+    for seed in range(2):
+        run(["random", "--rank", "3", "--seed", str(seed),
+             "-o", str(batch / f"s{seed}.json")], capsys)
+    for cmd in ("canonicalize", "classify", "ellipsoid", "verify"):
+        code, out, _ = run([cmd, "--batch", str(batch)], capsys)
+        assert code == 0
+        assert json.loads(out) == {"command": cmd, "processed": 2, "failures": {}}
+    assert sorted(p.name for p in batch.iterdir()) == sorted(
+        f"s{seed}.{name}" for seed in range(2)
+        for name in ("json", "canonicalize.json", "classify.txt", "ellipsoid.json", "verify.json")
+    )
+
+
 def test_batch_classify_writes_text(tmp_path, capsys):
     batch = tmp_path / "states"
     batch.mkdir()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lorentzsvd._quartic import (
+    _STURM_TRUNC_REL,
     _isolate,
     _refine,
     cauchy_bound,
@@ -71,7 +72,7 @@ def test_polyval_is_bitwise_numpy_horner():
 )
 def test_quartic_root_patterns(roots):
     c = np.polynomial.polynomial.polyfromroots(roots)
-    q = quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL, imag_tol=1e-9)
+    q = quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
     distinct = sorted(set(roots))
     assert q.multiplicities.tolist() == [roots.count(r) for r in distinct]
     np.testing.assert_allclose(q.values, distinct, rtol=0, atol=1e-6)
@@ -84,49 +85,76 @@ def test_quartic_root_patterns(roots):
 #: route back to one root of multiplicity 2; each was found by search.
 SPLIT_DOUBLE_ROOTS = {
     # a complex pair the gcd tower misses, closed by the remainder
-    # (Sigma(0.2, -0.4, 0.5), eps = 5e-9; the pair's imaginary part is 8.9e-8)
-    "complex-pair-closure": ([
+    # (Sigma(0.2, -0.4, 0.5), eps = 5e-9; the pair's imaginary part is 7.9e-7)
+    "complex-pair-closure": [
         [0.8400000015999999, 0.0, 0.0, 0.35999999739999994],
         [0.0, -0.24999999750000002, 0.0, 0.0],
         [0.0, 0.0, -0.24999999750000002, 0.0],
         [0.35999999739999994, 0.0, 0.0, -0.11999999880000001],
-    ], 1e-7),
-    # a real pair from the remainder closure, within the cluster radius
+    ],
+    # a pair left by the remainder, which came out real within the cluster
+    # radius when roots took bisection; under safeguarded Newton it is a
+    # complex pair (imaginary part 1.1e-7) that the double-root rule closes
     # (hard-inputs benchmark corpus, seed 97, case 455)
-    "real-pair-merge": ([
+    "real-pair-merge": [
         [0.6949368817173682, 0.0, 0.0, 0.1966649121435959],
         [0.0, -0.12696135259236377, 0.0, 0.0],
         [0.0, 0.0, -0.12696135259236377, 0.0],
         [0.1966649121435959, 0.0, 0.0, -0.30160641546192357],
-    ], 1e-9),
+    ],
     # two isolated roots that Newton polish pulls within the cluster radius
     # (hard-inputs benchmark corpus, seed 97, case 65)
-    "polish-merge": ([
+    "polish-merge": [
         [0.7673539323133866, 0.0, 0.0, 0.1288633235653023],
         [0.0, -0.3462592626207758, 0.0, 0.0],
         [0.0, 0.0, -0.3462592626207758, 0.0],
         [0.1288633235653023, 0.0, 0.0, -0.5096264237165283],
-    ], 1e-9),
+    ],
 }
 
 
 @pytest.mark.parametrize("route", list(SPLIT_DOUBLE_ROOTS))
 def test_quartic_recovers_a_split_double_root(route):
-    rows, imag_tol = SPLIT_DOUBLE_ROOTS[route]
-    omega = np.array(rows)
+    omega = np.array(SPLIT_DOUBLE_ROOTS[route])
     radius = CLUSTER_RADIUS_REL * max(1.0, abs(float(np.trace(G_METRIC @ omega))))
-    q = quartic_real_roots(charpoly_g(omega), radius, imag_tol)
+    q = quartic_real_roots(charpoly_g(omega), radius)
     assert q.multiplicities.tolist() == [2, 1, 1]
     assert abs(q.values[0] + omega[1, 1]) <= radius
-    assert (q.imag_residue > 0.0) == (route == "complex-pair-closure")
-    assert q.imag_residue <= imag_tol
+    # both closures record the imaginary part of the pair they closed
+    assert (q.imag_residue > 0.0) == (route != "polish-merge")
+    if route == "complex-pair-closure":
+        assert abs(q.values[0] + omega[1, 1]) <= 1e-11
+
+
+@pytest.mark.parametrize("factor, closes", [(0.5, True), (2.0, False)], ids=["half", "twice"])
+def test_remainder_closure_bound(factor, closes):
+    """((x - v)^2 + h)(x - 0.9)(x - 0.1) with |c(v)| at `factor` times the
+    closure bound: a double root at v within it, a refused pair beyond."""
+    P = np.polynomial.polynomial
+    v = 0.5
+    pair, outer = P.polyfromroots([v, v]), P.polyfromroots([0.9, 0.1])
+    exact = P.polymul(pair, outer)
+    s = float(np.abs(exact).max())
+    # the bound on |c(v)| for c scaled by s, where c(v) = h * outer(v) / s
+    bound = _STURM_TRUNC_REL * float(np.abs(exact / s).sum())  # max(1, |v|) = 1
+    h = factor * bound * s / abs(P.polyval(v, outer))
+    c = P.polymul(pair + [h, 0.0, 0.0], outer)
+    assert not sturm_chain((c / np.abs(c).max()).tolist()).truncated  # no gcd finds the pair
+    if closes:
+        q = quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
+        assert q.multiplicities.tolist() == [1, 2, 1]
+        assert abs(q.values[1] - v) <= 1e-12
+        assert q.imag_residue == pytest.approx(np.sqrt(h), rel=1e-6)
+    else:
+        with pytest.raises(NumericalFailure, match="complex eigenvalue pair"):
+            quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
 
 
 def test_quartic_refuses_a_complex_pair():
     pair = np.polynomial.polynomial.polyfromroots([0.5, 0.5]) + [1e-6, 0.0, 0.0]
     c = np.polynomial.polynomial.polymul(pair, np.polynomial.polynomial.polyfromroots([0.9, 0.1]))
     with pytest.raises(NumericalFailure, match="complex eigenvalue pair"):
-        quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL, imag_tol=1e-9)
+        quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
 
 
 def _random_state_forms(ranks, seeds):
@@ -152,7 +180,7 @@ def test_refined_simple_roots_sit_in_the_rounding_band():
         bound = cauchy_bound(c)
         for a, b, n in _isolate(sd, -bound, bound, 0.0):
             assert n == 1
-            x = _refine(c, a, b, newton=True)
+            x = _refine(c, a, b)
             root = min(exact, key=lambda z: abs(z - x))
             band = 8 * (eps / 2) * float(sum(abs(ck) * abs(root) ** k for k, ck in enumerate(c)))
             slope = abs(float(sum(k * ck * root ** (k - 1) for k, ck in enumerate(c) if k)))
@@ -177,5 +205,5 @@ def test_root_refinement_evaluates_half_as_often(monkeypatch):
     forms = _random_state_forms((1, 2, 3, 4), range(10))
     for omega in forms:
         radius = CLUSTER_RADIUS_REL * max(1.0, abs(float(np.trace(G_METRIC @ omega))))
-        quartic_real_roots(charpoly_g(omega), radius, imag_tol=1e-9)
+        quartic_real_roots(charpoly_g(omega), radius)
     assert calls / len(forms) <= 90
