@@ -9,8 +9,8 @@ share the spectrum of the non-symmetric operator G @ Omega, and that
 spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
-The spectrum comes from the exact characteristic quartic (`_quartic`),
-the eigenvectors from null spaces at the clustered roots.  `canonical`
+The spectrum comes from LAPACK as cluster means (`_quartic`), the
+eigenvectors from null spaces at the cluster centres.  `canonical`
 reads a TypeI or TypeII side B off side A, so it solves one form only.
 """
 
@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from ._linalg import gram_eigenbasis, null_space_basis
-from ._quartic import charpoly_g, quartic_real_roots
+from ._quartic import quartic_real_roots
 from .errors import NormalizationFailure, NumericalFailure
 from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, VectorClass
 
@@ -33,7 +33,7 @@ _EPS = float(np.finfo(float).eps)
 #: treated as lightlike when reading off the signature of an eigenspace.
 SIGNATURE_TOL = 1e-8
 
-#: Relative radius for merging characteristic-quartic roots into one
+#: Relative radius for merging neighbouring eigenvalues into one
 #: degenerate cluster.  Exact degeneracies survive transport by
 #: well-conditioned filtering operations with root smear a couple of
 #: orders below this, while generic random states keep eigenvalue gaps
@@ -155,7 +155,10 @@ def _cluster_vectors(
     swallow the in-cluster eigenvalue smear (at most the merge radius)
     yet reject directions belonging to the next cluster (at least
     ``gap`` away), so the threshold is pinched between the two, with
-    progressive widening if the first cut finds nothing.
+    progressive widening if the first cut finds nothing.  ``scale`` is
+    |Tr G Omega| without the unit floor of the merge radius: on a form
+    whose eigenvalues all lie far below one, a cut at the floored scale
+    can take a timelike neighbour into a lightlike top eigenspace.
     """
     # G Omega - center * I on Python floats: subtracting center * 0.0 off
     # the diagonal keeps the signed zeros of the array form, bit for bit
@@ -222,18 +225,21 @@ def _rediagonalize_cluster(omega: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form.
 
-    Eigenvalues come from the exact characteristic quartic with Sturm
-    isolation; eigenvectors from null spaces at the clustered roots,
-    G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
-    plays no part in root finding.  Raises NumericalFailure when the
-    quartic has a complex pair that is not a double root within its
-    rounding (input violating the positivity-transfer precondition) and
+    Eigenvalues come from ``np.linalg.eigvals`` as cluster means;
+    eigenvectors from null spaces at the cluster centres, G-normalized to
+    norm +1/0/-1 with a deterministic sign.  ``tol`` plays no part in
+    root finding.  Raises NumericalFailure on entries that are not
+    finite, or when a complex eigenvalue pair is not a double root within
+    the characteristic quartic's rounding (input violating the
+    positivity-transfer precondition), and
     NormalizationFailure when a subdominant eigenvector turns out
     lightlike, which no valid input can produce.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
         raise ValueError(f"expected a 4x4 symmetric form, got {omega.shape}")
+    if not np.isfinite(omega).all():
+        raise NumericalFailure("the form has entries that are not finite")
     symmetry_defect = float(np.abs(omega - omega.T).max())
     omega = 0.5 * (omega + omega.T)
 
@@ -258,8 +264,8 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         )
 
     k_op = G_METRIC @ omega
-    scale = max(1.0, abs(float(np.trace(k_op))))
-    quartic = quartic_real_roots(charpoly_g(omega), cluster_radius=CLUSTER_RADIUS_REL * scale)
+    trace = abs(float(np.trace(k_op)))
+    quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
     order = np.argsort(quartic.values)[::-1]
     centers = quartic.values[order]
     mults = quartic.multiplicities[order]
@@ -275,7 +281,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     for ci, (center, mult) in enumerate(zip(center_list, mults.tolist())):
         gap = min((abs(c - center) for k, c in enumerate(center_list) if k != ci),
                   default=math.inf)
-        basis = _cluster_vectors(k_rows, center, mult, gap, scale)
+        basis = _cluster_vectors(k_rows, center, mult, gap, max(trace, SCALE_FLOOR))
         clusters.append((center, mult, basis.shape[1]))
 
         w = _rediagonalize_cluster(omega, basis)

@@ -12,6 +12,7 @@ one.
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,11 +191,57 @@ def test_det_sign_survives_strong_filtering():
 
 
 def test_frame_completion_failure_is_typed():
-    # a state filtered at rapidity 3.5 whose eigenvector legs cannot be
+    # a state filtered at rapidity 4 whose eigenvector legs cannot be
     # completed to a tetrad (seed found by search)
     with pytest.raises(DegenerateCompletion, match="indefinite frame") as info:
-        canonicalize(filtered_rank4(194, 3.5))
+        canonicalize(filtered_rank4(191, 4.0))
     assert info.value.exit_code == 3
+
+
+#: Lambda of case 37 of the hard-inputs benchmark corpus at seed 1, a
+#: rank-4 state filtered at rapidity 2.5 whose two smallest eigenvalues,
+#: 1.0735e-5 and 1.1741e-5, lie 1e-6 apart; taken as one double root,
+#: they gave a factorization residual of 4.4e-3
+CLOSE_SIMPLE_ROOTS_LAMBDA = [
+    [1.0, 0.025582577764928324, -0.6959942464223761, -0.7172100268544852],
+    [0.05104155966117346, 0.0038511871890332255, -0.03608251207049132, -0.03590068500541714],
+    [-0.22577757635440437, -0.011533794028697114, 0.15282142417161468, 0.16593692726875775],
+    [0.7029471890853771, 0.015531106103989755, -0.4929042153799558, -0.5007680955783116],
+]
+
+
+def test_close_simple_roots_stay_apart():
+    rho = rho_from_lambda(np.array(CLOSE_SIMPLE_ROOTS_LAMBDA))
+    res = canonicalize(rho)
+    assert res.family is SideFamily.TYPE_I
+    assert res.residuals["factorization"] <= 1e-8
+    omega = omega_matrices(lambda_from_rho(rho)).omega_a
+    with mpmath.workdps(50):
+        exact = sorted(float(mpmath.re(z)) for z in mpmath.eig(
+            mpmath.matrix((G_METRIC @ omega).tolist()), left=False, right=False))
+    got = sorted(res.parameters["lambdas"])
+    assert len(set(got)) == 4
+    assert np.abs(np.array(got) - exact).max() <= 1e-14 * exact[-1]
+
+
+#: Lambda of case 198 of the hard-inputs benchmark corpus at seed 7, a
+#: Sigma(b, c, d) state filtered at rapidity 2.5 whose eigenvalues all lie
+#: near 2e-6.  Its top eigenvector is lightlike; an eigenspace cut at the
+#: unit-floored scale max(1, |Tr G Omega|) found a timelike one instead
+LIGHTLIKE_TOP_AT_SMALL_SCALE_LAMBDA = [
+    [1.0, -0.2759692983787382, 0.3208172817171852, 0.9060213753370634],
+    [-0.8582539604228999, 0.23681785937806132, -0.27503105526800253, -0.7777231809782478],
+    [-0.16396450147033473, 0.04477089719642782, -0.05285844859280261, -0.14861084127769067],
+    [-0.4861091889631061, 0.1343757608998369, -0.15638597859403053, -0.4401967531412745],
+]
+
+
+def test_small_scale_typeii_state_is_never_typei():
+    try:
+        res = canonicalize(rho_from_lambda(np.array(LIGHTLIKE_TOP_AT_SMALL_SCALE_LAMBDA)))
+    except LorentzSvdError:
+        return
+    assert res.family is not SideFamily.TYPE_I
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +507,10 @@ def test_sides_of_different_families_are_refused_or_factor_cleanly():
 @pytest.mark.parametrize("eps", [5e-9, 1e-10])
 def test_eps_mixed_sigma_closes_its_split_double_root(eps):
     """Sigma(0.2, -0.4, 0.5) mixed with eps * I/4 keeps an exact double
-    eigenvalue d^2 (1 - eps)^2, which rounding splits into a pair the
-    quartic's remainder closure must take back as a double root.  With a
-    fixed bound on the pair's imaginary part these were refused: as a
-    complex pair at 1e-10, and by a tetrad row losing its causal
-    character at 5e-9."""
+    eigenvalue d^2 (1 - eps)^2, which must come out as one double root.
+    With a fixed bound on the imaginary part of a rounding-split pair
+    these were refused: as a complex pair at 1e-10, and by a tetrad row
+    losing its causal character at 5e-9."""
     rho = sigma_from_bcd(SigmaParameters(0.2, -0.4, 0.5))[1]
     rho = (1.0 - eps) * rho + eps * np.eye(4) / 4.0
     res = canonicalize(rho)

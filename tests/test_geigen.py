@@ -1,6 +1,6 @@
 """Eigenanalysis of the correlation quadratic forms.
 
-The production route (characteristic quartic + null spaces) and the
+The production route (LAPACK eigenvalues + null spaces) and the
 secular-function oracle are exercised against each other here, along
 with frozen reference spectra for the states whose answers are known in
 closed form.
@@ -288,6 +288,14 @@ def test_complex_pair_is_rejected():
         ]
     )
     with pytest.raises(NumericalFailure):
+        g_eigensystem(omega)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_form_is_refused(value):
+    omega = np.eye(4)
+    omega[0, 3] = omega[3, 0] = value
+    with pytest.raises(NumericalFailure, match="not finite"):
         g_eigensystem(omega)
 
 

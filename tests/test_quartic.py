@@ -1,4 +1,5 @@
-"""The characteristic quartic against array-based references."""
+"""The spectrum route (eigvals, pair closure, cluster merge) and the
+characteristic quartic against array-based and 50-digit references."""
 
 from __future__ import annotations
 
@@ -9,14 +10,10 @@ import numpy as np
 import pytest
 
 from lorentzsvd._quartic import (
-    _STURM_TRUNC_REL,
-    _isolate,
-    _refine,
-    cauchy_bound,
+    _PAIR_CLOSURE_REL,
     charpoly_g,
     polyval,
     quartic_real_roots,
-    sturm_chain,
 )
 from lorentzsvd.errors import NumericalFailure
 from lorentzsvd.geigen import CLUSTER_RADIUS_REL, omega_matrices
@@ -36,6 +33,17 @@ def charpoly_reference(omega: np.ndarray) -> np.ndarray:
             minor = np.linalg.det(omega[np.ix_(keep, keep)]) if keep else 1.0
             c[k] += np.prod(minus_g[list(S)]) * minor
     return c
+
+
+def mp_eigenvalues(omega: np.ndarray) -> list[complex]:
+    """Eigenvalues of the float matrix G @ omega at 50 digits, by real part."""
+    with mpmath.workdps(50):
+        z = mpmath.eig(mpmath.matrix((G_METRIC @ omega).tolist()), left=False, right=False)
+        return sorted((complex(v) for v in z), key=lambda v: (v.real, v.imag))
+
+
+def radius(omega: np.ndarray) -> float:
+    return CLUSTER_RADIUS_REL * max(1.0, abs(float(np.trace(G_METRIC @ omega))))
 
 
 def test_charpoly_matches_determinant_reference():
@@ -59,6 +67,17 @@ def test_polyval_is_bitwise_numpy_horner():
             assert polyval(c.tolist(), x) == np.polynomial.polynomial.polyval(x, c)
 
 
+#: a boost of rapidity 0.4 along z: congruence by it keeps the spectrum of
+#: G @ omega but takes a diagonal form off the diagonal, so rounding
+#: splits its repeated roots
+_BOOST = np.array([
+    [np.cosh(0.4), 0.0, 0.0, np.sinh(0.4)],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [np.sinh(0.4), 0.0, 0.0, np.cosh(0.4)],
+])
+
+
 @pytest.mark.parametrize(
     "roots",
     [
@@ -71,39 +90,36 @@ def test_polyval_is_bitwise_numpy_horner():
     ids=["1-1-1-1", "2-1-1", "2-2", "3-1", "4"],
 )
 def test_quartic_root_patterns(roots):
-    c = np.polynomial.polynomial.polyfromroots(roots)
-    q = quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
+    """G @ diag(r0, -r1, -r2, -r3) has eigenvalues r0..r3; the diagonal
+    form is boosted so that its repeated roots must be merged back."""
+    omega = _BOOST.T @ (G_METRIC @ np.diag(roots)) @ _BOOST
+    q = quartic_real_roots(omega, radius(omega))
     distinct = sorted(set(roots))
     assert q.multiplicities.tolist() == [roots.count(r) for r in distinct]
-    np.testing.assert_allclose(q.values, distinct, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(q.values, distinct, rtol=0, atol=1e-13)
     assert q.imag_residue == 0.0
 
 
 #: Omega_B forms of Sigma(b, c, d) states mixed with eps * I/4, whose
 #: spatial block keeps an exact double eigenvalue -omega[1][1].  Rounding
-#: in the quartic's coefficients splits it, and each form takes another
-#: route back to one root of multiplicity 2; each was found by search.
+#: in the characteristic quartic's coefficients splits that root; the
+#: forms were found by search as cases where it did.
 SPLIT_DOUBLE_ROOTS = {
-    # a complex pair the gcd tower misses, closed by the remainder
-    # (Sigma(0.2, -0.4, 0.5), eps = 5e-9; the pair's imaginary part is 7.9e-7)
+    # Sigma(0.2, -0.4, 0.5), eps = 5e-9
     "complex-pair-closure": [
         [0.8400000015999999, 0.0, 0.0, 0.35999999739999994],
         [0.0, -0.24999999750000002, 0.0, 0.0],
         [0.0, 0.0, -0.24999999750000002, 0.0],
         [0.35999999739999994, 0.0, 0.0, -0.11999999880000001],
     ],
-    # a pair left by the remainder, which came out real within the cluster
-    # radius when roots took bisection; under safeguarded Newton it is a
-    # complex pair (imaginary part 1.1e-7) that the double-root rule closes
-    # (hard-inputs benchmark corpus, seed 97, case 455)
+    # hard-inputs benchmark corpus, seed 97, case 455
     "real-pair-merge": [
         [0.6949368817173682, 0.0, 0.0, 0.1966649121435959],
         [0.0, -0.12696135259236377, 0.0, 0.0],
         [0.0, 0.0, -0.12696135259236377, 0.0],
         [0.1966649121435959, 0.0, 0.0, -0.30160641546192357],
     ],
-    # two isolated roots that Newton polish pulls within the cluster radius
-    # (hard-inputs benchmark corpus, seed 97, case 65)
+    # hard-inputs benchmark corpus, seed 97, case 65
     "polish-merge": [
         [0.7673539323133866, 0.0, 0.0, 0.1288633235653023],
         [0.0, -0.3462592626207758, 0.0, 0.0],
@@ -116,94 +132,61 @@ SPLIT_DOUBLE_ROOTS = {
 @pytest.mark.parametrize("route", list(SPLIT_DOUBLE_ROOTS))
 def test_quartic_recovers_a_split_double_root(route):
     omega = np.array(SPLIT_DOUBLE_ROOTS[route])
-    radius = CLUSTER_RADIUS_REL * max(1.0, abs(float(np.trace(G_METRIC @ omega))))
-    q = quartic_real_roots(charpoly_g(omega), radius)
+    q = quartic_real_roots(omega, radius(omega))
     assert q.multiplicities.tolist() == [2, 1, 1]
-    assert abs(q.values[0] + omega[1, 1]) <= radius
-    # both closures record the imaginary part of the pair they closed
-    assert (q.imag_residue > 0.0) == (route != "polish-merge")
-    if route == "complex-pair-closure":
-        assert abs(q.values[0] + omega[1, 1]) <= 1e-11
+    assert abs(q.values[0] + omega[1, 1]) <= 1e-12
+
+
+def pair_form(h: float) -> np.ndarray:
+    """A form whose (0, 3) block puts the hyperbolic pair 0.5 +- sqrt(-h)
+    into G @ omega, next to the spatial roots 0.9 and 0.1:
+    det(omega - x G) = -((x - 0.5)^2 + h)(x - 0.9)(x - 0.1)."""
+    v, p = 0.5, 0.2
+    q = np.sqrt(p * p + h)
+    return np.array([
+        [v + p, 0.0, 0.0, q],
+        [0.0, -0.9, 0.0, 0.0],
+        [0.0, 0.0, -0.1, 0.0],
+        [q, 0.0, 0.0, p - v],
+    ])
 
 
 @pytest.mark.parametrize("factor, closes", [(0.5, True), (2.0, False)], ids=["half", "twice"])
 def test_remainder_closure_bound(factor, closes):
-    """((x - v)^2 + h)(x - 0.9)(x - 0.1) with |c(v)| at `factor` times the
-    closure bound: a double root at v within it, a refused pair beyond."""
+    """A conjugate pair with |c(v)| at `factor` times the closure bound at
+    its mean v: a double root at v within it, a refused pair beyond."""
     P = np.polynomial.polynomial
     v = 0.5
-    pair, outer = P.polyfromroots([v, v]), P.polyfromroots([0.9, 0.1])
-    exact = P.polymul(pair, outer)
-    s = float(np.abs(exact).max())
-    # the bound on |c(v)| for c scaled by s, where c(v) = h * outer(v) / s
-    bound = _STURM_TRUNC_REL * float(np.abs(exact / s).sum())  # max(1, |v|) = 1
-    h = factor * bound * s / abs(P.polyval(v, outer))
-    c = P.polymul(pair + [h, 0.0, 0.0], outer)
-    assert not sturm_chain((c / np.abs(c).max()).tolist()).truncated  # no gcd finds the pair
+    outer = P.polyfromroots([0.9, 0.1])
+    exact = P.polymul(P.polyfromroots([v, v]), outer)
+    bound = _PAIR_CLOSURE_REL * float(np.abs(exact).sum())  # max(1, |v|) = 1
+    h = factor * bound / abs(P.polyval(v, outer))
+    omega = pair_form(h)
+    assert sum(z.imag > 0.0 for z in np.linalg.eigvals(G_METRIC @ omega)) == 1
     if closes:
-        q = quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
+        q = quartic_real_roots(omega, radius(omega))
         assert q.multiplicities.tolist() == [1, 2, 1]
         assert abs(q.values[1] - v) <= 1e-12
         assert q.imag_residue == pytest.approx(np.sqrt(h), rel=1e-6)
     else:
         with pytest.raises(NumericalFailure, match="complex eigenvalue pair"):
-            quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
+            quartic_real_roots(omega, radius(omega))
 
 
 def test_quartic_refuses_a_complex_pair():
-    pair = np.polynomial.polynomial.polyfromroots([0.5, 0.5]) + [1e-6, 0.0, 0.0]
-    c = np.polynomial.polynomial.polymul(pair, np.polynomial.polynomial.polyfromroots([0.9, 0.1]))
+    omega = pair_form(1e-6)
     with pytest.raises(NumericalFailure, match="complex eigenvalue pair"):
-        quartic_real_roots(c, cluster_radius=CLUSTER_RADIUS_REL)
+        quartic_real_roots(omega, radius(omega))
 
 
-def _random_state_forms(ranks, seeds):
-    return [omega_matrices(lambda_from_rho(random_state(r, seed=s))).omega_a
-            for r in ranks for s in seeds]
+def test_simple_roots_match_mpmath_eig():
+    """Full-rank Ginibre states have four simple roots, each within 1e-14
+    of the 50-digit eigenvalue of the same float G @ omega."""
+    for omega in [omega_matrices(lambda_from_rho(random_state(r, seed=s))).omega_a
+                  for r in (3, 4) for s in range(20)]:
+        q = quartic_real_roots(omega, radius(omega))
+        assert q.multiplicities.tolist() == [1, 1, 1, 1]
+        exact = mp_eigenvalues(omega)
+        assert max(abs(z.imag) for z in exact) <= 1e-40
+        assert np.abs(q.values - [z.real for z in exact]).max() <= 1e-14
 
-
-def test_refined_simple_roots_sit_in_the_rounding_band():
-    """Each refined root is the mpmath root of the same float coefficients
-    to 4 ulps, beyond the rounding band of Horner's rule at that root
-    (gamma_2n * sum |c_k x^k| / |p'(x)|), which plain evaluation cannot
-    resolve."""
-    mpmath.mp.dps = 50
-    eps = float(np.finfo(float).eps)
-    checked = 0
-    for omega in _random_state_forms((3, 4), range(20)):
-        c = charpoly_g(omega).tolist()
-        c = [v / max(map(abs, c)) for v in c]
-        sd = sturm_chain(c)
-        assert not sd.truncated  # full-rank Ginibre states have simple roots
-        exact = [z for z in mpmath.polyroots(c[::-1], maxsteps=200, extraprec=200)
-                 if mpmath.im(z) == 0]
-        bound = cauchy_bound(c)
-        for a, b, n in _isolate(sd, -bound, bound, 0.0):
-            assert n == 1
-            x = _refine(c, a, b)
-            root = min(exact, key=lambda z: abs(z - x))
-            band = 8 * (eps / 2) * float(sum(abs(ck) * abs(root) ** k for k, ck in enumerate(c)))
-            slope = abs(float(sum(k * ck * root ** (k - 1) for k, ck in enumerate(c) if k)))
-            assert abs(x - root) <= 4 * eps * max(1.0, abs(x)) + band / slope
-            checked += 1
-    assert checked == 160
-
-
-def test_root_refinement_evaluates_half_as_often(monkeypatch):
-    """Safeguarded Newton needs at most half the 180 polynomial evaluations
-    per solve that bisection to two ulps took on random states."""
-    import lorentzsvd._quartic as quartic
-
-    calls = 0
-
-    def counted(c, x):
-        nonlocal calls
-        calls += 1
-        return polyval(c, x)
-
-    monkeypatch.setattr(quartic, "polyval", counted)
-    forms = _random_state_forms((1, 2, 3, 4), range(10))
-    for omega in forms:
-        radius = CLUSTER_RADIUS_REL * max(1.0, abs(float(np.trace(G_METRIC @ omega))))
-        quartic_real_roots(charpoly_g(omega), radius)
-    assert calls / len(forms) <= 90
