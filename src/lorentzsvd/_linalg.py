@@ -7,14 +7,17 @@ performance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateCompletion
 from .minkowski import G_METRIC, SCALE_FLOOR, ZERO_REL, g_inner
 
 
-def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of M.
+def null_space_basis(M: np.ndarray | list[list[float]], rtol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of M, an array or
+    nested lists of floats.
 
     Full-pivot Gaussian elimination with pivots judged relative to the
     largest entry of the original matrix; pivots below ``rtol * scale``
@@ -27,7 +30,10 @@ def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
     # does, so the bits match the array form.  The back-substitution stays
     # on numpy: its BLAS dot products may fuse multiply and add, which
     # plain Python cannot reproduce.
-    A = np.asarray(M, dtype=float).tolist()
+    if isinstance(M, np.ndarray):
+        A = np.asarray(M, dtype=float).tolist()
+    else:
+        A = [list(row) for row in M]  # a copy: the elimination works in place
     m, n = len(A), len(A[0])
     scale = max(max(abs(v) for row in A for v in row), SCALE_FLOOR)
     col_perm = list(range(n))
@@ -69,7 +75,8 @@ def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
         basis.append(y)
     if len(basis) == 1:
         # a single vector only needs its norm; QR would cost more than the elimination
-        return (basis[0] / np.linalg.norm(basis[0]))[:, None]
+        y = basis[0]
+        return (y / math.sqrt(y.dot(y)))[:, None]
     B = np.array(basis).T
     # orthonormalize (Euclidean) for numerical hygiene
     Q, _ = np.linalg.qr(B)

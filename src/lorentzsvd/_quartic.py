@@ -33,35 +33,42 @@ from .minkowski import G_METRIC
 #: complex pair leaves c(v) about Im^2 times the size of its other factor
 _PAIR_CLOSURE_REL = 1e-11
 
-#: principal minors of det(omega - x*G) per coefficient k: (sign, kept
-#: indices) for every k-subset S of deleted indices, in combinations
-#: order; the sign is prod_{j in S} (-G_jj), i.e. -1 iff 0 is deleted
-_MINORS = tuple(
-    tuple(
-        (-1.0 if 0 in S else 1.0, tuple(j for j in range(4) if j not in S))
-        for S in combinations(range(4), k)
-    )
-    for k in range(5)
-)
+
+def _minor_plan() -> tuple[tuple, tuple]:
+    """How `charpoly_g` computes each distinct minor once.
+
+    ``steps`` lists every minor that the principal minors of a 4x4 matrix
+    expand into, after the minors it needs, as (rows, cols, terms); beyond
+    two indices a minor is a cofactor expansion along its first column,
+    one (sign, row, step of the sub-minor) per term.  ``coefficients``
+    holds, per coefficient k, one (sign, step) for every k-subset S of
+    deleted indices in combinations order; the sign is
+    prod_{j in S} (-G_jj), i.e. -1 iff 0 is deleted.
+    """
+    steps: list[tuple] = []
+    slots: dict[tuple, int] = {}
+
+    def visit(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        if (rows, cols) not in slots:
+            terms = tuple(
+                (-1.0 if i % 2 else 1.0, r, visit(rows[:i] + rows[i + 1:], cols[1:]))
+                for i, r in enumerate(rows)
+            ) if len(rows) > 2 else ()
+            slots[rows, cols] = len(steps)
+            steps.append((rows, cols, terms))
+        return slots[rows, cols]
+
+    coefficients = []
+    for k in range(5):
+        minors = []
+        for S in combinations(range(4), k):
+            keep = tuple(j for j in range(4) if j not in S)
+            minors.append((-1.0 if 0 in S else 1.0, visit(keep, keep)))
+        coefficients.append(tuple(minors))
+    return tuple(steps), tuple(coefficients)
 
 
-def _minor_det(m: list[list[float]], rows: tuple[int, ...], cols: tuple[int, ...]) -> float:
-    """Determinant of m restricted to (rows, cols), by cofactor expansion
-    along the first column: exact flop pattern for up to 4 indices."""
-    n = len(rows)
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return m[rows[0]][cols[0]]
-    if n == 2:
-        (r0, r1), (c0, c1) = rows, cols
-        return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
-    total = 0.0
-    c0, rest = cols[0], cols[1:]
-    for i, r in enumerate(rows):
-        sign = -1.0 if i % 2 else 1.0
-        total += sign * m[r][c0] * _minor_det(m, rows[:i] + rows[i + 1:], rest)
-    return total
+_MINOR_STEPS, _COEFFICIENT_MINORS = _minor_plan()
 
 
 def charpoly_g(omega: np.ndarray) -> np.ndarray:
@@ -70,14 +77,32 @@ def charpoly_g(omega: np.ndarray) -> np.ndarray:
     Multilinearity in the columns gives
         c_k = sum over k-subsets S of {0..3} of
               prod_{j in S} (-G_jj) * det(omega with rows+cols S deleted),
-    so every coefficient is a signed sum of principal minors.
+    so every coefficient is a signed sum of principal minors.  Each
+    distinct minor is computed once, in the flop pattern of a cofactor
+    expansion along its first column.
     """
     m = np.asarray(omega, dtype=float).tolist()
+    d: list[float] = []
+    for rows, cols, terms in _MINOR_STEPS:
+        n = len(rows)
+        if n == 0:
+            d.append(1.0)
+        elif n == 1:
+            d.append(m[rows[0]][cols[0]])
+        elif n == 2:
+            (r0, r1), (c0, c1) = rows, cols
+            d.append(m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0])
+        else:
+            c0 = cols[0]
+            total = 0.0
+            for sign, r, sub in terms:
+                total += sign * m[r][c0] * d[sub]
+            d.append(total)
     c = []
-    for minors in _MINORS:
+    for minors in _COEFFICIENT_MINORS:
         acc = 0.0
-        for sign, keep in minors:
-            acc += sign * _minor_det(m, keep, keep)
+        for sign, step in minors:
+            acc += sign * d[step]
         c.append(acc)
     return np.array(c)
 

@@ -27,6 +27,7 @@ reproduce their own parameters exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
@@ -119,10 +120,25 @@ def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
                 f"tetrad row {mu} lost its causal character during polishing "
                 f"(Minkowski norm {norm:.3e})"
             )
-        out[mu] = v / np.sqrt(abs(norm))
+        out[mu] = v / math.sqrt(abs(norm))
         ug = out[mu] @ G_METRIC
         done.append((ug, float(ug @ out[mu])))
     return out
+
+
+#: Floor of the tolerance on the factorization residual
+#: |L_A Lambda L_B^T / N - Lambda^c| of a result, rechecked once both
+#: factors are final.  An arrow result is known only as well as the
+#: defective double root, about sqrt(eps) ~ 1.5e-8; a diagonal result of
+#: a strongly filtered state, whose small eigenvalues carry a relative
+#: error far above eps, may miss by more.
+_FACTOR_RESIDUAL_FLOOR = 1e-8
+
+
+def _check_factorization(residual: float, tol: float) -> None:
+    bound = max(tol, _FACTOR_RESIDUAL_FLOOR)
+    if residual > bound:
+        raise NumericalFailure(f"factorization residual {residual:.3e} exceeds {bound:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +193,7 @@ def type1_canonical(
         ]
     a_legs = space[:3]
 
-    a_rows = _g_orthonormalize(np.vstack([a0] + [v for v, _ in a_legs]))
+    a_rows = _g_orthonormalize(np.array([a0] + [v for v, _ in a_legs]))
     if np.linalg.det(a_rows) < 0:
         a_rows[3] = -a_rows[3]
     lam_slots = np.array([lam0] + [c for _, c in a_legs])
@@ -189,7 +205,7 @@ def type1_canonical(
     known = [b for b in b_vecs if b is not None]
     filled = iter(complete_g_frame(known, 4 - len(known))) if len(known) < 4 else iter(())
     b_rows = _g_orthonormalize(
-        np.vstack([b if b is not None else next(filled) for b in b_vecs])
+        np.array([b if b is not None else next(filled) for b in b_vecs])
     )
 
     D = a_rows @ lam @ b_rows.T
@@ -230,6 +246,8 @@ def type1_canonical(
         ratios[1], ratios[2], det_sign * ratios[3], tol=max(tol, PIPELINE_PARAMETER_FLOOR)
     )
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
+    # last, so every refusal above keeps its own message
+    _check_factorization(residuals["factorization"], tol)
 
     return CanonicalResult(
         family=SideFamily.TYPE_I,
@@ -272,13 +290,6 @@ _R1_ZERO_REL = 1e-14
 #: two-dimensional in exact arithmetic and known only as well as the
 #: double root that gave r1 = 0.
 _FACTOR_KERNEL_RTOL = 1e-6
-
-#: Floor of the tolerance on the factorization residual
-#: |L_A Lambda L_B^T / N - Lambda^c| of an arrow result, rechecked after
-#: the right factor is polished.  The result is known only as well as the
-#: defective double root, about sqrt(eps) ~ 1.5e-8.
-_FACTOR_RESIDUAL_FLOOR = 1e-8
-
 
 def _type2_pattern(r0: float, r1: float) -> np.ndarray:
     return np.array(
@@ -396,8 +407,8 @@ def _arrow_from_triad(
     lam0, lam1, split = spectrum
     scale = max(1.0, lam0)
 
-    tetrad, _, _ = complete_tetrad_from_neutral_triad(u0, a1, a2, tol=max(tol, _TRIAD_TOL_FLOOR))
-    t0, t3 = tetrad.y0, tetrad.y3
+    tetrad = complete_tetrad_from_neutral_triad(u0, a1, a2, tol=max(tol, _TRIAD_TOL_FLOOR))
+    t0, t3 = tetrad[0], tetrad[3]
     # Gauge: the plane G-orthogonal to a1, a2 holds exactly two null rays,
     # t0 - t3 along u0 and t0 + t3.  Any unit timelike leg in this plane
     # yields a valid canonical form, but with different (r0, r1) -- the
@@ -416,7 +427,7 @@ def _arrow_from_triad(
         )
     eta = 0.5 * np.log(alpha / beta)
     ch, sh = np.cosh(eta), np.sinh(eta)
-    left = np.vstack([ch * t0 + sh * t3, a1, a2, sh * t0 + ch * t3])
+    left = np.array([ch * t0 + sh * t3, a1, a2, sh * t0 + ch * t3])
     if np.linalg.det(left) < 0:
         left[2] = -left[2]
     if not is_orthochronous_proper_lorentz(left, tol=max(tol, LORENTZ_TOL_FLOOR)):
@@ -428,11 +439,12 @@ def _arrow_from_triad(
     r0 = lam0 / phi0
     r1sq = lam1 / phi0
     r1_zero = r1sq <= _R1_ZERO_REL * max(1.0, r0)
-    r1 = 0.0 if r1_zero else float(np.sqrt(max(r1sq, 0.0)))
+    r1 = 0.0 if r1_zero else math.sqrt(max(r1sq, 0.0))
 
     pattern = _type2_pattern(r0, r1)
-    n_scale = float(np.sqrt(phi0))
-    X = _solve_right_factor(left @ work, n_scale * pattern, r1_zero)
+    n_scale = math.sqrt(phi0)
+    image = left @ work
+    X = _solve_right_factor(image, n_scale * pattern, r1_zero)
     if not is_orthochronous_proper_lorentz(X.T, tol=max(tol, LORENTZ_TOL_FLOOR)):
         raise NumericalFailure(
             "right factor is not a proper orthochronous Lorentz matrix; "
@@ -440,7 +452,7 @@ def _arrow_from_triad(
         )
     right = X.T
 
-    achieved = (left @ work @ X) / n_scale
+    achieved = (image @ X) / n_scale
     omega_target = np.array(
         [
             [phi0, 0.0, 0.0, phi0 - lam0],
@@ -450,11 +462,7 @@ def _arrow_from_triad(
         ]
     )
     factor_residual = float(np.abs(achieved - pattern).max())
-    if factor_residual > max(tol, _FACTOR_RESIDUAL_FLOOR):
-        raise NumericalFailure(
-            f"factorization residual {factor_residual:.3e} exceeds "
-            f"{max(tol, _FACTOR_RESIDUAL_FLOOR):.1e}"
-        )
+    _check_factorization(factor_residual, tol)
     residuals = {
         "factorization": factor_residual,
         "omegaCanonical": float(np.abs(left @ omega @ left.T - omega_target).max()),
@@ -525,14 +533,15 @@ def _factor_solved(
     if fam_a is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
     if fam_a is CanonicalFamily.TYPE_II:
-        result = type2_canonical(lam, sys_a, "A", tol)
+        triad, spectrum = _arrow_eigenpairs(sys_a)
+        result = _arrow_from_triad(lam, sys_a.omega, "A", triad, spectrum, tol)
         L_B = result.right_lorentz
         u0 = L_B[0] + L_B[3]
         # unit length, as an eigensystem row has: |u0| grows with the
         # rapidity of L_B, and the completion loses accuracy with it (raw,
         # it refused 135 more of 3,200 hard-inputs benchmark states)
-        triad = (u0 / np.linalg.norm(u0), L_B[1], L_B[2])
-        partner = _arrow_from_triad(lam, omega_b, "B", triad, _arrow_eigenpairs(sys_a)[1], tol)
+        triad = (u0 / math.sqrt(u0.dot(u0)), L_B[1], L_B[2])
+        partner = _arrow_from_triad(lam, omega_b, "B", triad, spectrum, tol)
         return replace(result, partner=partner)
     return _degenerate_product(lam, sys_a, g_eigensystem(omega_b, tol), tol)
 

@@ -19,7 +19,6 @@ single JSON object on stderr.  All JSON output is byte-deterministic.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
@@ -36,12 +35,6 @@ from .canonical import (
 )
 from .errors import InputFormatError, LorentzSvdError
 from .geigen import CanonicalFamily, classify_canonical_type, g_eigensystem, omega_matrices
-from .geometry import (
-    ellipsoid_json_dict,
-    points_to_csv,
-    sample_steered_surface,
-    steering_ellipsoid,
-)
 from .minkowski import DEFAULT_TOL, lorentz_defect
 from .qstate import lambda_from_rho, random_state, rho_from_lambda
 from .serialize import (
@@ -118,6 +111,14 @@ def _write_output(text: str, output: str | None) -> None:
 
 def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
                    csv_path: str | None) -> str:
+    # imported here, so the other commands do not load the geometry
+    from .geometry import (
+        ellipsoid_json_dict,
+        points_to_csv,
+        sample_steered_surface,
+        steering_ellipsoid,
+    )
+
     if samples is not None and samples < 1:
         raise InputFormatError(f"--samples must be at least 1, got {samples}")
     doc = loads_json(_read_text(path))
@@ -250,6 +251,9 @@ def _batch_one(task: tuple[str, str, str, float, dict]) -> tuple[str, int, str]:
 
 
 def _run_batch(cmd: str, directory: str, tol: float, extra: dict) -> int:
+    # imported here: it brings in logging, which a single-file call never needs
+    import concurrent.futures
+
     root = Path(directory)
     if not root.is_dir():
         raise InputFormatError(f"batch target {directory} is not a directory")

@@ -266,9 +266,10 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     k_op = G_METRIC @ omega
     trace = abs(float(np.trace(k_op)))
     quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
-    order = np.argsort(quartic.values)[::-1]
-    centers = quartic.values[order]
-    mults = quartic.multiplicities[order]
+    # distinct cluster means, largest first
+    ordered = sorted(zip(quartic.values.tolist(), quartic.multiplicities.tolist()), reverse=True)
+    centers = [center for center, _ in ordered]
+    mults = [mult for _, mult in ordered]
 
     vectors: list[np.ndarray] = []
     norms: list[int] = []
@@ -276,10 +277,9 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     clusters: list[tuple[float, int, int]] = []
     gram_top = np.zeros(0)
     k_rows = k_op.tolist()
-    center_list = centers.tolist()
 
-    for ci, (center, mult) in enumerate(zip(center_list, mults.tolist())):
-        gap = min((abs(c - center) for k, c in enumerate(center_list) if k != ci),
+    for ci, (center, mult) in enumerate(ordered):
+        gap = min((abs(c - center) for k, c in enumerate(centers) if k != ci),
                   default=math.inf)
         basis = _cluster_vectors(k_rows, center, mult, gap, max(trace, SCALE_FLOOR))
         clusters.append((center, mult, basis.shape[1]))
@@ -292,7 +292,9 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
             gam = float(col @ G_METRIC @ col)
             grams.append(gam)
             if abs(gam) <= SIGNATURE_TOL:
-                x = _signed_unit(col / np.linalg.norm(col))
+                # np.linalg.norm's own arithmetic: a contiguous copy's dot
+                flat = col.ravel()
+                x = _signed_unit(col / math.sqrt(flat.dot(flat)))
                 cls = 0
                 if ci > 0 and center > max(tol, _SUBDOMINANT_ZERO_FLOOR) * max(1.0, centers[0]):
                     raise NormalizationFailure(
@@ -312,7 +314,8 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         for cls, _, x in entries:
             vectors.append(x)
             norms.append(cls)
-            residuals.append(float(np.linalg.norm(k_op @ x - center * x)))
+            r = k_op @ x - center * x
+            residuals.append(math.sqrt(r.dot(r)))
 
     dims = [dim for _, _, dim in clusters]
     top_classes = norms[: dims[0]]

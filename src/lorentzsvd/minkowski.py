@@ -8,7 +8,6 @@ spacelike legs, mutually G-orthogonal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -97,12 +96,17 @@ class VectorClass(Enum):
     NEGATIVE = "Negative"   # spacelike, x^T G x < 0
 
 
+def _defect_and_scale(L: np.ndarray) -> tuple[float, float]:
+    """(`lorentz_defect` of a float 4x4 array, the max(1, max |L|^2) it is
+    relative to)."""
+    scale = max(1.0, float(np.abs(L).max()) ** 2)
+    return float(np.abs(L.T @ G_METRIC @ L - G_METRIC).max()) / scale, scale
+
+
 def lorentz_defect(L: np.ndarray) -> float:
     """max |L^T G L - G| relative to max(1, max |L|^2), the squared size of
     L's largest entry: how far a 4x4 matrix misses the Lorentz group."""
-    L = np.asarray(L, dtype=float)
-    scale = max(1.0, float(np.abs(L).max()) ** 2)
-    return float(np.abs(L.T @ G_METRIC @ L - G_METRIC).max()) / scale
+    return _defect_and_scale(np.asarray(L, dtype=float))[0]
 
 
 def is_orthochronous_proper_lorentz(L: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -110,35 +114,21 @@ def is_orthochronous_proper_lorentz(L: np.ndarray, tol: float = DEFAULT_TOL) -> 
     L = np.asarray(L, dtype=float)
     if L.shape != (4, 4):
         return False
-    if lorentz_defect(L) > tol:
+    defect, scale = _defect_and_scale(L)
+    if defect > tol:
         return False
-    scale = max(1.0, float(np.abs(L).max()) ** 2)
     if abs(float(np.linalg.det(L)) - 1.0) > tol * scale:
         return False
     return float(L[0, 0]) > 0.0
 
 
-@dataclass(frozen=True)
-class Tetrad:
-    """G-orthonormal frame; `y0` timelike (+1), `y1..y3` spacelike (-1)."""
-
-    y0: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    y3: np.ndarray
-
-    def rows(self) -> np.ndarray:
-        """Stack the tetrad as rows of a 4x4 matrix (a Lorentz matrix)."""
-        return np.vstack([self.y0, self.y1, self.y2, self.y3])
-
-
-def validate_g_orthogonal_tetrad(tetrad: Tetrad, tol: float = DEFAULT_TOL) -> float:
-    """Check Y G Y^T = G for the stacked tetrad; returns the max deviation.
+def validate_g_orthogonal_tetrad(Y: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """Check Y G Y^T = G for a tetrad stacked as the rows of Y; returns the
+    max deviation.
 
     Raises TriadNotGOrthogonal when the deviation exceeds tol (relative
     to the squared magnitude of the largest entry).
     """
-    Y = tetrad.rows()
     gram = Y @ G_METRIC @ Y.T
     dev = float(np.abs(gram - G_METRIC).max())
     scale = max(1.0, float(np.abs(Y).max()) ** 2)
@@ -149,8 +139,13 @@ def validate_g_orthogonal_tetrad(tetrad: Tetrad, tol: float = DEFAULT_TOL) -> fl
     return dev
 
 
-def _check_neutral_triad(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray, tol: float) -> None:
-    scale = max(1.0, *(float(v @ v) for v in (y0, y1, y2)))
+def _check_neutral_triad(
+    triad: tuple[list[float], ...], squares: tuple[float, ...], tol: float
+) -> None:
+    """``triad`` is (y0, y1, y2) as lists, ``squares`` their Euclidean
+    squared lengths."""
+    y0, y1, y2 = triad
+    scale = max(1.0, *squares)
     checks = {
         "y0 neutral": g_inner(y0, y0),
         "y1 unit spacelike": g_inner(y1, y1) + 1.0,
@@ -163,7 +158,7 @@ def _check_neutral_triad(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray, tol: fl
     if bad:
         detail = ", ".join(f"{k}={v:.3e}" for k, v in bad.items())
         raise TriadNotGOrthogonal(f"neutral triad conditions violated: {detail}")
-    if float(y0 @ y0) <= tol * scale:
+    if squares[0] <= tol * scale:
         raise TriadNotGOrthogonal("y0 is numerically the zero vector")
 
 
@@ -172,7 +167,7 @@ def complete_tetrad_from_neutral_triad(
     y1: np.ndarray,
     y2: np.ndarray,
     tol: float = DEFAULT_TOL,
-) -> tuple[Tetrad, float, float]:
+) -> np.ndarray:
     """Complete a neutral triad {y0, y1, y2} to a G-orthonormal tetrad.
 
     `y0` must be neutral and G-orthogonal to the unit spacelike pair
@@ -190,18 +185,24 @@ def complete_tetrad_from_neutral_triad(
     which is automatically G-orthogonal to y1, y2 and has
     q = ||y0||^2 > 0.
 
-    Returns (tetrad, tau, kappa).  The timelike leg is sign-fixed to a
-    positive time component.
+    Returns the tetrad as the rows (ytilde0, y1, y2, ytilde3) of a 4x4
+    array, the timelike leg sign-fixed to a positive time component.
     """
+    # The Minkowski products and the legs run on Python floats, which round
+    # each multiply and add as elementwise numpy does; the Euclidean dot
+    # products stay on numpy, whose BLAS kernels may fuse multiply and add.
     y0 = np.asarray(y0, dtype=float)
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    _check_neutral_triad(y0, y1, y2, tol)
-    scale = max(1.0, float(y0 @ y0))
+    triad = (y0.tolist(), y1.tolist(), y2.tolist())
+    squares = (float(y0 @ y0), float(y1 @ y1), float(y2 @ y2))
+    _check_neutral_triad(triad, squares, tol)
+    scale = max(1.0, squares[0])
 
-    y3 = G_METRIC @ y0 + (y1 @ y0) * y1 + (y2 @ y0) * y2
-    q = g_inner(y3, y0)
-    if abs(q) <= tol * scale * max(1.0, float(np.abs(y3).max())):
+    y3 = (G_METRIC @ y0 + (y1 @ y0) * y1 + (y2 @ y0) * y2).tolist()
+    x0, x1, x2 = triad
+    q = g_inner(y3, x0)
+    if abs(q) <= tol * scale * max(1.0, max(map(abs, y3))):
         raise DegenerateCompletion(
             f"pivot degenerate along y0: y3^T G y0 = {q:.3e}"
         )
@@ -209,12 +210,11 @@ def complete_tetrad_from_neutral_triad(
     nrm3 = g_inner(y3, y3)
     tau = (1.0 - nrm3) / (2.0 * q)
     kappa = (1.0 + nrm3) / (2.0 * q)
-    t0 = y3 + tau * y0
-    t3 = y3 - kappa * y0
+    t0 = [a + tau * b for a, b in zip(y3, x0)]
+    t3 = [a - kappa * b for a, b in zip(y3, x0)]
     if t0[0] < 0.0:
         # flip the pivot so the timelike leg points to the future
-        t0, t3 = -t0, -t3
-        tau, kappa = -tau, -kappa
-    tetrad = Tetrad(y0=t0, y1=y1.copy(), y2=y2.copy(), y3=t3)
+        t0, t3 = [-v for v in t0], [-v for v in t3]
+    tetrad = np.array([t0, x1, x2, t3])
     validate_g_orthogonal_tetrad(tetrad, tol=max(tol, _TETRAD_TOL_FLOOR))
-    return tetrad, float(tau), float(kappa)
+    return tetrad

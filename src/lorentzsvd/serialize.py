@@ -41,15 +41,56 @@ def format_float(x: float) -> str:
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _key_text(key: Any) -> str:
+    """A dict key, or a string, as JSON text."""
     return json.dumps(str(key))
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_template(shape: tuple[int, ...]) -> str:
+    inner = _grid_template(shape[1:]) if len(shape) > 1 else "%.17g"
+    return "[" + ",".join([inner] * shape[0]) + "]"
+
+
+def _float_grid(obj: list | tuple) -> str | None:
+    """A rectangular grid of floats (a list of floats, or of equal-length
+    lists, at any depth) as text, formatted in one call; None for anything
+    else, which then takes the per-value path.
+
+    ``%.17g`` is `format_float`'s format, and adding 0.0 folds -0.0 into
+    0.0 and changes no other value.  A grid with a value that is not
+    finite (or whose sum overflows) is left to the per-value path too,
+    which raises on the first non-finite value as `format_float` does.
+    """
+    shape = [len(obj)]
+    cells = obj
+    while type(cells[0]) is list:
+        width = len(cells[0])
+        flat: list = []
+        for cell in cells:
+            if type(cell) is not list or len(cell) != width:
+                return None
+            flat += cell
+        if not flat:
+            return None
+        shape.append(width)
+        cells = flat
+    if set(map(type, cells)) != {float} or not math.isfinite(sum(cells)):
+        return None
+    return _grid_template(tuple(shape)) % tuple([v + 0.0 for v in cells])
+
+
 def _emit(obj: Any) -> str:
-    # exact types first: a report is mostly floats in lists
+    # exact types first: a report is mostly grids of floats
     kind = type(obj)
     if kind is float:
         return format_float(obj)
+    if kind is str:
+        return _key_text(obj)
     if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        if obj and type(obj[0]) in (float, list):
+            text = _float_grid(obj)
+            if text is not None:
+                return text
         return "[" + ",".join([format_float(v) if type(v) is float else _emit(v) for v in obj]) + "]"
     if kind is dict or isinstance(obj, dict):
         return "{" + ",".join([f"{_key_text(k)}:{_emit(v)}" for k, v in obj.items()]) + "}"
@@ -76,7 +117,9 @@ def real_matrix(m: np.ndarray) -> list[list[float]]:
 
 
 def complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
+    z = np.ascontiguousarray(m, dtype=complex)
+    # the float64 view holds each entry as its (real, imaginary) pair
+    return z.view(np.float64).reshape(z.shape + (2,)).tolist()
 
 
 def state_document(rho: np.ndarray | None = None, lam: np.ndarray | None = None) -> dict:

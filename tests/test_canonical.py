@@ -36,6 +36,7 @@ from lorentzsvd.errors import (
     InvalidState,
     LorentzSvdError,
     NotTypeII,
+    NumericalFailure,
 )
 from lorentzsvd.geigen import g_eigensystem, omega_matrices
 from lorentzsvd.minkowski import G_METRIC, is_orthochronous_proper_lorentz
@@ -242,6 +243,32 @@ def test_small_scale_typeii_state_is_never_typei():
     except LorentzSvdError:
         return
     assert res.family is not SideFamily.TYPE_I
+
+
+#: rho of case 124 of the hard-inputs benchmark corpus at seed 1, a rank-4
+#: state filtered at rapidity 3.5, as [re, im] pairs.  Its diagonal
+#: factorization misses by 1.45e-6, 145 times the 1e-8 bound, which
+#: `canonicalize` returned as a TypeI result until the TypeI factors were
+#: rechecked as the arrow factors are
+TYPEI_FACTORIZATION_MISS_RHO = [
+    [[0.6698198265321711, 2.5712266384118404e-17], [-0.04162848355149148, 0.2831537289129032],
+     [0.061114433407353355, 0.3309087756263384], [-0.1437183311953597, 0.005097522586906934]],
+    [[-0.04162848355149148, -0.2831537289129032], [0.1286721596178893, 2.4105249735111006e-18],
+     [0.1359449017331278, -0.0463852988348436], [0.011660863816386806, 0.06355120125545809]],
+    [[0.061114433407353355, -0.33090877562633836], [0.1359449017331278, 0.046385298834843595],
+     [0.16906251466403963, 3.2140332980148005e-18], [-0.010600053423390312, 0.07139640871151784]],
+    [[-0.1437183311953597, -0.0050975225869069295], [0.011660863816386804, -0.06355120125545809],
+     [-0.010600053423390312, -0.07139640871151784], [0.032445499185899965, -7.030697839407376e-19]],
+]
+
+
+def test_typei_factorization_miss_is_refused():
+    rho = np.array([[complex(*z) for z in row] for row in TYPEI_FACTORIZATION_MISS_RHO])
+    bound = r"factorization residual \S+ exceeds 1\.0e-08"
+    with pytest.raises(NumericalFailure, match=bound) as info:
+        canonicalize(rho)
+    assert info.value.exit_code == 3
+    assert float(str(info.value).split()[2]) > 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,3 +575,15 @@ def test_production_path_leaves_the_oracle_unimported():
     # the secular-function oracle is a test-side reference: the package
     # does not ship it, so no production import can reach it
     assert importlib.util.find_spec("lorentzsvd.secular") is None
+
+
+def test_single_file_commands_leave_pool_and_geometry_unimported():
+    # a fresh interpreter: the test session itself has imported both
+    src = str(Path(importlib.util.find_spec("lorentzsvd").origin).parents[1])
+    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = ("import sys, lorentzsvd.cli; print([m for m in "
+             "('concurrent.futures', 'lorentzsvd.geometry') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -67,12 +67,14 @@ def test_oplg_predicate():
 
 
 def test_completion_reference_example():
+    # the pivot is y3 = G y0 = (1, 0, 0, -1), so tau = kappa = 1/4, and the
+    # new legs y3 + y0/4 and y3 - y0/4 pin both values
     y0 = np.array([1.0, 0.0, 0.0, 1.0])
-    tet, tau, kappa = complete_tetrad_from_neutral_triad(y0, E[1], E[2])
-    assert tau == pytest.approx(0.25, abs=1e-15)
-    assert kappa == pytest.approx(0.25, abs=1e-15)
-    np.testing.assert_allclose(tet.y0, [1.25, 0.0, 0.0, -0.75], atol=1e-15)
-    np.testing.assert_allclose(tet.y3, [0.75, 0.0, 0.0, -1.25], atol=1e-15)
+    tet = complete_tetrad_from_neutral_triad(y0, E[1], E[2])
+    assert tet.shape == (4, 4)
+    np.testing.assert_allclose(tet[0], [1.25, 0.0, 0.0, -0.75], atol=1e-15)
+    np.testing.assert_allclose(tet[3], [0.75, 0.0, 0.0, -1.25], atol=1e-15)
+    np.testing.assert_array_equal(tet[1:3], [E[1], E[2]])
     assert validate_g_orthogonal_tetrad(tet) < 1e-12
 
 
@@ -96,11 +98,11 @@ def _random_neutral_triad(gen: np.random.Generator) -> tuple[np.ndarray, np.ndar
 @given(st.integers(0, 10**9))
 def test_completion_property(seed):
     y0, y1, y2 = _random_neutral_triad(rng(seed))
-    tet, tau, kappa = complete_tetrad_from_neutral_triad(y0, y1, y2)
+    tet = complete_tetrad_from_neutral_triad(y0, y1, y2)
     assert validate_g_orthogonal_tetrad(tet, tol=1e-8) < 1e-8
-    assert tet.y0[0] > 0.0
+    assert tet[0, 0] > 0.0
     # the two new legs live in the plane G-orthogonal to y1, y2
-    for v in (tet.y0, tet.y3):
+    for v in (tet[0], tet[3]):
         assert abs(g_inner(v, y1)) < 1e-9
         assert abs(g_inner(v, y2)) < 1e-9
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lorentzsvd.geometry import steering_ellipsoid
 from lorentzsvd.qstate import random_state, rho_from_lambda
 from lorentzsvd.serialize import (
     canonical_report,
+    complex_matrix,
     dumps,
     format_float,
     loads_state,
@@ -93,6 +95,50 @@ def test_dumps_matches_the_reference_emitter():
         dumps({"x": [1.0, float("nan")]})
     with pytest.raises(InputFormatError, match="cannot serialize"):
         dumps({"x": {1, 2}})
+
+
+GRIDS = {
+    # -0.0 folds into 0; the smallest subnormal and the largest decades keep 17 digits
+    "extremes": [[-0.0, 5e-324, 1e308], [-1e308, 0.0, -5e-324]],
+    "sum-overflows": [[1e308, 1e308], [1e308, 1.5e308]],
+    "three-deep": [[[0.5, -0.0], [1.0, 0.1]], [[-2.5, 1e-300], [3.0, 4.0]]],
+    "int-entry": [[1.0, 2], [3.0, 4.0]],
+    "big-int-entry": [[1.0, 10**20], [3.0, 4.0]],
+    "bool-entry": [[1.0, True], [3.0, 4.0]],
+    "numpy-entry": [[1.0, np.float64(-0.0)], [3.0, 4.0]],
+    "ragged": [[1.0, 2.0], [3.0]],
+    "ragged-depth": [[1.0, 2.0], 3.0],
+    "row-subclass": [[1.0, 2.0], _Floats([3.0, 4.0])],
+    "empty-rows": [[], []],
+    "one-row": [0.25, -0.0, 7.0],
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_grid_emitter_matches_the_per_value_path(grid):
+    assert dumps(grid) == _reference_emit(grid) + "\n"
+    assert dumps({"m": grid, "t": tuple(grid)}) == _reference_emit({"m": grid, "t": grid}) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_grid_refuses_non_finite_values_as_format_float_does(bad):
+    with pytest.raises(InputFormatError) as expected:
+        format_float(bad)
+    for grid in ([[1.0, 2.0], [bad, 4.0]], [[[0.0, 1.0]], [[bad, math.nan]]]):
+        with pytest.raises(InputFormatError) as got:
+            dumps({"m": grid})
+        assert str(got.value) == str(expected.value)
+
+
+def test_complex_matrix_keeps_every_bit():
+    gen = np.random.default_rng(3)
+    m = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    m[0, 1] = complex(-0.0, 0.0)
+    m[2, 3] = complex(0.0, -0.0)
+    for z in (m, m.T, m.real):
+        rows = np.asarray(z, dtype=complex).tolist()
+        per_entry = [[[v.real, v.imag] for v in row] for row in rows]
+        assert repr(complex_matrix(z)) == repr(per_entry)
 
 
 def test_state_document_round_trip():
