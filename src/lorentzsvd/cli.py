@@ -132,11 +132,10 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
         if side == "B" and result.partner is not None:
             result = result.partner
     ell = steering_ellipsoid(result)
-    if samples is not None:
+    if samples is not None and csv_path:
         direction = "AtoB" if ell.family.value == "TypeII_B" else "BtoA"
         points = sample_steered_surface(result.canonical_lambda, direction, samples)
-        if csv_path:
-            Path(csv_path).write_text(points_to_csv(points), encoding="utf-8")
+        Path(csv_path).write_text(points_to_csv(points), encoding="utf-8")
     out = {"conventions": CONVENTIONS}
     out.update(ellipsoid_json_dict(ell))
     return dumps(out)
@@ -165,6 +164,8 @@ def _run_sigma(b: float, c: float, d: float, tol: float) -> tuple[str, bool]:
 def _run_random(rank: int, seed: int) -> str:
     if not 1 <= rank <= 4:
         raise InputFormatError(f"rank must be 1..4, got {rank}")
+    if seed < 0:
+        raise InputFormatError(f"seed must be non-negative, got {seed}")
     return dumps(state_document(rho=random_state(rank, seed=seed)))
 
 
@@ -237,23 +238,20 @@ def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
 # batch mode
 
 
-def _batch_one(task: tuple[str, str, str, float, dict]) -> tuple[str, int, str]:
-    """(input name, exit code, message); never raises."""
-    cmd, in_path, out_path, tol, extra = task
+def _batch_one(cmd: str, in_path: Path, out_path: Path, tol: float,
+               extra: dict) -> tuple[int, str]:
+    """(exit code, message) of one file; never raises."""
     try:
-        text, code = _run_state_command(cmd, in_path, tol, **extra)
-        Path(out_path).write_text(text, encoding="utf-8")
-        return Path(in_path).name, code, "verification failed" if code else ""
+        text, code = _run_state_command(cmd, str(in_path), tol, **extra)
+        out_path.write_text(text, encoding="utf-8")
+        return code, "verification failed" if code else ""
     except LorentzSvdError as exc:
-        return Path(in_path).name, exc.exit_code, f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # per-file isolation: report, never abort the pool
-        return Path(in_path).name, 3, f"{type(exc).__name__}: {exc}"
+        return exc.exit_code, f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # per-file isolation: report, never abort the batch
+        return 3, f"{type(exc).__name__}: {exc}"
 
 
 def _run_batch(cmd: str, directory: str, tol: float, extra: dict) -> int:
-    # imported here: it brings in logging, which a single-file call never needs
-    import concurrent.futures
-
     root = Path(directory)
     if not root.is_dir():
         raise InputFormatError(f"batch target {directory} is not a directory")
@@ -261,24 +259,16 @@ def _run_batch(cmd: str, directory: str, tol: float, extra: dict) -> int:
     outputs = tuple(f".{c}.json" for c in ("canonicalize", "ellipsoid", "verify"))
     files = sorted(p for p in root.glob("*.json") if not p.name.endswith(outputs))
     suffix = ".txt" if cmd == "classify" else ".json"
-    tasks = [
-        (cmd, str(p), str(p.with_suffix(f".{cmd}{suffix}")), tol, extra) for p in files
-    ]
-    workers = min(8, max(1, os.cpu_count() or 1), max(1, len(tasks)))
-    # about four chunks per worker: one task per round trip leaves the pool
-    # no faster than a serial loop, while a few chunks still balance the load
-    chunksize = max(1, math.ceil(len(tasks) / (4 * workers)))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_batch_one, tasks, chunksize=chunksize))
-    results.sort(key=lambda r: r[0])
+    results = {p.name: _batch_one(cmd, p, p.with_suffix(f".{cmd}{suffix}"), tol, extra)
+               for p in files}
     summary = {
         "command": cmd,
         "processed": len(results),
         "failures": {name: {"exitCode": code, "message": msg}
-                     for name, code, msg in results if code != 0},
+                     for name, (code, msg) in results.items() if code != 0},
     }
     sys.stdout.write(dumps(summary))
-    return max((code for _, code, _ in results), default=0)
+    return max((code for code, _ in results.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("input", nargs="?", help="state JSON file, or - for stdin")
         group.add_argument("--batch", metavar="DIR",
-                           help="process every *.json in DIR on a worker pool")
+                           help="process every *.json in DIR, in sorted order, in this process")
         p.add_argument("--tol", type=float, default=None,
                        help=f"tolerance (default: CANON_TOL env or {DEFAULT_TOL:g})")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
@@ -308,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ell = add_state_command("ellipsoid", "write steering-ellipsoid geometry")
     p_ell.add_argument("--side", choices=("A", "B"), default="A")
     p_ell.add_argument("--samples", type=int, default=None,
-                       help="also sample this many surface points")
+                       help="sample this many surface points into the --csv file")
     p_ell.add_argument("--csv", default=None, help="CSV file for sampled points")
     add_state_command("verify", "run the self-check suite on a state")
 

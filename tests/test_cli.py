@@ -108,9 +108,11 @@ def test_random_is_seed_deterministic(capsys):
 
 
 def test_random_rejects_bad_rank(capsys):
-    code, _, err = run(["random", "--rank", "9", "--seed", "0"], capsys)
-    assert code == 1
-    assert json.loads(err)["error"] == "InputFormatError"
+    # numpy's PCG64 refuses a negative seed; the CLI refuses it first
+    for rank, seed in (("9", "0"), ("2", "-1")):
+        code, _, err = run(["random", "--rank", rank, "--seed", seed], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "InputFormatError"
 
 
 def test_pipeline_chain_across_ranks(tmp_path, capsys, monkeypatch):
@@ -538,9 +540,12 @@ def test_batch_isolates_failures(tmp_path, capsys):
     assert summary["processed"] == 4
     assert list(summary["failures"]) == ["broken.json"]
     assert code == 1
+    assert summary["failures"]["broken.json"]["exitCode"] == 1
     for seed in range(3):
-        report = json.loads((batch / f"s{seed}.canonicalize.json").read_text())
-        assert report["family"] == "TypeI"
+        report = (batch / f"s{seed}.canonicalize.json").read_text()
+        assert json.loads(report)["family"] == "TypeI"
+        # the batch writes what a single-file call prints, byte for byte
+        assert report == run(["canonicalize", str(batch / f"s{seed}.json")], capsys)[1]
     assert not (batch / "broken.canonicalize.json").exists()
 
 
