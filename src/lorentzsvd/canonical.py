@@ -18,7 +18,13 @@ G-eigensystem of Omega_A = Lambda G Lambda^T:
   00-normalizable canonical form exists.
 
 The left matrices come from eigenvector tetrads; the right matrices are
-then forced by the factorization and solved for directly.  Residual
+then forced by the factorization.  The TypeI right factor is the left
+tetrad transported through Lambda; the TypeII one is solved from
+L_A Lambda L_B^T = N Lambda^c, or at r1 = 0, where half of it is free,
+read off rows 0 and 3 of that equation.  The TypeI tetrads and the
+r1 = 0 right factor are finished one way (`_fill_tetrad`): the slots
+nothing fixes are filled by `complete_g_frame`, then one Minkowski
+Gram-Schmidt pass.  Residual
 gauge freedom in the non-diagonalizable family (the null top eigenvector
 has no preferred scale) is pinned by a fixed rule, documented at the
 gauge boost in `type2_canonical`, chosen so that canonical inputs
@@ -34,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from ._linalg import complete_g_frame, gram_eigenbasis, null_space_basis
+from ._linalg import complete_g_frame
 from .errors import (
     InvalidCanonicalParameters,
     InvalidSigmaParameters,
@@ -59,7 +65,6 @@ from .minkowski import (
     TRANSPORT_ZERO_REL,
     ZERO_REL,
     complete_tetrad_from_neutral_triad,
-    g_inner,
     is_orthochronous_proper_lorentz,
 )
 from .qstate import lambda_from_rho, rho_from_lambda
@@ -126,6 +131,15 @@ def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fill_tetrad(rows: list[np.ndarray | None]) -> np.ndarray:
+    """Tetrad from four rows, ``None`` in the slots nothing fixes: each
+    free slot takes the next `complete_g_frame` vector, in slot order,
+    then the rows take one `_g_orthonormalize` pass."""
+    known = [r for r in rows if r is not None]
+    filled = iter(complete_g_frame(known, 4 - len(known)) if len(known) < 4 else ())
+    return _g_orthonormalize(np.array([r if r is not None else next(filled) for r in rows]))
+
+
 #: Floor of the tolerance on the factorization residual
 #: |L_A Lambda L_B^T / N - Lambda^c| of a result, rechecked once both
 #: factors are final.  An arrow result is known only as well as the
@@ -184,29 +198,18 @@ def type1_canonical(
     timelike = [v for v, _, n in rows if n == 1]
     if len(timelike) != 1:
         raise NotTypeI(f"expected exactly one timelike eigenvector, found {len(timelike)}")
-    a0 = timelike[0]
     space = [(v, c) for v, c, n in rows if n == -1]
-    if len(space) < 3:
-        space += [
-            (v, 0.0)
-            for v in complete_g_frame([a0] + [v for v, _ in space], 3 - len(space))
-        ]
-    a_legs = space[:3]
+    # a missing spacelike leg belongs to eigenvalue 0; `_fill_tetrad` completes it
+    space += [(None, 0.0)] * (3 - len(space))
 
-    a_rows = _g_orthonormalize(np.array([a0] + [v for v, _ in a_legs]))
+    a_rows = _fill_tetrad([timelike[0]] + [v for v, _ in space])
     if np.linalg.det(a_rows) < 0:
         a_rows[3] = -a_rows[3]
-    lam_slots = np.array([lam0] + [c for _, c in a_legs])
-
-    b_vecs: list[np.ndarray | None] = [None] * 4
-    for mu in range(4):
-        if lam_slots[mu] > zero_tol:
-            b_vecs[mu] = G_METRIC @ lam.T @ a_rows[mu] / np.sqrt(lam_slots[mu])
-    known = [b for b in b_vecs if b is not None]
-    filled = iter(complete_g_frame(known, 4 - len(known))) if len(known) < 4 else iter(())
-    b_rows = _g_orthonormalize(
-        np.array([b if b is not None else next(filled) for b in b_vecs])
-    )
+    lam_slots = [lam0] + [c for _, c in space]
+    b_rows = _fill_tetrad([
+        G_METRIC @ lam.T @ a_rows[mu] / np.sqrt(lam_slots[mu]) if lam_slots[mu] > zero_tol else None
+        for mu in range(4)
+    ])
 
     D = a_rows @ lam @ b_rows.T
     for i in (1, 2, 3):
@@ -270,26 +273,16 @@ def type1_canonical(
 #: from a defective double root, fixed only to about sqrt(eps) ~ 1.5e-8.
 _EIGENVALUE_MATCH_REL = 1e-6
 
-#: A kernel direction of the right factor is a usable unit spacelike
-#: column only when its Minkowski Gram eigenvalue is below -this:
-#: normalizing divides by the square root of it.
-_SPACELIKE_GRAM_MIN = 1e-10
-
 #: Floor of the tolerance handed to the neutral-triad completion.  The
 #: triad is read off eigenvectors at a defective double root, which are
 #: G-orthonormal only to about sqrt(eps) ~ 1.5e-8.
 _TRIAD_TOL_FLOOR = 1e-7
 
-#: r1^2 at or below this fraction of max(1, r0) is zero, and the right
-#: factor is solved on the kernel of L_A Lambda.  This puts the cut at
-#: r1 ~ 1e-7, which must sit below the kernel-detection threshold
-#: `_FACTOR_KERNEL_RTOL`, or borderline spectra fall between the routes.
+#: r1^2 at or below this fraction of max(1, r0) is zero: L_A Lambda then
+#: has a two-dimensional kernel, and the right factor's rows 1 and 2 are
+#: free.  This puts the cut at r1 ~ 1e-7.
 _R1_ZERO_REL = 1e-14
 
-#: Rank threshold of the kernel of L_A Lambda when r1 = 0.  The kernel is
-#: two-dimensional in exact arithmetic and known only as well as the
-#: double root that gave r1 = 0.
-_FACTOR_KERNEL_RTOL = 1e-6
 
 def _type2_pattern(r0: float, r1: float) -> np.ndarray:
     return np.array(
@@ -300,41 +293,6 @@ def _type2_pattern(r0: float, r1: float) -> np.ndarray:
             [1.0 - r0, 0.0, 0.0, r0],
         ]
     )
-
-
-def _solve_right_factor(M: np.ndarray, P: np.ndarray, r1_zero: bool) -> np.ndarray:
-    """Solve M X = P for X with G-orthonormal columns (X = right-Lorentz^T).
-
-    For r1 > 0, M is invertible and X = M^-1 P; the Lorentz property is
-    then forced by M G M^T = P G P^T, which holds only as well as the
-    eigenvectors behind M, so X^T takes one Minkowski Gram-Schmidt pass
-    and the caller rechecks the factorization.  For r1 = 0, M has a
-    rank-2 kernel that must supply the middle columns: the outer columns
-    are the unique solutions G-orthogonal to the kernel, which pins X
-    completely up to a kernel-plane reflection fixed by det X.
-    """
-    if not r1_zero:
-        X = _g_orthonormalize(np.linalg.solve(M, P).T).T
-    else:
-        K = null_space_basis(M, rtol=_FACTOR_KERNEL_RTOL)
-        if K.shape[1] != 2:
-            raise NumericalFailure(
-                f"rank-deficient factor solve expected a 2-dim kernel, got {K.shape[1]}"
-            )
-        gram, W = gram_eigenbasis(K)
-        if np.any(gram > -_SPACELIKE_GRAM_MIN):
-            raise NumericalFailure("kernel directions of the factor solve are not spacelike")
-        k = W / np.sqrt(-gram)
-        cols = []
-        for j in (0, 3):
-            x, *_ = np.linalg.lstsq(M, P[:, j], rcond=None)
-            for i in range(2):
-                x = x + g_inner(k[:, i], x) * k[:, i]
-            cols.append(x)
-        X = np.column_stack([cols[0], k[:, 0], k[:, 1], cols[1]])
-        if np.linalg.det(X) < 0:
-            X[:, 2] = -X[:, 2]
-    return X
 
 
 def _arrow_eigenpairs(sys: GEigenSystem) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
@@ -444,15 +402,26 @@ def _arrow_from_triad(
     pattern = _type2_pattern(r0, r1)
     n_scale = math.sqrt(phi0)
     image = left @ work
-    X = _solve_right_factor(image, n_scale * pattern, r1_zero)
-    if not is_orthochronous_proper_lorentz(X.T, tol=max(tol, LORENTZ_TOL_FLOOR)):
+    if r1_zero:
+        # L_A Lambda G = N P G L_B fixes rows 0 and 3 of L_B; rows 1 and 2
+        # may be any unit spacelike pair in ker(L_A Lambda), which is the
+        # G-complement of rows 0 and 3
+        b0 = G_METRIC @ image[0] / n_scale
+        b3 = ((1.0 - r0) * b0 - G_METRIC @ image[3] / n_scale) / r0
+        right = _fill_tetrad([b0, None, None, b3])
+        if np.linalg.det(right) < 0:
+            right[2] = -right[2]
+    else:
+        # L_A Lambda is invertible; the solve is Lorentz only as well as
+        # the eigenvectors behind L_A, hence the pass and the recheck below
+        right = _g_orthonormalize(np.linalg.solve(image, n_scale * pattern).T)
+    if not is_orthochronous_proper_lorentz(right, tol=max(tol, LORENTZ_TOL_FLOOR)):
         raise NumericalFailure(
             "right factor is not a proper orthochronous Lorentz matrix; "
             "the input violates positivity transfer"
         )
-    right = X.T
 
-    achieved = (image @ X) / n_scale
+    achieved = (image @ right.T) / n_scale
     omega_target = np.array(
         [
             [phi0, 0.0, 0.0, phi0 - lam0],
@@ -683,8 +652,14 @@ def sigma_from_bcd(p: SigmaParameters) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class SigmaEquivalenceReport:
     """Agreement between closed-form factorizations of Sigma(b,c,d) and
-    the general pipeline; falsy when any check exceeded its tolerance."""
+    the general pipeline; falsy when any check exceeded its tolerance.
+    Carries the closed forms compared: the doubly degenerate eigenvalues
+    lam0 and lam1, and the B-side parameters s0 and s1."""
 
+    lam0: float
+    lam1: float
+    s0: float
+    s1: float
     eigenvalue_residual: float
     b_side_residual: float
     a_side_residual: float
@@ -795,6 +770,10 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     ratio_res = float(abs(ratio_pipeline - lam1 / lam0))
 
     return SigmaEquivalenceReport(
+        lam0=lam0,
+        lam1=lam1,
+        s0=s0,
+        s1=float(abs(s1)),
         eigenvalue_residual=ev_res,
         b_side_residual=b_res,
         a_side_residual=a_res,

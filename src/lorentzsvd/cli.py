@@ -143,14 +143,11 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
 
 def _run_sigma(b: float, c: float, d: float, tol: float) -> tuple[str, bool]:
     report = sigma_equivalence_check(SigmaParameters(b, c, d), tol)
-    lam0 = (1.0 + c) * (1.0 - b)
-    s0 = (1.0 - b) / (1.0 - c)
-    s1 = abs(d) / np.sqrt(1.0 - c * c)
     lines = [
         f"sigma(b={format_float(b)}, c={format_float(c)}, d={format_float(d)})",
         "eigenvalues (each doubly degenerate): "
-        f"{format_float(lam0)}, {format_float(d * d)}",
-        f"closed-form s0={format_float(s0)}  s1={format_float(s1)}",
+        f"{format_float(report.lam0)}, {format_float(report.lam1)}",
+        f"closed-form s0={format_float(report.s0)}  s1={format_float(report.s1)}",
         f"eigenvalue residual:   {format_float(report.eigenvalue_residual)}",
         f"B-side closed form:    {format_float(report.b_side_residual)}",
         f"A-side closed form:    {format_float(report.a_side_residual)}",
@@ -327,11 +324,17 @@ def main(argv: list[str] | None = None) -> int:
             text, ok = _run_sigma(args.b, args.c, args.d, tol)
             _write_output(text, args.output)
             return 0 if ok else 4
-        extra = {"side": args.side, "samples": args.samples} if args.command == "ellipsoid" else {}
-        if getattr(args, "batch", None):
+        extra = {"side": args.side} if args.command == "ellipsoid" else {}
+        if args.batch:
+            # each file's output goes beside it, and no batch file samples a surface
+            flags = {"-o": args.output, "--csv": getattr(args, "csv", None),
+                     "--samples": getattr(args, "samples", None)}
+            given = [flag for flag, value in flags.items() if value is not None]
+            if given:
+                raise InputFormatError(f"--batch takes no {', '.join(given)}")
             return _run_batch(args.command, args.batch, tol, extra)
         if args.command == "ellipsoid":
-            extra["csv_path"] = args.csv
+            extra.update(samples=args.samples, csv_path=args.csv)
         text, code = _run_state_command(args.command, args.input, tol, **extra)
         _write_output(text, args.output)
         return code

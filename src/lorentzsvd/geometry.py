@@ -119,22 +119,6 @@ def surface_residuals(points: np.ndarray, ellipsoid: SteeringEllipsoid) -> np.nd
     return np.abs(quad - 1.0)
 
 
-def fit_axis_aligned_ellipsoid(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares axis-aligned ellipsoid with center on the z axis.
-
-    Fits alpha x^2 + beta y^2 + gamma z^2 + delta z = 1 and converts to
-    (center, semi_axes).  Only meaningful for nondegenerate surfaces.
-    """
-    pts = np.asarray(points, dtype=float)
-    design = np.column_stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2, pts[:, 2]])
-    coef, *_ = np.linalg.lstsq(design, np.ones(len(pts)), rcond=None)
-    alpha, beta, gamma, delta = coef
-    z0 = -delta / (2.0 * gamma)
-    kappa = 1.0 + gamma * z0 * z0
-    semi = np.sqrt(kappa / np.array([alpha, beta, gamma]))
-    return np.array([0.0, 0.0, z0]), semi
-
-
 def points_to_csv(points: np.ndarray) -> str:
     lines = ["x,y,z"]
     for p in np.atleast_2d(points):

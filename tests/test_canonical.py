@@ -454,8 +454,8 @@ def test_partner_triad_is_a_b_side_eigenvector_triad(d):
     """The partner's neutral triad, rows 0 + 3, 1 and 2 of side A's right
     factor L_B, is G-orthonormal, made of eigenvectors of G Omega_B at
     side A's eigenvalues, and its null row is a B solve's null ray.  d = 0
-    gives a double zero eigenvalue, where rows 1 and 2 come from the
-    kernel of the right-factor solve."""
+    gives a double zero eigenvalue, where the factorization fixes only
+    rows 0 and 3 and `complete_g_frame` fills rows 1 and 2."""
     gen = rng(29)
     rho = rho_from_lambda(sigma_from_bcd(SigmaParameters(0.5, 0.1, d))[0])
     for _ in range(5):
@@ -492,13 +492,15 @@ def test_carried_partner_matches_a_b_side_solve(slocc_seed):
         assert abs(partner.parameters[key] - solved.parameters[key]) <= 1e-8
 
 
-def test_carried_partner_on_the_r1_zero_route():
+@pytest.mark.parametrize("rapidity", [0.7, 1.5])
+def test_carried_partner_on_the_r1_zero_route(rapidity):
     """Sigma(0.5, 0.1, 0) has a double zero eigenvalue; side A's right
-    factor takes its middle rows from the kernel of L_A Lambda, and the
+    factor takes rows 0 and 3 from the factorization and fills rows 1 and
+    2, its free pair in ker(L_A Lambda), by frame completion, and the
     partner reads them from there."""
     _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.0))
     gen = rng(3)
-    moved = apply_slocc(rho, random_sl2c(gen, 0.7), random_sl2c(gen, 0.7))
+    moved = apply_slocc(rho, random_sl2c(gen, rapidity), random_sl2c(gen, rapidity))
     lam = lambda_from_rho(moved)
     res = canonicalize(moved)
     assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)

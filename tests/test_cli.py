@@ -447,7 +447,9 @@ def test_missing_file_exits_one(capsys):
 def test_tolerance_must_be_positive(tmp_path, capsys, monkeypatch):
     """A tolerance must be finite and positive, from --tol or CANON_TOL.
     At inf a rank-3 state once came out DegenerateProduct, and nan
-    compares false against every check.  A refused batch writes nothing."""
+    compares false against every check.  A refused batch writes nothing:
+    neither a bad tolerance nor an output flag that --batch would ignore
+    (-o, --csv, --samples) touches a file."""
     doc = state_document(rho=random_state(3, seed=7))
     path = write_state(tmp_path, "rank3.json", doc)
     batch = tmp_path / "states"
@@ -462,6 +464,20 @@ def test_tolerance_must_be_positive(tmp_path, capsys, monkeypatch):
                 code, out, err = run([command, *target, *tol_args], capsys)
                 assert code == 1 and out == "", (command, target, tol_args, env)
                 assert json.loads(err)["error"] == "InputFormatError"
+    monkeypatch.delenv("CANON_TOL")
+    ignored = tmp_path / "ignored.out"
+    for command, flags in [
+        ("canonicalize", ["-o", str(ignored)]),
+        ("ellipsoid", ["-o", str(ignored)]),
+        ("ellipsoid", ["--csv", str(ignored)]),
+        ("ellipsoid", ["--samples", "5"]),
+        ("ellipsoid", ["--samples", "5", "--csv", str(ignored), "-o", str(ignored)]),
+    ]:
+        code, out, err = run([command, "--batch", str(batch), *flags], capsys)
+        assert code == 1 and out == "", (command, flags)
+        blob = json.loads(err)
+        assert blob["error"] == "InputFormatError" and flags[0] in blob["message"]
+    assert not ignored.exists()
     assert [p.name for p in batch.iterdir()] == ["rank3.json"]
 
 

@@ -19,7 +19,6 @@ from lorentzsvd.geometry import (
     GeometryFamily,
     ellipsoid_json_dict,
     fibonacci_sphere,
-    fit_axis_aligned_ellipsoid,
     points_to_csv,
     sample_steered_surface,
     steering_ellipsoid,
@@ -110,6 +109,22 @@ def test_degenerate_product_has_no_geometry():
     rho[0, 0] = 1.0
     with pytest.raises(DegenerateProductGeometry):
         steering_ellipsoid(canonicalize(rho))
+
+
+def fit_axis_aligned_ellipsoid(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares axis-aligned ellipsoid with center on the z axis.
+
+    Fits alpha x^2 + beta y^2 + gamma z^2 + delta z = 1 and converts to
+    (center, semi_axes).  Only meaningful for nondegenerate surfaces.
+    """
+    pts = np.asarray(points, dtype=float)
+    design = np.column_stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2, pts[:, 2]])
+    coef, *_ = np.linalg.lstsq(design, np.ones(len(pts)), rcond=None)
+    alpha, beta, gamma, delta = coef
+    z0 = -delta / (2.0 * gamma)
+    kappa = 1.0 + gamma * z0 * z0
+    semi = np.sqrt(kappa / np.array([alpha, beta, gamma]))
+    return np.array([0.0, 0.0, z0]), semi
 
 
 def test_least_squares_fit_recovers_parameters():
