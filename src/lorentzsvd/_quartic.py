@@ -1,8 +1,9 @@
 """The spectrum of the indefinite eigenproblem, with its clusters.
 
 det(Omega - lambda * G) is a quartic in lambda whose roots are the
-eigenvalues of G @ Omega.  They come from LAPACK (`np.linalg.eigvals`),
-which is backward stable.  A single eigenvalue of a defective cluster is
+eigenvalues of G @ Omega.  They come from LAPACK (`np.linalg.eig`),
+which is backward stable, together with an eigenvector per simple real
+root.  A single eigenvalue of a defective cluster is
 conditioned like the square root of the perturbation, but the cluster's
 mean moves only linearly with it (Kato; Stewart & Sun), so roots are
 reported as cluster means.  Rounding splits the defective double root
@@ -119,6 +120,9 @@ class QuarticRoots:
     values: np.ndarray          # distinct roots, ascending
     multiplicities: np.ndarray  # matching multiplicities, sum = 4
     imag_residue: float         # largest imaginary part of a closed conjugate pair
+    #: per cluster, the unit eigenvector of a cluster that is one real
+    #: root, as LAPACK returns it; None for every other cluster
+    vectors: list[np.ndarray | None]
 
 
 def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots:
@@ -128,15 +132,18 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
     within `_PAIR_CLOSURE_REL` times sum_k |c_k| max(1, |v|)^k, c being
     `charpoly_g(omega)` (built only when a pair appears); otherwise it
     raises NumericalFailure.  Neighbouring roots no more than
-    cluster_radius apart then merge into one cluster at their mean.
+    cluster_radius apart then merge into one cluster at their mean.  A
+    cluster that is one real root keeps LAPACK's eigenvector.
     """
     omega = np.asarray(omega, dtype=float)
-    roots: list[tuple[float, int]] = []
+    w, vecs = np.linalg.eig(G_METRIC @ omega)
+    # (root, multiplicity, eigenvector column or None)
+    roots: list[tuple[float, int, int | None]] = []
     imag_residue = 0.0
     c = None
-    for z in np.linalg.eigvals(G_METRIC @ omega).tolist():
+    for col, z in enumerate(w.tolist()):
         if z.imag == 0.0:
-            roots.append((z.real, 1))
+            roots.append((z.real, 1, col))
         elif z.imag > 0.0:
             # LAPACK returns each pair as exact conjugates, so z.real is
             # its mean; the partner with z.imag < 0 is skipped
@@ -148,21 +155,27 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
             if abs(polyval(c, v)) > _PAIR_CLOSURE_REL * terms:
                 raise NumericalFailure(f"complex eigenvalue pair with imaginary part {z.imag:.3e}")
             imag_residue = max(imag_residue, z.imag)
-            roots.append((v, 2))
+            roots.append((v, 2, None))
 
     values: list[float] = []
     mults: list[int] = []
-    for r, m in sorted(roots):
+    columns: list[int | None] = []
+    for r, m, col in sorted(roots, key=lambda root: root[:2]):
         if values and r - last <= cluster_radius:
             tot = mults[-1] + m
             values[-1] = (values[-1] * mults[-1] + r * m) / tot
             mults[-1] = tot
+            columns[-1] = None
         else:
             values.append(r)
             mults.append(m)
+            columns.append(col)
         last = r
+    # the real part: a real eigenvalue's column has zero imaginary part
+    # also when a conjugate pair makes LAPACK return complex columns
     return QuarticRoots(
         values=np.array(values),
         multiplicities=np.array(mults, dtype=int),
         imag_residue=imag_residue,
+        vectors=[None if col is None else vecs[:, col].real for col in columns],
     )

@@ -17,18 +17,19 @@ G-eigensystem of Omega_A = Lambda G Lambda^T:
 * degenerate product family: the top eigenvalue vanishes and no
   00-normalizable canonical form exists.
 
-The left matrices come from eigenvector tetrads; the right matrices are
-then forced by the factorization.  The TypeI right factor is the left
-tetrad transported through Lambda; the TypeII one is solved from
-L_A Lambda L_B^T = N Lambda^c, or at r1 = 0, where half of it is free,
-read off rows 0 and 3 of that equation.  The TypeI tetrads and the
-r1 = 0 right factor are finished one way (`_fill_tetrad`): the slots
-nothing fixes are filled by `complete_g_frame`, then one Minkowski
-Gram-Schmidt pass.  Residual
-gauge freedom in the non-diagonalizable family (the null top eigenvector
-has no preferred scale) is pinned by a fixed rule, documented at the
-gauge boost in `type2_canonical`, chosen so that canonical inputs
-reproduce their own parameters exactly.
+The TypeI factors need the timelike top eigenvector a alone: a boost
+takes a to the time axis on side A, and another its image through
+Lambda on side B, after which the SVD of the remaining 3x3 block gives
+the two rotations (as Rao et al. treat Mueller matrices, J. Mod. Opt.
+45, 955 (1998)).  The TypeII left matrix comes from an eigenvector
+tetrad; its right matrix is then forced by the factorization, solved
+from L_A Lambda L_B^T = N Lambda^c, or at r1 = 0, where half of it is
+free, read off rows 0 and 3 of that equation with rows 1 and 2 filled
+by `complete_g_frame`; either takes one Minkowski Gram-Schmidt pass.
+Residual gauge freedom in the non-diagonalizable family (the null top
+eigenvector has no preferred scale) is pinned by a fixed rule,
+documented at the gauge boost in `type2_canonical`, chosen so that
+canonical inputs reproduce their own parameters exactly.
 """
 
 from __future__ import annotations
@@ -131,15 +132,6 @@ def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_tetrad(rows: list[np.ndarray | None]) -> np.ndarray:
-    """Tetrad from four rows, ``None`` in the slots nothing fixes: each
-    free slot takes the next `complete_g_frame` vector, in slot order,
-    then the rows take one `_g_orthonormalize` pass."""
-    known = [r for r in rows if r is not None]
-    filled = iter(complete_g_frame(known, 4 - len(known)) if len(known) < 4 else ())
-    return _g_orthonormalize(np.array([r if r is not None else next(filled) for r in rows]))
-
-
 #: Floor of the tolerance on the factorization residual
 #: |L_A Lambda L_B^T / N - Lambda^c| of a result, rechecked once both
 #: factors are final.  An arrow result is known only as well as the
@@ -155,14 +147,37 @@ def _check_factorization(residual: float, tol: float) -> None:
         raise NumericalFailure(f"factorization residual {residual:.3e} exceeds {bound:.1e}")
 
 
+def _pipeline_rho(build, *params, tol: float) -> np.ndarray:
+    """Canonical state of parameters the pipeline computed, by ``build``
+    (`canonical_rho_type1` or `canonical_rho_type2`).  Outside the region
+    they are a numerical failure of the factorization (exit 3), not the
+    malformed input InvalidCanonicalParameters reports (exit 1)."""
+    try:
+        return build(*params, tol=max(tol, PIPELINE_PARAMETER_FLOOR))
+    except InvalidCanonicalParameters as exc:
+        raise NumericalFailure(f"computed canonical form is not a state: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # diagonal (TypeI) construction
 
 #: Floor of the tolerance, relative to max(1, max |D|), on the off-diagonal
-#: entries of D = L_A Lambda L_B^T.  D is built from the two tetrads and
-#: inherits their defect, which `LORENTZ_TOL_FLOOR` bounds at the same
-#: value.
+#: entries of D = L_A Lambda L_B^T.  The SVD makes D's 3x3 block diagonal
+#: to rounding; row 0 and column 0 are off by the error of the top
+#: eigenvector, which strongly filtered states carry far above eps.
 _DIAGONAL_TOL_FLOOR = 1e-8
+
+
+def _boost(x: np.ndarray) -> np.ndarray:
+    """The symmetric boost [[g, p^T], [p, I + p p^T / (1 + g)]] whose row 0
+    is the unit future timelike x = (g, p); it takes x to the time axis."""
+    # on Python floats, which take half the time of numpy's outer product here
+    g, *p = x.tolist()
+    rows = [[g, *p]]
+    for i, pi in enumerate(p):
+        rows.append([pi] + [pi * pj / (1.0 + g) + (1.0 if i == j else 0.0)
+                            for j, pj in enumerate(p)])
+    return np.array(rows)
 
 
 def type1_canonical(
@@ -170,46 +185,48 @@ def type1_canonical(
     sys_a: GEigenSystem,
     tol: float = DEFAULT_TOL,
 ) -> CanonicalResult:
-    """Diagonal canonical form from the timelike eigenvector tetrad.
+    """Diagonal canonical form from the timelike top eigenvector a.
 
-    ``sys_a`` is the eigensystem of Omega_A; the B side needs no solve of
-    its own.  The A-side tetrad is read off the eigensystem (timelike
-    leg first, spacelike legs in descending eigenvalue order); the B-side
-    tetrad is transported through Lambda itself, b = G Lambda^T a /
-    sqrt(l), which lands on eigenvectors of the B-side form with matched
-    ordering.  A B side of another family shows up in the transported
-    tetrad: a row loses its causal character, the tetrad fails the
-    Lorentz-group check, or Lambda does not come out diagonal.
-    Signs are then fixed: both determinants +1, the first three diagonal
-    entries non-negative, leaving the last diagonal sign equal to
-    sgn(det Lambda).
+    ``sys_a`` is the eigensystem of Omega_A; only its eigenvalues and a
+    are read.  The B-side time leg is b = G Lambda^T a / sqrt(lam0).  In
+    the frames of the boosts B(a), B(b), Lambda keeps its row 0 and
+    column 0 on the time axis, and the SVD U S V^T of its 3x3 block gives
+    L_A = diag(1, U^T) B(a) and L_B = diag(1, V^T) B(b), each rotation
+    made proper by negating its last row.  A B side of another family
+    shows up as a b that is not future timelike or a Lambda that does not
+    come out diagonal.  Signs are then fixed: the first three diagonal
+    entries non-negative and det L_B = +1, leaving the last diagonal sign
+    equal to sgn(det Lambda).  The canonical diagonal and the parameters
+    are the eigenvalue ratios sqrt(l_i / l_0).
     """
     lam = np.asarray(lam, dtype=float)
     family = classify_canonical_type(sys_a)
     if family is not CanonicalFamily.TYPE_I:
         raise NotTypeI(f"side A classifies as {family.value}")
     lam0 = float(sys_a.eigenvalues[0])
-    scale = max(1.0, lam0)
-    zero_tol = max(tol, TRANSPORT_ZERO_REL) * scale
+    zero_tol = max(tol, TRANSPORT_ZERO_REL) * max(1.0, lam0)
     if lam0 <= zero_tol:
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
 
-    rows = list(zip(sys_a.eigenvectors, sys_a.vector_eigenvalues.tolist(), sys_a.norms.tolist()))
-    timelike = [v for v, _, n in rows if n == 1]
+    timelike = [v for v, n in zip(sys_a.eigenvectors, sys_a.norms.tolist()) if n == 1]
     if len(timelike) != 1:
         raise NotTypeI(f"expected exactly one timelike eigenvector, found {len(timelike)}")
-    space = [(v, c) for v, c, n in rows if n == -1]
-    # a missing spacelike leg belongs to eigenvalue 0; `_fill_tetrad` completes it
-    space += [(None, 0.0)] * (3 - len(space))
-
-    a_rows = _fill_tetrad([timelike[0]] + [v for v, _ in space])
-    if np.linalg.det(a_rows) < 0:
-        a_rows[3] = -a_rows[3]
-    lam_slots = [lam0] + [c for _, c in space]
-    b_rows = _fill_tetrad([
-        G_METRIC @ lam.T @ a_rows[mu] / np.sqrt(lam_slots[mu]) if lam_slots[mu] > zero_tol else None
-        for mu in range(4)
-    ])
+    a = timelike[0]
+    b = G_METRIC @ lam.T @ a
+    bb = float(b @ G_METRIC @ b)
+    if not (bb > 0.0 and b[0] > 0.0):
+        raise NumericalFailure(
+            f"transported time leg is not future timelike "
+            f"(Minkowski norm {bb:.3e}, time component {b[0]:.3e})"
+        )
+    a_rows, b_rows = _boost(a), _boost(b / math.sqrt(bb))
+    u, _, r_b = np.linalg.svd((a_rows @ lam @ b_rows.T)[1:, 1:])
+    r_a = u.T
+    for r in (r_a, r_b):
+        if np.linalg.det(r) < 0:
+            r[2] = -r[2]
+    a_rows[1:] = r_a @ a_rows[1:]
+    b_rows[1:] = r_b @ b_rows[1:]
 
     D = a_rows @ lam @ b_rows.T
     for i in (1, 2, 3):
@@ -245,9 +262,7 @@ def type1_canonical(
         "factorization": float(np.abs(D / n_scale - canon).max()),
         "omegaCanonical": float(np.abs(a_rows @ sys_a.omega @ a_rows.T - omega_target).max()),
     }
-    rho_c = canonical_rho_type1(
-        ratios[1], ratios[2], det_sign * ratios[3], tol=max(tol, PIPELINE_PARAMETER_FLOOR)
-    )
+    rho_c = _pipeline_rho(canonical_rho_type1, ratios[1], ratios[2], det_sign * ratios[3], tol=tol)
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
     # last, so every refusal above keeps its own message
     _check_factorization(residuals["factorization"], tol)
@@ -405,10 +420,10 @@ def _arrow_from_triad(
     if r1_zero:
         # L_A Lambda G = N P G L_B fixes rows 0 and 3 of L_B; rows 1 and 2
         # may be any unit spacelike pair in ker(L_A Lambda), which is the
-        # G-complement of rows 0 and 3
+        # G-complement of rows 0 and 3: their frame completion
         b0 = G_METRIC @ image[0] / n_scale
         b3 = ((1.0 - r0) * b0 - G_METRIC @ image[3] / n_scale) / r0
-        right = _fill_tetrad([b0, None, None, b3])
+        right = _g_orthonormalize(np.array([b0, *complete_g_frame([b0, b3], 2), b3]))
         if np.linalg.det(right) < 0:
             right[2] = -right[2]
     else:
@@ -440,13 +455,13 @@ def _arrow_from_triad(
 
     if side == "A":
         canon = pattern
-        rho_c = canonical_rho_type2(r0, r1, "A", tol=max(tol, PIPELINE_PARAMETER_FLOOR))
+        rho_c = _pipeline_rho(canonical_rho_type2, r0, r1, "A", tol=tol)
         params = {"r0": float(r0), "r1": float(r1), "phi0": float(phi0)}
         left_out, right_out = left, right
     else:
         # transpose the factorization back: right and left swap roles
         canon = pattern.T
-        rho_c = canonical_rho_type2(r0, r1, "B", tol=max(tol, PIPELINE_PARAMETER_FLOOR))
+        rho_c = _pipeline_rho(canonical_rho_type2, r0, r1, "B", tol=tol)
         params = {"s0": float(r0), "s1": float(r1), "chi0": float(phi0)}
         left_out, right_out = right, left
     residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
@@ -480,7 +495,8 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """
     lam = lambda_from_rho(rho, tol)
     pair = omega_matrices(lam)
-    return _factor_solved(lam, g_eigensystem(pair.omega_a, tol), pair.omega_b, tol)
+    sys_a = g_eigensystem(pair.omega_a, tol, _stop_at_timelike_top=True)
+    return _factor_solved(lam, sys_a, pair.omega_b, tol)
 
 
 def _factor_solved(

@@ -119,6 +119,9 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
         steering_ellipsoid,
     )
 
+    if (samples is None) != (csv_path is None):
+        given, missing = ("--samples", "--csv") if csv_path is None else ("--csv", "--samples")
+        raise InputFormatError(f"{given} needs {missing}: --samples and --csv go together")
     if samples is not None and samples < 1:
         raise InputFormatError(f"--samples must be at least 1, got {samples}")
     doc = loads_json(_read_text(path))
@@ -132,7 +135,7 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
         if side == "B" and result.partner is not None:
             result = result.partner
     ell = steering_ellipsoid(result)
-    if samples is not None and csv_path:
+    if samples is not None:
         direction = "AtoB" if ell.family.value == "TypeII_B" else "BtoA"
         points = sample_steered_surface(result.canonical_lambda, direction, samples)
         Path(csv_path).write_text(points_to_csv(points), encoding="utf-8")
@@ -295,8 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ell = add_state_command("ellipsoid", "write steering-ellipsoid geometry")
     p_ell.add_argument("--side", choices=("A", "B"), default="A")
     p_ell.add_argument("--samples", type=int, default=None,
-                       help="sample this many surface points into the --csv file")
-    p_ell.add_argument("--csv", default=None, help="CSV file for sampled points")
+                       help="sample this many surface points into the --csv file "
+                            "(needs --csv)")
+    p_ell.add_argument("--csv", default=None,
+                       help="CSV file for the sampled points (needs --samples)")
     add_state_command("verify", "run the self-check suite on a state")
 
     p_sig = sub.add_parser("sigma", help="closed-form vs pipeline comparison")

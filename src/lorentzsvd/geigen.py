@@ -9,9 +9,11 @@ share the spectrum of the non-symmetric operator G @ Omega, and that
 spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
-The spectrum comes from LAPACK as cluster means (`_quartic`), the
-eigenvectors from null spaces at the cluster centres.  `canonical`
-reads a TypeI or TypeII side B off side A, so it solves one form only.
+The spectrum comes from LAPACK as cluster means (`_quartic`); a cluster
+that is one real root takes LAPACK's eigenvector from the same call, and
+every other cluster a null space at its centre.  `canonical` reads a
+TypeI or TypeII side B off side A, so it solves one form only, and of a
+TypeI side A only the top cluster.
 """
 
 from __future__ import annotations
@@ -114,7 +116,9 @@ class GEigenSystem:
     eigenvalue ``vector_eigenvalues[i]`` (its cluster center) and is
     normalized so its Minkowski norm is +1, 0 or -1 (``norms[i]``).  A
     defective cluster has fewer rows than its algebraic multiplicity;
-    the shortfall is the condition report's ``defect``.
+    the shortfall is the condition report's ``defect``.  A system solved
+    for `canonicalize` that stopped after a timelike top cluster holds
+    that cluster's rows, clusters entry and residuals only.
     """
 
     eigenvalues: np.ndarray
@@ -222,13 +226,21 @@ def _rediagonalize_cluster(omega: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return wn
 
 
-def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
+def g_eigensystem(
+    omega: np.ndarray, tol: float = DEFAULT_TOL, *, _stop_at_timelike_top: bool = False
+) -> GEigenSystem:
     """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form.
 
-    Eigenvalues come from ``np.linalg.eigvals`` as cluster means;
-    eigenvectors from null spaces at the cluster centres, G-normalized to
-    norm +1/0/-1 with a deterministic sign.  ``tol`` plays no part in
-    root finding.  Raises NumericalFailure on entries that are not
+    Eigenvalues come from ``np.linalg.eig`` as cluster means; the
+    eigenvector of a cluster that is one real root from the same call,
+    those of every other cluster from null spaces at the cluster centres,
+    all G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
+    plays no part in root finding.  Clusters are solved top first;
+    `canonicalize` alone passes ``_stop_at_timelike_top``, which ends the
+    solve after a top cluster above ``tol`` that holds a timelike
+    direction: the TypeI construction reads nothing else.  Such a system
+    has all four eigenvalues but the rows, clusters and residuals of the
+    top cluster only.  Raises NumericalFailure on entries that are not
     finite, or when a complex eigenvalue pair is not a double root within
     the characteristic quartic's rounding (input violating the
     positivity-transfer precondition), and
@@ -267,9 +279,10 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     trace = abs(float(np.trace(k_op)))
     quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
     # distinct cluster means, largest first
-    ordered = sorted(zip(quartic.values.tolist(), quartic.multiplicities.tolist()), reverse=True)
-    centers = [center for center, _ in ordered]
-    mults = [mult for _, mult in ordered]
+    ordered = list(zip(quartic.values.tolist(), quartic.multiplicities.tolist(),
+                       quartic.vectors))[::-1]
+    centers = [center for center, _, _ in ordered]
+    mults = [mult for _, mult, _ in ordered]
 
     vectors: list[np.ndarray] = []
     norms: list[int] = []
@@ -278,10 +291,13 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     gram_top = np.zeros(0)
     k_rows = k_op.tolist()
 
-    for ci, (center, mult) in enumerate(ordered):
-        gap = min((abs(c - center) for k, c in enumerate(centers) if k != ci),
-                  default=math.inf)
-        basis = _cluster_vectors(k_rows, center, mult, gap, max(trace, SCALE_FLOOR))
+    for ci, (center, mult, vector) in enumerate(ordered):
+        if vector is not None:
+            basis = vector[:, None]
+        else:
+            gap = min((abs(c - center) for k, c in enumerate(centers) if k != ci),
+                      default=math.inf)
+            basis = _cluster_vectors(k_rows, center, mult, gap, max(trace, SCALE_FLOOR))
         clusters.append((center, mult, basis.shape[1]))
 
         w = _rediagonalize_cluster(omega, basis)
@@ -316,6 +332,8 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
             norms.append(cls)
             r = k_op @ x - center * x
             residuals.append(math.sqrt(r.dot(r)))
+        if _stop_at_timelike_top and ci == 0 and center > tol and entries[0][0] == 1:
+            break
 
     dims = [dim for _, _, dim in clusters]
     top_classes = norms[: dims[0]]
@@ -332,7 +350,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     return GEigenSystem(
         eigenvalues=np.repeat(centers, mults),
         eigenvectors=np.array(vectors),
-        vector_eigenvalues=np.repeat(centers, dims),
+        vector_eigenvalues=np.repeat(centers[: len(dims)], dims),
         norms=np.array(norms, dtype=int),
         top_class=top_class,
         clusters=tuple(clusters),

@@ -51,19 +51,18 @@ LORENTZ_TOL_FLOOR = 1e-8
 #: 1e-16 relative, four orders below.
 ZERO_REL = 1e-12
 
-#: An eigenvalue at or below this fraction of max(1, top eigenvalue), or
-#: ``tol`` when larger, is zero for the TypeI transport through Lambda:
-#: mapping an eigenvector of side A onto side B divides its noise by the
-#: square root of the eigenvalue, so below ~1e-7 the mapped vector loses
-#: G-orthonormality at working precision.  A TypeI leg at such a slot
-#: comes from frame completion, and a top eigenvalue that small has no
-#: usable scale at all.
+#: A TypeI top eigenvalue at or below this fraction of max(1, itself), or
+#: ``tol`` when larger, is zero: mapping the timelike eigenvector of side
+#: A onto side B through Lambda divides its noise by the square root of
+#: the eigenvalue, so below ~1e-7 the mapped leg is lost at working
+#: precision, and a top eigenvalue that small has no usable scale at all.
 TRANSPORT_ZERO_REL = 1e-7
 
-#: Floor of the tolerance on the arrow parameter region 0 <= p1^2 <= p0 <= 1
-#: for parameters the pipeline computed, in `canonicalize` and when a
-#: report is read back; they are eigenvalue ratios, which near a
-#: defective double root are accurate only to about sqrt(eps) ~ 1.5e-8.
+#: Floor of the tolerance on the canonical parameter region (Bell weights
+#: >= 0; 0 <= p1^2 <= p0 <= 1) for parameters the pipeline computed, in
+#: `canonicalize` and when a report is read back; they are eigenvalue
+#: ratios, which near a defective double root are accurate only to about
+#: sqrt(eps) ~ 1.5e-8.
 PIPELINE_PARAMETER_FLOOR = 1e-8
 
 #: Least value a scale may take before it divides something or multiplies

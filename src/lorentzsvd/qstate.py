@@ -12,6 +12,7 @@ about rho become Minkowski-space questions about Lambda.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,13 +81,13 @@ class ValidityReport:
         )
 
 
-def _hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of m, NaN when entries near the
-    float range overflow it and LAPACK gives up."""
+def _hermitian_eigenvalues(m: np.ndarray) -> list[float]:
+    """Ascending eigenvalues of the Hermitian part of m, NaN when entries
+    near the float range overflow it and LAPACK gives up."""
     try:
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        return np.linalg.eigvalsh(0.5 * (m + m.conj().T)).tolist()
     except np.linalg.LinAlgError:
-        return np.full(m.shape[0], np.nan)
+        return [math.nan] * m.shape[0]
 
 
 def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -101,16 +102,22 @@ def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
     # entries near the float range overflow to inf or NaN, which the
     # report counts as invalid; that is not worth a warning on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = float(np.abs(rho - rho.conj().T).max())
-        tr = complex(np.trace(rho))
-        trace_defect = abs(tr - 1.0)
+        gaps = np.abs(rho - rho.conj().T).ravel().tolist()
         evals = _hermitian_eigenvalues(rho)
-    top = float(evals.max())
-    rank = int(np.sum(evals > _RANK_REL * max(top, 0.0))) if top > 0 else 0
+    # the reductions run on Python floats, which cost less than numpy's on
+    # 16 and 4 values; only np.max propagates a NaN among the gaps, and
+    # np.min keeps the last of equal values, so -0.0 after 0.0
+    herm = max(gaps) if math.isfinite(sum(gaps)) else float(np.max(gaps))
+    d = rho.diagonal().tolist()
+    # np.trace's pairwise order, bit for bit
+    tr = (d[0] + d[1]) + (d[2] + d[3])
+    top = max(evals)
+    cut = _RANK_REL * max(top, 0.0)
+    rank = sum(v > cut for v in evals) if top > 0 else 0
     return ValidityReport(
         hermiticity_defect=herm,
-        trace_defect=float(trace_defect),
-        min_eigenvalue=float(evals.min()),
+        trace_defect=abs(tr - 1.0),
+        min_eigenvalue=min(reversed(evals)),
         rank=rank,
         tol=tol,
     )
@@ -139,7 +146,7 @@ def rho_from_lambda(lam: np.ndarray, tol: float = DEFAULT_TOL, validate: bool = 
     # as in `is_valid_state`, overflow to inf or NaN fails validation quietly
     with np.errstate(over="ignore", invalid="ignore"):
         rho = 0.25 * np.einsum("mn,mnij->ij", lam, PAULI_KRON)
-        low = float(_hermitian_eigenvalues(rho).min()) if validate else 0.0
+        low = min(reversed(_hermitian_eigenvalues(rho))) if validate else 0.0
     if not low >= -tol:  # NaN fails too
         raise NotAState(
             f"Lambda is not the parametrization of any state (min eigenvalue {low:.3e})"

@@ -22,6 +22,7 @@ from lorentzsvd.canonical import (
     CanonicalResult,
     SideFamily,
     SigmaParameters,
+    _pipeline_rho,
     canonical_rho_type1,
     canonical_rho_type2,
     canonicalize,
@@ -30,7 +31,6 @@ from lorentzsvd.canonical import (
     type2_canonical,
 )
 from lorentzsvd.errors import (
-    DegenerateCompletion,
     InvalidCanonicalParameters,
     InvalidSigmaParameters,
     InvalidState,
@@ -39,7 +39,7 @@ from lorentzsvd.errors import (
     NumericalFailure,
 )
 from lorentzsvd.geigen import g_eigensystem, omega_matrices
-from lorentzsvd.minkowski import G_METRIC, is_orthochronous_proper_lorentz
+from lorentzsvd.minkowski import G_METRIC, is_orthochronous_proper_lorentz, lorentz_defect
 from lorentzsvd.qstate import (
     apply_slocc,
     is_valid_state,
@@ -191,11 +191,35 @@ def test_det_sign_survives_strong_filtering():
     )
 
 
-def test_frame_completion_failure_is_typed():
-    # a state filtered at rapidity 4 whose eigenvector legs cannot be
-    # completed to a tetrad (seed found by search)
-    with pytest.raises(DegenerateCompletion, match="indefinite frame") as info:
+def test_not_diagonal_refusal_is_typed():
+    # a state filtered at rapidity 4 (seed found by search) whose boosted
+    # and rotated Lambda keeps an off-diagonal entry of 2.4e-7
+    with pytest.raises(NumericalFailure, match="not diagonal") as info:
         canonicalize(filtered_rank4(191, 4.0))
+    assert info.value.exit_code == 3
+
+
+#: Lambda of case 484 of the hard-inputs benchmark corpus at seed 7, a
+#: rank-4 state filtered at rapidity 3.5 whose three small eigenvalues
+#: merge into one cluster; their ratio to the top, 0.378958 three times,
+#: gives a Bell weight of -3.4e-2.  The pipeline computed these
+#: parameters, so leaving the region is its numerical failure (exit 3),
+#: not malformed input (exit 1)
+REGION_MISS_LAMBDA = [
+    [1.0, 0.07603981183914918, -0.42196030900454273, -0.9027512064948828],
+    [-0.24007938827232395, -0.01836828161693753, 0.10130575557763105, 0.21672575227043728],
+    [0.0019412346058475297, 1.775489131023919e-05, -0.0007942091407391631, -0.0017707050685559199],
+    [0.9706491378506836, 0.07377988710263958, -0.4095754419732336, -0.8762560152544894],
+]
+
+
+def test_computed_parameters_outside_the_region_are_a_numerical_failure():
+    with pytest.raises(NumericalFailure, match="Bell weight") as info:
+        canonicalize(rho_from_lambda(np.array(REGION_MISS_LAMBDA)))
+    assert info.value.exit_code == 3
+    # the arrow construction's region check refuses the same way
+    with pytest.raises(NumericalFailure, match="arrow parameters") as info:
+        _pipeline_rho(canonical_rho_type2, 1.5, 0.5, "A", tol=1e-10)
     assert info.value.exit_code == 3
 
 
@@ -559,7 +583,7 @@ def test_eps_mixed_sigma_closes_its_split_double_root(eps):
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     """The two Omega forms built once and one eigensolve: the TypeI B
-    tetrad and the TypeII B eigenvectors both come from Lambda.  Only a
+    time leg and the TypeII B eigenvectors both come from Lambda.  Only a
     cluster of two or more dimensions takes Gram eigensolves (`eigh`):
     none on a rank-3 or rank-4 TypeI state, whose four roots are simple,
     and two for the spacelike pair of a TypeII state."""
@@ -577,6 +601,43 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     assert canonicalize(rho).family is family
     eighs = 0 if family is SideFamily.TYPE_I else 2
     assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "eigh": eighs}
+
+
+TOP_VECTOR_STATES = [(rank, random_state(rank, seed=seed)) for rank in (1, 2, 3, 4)
+                     for seed in range(12)] + [
+    (4, filtered_rank4(seed, rapidity)) for rapidity in (0.7, 1.5) for seed in range(12)]
+
+
+def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
+    """One boost per side and a 3x3 SVD: both factors are Lorentz to
+    rounding, the canonical diagonal and the parameters are the
+    eigenvalue formulas, and a rank-3 or rank-4 state reads no eigenvector
+    but the top one, completes no frame and polishes no tetrad."""
+    import lorentzsvd.canonical as canonical
+    import lorentzsvd.geigen as geigen
+
+    calls = {"null_space_basis": 0, "complete_g_frame": 0, "_g_orthonormalize": 0}
+    targets = {"null_space_basis": geigen, "complete_g_frame": canonical,
+               "_g_orthonormalize": canonical}
+    for name, module in targets.items():
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for rank, rho in TOP_VECTOR_STATES:
+        calls.update(dict.fromkeys(calls, 0))
+        res = canonicalize(rho)
+        assert res.family is SideFamily.TYPE_I
+        assert max(lorentz_defect(res.left_lorentz), lorentz_defect(res.right_lorentz)) <= 1e-14
+        lambdas = g_eigensystem(omega_matrices(lambda_from_rho(rho)).omega_a).eigenvalues
+        assert res.parameters["lambdas"] == lambdas.tolist()
+        d = np.sqrt(np.clip(lambdas / lambdas[0], 0.0, None))
+        d[3] *= res.parameters["detSign"]
+        np.testing.assert_array_equal(res.canonical_lambda, np.diag([1.0, *d[1:]]))
+        if rank >= 3:
+            assert calls == dict.fromkeys(calls, 0), rank
 
 
 def test_tol_reaches_state_validation():

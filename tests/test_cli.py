@@ -429,14 +429,23 @@ def test_generated_payloads_fail_only_with_documented_errors(tmp_path_factory, p
     assert code == blob["exitCode"] == cls.exit_code
 
 
-@pytest.mark.parametrize("samples", ["-3", "0"])
-def test_ellipsoid_rejects_samples_below_one(tmp_path, capsys, samples):
+@pytest.mark.parametrize(
+    "samples, csv",
+    [("-3", True), ("0", True), (None, True), ("5", False)],
+    ids=["-3", "0", "csv-without-samples", "samples-without-csv"],
+)
+def test_ellipsoid_rejects_samples_below_one(tmp_path, capsys, samples, csv):
+    """--samples below one, and either of --samples and --csv without the
+    other, are malformed input: no output, and no CSV written."""
     path = write_state(tmp_path, "t2.json", TYPE2_LAMBDA)
-    code, out, err = run(["ellipsoid", path, "--samples", samples], capsys)
+    points = tmp_path / "points.csv"
+    flags = (["--samples", samples] if samples else []) + (["--csv", str(points)] if csv else [])
+    code, out, err = run(["ellipsoid", path, *flags, "-o", str(tmp_path / "e.json")], capsys)
     assert code == 1 and out == ""
     blob = json.loads(err)
     assert blob["error"] == "InputFormatError"
     assert "--samples" in blob["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t2.json"]
 
 
 def test_missing_file_exits_one(capsys):
