@@ -59,6 +59,9 @@ def null_space_basis(M: np.ndarray | list[list[float]], rtol: float) -> np.ndarr
             for c in range(k, n):
                 row[c] -= f * top[c]
         rank += 1
+    if rank == 0:
+        # no pivot above the cut: the whole space, with no back-substitution or QR
+        return np.eye(n)
     A = np.array(A)
 
     if rank == n:

@@ -17,15 +17,17 @@ G-eigensystem of Omega_A = Lambda G Lambda^T:
 * degenerate product family: the top eigenvalue vanishes and no
   00-normalizable canonical form exists.
 
-The TypeI factors need the timelike top eigenvector a alone: a boost
-takes a to the time axis on side A, and another its image through
-Lambda on side B, after which the SVD of the remaining 3x3 block gives
-the two rotations (as Rao et al. treat Mueller matrices, J. Mod. Opt.
-45, 955 (1998)).  The TypeII left matrix comes from an eigenvector
-tetrad; its right matrix is then forced by the factorization, solved
-from L_A Lambda L_B^T = N Lambda^c, or at r1 = 0, where half of it is
-free, read off rows 0 and 3 of that equation with rows 1 and 2 filled
-by `complete_g_frame`; either takes one Minkowski Gram-Schmidt pass.
+The TypeI factors need the timelike top eigenvector a alone (in a
+degenerate top eigenspace, where the choice is gauge, its Gram top
+eigenvector): a boost takes a to the time axis on side A, and another
+its image through Lambda on side B, after which the SVD of the
+remaining 3x3 block gives the two rotations (as Rao et al. treat
+Mueller matrices, J. Mod. Opt. 45, 955 (1998)).  The TypeII left
+matrix comes from an eigenvector tetrad; its right matrix is then
+forced by the factorization, solved from L_A Lambda L_B^T = N Lambda^c,
+or at r1 = 0, where half of it is free, read off rows 0 and 3 of that
+equation with rows 1 and 2 filled by `complete_g_frame`; either takes
+one Minkowski Gram-Schmidt pass.
 Residual gauge freedom in the non-diagonalizable family (the null top
 eigenvector has no preferred scale) is pinned by a fixed rule,
 documented at the gauge boost in `type2_canonical`, chosen so that
@@ -180,6 +182,12 @@ def _boost(x: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
+def _det3(r: list[list[float]]) -> float:
+    """Determinant of a 3x3 matrix as the triple product r0 . (r1 x r2)."""
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+
+
 def type1_canonical(
     lam: np.ndarray,
     sys_a: GEigenSystem,
@@ -195,9 +203,11 @@ def type1_canonical(
     made proper by negating its last row.  A B side of another family
     shows up as a b that is not future timelike or a Lambda that does not
     come out diagonal.  Signs are then fixed: the first three diagonal
-    entries non-negative and det L_B = +1, leaving the last diagonal sign
-    equal to sgn(det Lambda).  The canonical diagonal and the parameters
-    are the eigenvalue ratios sqrt(l_i / l_0).
+    entries non-negative and det L_B = +1 (an odd number of flips flips
+    row 3 once more), leaving the last diagonal sign equal to
+    sgn(det Lambda).  The canonical diagonal and the parameters are the
+    eigenvalue ratios sqrt(l_i / l_0); ``rhoMinEigenvalue`` is the
+    smallest Bell weight of the canonical state.
     """
     lam = np.asarray(lam, dtype=float)
     family = classify_canonical_type(sys_a)
@@ -223,57 +233,61 @@ def type1_canonical(
     u, _, r_b = np.linalg.svd((a_rows @ lam @ b_rows.T)[1:, 1:])
     r_a = u.T
     for r in (r_a, r_b):
-        if np.linalg.det(r) < 0:
+        if _det3(r.tolist()) < 0:
             r[2] = -r[2]
     a_rows[1:] = r_a @ a_rows[1:]
     b_rows[1:] = r_b @ b_rows[1:]
 
-    D = a_rows @ lam @ b_rows.T
-    for i in (1, 2, 3):
-        if D[i, i] < 0:
-            b_rows[i] = -b_rows[i]
-            D[:, i] = -D[:, i]
-    if np.linalg.det(b_rows) < 0:
-        b_rows[3] = -b_rows[3]
-        D[:, 3] = -D[:, 3]
+    D = (a_rows @ lam @ b_rows.T).tolist()
+    # B(b) and diag(1, r_b) are proper, so det L_B is the parity of the
+    # flips; the Lorentz check below verifies it
+    flips = [i for i in (1, 2, 3) if D[i][i] < 0]
+    if len(flips) % 2:
+        flips.append(3)
+    for i in flips:
+        b_rows[i] = -b_rows[i]
+        for row in D:
+            row[i] = -row[i]
 
     for rows, side in ((a_rows, "left"), (b_rows, "right")):
         if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
             raise NumericalFailure(f"{side} tetrad failed the Lorentz-group check")
-    off = D - np.diag(np.diag(D))
-    if np.abs(off).max() > max(tol, _DIAGONAL_TOL_FLOOR) * max(1.0, np.abs(D).max()):
+    off = max(abs(v) for i, row in enumerate(D) for j, v in enumerate(row) if i != j)
+    if off > max(tol, _DIAGONAL_TOL_FLOOR) * max(1.0, max(abs(v) for row in D for v in row)):
         raise NumericalFailure(
-            f"transformed correlation matrix is not diagonal "
-            f"(largest off-diagonal {np.abs(off).max():.3e})"
+            f"transformed correlation matrix is not diagonal (largest off-diagonal {off:.3e})"
         )
 
-    lambdas = sys_a.eigenvalues.copy()
+    lambdas = sys_a.eigenvalues.tolist()
     # det Lambda = lam0^2 * d1 * d2 * d3: the cut scales with lam0^2, so the
     # sign is dropped only when d1 * d2 * d3 itself is below tol, however
     # far filtering has shrunk lam0
     det = float(np.linalg.det(lam))
-    det_sign = 0 if abs(det) <= tol * lam0**2 else int(np.sign(det))
-    ratios = np.sqrt(np.clip(lambdas / lam0, 0.0, None))
-    canon = np.diag([1.0, ratios[1], ratios[2], det_sign * ratios[3]])
-    n_scale = float(D[0, 0])
+    det_sign = 0 if abs(det) <= tol * lam0**2 else (1 if det > 0 else -1)
+    _, d1, d2, d3 = [math.sqrt(max(0.0, v / lam0)) for v in lambdas]
+    d3 *= det_sign
+    canon = [[1.0, 0.0, 0.0, 0.0], [0.0, d1, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d3]]
+    n_scale = D[0][0]
 
     omega_target = np.diag([lam0, -lambdas[1], -lambdas[2], -lambdas[3]])
     residuals = {
-        "factorization": float(np.abs(D / n_scale - canon).max()),
+        "factorization": max(abs(v / n_scale - c) for row, crow in zip(D, canon)
+                             for v, c in zip(row, crow)),
         "omegaCanonical": float(np.abs(a_rows @ sys_a.omega @ a_rows.T - omega_target).max()),
     }
-    rho_c = _pipeline_rho(canonical_rho_type1, ratios[1], ratios[2], det_sign * ratios[3], tol=tol)
-    residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
+    rho_c = _pipeline_rho(canonical_rho_type1, d1, d2, d3, tol=tol)
+    # rho_c is Bell-diagonal: its eigenvalues are the Bell weights
+    residuals["rhoMinEigenvalue"] = min(_bell_weights(d1, d2, d3))
     # last, so every refusal above keeps its own message
     _check_factorization(residuals["factorization"], tol)
 
     return CanonicalResult(
         family=SideFamily.TYPE_I,
-        canonical_lambda=canon,
+        canonical_lambda=np.array(canon),
         canonical_rho=rho_c,
         left_lorentz=a_rows,
         right_lorentz=b_rows,
-        parameters={"lambdas": [float(v) for v in lambdas], "detSign": det_sign},
+        parameters={"lambdas": lambdas, "detSign": det_sign},
         normalization_scale=n_scale,
         residuals=residuals,
     )
@@ -557,20 +571,23 @@ def _degenerate_product(
 # canonical density matrices from parameters alone
 
 
+def _bell_weights(d1: float, d2: float, d3: float) -> list[float]:
+    """The four Bell weights of the state with correlation diag(1, d1, d2, d3)."""
+    return [
+        0.25 * (1.0 - d1 - d2 - d3),
+        0.25 * (1.0 - d1 + d2 + d3),
+        0.25 * (1.0 + d1 - d2 + d3),
+        0.25 * (1.0 + d1 + d2 - d3),
+    ]
+
+
 def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float = _PARAMETER_TOL) -> np.ndarray:
     """Bell-diagonal state with correlation diag(1, d1, d2, d3)."""
-    weights = 0.25 * np.array(
-        [
-            1.0 - d1 - d2 - d3,
-            1.0 - d1 + d2 + d3,
-            1.0 + d1 - d2 + d3,
-            1.0 + d1 + d2 - d3,
-        ]
-    )
-    if weights.min() < -tol:
+    weight = min(_bell_weights(d1, d2, d3))
+    if weight < -tol:
         raise InvalidCanonicalParameters(
             f"diagonal parameters ({d1:.6g}, {d2:.6g}, {d3:.6g}) give a "
-            f"Bell weight {weights.min():.3e} < 0"
+            f"Bell weight {weight:.3e} < 0"
         )
     return 0.25 * np.array(
         [

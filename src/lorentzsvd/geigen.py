@@ -13,7 +13,7 @@ The spectrum comes from LAPACK as cluster means (`_quartic`); a cluster
 that is one real root takes LAPACK's eigenvector from the same call, and
 every other cluster a null space at its centre.  `canonical` reads a
 TypeI or TypeII side B off side A, so it solves one form only, and of a
-TypeI side A only the top cluster.
+TypeI side A only the timelike row of the top cluster.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from ._linalg import gram_eigenbasis, null_space_basis
 from ._quartic import quartic_real_roots
 from .errors import NormalizationFailure, NumericalFailure
-from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, VectorClass
+from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, VectorClass, g_inner
 
 _EPS = float(np.finfo(float).eps)
 
@@ -117,8 +117,10 @@ class GEigenSystem:
     normalized so its Minkowski norm is +1, 0 or -1 (``norms[i]``).  A
     defective cluster has fewer rows than its algebraic multiplicity;
     the shortfall is the condition report's ``defect``.  A system solved
-    for `canonicalize` that stopped after a timelike top cluster holds
-    that cluster's rows, clusters entry and residuals only.
+    for `canonicalize` that stopped at a timelike top cluster holds only
+    that cluster's timelike row and clusters entry besides the four
+    eigenvalues; its condition report has no residuals and no Gram
+    eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -132,6 +134,9 @@ class GEigenSystem:
     tol: float
     #: the symmetrized form that was solved
     omega: np.ndarray
+
+
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _signed_unit(x: np.ndarray) -> np.ndarray:
@@ -159,7 +164,9 @@ def _cluster_vectors(
     swallow the in-cluster eigenvalue smear (at most the merge radius)
     yet reject directions belonging to the next cluster (at least
     ``gap`` away), so the threshold is pinched between the two, with
-    progressive widening if the first cut finds nothing.  ``scale`` is
+    progressive widening if the first cut finds nothing.  A cut that
+    finds more directions than the multiplicity has taken a neighbour's
+    and is refused.  ``scale`` is
     |Tr G Omega| without the unit floor of the merge radius: on a form
     whose eigenvalues all lie far below one, a cut at the floored scale
     can take a timelike neighbour into a lightlike top eigenspace.
@@ -178,11 +185,10 @@ def _cluster_vectors(
         if 1 <= basis.shape[1] <= mult:
             return basis
         if basis.shape[1] > mult:
-            # over-wide cut swallowed a neighbouring direction; tighten
-            tight = null_space_basis(m, rtol=thresh / (8.0 * mscale))
-            if 1 <= tight.shape[1] <= mult:
-                return tight
-            return basis[:, :mult]
+            raise NumericalFailure(
+                f"the cut at eigenvalue {center:.6g} takes a neighbouring direction "
+                f"({basis.shape[1]} null directions, multiplicity {mult})"
+            )
     raise NumericalFailure(
         f"no eigenvector found at eigenvalue {center:.6g} "
         f"(threshold {thresh:.3e}, multiplicity {mult})"
@@ -194,18 +200,19 @@ def _rediagonalize_cluster(omega: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     Columns of the result stay G-orthonormal while the cross terms
     x_i^T Omega x_j are rotated away.  Clusters of uniform signature take
-    an orthogonal mix of the G-normalized columns; an indefinite pair
-    takes the hyperbolic mix that preserves the (+, -) Gram, when the
-    cross term is small enough for it to exist.  Anything lightlike is
-    left exactly as the Gram eigenbasis produced it.  A single column is
-    its own Gram eigenbasis: ``eigh`` of a 1x1 matrix returns U = [[1.0]],
+    an orthogonal mix of the G-normalized columns.  An indefinite cluster
+    keeps its G-normalized Gram eigenbasis: on an eigenspace Omega acts
+    as lambda G, so its cross terms are rounding noise, and the span
+    alone fixes the timelike column (see `_timelike_top`).  Anything
+    lightlike, as in the top of the arrow form with r1^2 = r0, is left
+    exactly as the Gram eigenbasis produced it.  A single column is its
+    own Gram eigenbasis: ``eigh`` of a 1x1 matrix returns U = [[1.0]],
     and ``basis @ U`` equals ``basis + 0.0``, which turns -0.0 into +0.0.
     """
     if basis.shape[1] == 1:
         return basis + 0.0
     gram, w = gram_eigenbasis(basis)
-    dim = w.shape[1]
-    signs = np.zeros(dim, dtype=int)
+    signs = np.zeros(w.shape[1], dtype=int)
     signs[gram > SIGNATURE_TOL] = 1
     signs[gram < -SIGNATURE_TOL] = -1
     if np.any(signs == 0):
@@ -215,15 +222,35 @@ def _rediagonalize_cluster(omega: np.ndarray, basis: np.ndarray) -> np.ndarray:
         s = wn.T @ omega @ wn
         _, rot = np.linalg.eigh(0.5 * (s + s.T))
         return wn @ rot
-    if dim == 2 and signs[0] == 1 and signs[1] == -1:
-        s = wn.T @ omega @ wn
-        den = s[0, 0] + s[1, 1]
-        num = -2.0 * s[0, 1]
-        if abs(num) < abs(den):
-            theta = 0.5 * np.arctanh(num / den)
-            ch, sh = np.cosh(theta), np.sinh(theta)
-            return wn @ np.array([[ch, sh], [sh, ch]])
     return wn
+
+
+def _timelike_top(omega: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """The G-normalized timelike row of the top cluster's span, or None.
+
+    Every timelike vector of a degenerate top eigenspace is an
+    eigenvector; which one is residual gauge (Verstraete, Dehaene, De
+    Moor, PRA 64, 010101(R) (2001)), pinned to the Gram top eigenvector,
+    the x of largest x^T G x over Euclidean-unit x in the span: e0 for
+    the whole space, the major axis of the 2x2 Gram matrix for a plane
+    (on Python floats), and otherwise `_rediagonalize_cluster`'s first
+    column, as for a single vector.
+    """
+    dim = basis.shape[1]
+    if dim == 4:
+        col = _E0
+    elif dim == 2:
+        v, w = basis.T.tolist()
+        s00, s01, s11 = g_inner(v, v), g_inner(v, w), g_inner(w, w)
+        theta = 0.5 * math.atan2(2.0 * s01, s00 - s11)
+        c, s = math.cos(theta), math.sin(theta)
+        col = np.array([c * vi + s * wi for vi, wi in zip(v, w)])
+    else:
+        col = _rediagonalize_cluster(omega, basis)[:, 0]
+    gam = float(col @ G_METRIC @ col)
+    if gam <= SIGNATURE_TOL:
+        return None
+    return _signed_unit(col / math.sqrt(gam))
 
 
 def g_eigensystem(
@@ -237,15 +264,16 @@ def g_eigensystem(
     all G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
     plays no part in root finding.  Clusters are solved top first;
     `canonicalize` alone passes ``_stop_at_timelike_top``, which ends the
-    solve after a top cluster above ``tol`` that holds a timelike
-    direction: the TypeI construction reads nothing else.  Such a system
-    has all four eigenvalues but the rows, clusters and residuals of the
-    top cluster only.  Raises NumericalFailure on entries that are not
-    finite, or when a complex eigenvalue pair is not a double root within
-    the characteristic quartic's rounding (input violating the
-    positivity-transfer precondition), and
-    NormalizationFailure when a subdominant eigenvector turns out
-    lightlike, which no valid input can produce.
+    solve at a top cluster above ``tol`` that holds a timelike direction:
+    the TypeI construction reads nothing else.  Such a system has all four
+    eigenvalues but one row, the timelike direction `_timelike_top`
+    picks, and computes no other row, Rayleigh quotient or residual.
+    Raises NumericalFailure on entries that are not finite, or when a
+    complex eigenvalue pair is not a double root within the
+    characteristic quartic's rounding (input violating the
+    positivity-transfer precondition), and NormalizationFailure when a
+    subdominant eigenvector turns out lightlike, which no valid input can
+    produce.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
@@ -291,6 +319,7 @@ def g_eigensystem(
     gram_top = np.zeros(0)
     k_rows = k_op.tolist()
 
+    stop = _stop_at_timelike_top and centers[0] > tol
     for ci, (center, mult, vector) in enumerate(ordered):
         if vector is not None:
             basis = vector[:, None]
@@ -299,6 +328,11 @@ def g_eigensystem(
                       default=math.inf)
             basis = _cluster_vectors(k_rows, center, mult, gap, max(trace, SCALE_FLOOR))
         clusters.append((center, mult, basis.shape[1]))
+        top = _timelike_top(omega, basis) if stop and ci == 0 else None
+        if top is not None:
+            vectors.append(top)
+            norms.append(1)
+            break
 
         w = _rediagonalize_cluster(omega, basis)
         entries: list[tuple[int, float, np.ndarray]] = []
@@ -332,10 +366,9 @@ def g_eigensystem(
             norms.append(cls)
             r = k_op @ x - center * x
             residuals.append(math.sqrt(r.dot(r)))
-        if _stop_at_timelike_top and ci == 0 and center > tol and entries[0][0] == 1:
-            break
 
-    dims = [dim for _, _, dim in clusters]
+    # rows per cluster: a stopped solve keeps one
+    dims = [1] if top is not None else [dim for _, _, dim in clusters]
     top_classes = norms[: dims[0]]
     if 1 in top_classes:
         top_class = VectorClass.POSITIVE

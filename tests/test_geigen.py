@@ -17,7 +17,9 @@ from lorentzsvd._linalg import gram_eigenbasis
 from lorentzsvd.errors import NumericalFailure
 from lorentzsvd.geigen import (
     CanonicalFamily,
+    _cluster_vectors,
     _rediagonalize_cluster,
+    _signed_unit,
     classify_canonical_type,
     g_eigensystem,
     omega_matrices,
@@ -247,6 +249,51 @@ def test_one_column_cluster_is_its_own_gram_eigenbasis():
         fast = _rediagonalize_cluster(omega, basis)
         assert fast.tobytes() == gram_eigenbasis(basis)[1].tobytes()
         assert not np.signbit(fast[fast == 0.0]).any()
+
+
+def test_timelike_top_of_a_plane_is_its_gram_top_eigenvector():
+    """A rank-2 state's top eigenspace is a (+, -) plane.  The stopped
+    solve's closed form on Python floats gives the same row as the Gram
+    eigenbasis of the full solve, G-normalized and sign-fixed."""
+    for seed in range(50):
+        omega = omega_matrices(lambda_from_rho(random_state(2, seed=seed))).omega_a
+        sys = g_eigensystem(omega, _stop_at_timelike_top=True)
+        assert sys.clusters[0][1:] == (2, 2) and sys.eigenvectors.shape == (1, 4)
+        assert list(sys.norms) == [1] and len(sys.condition_report.residuals) == 0
+        k_op = G_METRIC @ omega
+        center = sys.clusters[0][0]
+        basis = _cluster_vectors(k_op.tolist(), center, 2, center - sys.eigenvalues[-1],
+                                 abs(np.trace(k_op)))
+        gram, w = gram_eigenbasis(basis)
+        top = _signed_unit(w[:, 0] / np.sqrt(gram[0]))
+        np.testing.assert_allclose(sys.eigenvectors[0], top, rtol=0, atol=1e-13)
+        # the full solve keeps that Gram eigenbasis as its timelike row
+        np.testing.assert_allclose(g_eigensystem(omega).eigenvectors[0], top, rtol=0, atol=1e-13)
+
+
+def test_lightlike_cluster_keeps_its_gram_eigenbasis():
+    """The arrow form with r1^2 = r0 has one 4-fold eigenvalue whose 3-dim
+    eigenspace holds the null top vector and the spacelike pair: its Gram
+    matrix has a zero eigenvalue, so the G-normalization that would
+    divide by it is skipped, and the rows keep their causal classes."""
+    lam = type2_lambda(0.25, 0.5)
+    sys = g_eigensystem(omega_matrices(lam).omega_a)
+    assert [(mult, dim) for _, mult, dim in sys.clusters] == [(4, 3)]
+    assert list(sys.norms) == [0, -1, -1]
+    assert abs(sys.condition_report.gram_top[0]) < 1e-12
+    assert classify_canonical_type(sys) is CanonicalFamily.TYPE_II
+    assert sys.condition_report.residuals.max() < 1e-12
+
+
+def test_over_wide_cut_is_refused():
+    """A cut that takes a neighbouring direction into a cluster's null
+    space is refused, not truncated to an arbitrary sub-span: here the
+    cluster at 1 is a double root with a neighbour at 1 + 1e-3, and a
+    scale of 1e6 puts the cut at 0.1."""
+    k_rows = np.diag([1.0, 1.0, 1.0 + 1e-3, 5.0]).tolist()
+    with pytest.raises(NumericalFailure, match="neighbouring direction"):
+        _cluster_vectors(k_rows, 1.0, 2, np.inf, 1e6)
+    assert _cluster_vectors(k_rows, 1.0, 2, np.inf, 1.0).shape == (4, 2)
 
 
 def test_eigensystem_zero_form():
