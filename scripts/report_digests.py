@@ -9,8 +9,10 @@ Write the digests of one checkout, then compare two digest files::
 ``bench/run.py``'s default seed.  Every case of every benchmark corpus
 (``bench/corpus.py``) is recorded as the sha256 of its canonicalization
 report, or as its error class and message, next to a digest of the raw
-bytes of both eigensystems.  A refactor that claims unchanged arithmetic
-must leave every line equal.  ``compare`` prints each changed case, then
+bytes of both eigensystems, each solved as `canonicalize` solves side A:
+a side with a timelike top cluster digests that cluster's one timelike
+row.  A refactor that claims unchanged arithmetic must leave every line
+equal.  ``compare`` prints each changed case, then
 one line per group with the changed cases tallied by outcome kind, old
 -> new: ``report`` or the error class.
 """
@@ -47,10 +49,14 @@ def _sha(*parts: bytes) -> str:
 
 
 def _eigen_digest(omega: np.ndarray) -> str:
-    """Hash of one eigensystem: the four eigenvalues, one vector row per
-    geometric eigenvector with its norm and residual, the clusters and
-    the top Gram eigenvalues.
+    """Hash of one eigensystem: the four eigenvalues, the vector rows with
+    their norms and residuals, the clusters and the top Gram eigenvalues.
 
+    A side whose top cluster holds a timelike direction has one row, that
+    direction, and one cluster, with no residual and no Gram eigenvalue;
+    any other side has one row per geometric eigenvector of every
+    cluster.  Digests written before the solve stopped at a timelike top
+    for every caller differ from these exactly on such sides.
     ``vector_eigenvalues`` follows from the clusters and is not hashed.
     Digests of the earlier slot-expanded record, which repeated a
     defective cluster's lightlike row in every algebraic slot, differ

@@ -509,7 +509,7 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """
     lam = lambda_from_rho(rho, tol)
     pair = omega_matrices(lam)
-    sys_a = g_eigensystem(pair.omega_a, tol, _stop_at_timelike_top=True)
+    sys_a = g_eigensystem(pair.omega_a, tol)
     return _factor_solved(lam, sys_a, pair.omega_b, tol)
 
 

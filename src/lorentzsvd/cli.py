@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import (
+    _FACTOR_RESIDUAL_FLOOR,
     SigmaParameters,
     _degenerate_product,
     _factor_solved,
@@ -60,9 +61,6 @@ _ROUND_TRIP_FLOOR = 1e-10
 #: agree only as well as a defective double root is resolved, about
 #: sqrt(eps) ~ 1.5e-8
 _SHARED_SPECTRUM_FLOOR = 1e-8
-#: factorization residual |L_A Lambda L_B^T / N - Lambda^c|, which
-#: inherits the same double-root accuracy
-_FACTOR_FLOOR = 1e-8
 #: `lorentz_defect` of any of the four factors
 _LORENTZ_DEFECT_FLOOR = 1e-9
 #: how far below zero the canonical state's smallest eigenvalue may reach
@@ -201,7 +199,9 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     else:
         result = _factor_solved(lam, sys_a, pair.omega_b, tol)
     if result.residuals:
-        record("factorization", result.residuals["factorization"], max(100 * tol, _FACTOR_FLOOR))
+        # the floor `canonicalize` rechecks the same residual against
+        record("factorization", result.residuals["factorization"],
+               max(100 * tol, _FACTOR_RESIDUAL_FLOOR))
         sides = [result] + ([result.partner] if result.partner is not None else [])
         defect = max(lorentz_defect(L) for s in sides for L in (s.left_lorentz, s.right_lorentz))
         record("lorentzFactors", defect, max(10 * tol, _LORENTZ_DEFECT_FLOOR))

@@ -11,9 +11,10 @@ timelike or lightlike -- decides which canonical form a state admits.
 
 The spectrum comes from LAPACK as cluster means (`_quartic`); a cluster
 that is one real root takes LAPACK's eigenvector from the same call, and
-every other cluster a null space at its centre.  `canonical` reads a
-TypeI or TypeII side B off side A, so it solves one form only, and of a
-TypeI side A only the timelike row of the top cluster.
+every other cluster a null space at its centre.  The solve ends at a
+timelike top cluster, of which it keeps the timelike row alone: the
+TypeI construction reads nothing else.  `canonical` reads a TypeI or
+TypeII side B off side A, so it solves one form only.
 """
 
 from __future__ import annotations
@@ -116,11 +117,11 @@ class GEigenSystem:
     eigenvalue ``vector_eigenvalues[i]`` (its cluster center) and is
     normalized so its Minkowski norm is +1, 0 or -1 (``norms[i]``).  A
     defective cluster has fewer rows than its algebraic multiplicity;
-    the shortfall is the condition report's ``defect``.  A system solved
-    for `canonicalize` that stopped at a timelike top cluster holds only
-    that cluster's timelike row and clusters entry besides the four
-    eigenvalues; its condition report has no residuals and no Gram
-    eigenvalues.
+    the shortfall is the condition report's ``defect``.  The solve stops
+    at a top cluster above ``tol`` that holds a timelike direction: such
+    a system holds only that cluster's timelike row and clusters entry
+    besides the four eigenvalues, and its condition report has no
+    residuals and no Gram eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -253,21 +254,19 @@ def _timelike_top(omega: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     return _signed_unit(col / math.sqrt(gam))
 
 
-def g_eigensystem(
-    omega: np.ndarray, tol: float = DEFAULT_TOL, *, _stop_at_timelike_top: bool = False
-) -> GEigenSystem:
+def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form.
 
     Eigenvalues come from ``np.linalg.eig`` as cluster means; the
     eigenvector of a cluster that is one real root from the same call,
     those of every other cluster from null spaces at the cluster centres,
     all G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
-    plays no part in root finding.  Clusters are solved top first;
-    `canonicalize` alone passes ``_stop_at_timelike_top``, which ends the
-    solve at a top cluster above ``tol`` that holds a timelike direction:
-    the TypeI construction reads nothing else.  Such a system has all four
-    eigenvalues but one row, the timelike direction `_timelike_top`
-    picks, and computes no other row, Rayleigh quotient or residual.
+    plays no part in root finding.  Clusters are solved top first, and
+    the solve ends at a top cluster above ``tol`` that holds a timelike
+    direction: the TypeI construction reads nothing else.  Such a system
+    has all four eigenvalues but one row, the timelike direction
+    `_timelike_top` picks, and computes no other row, Rayleigh quotient
+    or residual.
     Raises NumericalFailure on entries that are not finite, or when a
     complex eigenvalue pair is not a double root within the
     characteristic quartic's rounding (input violating the
@@ -319,7 +318,6 @@ def g_eigensystem(
     gram_top = np.zeros(0)
     k_rows = k_op.tolist()
 
-    stop = _stop_at_timelike_top and centers[0] > tol
     for ci, (center, mult, vector) in enumerate(ordered):
         if vector is not None:
             basis = vector[:, None]
@@ -328,7 +326,7 @@ def g_eigensystem(
                       default=math.inf)
             basis = _cluster_vectors(k_rows, center, mult, gap, max(trace, SCALE_FLOOR))
         clusters.append((center, mult, basis.shape[1]))
-        top = _timelike_top(omega, basis) if stop and ci == 0 else None
+        top = _timelike_top(omega, basis) if ci == 0 and center > tol else None
         if top is not None:
             vectors.append(top)
             norms.append(1)

@@ -37,15 +37,11 @@ class GeometryFamily(Enum):
 
 @dataclass(frozen=True)
 class SteeringEllipsoid:
-    """Axis-aligned steering ellipsoid of a canonical state.
-
-    ``axis_frame`` is the rotation from ellipsoid axes to Bloch axes;
-    canonical forms are already axis-aligned, so it is the identity.
-    """
+    """Steering ellipsoid of a canonical state, whose axes are the Bloch
+    axes: canonical forms are already axis-aligned."""
 
     center: np.ndarray
     semi_axes: np.ndarray
-    axis_frame: np.ndarray
     family: GeometryFamily
 
 
@@ -69,9 +65,7 @@ def steering_ellipsoid(result: CanonicalResult) -> SteeringEllipsoid:
             family = GeometryFamily.TYPE_II_B
         semi = np.array([p1, p1, p0])
         center = np.array([0.0, 0.0, 1.0 - p0])
-    return SteeringEllipsoid(
-        center=center, semi_axes=semi, axis_frame=np.eye(3), family=family
-    )
+    return SteeringEllipsoid(center=center, semi_axes=semi, family=family)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -111,7 +105,7 @@ def surface_residuals(points: np.ndarray, ellipsoid: SteeringEllipsoid) -> np.nd
     image fills a segment or point rather than tracing a boundary), so
     the residual becomes the absolute offset along the collapsed axes.
     """
-    rel = (np.atleast_2d(points) - ellipsoid.center) @ ellipsoid.axis_frame
+    rel = np.atleast_2d(points) - ellipsoid.center
     live = ellipsoid.semi_axes > 0.0
     if not np.all(live):
         return np.abs(rel[:, ~live]).sum(axis=1)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from lorentzsvd import errors
 from lorentzsvd.canonical import SigmaParameters, canonicalize, sigma_from_bcd
 from lorentzsvd.cli import main
+from lorentzsvd.minkowski import lorentz_defect
 from lorentzsvd.qstate import lambda_from_rho, random_state, rho_from_lambda
 from lorentzsvd.serialize import canonical_report, dumps, loads_state, state_document
 
@@ -232,6 +233,67 @@ def test_verify_names_trace_defect(tmp_path, capsys):
     assert blob["error"] == "InvalidState"
     assert "trace defect 1.000e-01" in blob["message"]
     assert blob["exitCode"] == 2
+
+
+def test_verify_checks_the_factorization_canonicalize_reports(tmp_path, capsys):
+    """`verify` takes the eigensolve `canonicalize` takes, so it checks the
+    very factors `canonicalize` reports.  A rank-2 state shows any other
+    solve: its SVD rotation inside the degenerate singular pair moves with
+    the last bits of the time row."""
+    for seed in range(20):
+        path = tmp_path / f"r2s{seed}.json"
+        path.write_text(dumps(state_document(rho=random_state(2, seed=seed))), encoding="utf-8")
+        code, out, err = run(["verify", str(path)], capsys)
+        assert code == 0, err
+        checks = json.loads(out)["checks"]
+        result = canonicalize(loads_state(path.read_text(encoding="utf-8"))[1])
+        defect = max(lorentz_defect(result.left_lorentz), lorentz_defect(result.right_lorentz))
+        assert checks["factorization"]["value"] == result.residuals["factorization"]
+        assert checks["lorentzFactors"]["value"] == defect
+
+
+# case 25 of the hard-inputs benchmark corpus at seed 7: a rank-4 state
+# filtered at rapidity 2.5, whose lower eigenvalues crowd near 5e-8
+FILTERED_RANK4 = {
+    "lambda": [
+        [1.0, 0.94856556054234775, 0.05399132581626271, -0.31135085380916228],
+        [-0.7600545328290812, -0.72090704161767782, -0.041103156886036163, 0.23679021867588132],
+        [0.53833585261841466, 0.51073547999282154, 0.029082172865303624, -0.1673478792918221],
+        [0.36326467220138925, 0.34456755301930581, 0.019460879945132313, -0.11317372228586764],
+    ]
+}
+
+# case 244 of the same corpus: a rank-4 state filtered at rapidity 3.5,
+# whose computed canonical form is not a state
+UNFACTORED_RANK4 = {
+    "lambda": [
+        [1.0000000000000002, -0.79321645764198334, 0.48641032830336117, 0.29177882947535005],
+        [-0.96362649461009631, 0.76431237827751486, -0.46878068280179153, -0.28118868645688944],
+        [-0.14035833157818997, 0.1114308345512529, -0.068139229238072613, -0.040952248445103472],
+        [-0.22741122444489734, 0.18054573276101935, -0.11043579958122413, -0.06625784454305908],
+    ]
+}
+
+
+def test_classify_stops_at_the_timelike_top(tmp_path, capsys):
+    """`classify` reads the family off the timelike top cluster, as
+    `canonicalize` does, so lower clusters it never solves cannot refuse
+    a TypeI state."""
+    path = write_state(tmp_path, "filtered.json", FILTERED_RANK4)
+    code, out, err = run(["classify", path], capsys)
+    assert code == 0, err
+    assert out.startswith("TypeI, eigenvalues [")
+
+
+def test_verify_refuses_as_canonicalize_does(tmp_path, capsys):
+    """A state `canonicalize` refuses is refused by `verify` with the same
+    error class and message."""
+    path = write_state(tmp_path, "unfactored.json", UNFACTORED_RANK4)
+    code, _, err = run(["verify", path], capsys)
+    code_c, _, err_c = run(["canonicalize", path], capsys)
+    assert code == code_c == 3
+    assert json.loads(err) == json.loads(err_c)
+    assert "computed canonical form is not a state" in json.loads(err)["message"]
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):
