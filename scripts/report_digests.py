@@ -10,9 +10,9 @@ Write the digests of one checkout, then compare two digest files::
 (``bench/corpus.py``) is recorded as the sha256 of its canonicalization
 report, or as its error class and message, next to a digest of the raw
 bytes of both eigensystems, each solved as `canonicalize` solves side A:
-a side with a timelike top cluster digests that cluster's one timelike
-row.  A refactor that claims unchanged arithmetic must leave every line
-equal.  ``compare`` prints each changed case, then
+the top cluster's rows only, and of a timelike top cluster its one
+timelike row.  A refactor that claims unchanged arithmetic must leave
+every line equal.  ``compare`` prints each changed case, then
 one line per group with the changed cases tallied by outcome kind, old
 -> new: ``report`` or the error class.
 """
@@ -49,26 +49,22 @@ def _sha(*parts: bytes) -> str:
 
 
 def _eigen_digest(omega: np.ndarray) -> str:
-    """Hash of one eigensystem: the four eigenvalues, the vector rows with
-    their norms and residuals, the clusters and the top Gram eigenvalues.
+    """Hash of one eigensystem: the four eigenvalues, the top cluster's rows
+    with their norms, the top cluster and its Gram eigenvalues.
 
-    A side whose top cluster holds a timelike direction has one row, that
-    direction, and one cluster, with no residual and no Gram eigenvalue;
-    any other side has one row per geometric eigenvector of every
-    cluster.  Digests written before the solve stopped at a timelike top
-    for every caller differ from these exactly on such sides.
-    ``vector_eigenvalues`` follows from the clusters and is not hashed.
-    Digests of the earlier slot-expanded record, which repeated a
-    defective cluster's lightlike row in every algebraic slot, differ
-    from these exactly on the eigensystems with a defective cluster.
+    The solve reads the top cluster alone: a timelike top gives one row,
+    that direction, with no Gram eigenvalue, and any other top one row
+    per geometric eigenvector.  Digests written while the solve went on
+    below a top that was not timelike differ from these exactly on such
+    sides; on a side with a timelike top the per-row residuals they also
+    hashed were empty, so those digests are unchanged.
     """
     from lorentzsvd.geigen import g_eigensystem
 
     s = g_eigensystem(omega)
     return _sha(
         s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), s.norms.tobytes(),
-        repr(s.clusters).encode(), s.condition_report.residuals.tobytes(),
-        s.condition_report.gram_top.tobytes(),
+        repr(s.clusters).encode(), s.condition_report.gram_top.tobytes(),
     )
 
 

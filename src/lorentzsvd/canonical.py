@@ -17,21 +17,21 @@ G-eigensystem of Omega_A = Lambda G Lambda^T:
 * degenerate product family: the top eigenvalue vanishes and no
   00-normalizable canonical form exists.
 
-The TypeI factors need the timelike top eigenvector a alone (in a
+Both families follow the Lorentz-SVD route Rao et al. take for Mueller
+matrices (J. Mod. Opt. 45, 955 (1998)): one top eigenvector, exact group
+elements on each side, then an SVD of the block that is left.  The
+TypeI factors need the timelike top eigenvector a alone (in a
 degenerate top eigenspace, where the choice is gauge, its Gram top
 eigenvector): a boost takes a to the time axis on side A, and another
 its image through Lambda on side B, after which the SVD of the
-remaining 3x3 block gives the two rotations (as Rao et al. treat
-Mueller matrices, J. Mod. Opt. 45, 955 (1998)).  The TypeII left
-matrix comes from an eigenvector tetrad; its right matrix is then
-forced by the factorization, solved from L_A Lambda L_B^T = N Lambda^c,
-or at r1 = 0, where half of it is free, read off rows 0 and 3 of that
-equation with rows 1 and 2 filled by `complete_g_frame`; either takes
-one Minkowski Gram-Schmidt pass.
+remaining 3x3 block gives the two rotations.  The TypeII factors need
+the future null top eigenvector u alone: a rotation, a null rotation
+and a boost on each side bring Lambda to the arrow pattern up to its
+1-2 block, whose 2x2 SVD gives the two rotations (see `_arrow`).
 Residual gauge freedom in the non-diagonalizable family (the null top
 eigenvector has no preferred scale) is pinned by a fixed rule,
-documented at the gauge boost in `type2_canonical`, chosen so that
-canonical inputs reproduce their own parameters exactly.
+documented in `_arrow`, chosen so that canonical inputs reproduce their
+own parameters exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Any
 
 import numpy as np
 
-from ._linalg import complete_g_frame
 from .errors import (
     InvalidCanonicalParameters,
     InvalidSigmaParameters,
@@ -51,7 +50,6 @@ from .errors import (
     NotTypeII,
     NumericalFailure,
     SingularTopEigenvalue,
-    TriadConstructionFailure,
 )
 from .geigen import (
     CanonicalFamily,
@@ -67,7 +65,6 @@ from .minkowski import (
     PIPELINE_PARAMETER_FLOOR,
     TRANSPORT_ZERO_REL,
     ZERO_REL,
-    complete_tetrad_from_neutral_triad,
     is_orthochronous_proper_lorentz,
 )
 from .qstate import lambda_from_rho, rho_from_lambda
@@ -105,33 +102,6 @@ class CanonicalResult:
     normalization_scale: float
     residuals: dict[str, float]
     partner: "CanonicalResult | None" = None
-
-
-def _g_orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """One Minkowski Gram-Schmidt pass over a near-tetrad (time leg first).
-
-    The rows are assumed G-orthonormal up to a small defect delta (as
-    produced by eigenvector transport); the pass shrinks the defect to
-    O(delta^2), restoring the group property at working precision.
-    """
-    out = rows.copy()
-    # (u G, u G u) of each finished row u
-    done: list[tuple[np.ndarray, float]] = []
-    for mu in range(4):
-        v = out[mu]
-        for (ug, uu), u in zip(done, out):
-            v = v - (float(ug @ v) / uu) * u
-        norm = float(v @ G_METRIC @ v)
-        want = 1.0 if mu == 0 else -1.0
-        if norm * want <= 0.0 or abs(norm) < 0.25:
-            raise NumericalFailure(
-                f"tetrad row {mu} lost its causal character during polishing "
-                f"(Minkowski norm {norm:.3e})"
-            )
-        out[mu] = v / math.sqrt(abs(norm))
-        ug = out[mu] @ G_METRIC
-        done.append((ug, float(ug @ out[mu])))
-    return out
 
 
 #: Floor of the tolerance on the factorization residual
@@ -296,22 +266,6 @@ def type1_canonical(
 # ---------------------------------------------------------------------------
 # arrow (TypeII) construction
 
-#: Two eigenvalues of one side within this fraction of max(1, lam0) are the
-#: same: a lightlike eigenvector belongs to the top eigenvalue, and the two
-#: spacelike eigenvalues form the pair the arrow form needs.  Both come
-#: from a defective double root, fixed only to about sqrt(eps) ~ 1.5e-8.
-_EIGENVALUE_MATCH_REL = 1e-6
-
-#: Floor of the tolerance handed to the neutral-triad completion.  The
-#: triad is read off eigenvectors at a defective double root, which are
-#: G-orthonormal only to about sqrt(eps) ~ 1.5e-8.
-_TRIAD_TOL_FLOOR = 1e-7
-
-#: r1^2 at or below this fraction of max(1, r0) is zero: L_A Lambda then
-#: has a two-dimensional kernel, and the right factor's rows 1 and 2 are
-#: free.  This puts the cut at r1 ~ 1e-7.
-_R1_ZERO_REL = 1e-14
-
 
 def _type2_pattern(r0: float, r1: float) -> np.ndarray:
     return np.array(
@@ -324,34 +278,57 @@ def _type2_pattern(r0: float, r1: float) -> np.ndarray:
     )
 
 
-def _arrow_eigenpairs(sys: GEigenSystem) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-    """The neutral triad (u0, a1, a2) of a TypeII eigensystem and its
-    spectrum (lam0, lam1, split): the future null eigenvector at the top
-    eigenvalue lam0, and the spacelike pair at eigenvalues l1, l2 with
-    mean lam1 and split |l1 - l2|."""
+def _rotation_to(w: list[float]) -> list[list[float]]:
+    """A proper rotation whose last row is the unit 3-vector w.  The closed
+    form divides by 1 + w3, so for w3 < 0 it is built for -w and its last
+    two rows are negated."""
+    w1, w2, w3 = w
+    if w3 < 0.0:
+        r1, r2, r3 = _rotation_to([-w1, -w2, -w3])
+        return [r1, [-x for x in r2], [-x for x in r3]]
+    h = 1.0 / (1.0 + w3)
+    return [[1.0 - w1 * w1 * h, -w1 * w2 * h, -w1],
+            [-w1 * w2 * h, 1.0 - w2 * w2 * h, -w2],
+            [w1, w2, w3]]
+
+
+def _null_frame(x: np.ndarray, sign: float) -> np.ndarray:
+    """diag(1, R) for a future null x, R a proper rotation whose last row is
+    ``sign`` times the unit spatial direction of x: row 0 + sign * row 3
+    is x scaled to unit time component."""
+    x0, *xs = x.tolist()
+    if not x0 > 0.0:
+        raise NumericalFailure(
+            f"null eigenvector is not future-pointing (time component {x0:.3e}); "
+            "the input violates positivity transfer"
+        )
+    scale = sign / math.sqrt(xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2])
+    r1, r2, r3 = _rotation_to([v * scale for v in xs])
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *r1], [0.0, *r2], [0.0, *r3]])
+
+
+def _arrow_min_eigenvalue(p0: float, p1: float) -> float:
+    """Smallest eigenvalue of `canonical_rho_type2` (p0, p1), whose spectrum
+    is {0, (1 - p0)/2, (1 + p0 +- sqrt((1 - p0)^2 + 4 p1^2))/4}."""
+    root = math.sqrt((1.0 - p0) ** 2 + 4.0 * p1 * p1)
+    return min(0.0, 0.5 * (1.0 - p0), 0.25 * (1.0 + p0 - root))
+
+
+def _null_rotation(B: list[list[float]], lam0: float, sign: float) -> tuple[float, float]:
+    """(a, b) solving [[B11 + lam0, B12], [B12, B22 + lam0]] (a, b) =
+    -(B(e1, x), B(e2, x)) / 2 for x = e0 + sign * e3, on Python floats."""
+    m11, m12, m22 = B[1][1] + lam0, B[1][2], B[2][2] + lam0
+    f1, f2 = -0.5 * (B[1][0] + sign * B[1][3]), -0.5 * (B[2][0] + sign * B[2][3])
+    det = m11 * m22 - m12 * m12
+    return (f1 * m22 - m12 * f2) / det, (m11 * f2 - m12 * f1) / det
+
+
+def _null_top(sys: GEigenSystem) -> np.ndarray:
+    """The future null top eigenvector of a TypeII eigensystem, its first row."""
     family = classify_canonical_type(sys)
     if family is not CanonicalFamily.TYPE_II:
         raise NotTypeII(f"state classifies as {family.value}")
-
-    lam0 = float(sys.eigenvalues[0])
-    scale = max(1.0, lam0)
-    rows = list(zip(sys.eigenvectors, sys.vector_eigenvalues.tolist(), sys.norms.tolist()))
-    neutral = [v for v, c, n in rows if n == 0 and abs(c - lam0) <= _EIGENVALUE_MATCH_REL * scale]
-    if not neutral:
-        raise NotTypeII("no lightlike eigenvector at the top eigenvalue")
-    u0 = neutral[0] if neutral[0][0] >= 0 else -neutral[0]
-    space = [(v, c) for v, c, n in rows if n == -1]
-    if len(space) < 2:
-        raise TriadConstructionFailure(
-            f"expected two spacelike eigenvectors, found {len(space)}"
-        )
-    (a1, l1), (a2, l2) = space[:2]
-    if abs(l1 - l2) > _EIGENVALUE_MATCH_REL * scale:
-        raise NumericalFailure(
-            f"lower eigenvalue pair splits by {abs(l1 - l2):.3e}; "
-            "no non-negative state realizes this spectrum"
-        )
-    return (u0, a1, a2), (lam0, 0.5 * (l1 + l2), abs(l1 - l2))
+    return sys.eigenvectors[0]
 
 
 def type2_canonical(
@@ -363,94 +340,140 @@ def type2_canonical(
     """Arrow-shaped canonical form on the requested side ("A" or "B").
 
     ``sys`` is the eigensystem of that side's form, Omega_A for "A" and
-    Omega_B (the A-side form of the transpose) for "B", and supplies the
-    form itself as ``sys.omega``.  The B side is the A-side construction
-    applied to the transposed correlation matrix, transposed back, so
-    both sides share one code path.
+    Omega_B (the A-side form of the transpose) for "B"; only its null top
+    row, its top cluster and the form ``sys.omega`` are read.
     Parameters are (r0, r1) with scale phi0 on side A and (s0, s1) with
     scale chi0 on side B.  `canonicalize` solves no B eigensystem: its B
-    side is this construction from the triad of side A's right factor
-    (see `_factor_solved`).
+    side starts from the image of side A's null top row (see
+    `_factor_solved`).
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    triad, spectrum = _arrow_eigenpairs(sys)
-    return _arrow_from_triad(lam, sys.omega, side, triad, spectrum, tol)
+    return _arrow(lam, sys.omega, side, _null_top(sys), sys.clusters[0][1] == 4, tol)
 
 
-def _arrow_from_triad(
+def _arrow(
     lam: np.ndarray,
     omega: np.ndarray,
     side: str,
-    triad: tuple[np.ndarray, ...],
-    spectrum: tuple[float, ...],
+    u: np.ndarray,
+    merged: bool,
     tol: float,
 ) -> CanonicalResult:
-    """`type2_canonical` from the neutral triad (u0, a1, a2) of ``omega``,
-    the form of ``side``, and the spectrum (lam0, lam1, split) onward."""
+    """`type2_canonical` from the future null top eigenvector u of
+    ``omega``, the form of ``side``, onward.
+
+    The side is the A side of W = Lambda ("A") or of W = Lambda^T ("B"),
+    transposed back.  Every factor is a product of exact Lorentz group
+    elements, built on Python floats:
+
+    1. L_A starts as diag(1, R), R a proper rotation with last row -u^,
+       so that row 0 - row 3 is u.  In that frame u is l = e0 - e3, and
+       the form B = L_A Omega L_A^T maps l to lam0 n, n = e0 + e3.
+    2. Two null rotations make B block-diagonal, each solving a 2x2
+       system whose matrix [[B11 + lam0, B12], [B12, B22 + lam0]] is
+       close to (lam0 - lam1) I, so regular inside the TypeII region.
+       The first, about n (e1 -> e1 + c n, e2 -> e2 + d n), refines u:
+       (c, d) = -(B(e1, l), B(e2, l)) / 2 solved to first order turns l
+       until the 1-2 plane is Omega-orthogonal to it.  A defective
+       eigenvector is fixed only as well as its split double root, and
+       without this step the residual of strongly filtered states grew
+       past 1e-8.  The frame is rebuilt from the refined u.  The second,
+       about l (e1 -> e1 + a l, e2 -> e2 + b l), solves (a, b) = -(B(e1,
+       n), B(e2, n)) / 2 exactly, because B l = lam0 n.  When the
+       top cluster holds all four eigenvalues (lam1 = lam0, r1^2 = r0),
+       every frame with row 0 - row 3 along u is already block-diagonal,
+       and both rotations are the identity.
+    3. Gauge: the plane of rows 0 and 3 holds two null rays, along u and
+       along row 0 + row 3.  Any unit timelike leg in it yields a valid
+       canonical form, but with different (r0, r1) -- the boost along u
+       is genuine residual freedom.  It is pinned scale-freely: the time
+       leg is the G-normalized sum of the two rays, each scaled to unit
+       time component, so row 3 has no time component.  Canonical inputs
+       then reproduce their own parameters, because for them the pinned
+       leg is exactly e0.  It is a boost along 0-3 with e^(2 eta) = 1 /
+       (1 + a^2 + b^2).
+    4. L_B starts as diag(1, R'), R' with last row v^ for v = G W^T u,
+       the null top eigenvector of side B, which the factorization puts
+       along row 0 + row 3 of L_B.  A null rotation about e0 + e3 makes
+       rows 1 and 2 G-orthogonal to the transported time leg G W^T
+       L_A[0], which zeroes D01 and D02 of D = L_A W L_B^T, and a boost
+       along 0-3 zeroes D03.  D then has the arrow's zeros outside its
+       1-2 block.
+    5. The 1-2 block C is N r1 times a reflection, up to rounding.  Its
+       closed-form 2x2 SVD gives C = Q (rotation part) + R (reflection
+       part at angle alpha); turning rows 1 and 2 of both factors by
+       -alpha/2 makes the reflection part diag(R, -R).  The singular
+       values are R + Q and |R - Q|: r1 = max(Q, R) / N is their mean,
+       their split 2 min(Q, R) / N is ``lambdaPairSplit``, r0 = D33 / N
+       and N = D00.  A block of positive determinant (Q > R) has no
+       proper rotation to the arrow's (r1, -r1); beyond the
+       factorization bound it is refused (positivity transfer).
+    """
     lam = np.asarray(lam, dtype=float)
     work = lam if side == "A" else lam.T
-    u0, a1, a2 = triad
-    lam0, lam1, split = spectrum
-    scale = max(1.0, lam0)
+    bound = max(tol, _FACTOR_RESIDUAL_FLOOR)
 
-    tetrad = complete_tetrad_from_neutral_triad(u0, a1, a2, tol=max(tol, _TRIAD_TOL_FLOOR))
-    t0, t3 = tetrad[0], tetrad[3]
-    # Gauge: the plane G-orthogonal to a1, a2 holds exactly two null rays,
-    # t0 - t3 along u0 and t0 + t3.  Any unit timelike leg in this plane
-    # yields a valid canonical form, but with different (r0, r1) -- the
-    # boost along u0 is genuine residual freedom.  It is pinned
-    # scale-freely: the timelike leg is the G-normalized sum of the two
-    # null rays, each scaled to unit time component.  That is the boost
-    # of (t0, t3) by eta = ln(alpha / beta) / 2, and it leaves the last
-    # leg with no time component.  Canonical inputs then reproduce their
-    # own parameters, because for them the pinned leg is exactly e0.
-    alpha = float(t0[0] - t3[0])
-    beta = float(t0[0] + t3[0])
-    if not (alpha > 0.0 and beta > 0.0):
-        raise TriadConstructionFailure(
-            f"null rays of the completion plane do not both point to the future "
-            f"(time components {alpha:.3e}, {beta:.3e})"
-        )
-    eta = 0.5 * np.log(alpha / beta)
-    ch, sh = np.cosh(eta), np.sinh(eta)
-    left = np.array([ch * t0 + sh * t3, a1, a2, sh * t0 + ch * t3])
-    if np.linalg.det(left) < 0:
-        left[2] = -left[2]
-    if not is_orthochronous_proper_lorentz(left, tol=max(tol, LORENTZ_TOL_FLOOR)):
-        raise NumericalFailure("left tetrad failed the Lorentz-group check")
+    k_a = _null_frame(u, -1.0)
+    B = (k_a @ omega @ k_a.T).tolist()
+    lam0 = 0.5 * (B[0][0] - B[3][3])
+    a = b = 0.0
+    if not merged:
+        # step 2: refine u, rebuild the frame, then block-diagonalize
+        c, d = _null_rotation(B, lam0, -1.0)
+        s = c * c + d * d
+        u = np.array([1.0 + s, 2.0 * c, 2.0 * d, s - 1.0]) @ k_a
+        k_a = _null_frame(u, -1.0)
+        B = (k_a @ omega @ k_a.T).tolist()
+        lam0 = 0.5 * (B[0][0] - B[3][3])
+        a, b = _null_rotation(B, lam0, 1.0)
+    s = a * a + b * b
+    q = math.sqrt(1.0 + s)
+    left = np.array([[q, a / q, b / q, -s / q], [a, 1.0, 0.0, -a],
+                     [b, 0.0, 1.0, -b], [0.0, a / q, b / q, 1.0 / q]]) @ k_a
 
-    phi0 = float(left[0] @ omega @ left[0])
-    if phi0 <= max(tol, ZERO_REL) * scale:
-        raise NumericalFailure(f"canonical 00-scale {phi0:.3e} is not positive")
-    r0 = lam0 / phi0
-    r1sq = lam1 / phi0
-    r1_zero = r1sq <= _R1_ZERO_REL * max(1.0, r0)
-    r1 = 0.0 if r1_zero else math.sqrt(max(r1sq, 0.0))
-
-    pattern = _type2_pattern(r0, r1)
-    n_scale = math.sqrt(phi0)
-    image = left @ work
-    if r1_zero:
-        # L_A Lambda G = N P G L_B fixes rows 0 and 3 of L_B; rows 1 and 2
-        # may be any unit spacelike pair in ker(L_A Lambda), which is the
-        # G-complement of rows 0 and 3: their frame completion
-        b0 = G_METRIC @ image[0] / n_scale
-        b3 = ((1.0 - r0) * b0 - G_METRIC @ image[3] / n_scale) / r0
-        right = _g_orthonormalize(np.array([b0, *complete_g_frame([b0, b3], 2), b3]))
-        if np.linalg.det(right) < 0:
-            right[2] = -right[2]
-    else:
-        # L_A Lambda is invertible; the solve is Lorentz only as well as
-        # the eigenvectors behind L_A, hence the pass and the recheck below
-        right = _g_orthonormalize(np.linalg.solve(image, n_scale * pattern).T)
-    if not is_orthochronous_proper_lorentz(right, tol=max(tol, LORENTZ_TOL_FLOOR)):
+    k_b = _null_frame(G_METRIC @ (work.T @ u), 1.0)
+    d0, d1, d2, d3 = (k_b @ (work.T @ left[0])).tolist()
+    plus = d0 + d3
+    phi0 = plus * (d0 - d3) - d1 * d1 - d2 * d2
+    if not (plus > 0.0 and phi0 > max(tol, ZERO_REL) * max(1.0, lam0)):
         raise NumericalFailure(
-            "right factor is not a proper orthochronous Lorentz matrix; "
+            f"canonical 00-scale {phi0:.3e} is not positive; "
             "the input violates positivity transfer"
         )
+    a, b = -d1 / plus, -d2 / plus
+    s = a * a + b * b
+    p = math.sqrt(phi0) / plus
+    right = np.array([[0.5 * (p + (1.0 + s) / p), a / p, b / p, 0.5 * (p + (s - 1.0) / p)],
+                      [a, 1.0, 0.0, a], [b, 0.0, 1.0, b],
+                      [0.5 * (p - (1.0 + s) / p), -a / p, -b / p, 0.5 * (p - (s - 1.0) / p)]]) @ k_b
 
-    achieved = (image @ right.T) / n_scale
+    D = (left @ work @ right.T).tolist()
+    (c11, c12), (c21, c22) = D[1][1:3], D[2][1:3]
+    rot_part = math.hypot(0.5 * (c11 + c22), 0.5 * (c21 - c12))
+    ref_part = math.hypot(0.5 * (c11 - c22), 0.5 * (c21 + c12))
+    n_scale = D[0][0]
+    if rot_part - ref_part > bound * n_scale:
+        raise NumericalFailure(
+            f"the 1-2 block of the transformed correlation matrix has positive "
+            f"determinant (singular values {rot_part + ref_part:.3e}, "
+            f"{rot_part - ref_part:.3e}); the input violates positivity transfer"
+        )
+    half = 0.5 * math.atan2(0.5 * (c21 + c12), 0.5 * (c11 - c22))
+    turn = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, math.cos(half), math.sin(half), 0.0],
+                     [0.0, -math.sin(half), math.cos(half), 0.0], [0.0, 0.0, 0.0, 1.0]])
+    left, right = turn @ left, turn @ right
+    D = (left @ work @ right.T).tolist()
+    n_scale = D[0][0]
+    r0 = D[3][3] / n_scale
+    r1 = max(rot_part, ref_part) / n_scale
+    phi0 = n_scale * n_scale
+
+    for rows, name in ((left, "left"), (right, "right")):
+        if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
+            raise NumericalFailure(f"{name} tetrad failed the Lorentz-group check")
+    pattern = _type2_pattern(r0, r1)
+    lam0, lam1 = phi0 * r0, phi0 * r1 * r1
     omega_target = np.array(
         [
             [phi0, 0.0, 0.0, phi0 - lam0],
@@ -459,26 +482,26 @@ def _arrow_from_triad(
             [phi0 - lam0, 0.0, 0.0, phi0 - 2.0 * lam0],
         ]
     )
-    factor_residual = float(np.abs(achieved - pattern).max())
-    _check_factorization(factor_residual, tol)
     residuals = {
-        "factorization": factor_residual,
+        "factorization": max(abs(v / n_scale - c) for row, crow in zip(D, pattern.tolist())
+                             for v, c in zip(row, crow)),
         "omegaCanonical": float(np.abs(left @ omega @ left.T - omega_target).max()),
-        "lambdaPairSplit": float(split),
+        "lambdaPairSplit": 2.0 * min(rot_part, ref_part) / n_scale,
+        "rhoMinEigenvalue": _arrow_min_eigenvalue(r0, r1),
     }
+    rho_c = _pipeline_rho(canonical_rho_type2, r0, r1, side, tol=tol)
+    # last, so every refusal above keeps its own message
+    _check_factorization(residuals["factorization"], tol)
 
     if side == "A":
         canon = pattern
-        rho_c = _pipeline_rho(canonical_rho_type2, r0, r1, "A", tol=tol)
-        params = {"r0": float(r0), "r1": float(r1), "phi0": float(phi0)}
+        params = {"r0": r0, "r1": r1, "phi0": phi0}
         left_out, right_out = left, right
     else:
         # transpose the factorization back: right and left swap roles
         canon = pattern.T
-        rho_c = _pipeline_rho(canonical_rho_type2, r0, r1, "B", tol=tol)
-        params = {"s0": float(r0), "s1": float(r1), "chi0": float(phi0)}
+        params = {"s0": r0, "s1": r1, "chi0": phi0}
         left_out, right_out = right, left
-    residuals["rhoMinEigenvalue"] = float(np.linalg.eigvalsh(rho_c).min())
 
     return CanonicalResult(
         family=SideFamily.TYPE_II_A if side == "A" else SideFamily.TYPE_II_B,
@@ -519,28 +542,22 @@ def _factor_solved(
     """`canonicalize` after side A's eigensolve.
 
     Neither a TypeI nor a TypeII side A solves side B.  A TypeI B tetrad is
-    transported through Lambda (see `type1_canonical`).  A TypeII B side is
-    read off side A's right factor L_B: L_A Lambda L_B^T = N P(r0, r1)
-    gives L_B Omega_B L_B^T = N^2 P^T G P, whose G-eigenvectors are e1, e2
-    at N^2 r1^2 = lam1 and the null e0 + e3 at N^2 r0 = lam0, so rows 1
-    and 2 of L_B are side B's spacelike pair and row0 + row3 its null
-    eigenvector.  A B side of another family shows up in the checks of the
-    B-side construction.  Only a degenerate product side A solves
-    ``omega_b``, to confirm the family on both sides.
+    transported through Lambda (see `type1_canonical`).  A TypeII B side
+    starts from v = G Lambda^T u, the image of side A's null top
+    eigenvector u: G Omega_B v = G Lambda^T G Omega_A u = lam0 v, so v is
+    side B's null top eigenvector, and the two sides share the spectrum.
+    A B side of another family shows up in the checks of the B-side
+    construction.  Only a degenerate product side A solves ``omega_b``,
+    to confirm the family on both sides.
     """
     fam_a = classify_canonical_type(sys_a)
     if fam_a is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
     if fam_a is CanonicalFamily.TYPE_II:
-        triad, spectrum = _arrow_eigenpairs(sys_a)
-        result = _arrow_from_triad(lam, sys_a.omega, "A", triad, spectrum, tol)
-        L_B = result.right_lorentz
-        u0 = L_B[0] + L_B[3]
-        # unit length, as an eigensystem row has: |u0| grows with the
-        # rapidity of L_B, and the completion loses accuracy with it (raw,
-        # it refused 135 more of 3,200 hard-inputs benchmark states)
-        triad = (u0 / math.sqrt(u0.dot(u0)), L_B[1], L_B[2])
-        partner = _arrow_from_triad(lam, omega_b, "B", triad, spectrum, tol)
+        u, merged = _null_top(sys_a), sys_a.clusters[0][1] == 4
+        result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
+        # G Lambda^T u is side B's null top eigenvector, and the spectrum is shared
+        partner = _arrow(lam, omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
         return replace(result, partner=partner)
     return _degenerate_product(lam, sys_a, g_eigensystem(omega_b, tol), tol)
 

@@ -76,10 +76,6 @@ class NumericalFailure(LorentzSvdError):
     """Root finding or eigenvector extraction could not be completed."""
 
 
-class NormalizationFailure(LorentzSvdError):
-    """An eigenvector could not be G-normalized to +/-1 at tolerance."""
-
-
 # ---------------------------------------------------------------------------
 # Canonicalization layer
 
@@ -94,10 +90,6 @@ class NotTypeII(LorentzSvdError):
 
 class SingularTopEigenvalue(LorentzSvdError):
     """Leading eigenvalue vanishes; no normalizable canonical form exists."""
-
-
-class TriadConstructionFailure(LorentzSvdError):
-    """Could not assemble a usable neutral triad from the eigensystem."""
 
 
 class InvalidSigmaParameters(LorentzSvdError):

@@ -9,11 +9,12 @@ share the spectrum of the non-symmetric operator G @ Omega, and that
 spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
-The spectrum comes from LAPACK as cluster means (`_quartic`); a cluster
-that is one real root takes LAPACK's eigenvector from the same call, and
-every other cluster a null space at its centre.  The solve ends at a
-timelike top cluster, of which it keeps the timelike row alone: the
-TypeI construction reads nothing else.  `canonical` reads a TypeI or
+The spectrum comes from LAPACK as cluster means (`_quartic`).  The
+solve then reads the top cluster alone, the only one any construction
+uses: LAPACK's eigenvector when that cluster is one real root, a null
+space at its centre otherwise.  Of a timelike top cluster it keeps the
+timelike row, which the TypeI construction reads; the TypeII
+construction reads the null top row.  `canonical` reads a TypeI or
 TypeII side B off side A, so it solves one form only.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from ._linalg import gram_eigenbasis, null_space_basis
 from ._quartic import quartic_real_roots
-from .errors import NormalizationFailure, NumericalFailure
+from .errors import NumericalFailure
 from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, VectorClass, g_inner
 
 _EPS = float(np.finfo(float).eps)
@@ -42,12 +43,6 @@ SIGNATURE_TOL = 1e-8
 #: orders below this, while generic random states keep eigenvalue gaps
 #: a few orders above it.
 CLUSTER_RADIUS_REL = 1e-7
-
-#: Floor of the tolerance, relative to max(1, top eigenvalue), above which
-#: a subdominant eigenvalue counts as nonzero.  A lightlike eigenvector at
-#: a nonzero subdominant eigenvalue is refused, because no state has one;
-#: at a zero eigenvalue it is the expected kernel direction.
-_SUBDOMINANT_ZERO_FLOOR = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +89,13 @@ def omega_matrices(lam: np.ndarray) -> OmegaPair:
 class ConditionReport:
     """Numerical health data attached to a solved eigensystem."""
 
-    #: residual norm ||G Omega x - lambda x||_2 per eigenvector row
-    residuals: np.ndarray
     #: imaginary scale absorbed when a near-complex root pair was closed
     imag_residue: float
     #: asymmetry removed from the input form
     symmetry_defect: float
-    #: total algebraic-minus-geometric multiplicity over all clusters
+    #: algebraic-minus-geometric multiplicity of the top cluster
     defect: int
-    #: Minkowski Gram eigenvalues of the top eigenvalue cluster
+    #: Minkowski Gram eigenvalues of the top cluster, when its rows are kept
     gram_top: np.ndarray
 
 
@@ -110,26 +103,22 @@ class ConditionReport:
 class GEigenSystem:
     """Solved eigenproblem of G @ Omega for one symmetric form Omega.
 
-    ``eigenvalues`` are the four algebraic eigenvalues, descending.
-    ``eigenvectors`` has one row per geometric eigenvector, cluster by
-    cluster; within a cluster timelike rows come first, then lightlike,
-    then spacelike, larger Rayleigh quotient first.  Row i belongs to the
-    eigenvalue ``vector_eigenvalues[i]`` (its cluster center) and is
-    normalized so its Minkowski norm is +1, 0 or -1 (``norms[i]``).  A
-    defective cluster has fewer rows than its algebraic multiplicity;
-    the shortfall is the condition report's ``defect``.  The solve stops
-    at a top cluster above ``tol`` that holds a timelike direction: such
-    a system holds only that cluster's timelike row and clusters entry
-    besides the four eigenvalues, and its condition report has no
-    residuals and no Gram eigenvalues.
+    ``eigenvalues`` are the four algebraic eigenvalues, descending.  The
+    solve reads the top cluster alone, and ``clusters`` holds that one
+    entry.  A top cluster above ``tol`` that holds a timelike direction
+    gives one row, that direction, with norm +1 and no Gram eigenvalues.
+    Any other top cluster gives one row per geometric eigenvector,
+    timelike rows first, then lightlike, then spacelike, each normalized
+    so its Minkowski norm is +1, 0 or -1 (``norms[i]``).  A TypeII top is
+    defective: its first row is the null eigenvector, and the shortfall
+    is the condition report's ``defect``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    vector_eigenvalues: np.ndarray
     norms: np.ndarray
     top_class: VectorClass
-    #: (center, algebraic multiplicity, geometric dimension) per cluster
+    #: (center, algebraic multiplicity, geometric dimension) of the top cluster
     clusters: tuple[tuple[float, int, int], ...]
     condition_report: ConditionReport
     tol: float
@@ -196,37 +185,26 @@ def _cluster_vectors(
     )
 
 
-def _rediagonalize_cluster(omega: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Diagonalize the Omega-form within one degenerate cluster.
+def _rediagonalize_cluster(basis: np.ndarray) -> np.ndarray:
+    """The G-diagonal basis of one top cluster: its Gram eigenbasis.
 
-    Columns of the result stay G-orthonormal while the cross terms
-    x_i^T Omega x_j are rotated away.  Clusters of uniform signature take
-    an orthogonal mix of the G-normalized columns.  An indefinite cluster
-    keeps its G-normalized Gram eigenbasis: on an eigenspace Omega acts
-    as lambda G, so its cross terms are rounding noise, and the span
-    alone fixes the timelike column (see `_timelike_top`).  Anything
-    lightlike, as in the top of the arrow form with r1^2 = r0, is left
-    exactly as the Gram eigenbasis produced it.  A single column is its
-    own Gram eigenbasis: ``eigh`` of a 1x1 matrix returns U = [[1.0]],
-    and ``basis @ U`` equals ``basis + 0.0``, which turns -0.0 into +0.0.
+    The columns come out G-orthogonal, and G-normalized unless a Gram
+    eigenvalue is lightlike, as in the top of the arrow form with
+    r1^2 = r0, where the basis is left exactly as the Gram eigenbasis
+    produced it.  On an eigenspace Omega acts as lambda G, so no Omega
+    cross term is left to rotate away.  A single column is its own Gram
+    eigenbasis: ``eigh`` of a 1x1 matrix returns U = [[1.0]], and
+    ``basis @ U`` equals ``basis + 0.0``, which turns -0.0 into +0.0.
     """
     if basis.shape[1] == 1:
         return basis + 0.0
     gram, w = gram_eigenbasis(basis)
-    signs = np.zeros(w.shape[1], dtype=int)
-    signs[gram > SIGNATURE_TOL] = 1
-    signs[gram < -SIGNATURE_TOL] = -1
-    if np.any(signs == 0):
+    if np.any(np.abs(gram) <= SIGNATURE_TOL):
         return w
-    wn = w / np.sqrt(np.abs(gram))
-    if np.all(signs == signs[0]):
-        s = wn.T @ omega @ wn
-        _, rot = np.linalg.eigh(0.5 * (s + s.T))
-        return wn @ rot
-    return wn
+    return w / np.sqrt(np.abs(gram))
 
 
-def _timelike_top(omega: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+def _timelike_top(basis: np.ndarray) -> np.ndarray | None:
     """The G-normalized timelike row of the top cluster's span, or None.
 
     Every timelike vector of a degenerate top eigenspace is an
@@ -247,7 +225,7 @@ def _timelike_top(omega: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
         c, s = math.cos(theta), math.sin(theta)
         col = np.array([c * vi + s * wi for vi, wi in zip(v, w)])
     else:
-        col = _rediagonalize_cluster(omega, basis)[:, 0]
+        col = _rediagonalize_cluster(basis)[:, 0]
     gam = float(col @ G_METRIC @ col)
     if gam <= SIGNATURE_TOL:
         return None
@@ -255,24 +233,24 @@ def _timelike_top(omega: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
 
 
 def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
-    """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form.
+    """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form, up to
+    its top cluster.
 
     Eigenvalues come from ``np.linalg.eig`` as cluster means; the
-    eigenvector of a cluster that is one real root from the same call,
-    those of every other cluster from null spaces at the cluster centres,
-    all G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
-    plays no part in root finding.  Clusters are solved top first, and
-    the solve ends at a top cluster above ``tol`` that holds a timelike
-    direction: the TypeI construction reads nothing else.  Such a system
-    has all four eigenvalues but one row, the timelike direction
-    `_timelike_top` picks, and computes no other row, Rayleigh quotient
-    or residual.
-    Raises NumericalFailure on entries that are not finite, or when a
+    eigenvectors of the top cluster from the same call when it is one
+    real root, otherwise from the null space at its centre, all
+    G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
+    plays no part in root finding.  No construction reads a lower
+    cluster: TypeI reads the timelike top row, TypeII the null top row
+    and DegenerateProduct the eigenvalues alone.  So the system has all
+    four eigenvalues but the rows of the top cluster only, and of a top
+    cluster above ``tol`` that holds a timelike direction only the row
+    `_timelike_top` picks.
+    Raises NumericalFailure on entries that are not finite, when a
     complex eigenvalue pair is not a double root within the
     characteristic quartic's rounding (input violating the
-    positivity-transfer precondition), and NormalizationFailure when a
-    subdominant eigenvector turns out lightlike, which no valid input can
-    produce.
+    positivity-transfer precondition), and when the top cluster holds no
+    timelike or lightlike direction.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
@@ -287,12 +265,10 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         return GEigenSystem(
             eigenvalues=np.zeros(4),
             eigenvectors=np.eye(4),
-            vector_eigenvalues=np.zeros(4),
             norms=np.array([1, -1, -1, -1], dtype=int),
             top_class=VectorClass.POSITIVE,
             clusters=((0.0, 4, 4),),
             condition_report=ConditionReport(
-                residuals=np.zeros(4),
                 imag_residue=0.0,
                 symmetry_defect=symmetry_defect,
                 defect=0,
@@ -306,90 +282,58 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     trace = abs(float(np.trace(k_op)))
     quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
     # distinct cluster means, largest first
-    ordered = list(zip(quartic.values.tolist(), quartic.multiplicities.tolist(),
-                       quartic.vectors))[::-1]
-    centers = [center for center, _, _ in ordered]
-    mults = [mult for _, mult, _ in ordered]
+    centers = quartic.values.tolist()[::-1]
+    mults = quartic.multiplicities.tolist()[::-1]
+    center, mult, vector = centers[0], mults[0], quartic.vectors[-1]
 
-    vectors: list[np.ndarray] = []
-    norms: list[int] = []
-    residuals: list[float] = []
-    clusters: list[tuple[float, int, int]] = []
-    gram_top = np.zeros(0)
-    k_rows = k_op.tolist()
-
-    for ci, (center, mult, vector) in enumerate(ordered):
-        if vector is not None:
-            basis = vector[:, None]
-        else:
-            gap = min((abs(c - center) for k, c in enumerate(centers) if k != ci),
-                      default=math.inf)
-            basis = _cluster_vectors(k_rows, center, mult, gap, max(trace, SCALE_FLOOR))
-        clusters.append((center, mult, basis.shape[1]))
-        top = _timelike_top(omega, basis) if ci == 0 and center > tol else None
-        if top is not None:
-            vectors.append(top)
-            norms.append(1)
-            break
-
-        w = _rediagonalize_cluster(omega, basis)
-        entries: list[tuple[int, float, np.ndarray]] = []
+    if vector is not None:
+        basis = vector[:, None]
+    else:
+        gap = min((center - c for c in centers[1:]), default=math.inf)
+        basis = _cluster_vectors(k_op.tolist(), center, mult, gap, max(trace, SCALE_FLOOR))
+    top = _timelike_top(basis) if center > tol else None
+    if top is not None:
+        vectors, norms, gram_top = [top], [1], np.zeros(0)
+    else:
+        w = _rediagonalize_cluster(basis)
+        rows: list[tuple[int, np.ndarray]] = []
         grams: list[float] = []
-        for j in range(w.shape[1]):
-            col = w[:, j]
+        for col in w.T:
             gam = float(col @ G_METRIC @ col)
             grams.append(gam)
             if abs(gam) <= SIGNATURE_TOL:
                 # np.linalg.norm's own arithmetic: a contiguous copy's dot
                 flat = col.ravel()
-                x = _signed_unit(col / math.sqrt(flat.dot(flat)))
-                cls = 0
-                if ci > 0 and center > max(tol, _SUBDOMINANT_ZERO_FLOOR) * max(1.0, centers[0]):
-                    raise NormalizationFailure(
-                        f"lightlike eigenvector at subdominant eigenvalue "
-                        f"{center:.6g} (Minkowski norm {gam:.3e})"
-                    )
+                rows.append((0, _signed_unit(col / math.sqrt(flat.dot(flat)))))
             else:
-                x = _signed_unit(col / np.sqrt(abs(gam)))
-                cls = 1 if gam > 0 else -1
-            rayleigh = float(x @ omega @ x) * (cls if cls else 1)
-            entries.append((cls, rayleigh, x))
-        # timelike first, then lightlike, then spacelike; within a class
-        # larger Rayleigh quotient first — a deterministic total order
-        entries.sort(key=lambda e: (-e[0], -e[1]))
-        if ci == 0:
-            gram_top = np.array(sorted(grams, reverse=True))
-        for cls, _, x in entries:
-            vectors.append(x)
-            norms.append(cls)
-            r = k_op @ x - center * x
-            residuals.append(math.sqrt(r.dot(r)))
+                rows.append((1 if gam > 0 else -1, _signed_unit(col / np.sqrt(abs(gam)))))
+        # timelike first, then lightlike, then spacelike; a stable sort keeps
+        # the Gram eigenbasis order within a class
+        rows.sort(key=lambda row: -row[0])
+        vectors = [x for _, x in rows]
+        norms = [cls for cls, _ in rows]
+        gram_top = np.array(sorted(grams, reverse=True))
 
-    # rows per cluster: a stopped solve keeps one
-    dims = [1] if top is not None else [dim for _, _, dim in clusters]
-    top_classes = norms[: dims[0]]
-    if 1 in top_classes:
+    if 1 in norms:
         top_class = VectorClass.POSITIVE
-    elif 0 in top_classes:
+    elif 0 in norms:
         top_class = VectorClass.NEUTRAL
     else:
         raise NumericalFailure(
             "top eigenspace contains no timelike or lightlike direction; "
-            f"Gram eigenvalues {gram_top}, eigenvalue {centers[0]:.6g}"
+            f"Gram eigenvalues {gram_top}, eigenvalue {center:.6g}"
         )
 
     return GEigenSystem(
         eigenvalues=np.repeat(centers, mults),
         eigenvectors=np.array(vectors),
-        vector_eigenvalues=np.repeat(centers[: len(dims)], dims),
         norms=np.array(norms, dtype=int),
         top_class=top_class,
-        clusters=tuple(clusters),
+        clusters=((center, mult, basis.shape[1]),),
         condition_report=ConditionReport(
-            residuals=np.array(residuals),
             imag_residue=quartic.imag_residue,
             symmetry_defect=symmetry_defect,
-            defect=sum(mult - dim for _, mult, dim in clusters),
+            defect=mult - basis.shape[1],
             gram_top=gram_top,
         ),
         tol=tol,

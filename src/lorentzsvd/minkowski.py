@@ -22,13 +22,12 @@ G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 #:
 #: * whether a matrix is a state: hermiticity, trace and positivity of rho,
 #:   and positivity of the rho rebuilt from a Lambda;
-#: * the G-eigensystem: the all-zero form, which subdominant eigenvalues
-#:   count as nonzero, and the zero top eigenvalue of the degenerate
-#:   product family;
-#: * the constructions: zero eigenvalue slots, the sign of det Lambda, the
-#:   00-scale, neutral-triad completion, the Lorentz-group checks of both
-#:   factors, diagonality of the TypeI result and the canonical parameter
-#:   region;
+#: * the G-eigensystem: the all-zero form and the zero top eigenvalue of
+#:   the degenerate product family;
+#: * the constructions: the TypeI top eigenvalue, the sign of det Lambda,
+#:   the TypeII 00-scale, the Lorentz-group checks of both factors,
+#:   diagonality of the TypeI result, the canonical parameter region and
+#:   the factorization recheck;
 #: * the CLI's ``verify`` thresholds and its ``sigma`` comparison.
 #:
 #: Most of these take ``max(tol, floor)`` with a floor of their own, so a

@@ -22,6 +22,7 @@ from lorentzsvd.canonical import (
     CanonicalResult,
     SideFamily,
     SigmaParameters,
+    _arrow_min_eigenvalue,
     _pipeline_rho,
     canonical_rho_type1,
     canonical_rho_type2,
@@ -340,6 +341,26 @@ def test_segment_r1_zero():
     assert_factorization(res, lam)
 
 
+def test_edge_r1_squared_equals_r0():
+    """At r1^2 = r0 all four eigenvalues form one cluster, whose 3-dim
+    eigenspace is the G-complement of u: the 2x2 systems of the null
+    rotations vanish, every frame with u along e0 - e3 is block-diagonal,
+    and the construction takes no rotation.  A canonical input reproduces
+    its parameters; filtered ones factor and keep r1^2 / r0 = 1."""
+    lam = type2_lambda(0.25, 0.5)
+    res = canonicalize(rho_from_lambda(lam))
+    assert abs(res.parameters["r0"] - 0.25) < 1e-12 and abs(res.parameters["r1"] - 0.5) < 1e-12
+    assert_factorization(res, lam)
+    assert_factorization(res.partner, lam)
+    gen = rng(2)
+    for _ in range(5):
+        moved = apply_slocc(rho_from_lambda(lam), random_sl2c(gen), random_sl2c(gen))
+        res = canonicalize(moved)
+        assert abs(res.parameters["r1"] ** 2 / res.parameters["r0"] - 1.0) < 1e-9
+        assert_factorization(res, lambda_from_rho(moved))
+        assert_factorization(res.partner, lambda_from_rho(moved))
+
+
 def test_both_sides_reported_and_consistent():
     lam = type2_lambda(0.64, 0.6)
     res = canonicalize(rho_from_lambda(lam))
@@ -475,11 +496,10 @@ def test_polished_right_factors_pass_the_lorentz_check(rho):
 
 @pytest.mark.parametrize("d", [0.3, 0.0])
 def test_partner_triad_is_a_b_side_eigenvector_triad(d):
-    """The partner's neutral triad, rows 0 + 3, 1 and 2 of side A's right
-    factor L_B, is G-orthonormal, made of eigenvectors of G Omega_B at
-    side A's eigenvalues, and its null row is a B solve's null ray.  d = 0
-    gives a double zero eigenvalue, where the factorization fixes only
-    rows 0 and 3 and `complete_g_frame` fills rows 1 and 2."""
+    """Rows 0 + 3, 1 and 2 of side A's right factor L_B are G-orthonormal,
+    made of eigenvectors of G Omega_B at side A's eigenvalues, and the null
+    row is a B solve's null ray.  d = 0 gives a double zero eigenvalue,
+    where the 2x2 SVD of a rounding-level 1-2 block picks rows 1 and 2."""
     gen = rng(29)
     rho = rho_from_lambda(sigma_from_bcd(SigmaParameters(0.5, 0.1, d))[0])
     for _ in range(5):
@@ -518,21 +538,62 @@ def test_carried_partner_matches_a_b_side_solve(slocc_seed):
 
 @pytest.mark.parametrize("rapidity", [0.7, 1.5])
 def test_carried_partner_on_the_r1_zero_route(rapidity):
-    """Sigma(0.5, 0.1, 0) has a double zero eigenvalue; side A's right
-    factor takes rows 0 and 3 from the factorization and fills rows 1 and
-    2, its free pair in ker(L_A Lambda), by frame completion, and the
-    partner reads them from there."""
+    """Sigma(0.5, 0.1, 0) has a double zero eigenvalue, so D's 1-2 block is
+    rounding noise; its 2x2 SVD is taken like any other, r1 and s1 come
+    out at rounding level, and the partner, built from the image of side
+    A's null top row, agrees with one built from a B-side eigensolve."""
     _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.0))
     gen = rng(3)
     moved = apply_slocc(rho, random_sl2c(gen, rapidity), random_sl2c(gen, rapidity))
     lam = lambda_from_rho(moved)
     res = canonicalize(moved)
     assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
-    assert res.parameters["r1"] == 0.0 and res.partner.parameters["s1"] == 0.0
+    assert res.parameters["r1"] <= 1e-12 and res.partner.parameters["s1"] <= 1e-12
     assert_factorization(res, lam)
     assert_factorization(res.partner, lam)
     solved = type2_canonical(lam, g_eigensystem(omega_matrices(lam).omega_b), "B")
     assert abs(res.partner.parameters["s0"] - solved.parameters["s0"]) <= 1e-8
+
+
+def test_filtered_r1_zero_state_factors():
+    """Sigma(0.5, 0.1, 0) filtered at rapidity 1.5 was refused when a cut on
+    r1^2 = lam1 / phi0 took rounding noise in the zero eigenvalue lam1,
+    inflated by the filter, for r1 > 0 ("tetrad row 0 lost its causal
+    character", Minkowski norm -4.4e3).  The SVD of the 1-2 block needs no
+    such cut, and every factor is Lorentz to rounding."""
+    _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.0))
+    gen = np.random.default_rng(4)
+    moved = apply_slocc(rho, random_sl2c(gen, 1.5), random_sl2c(gen, 1.5))
+    res = canonicalize(moved)
+    assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
+    for side in (res, res.partner):
+        assert side.residuals["factorization"] <= 1e-8
+        for L in (side.left_lorentz, side.right_lorentz):
+            assert lorentz_defect(L) <= 1e-12
+
+
+def _sample_bc(gen: np.random.Generator) -> tuple[float, float]:
+    """(b, c) strictly inside the non-diagonalizable region, drawn as the
+    benchmark corpus draws them."""
+    while True:
+        c = gen.uniform(-0.85, 0.9)
+        lo, hi = c + 0.02, min(0.9, (1.0 + c) / 2.0 - 0.025)
+        if hi > lo:
+            b = gen.uniform(lo, hi)
+            if 1.0 + c - 2.0 * b > 0.05:
+                return float(b), float(c)
+
+
+def test_r1_zero_census_refuses_none():
+    """40 Sigma(b, c, 0) states filtered on both sides at rapidity 1.5 all
+    factor.  With the r1 = 0 cut, 82 of 400 such states were refused."""
+    gen = np.random.default_rng([16, 15])
+    for _ in range(40):
+        _, rho = sigma_from_bcd(SigmaParameters(*_sample_bc(gen), 0.0))
+        moved = apply_slocc(rho, random_sl2c(gen, 1.5), random_sl2c(gen, 1.5))
+        res = canonicalize(moved)
+        assert res.partner is not None
+        assert max(res.residuals["factorization"], res.partner.residuals["factorization"]) <= 1e-8
 
 
 # case 71 of the hard-inputs benchmark corpus at seed 7: a Sigma(b, c, d)
@@ -583,10 +644,11 @@ def test_eps_mixed_sigma_closes_its_split_double_root(eps):
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     """The two Omega forms built once and one eigensolve: the TypeI B
-    time leg and the TypeII B eigenvectors both come from Lambda.  Only a
-    cluster of two or more dimensions takes Gram eigensolves (`eigh`):
-    none on a rank-3 or rank-4 TypeI state, whose four roots are simple,
-    and two for the spacelike pair of a TypeII state."""
+    time leg and the TypeII B null eigenvector both come from Lambda.  Only
+    a top cluster of two or more dimensions takes a Gram eigensolve
+    (`eigh`): none on a rank-3 or rank-4 TypeI state, whose four roots are
+    simple, and none on a TypeII state, whose defective top has one
+    eigenvector."""
     import lorentzsvd.canonical as canonical
 
     calls = {"g_eigensystem": 0, "omega_matrices": 0, "eigh": 0}
@@ -599,8 +661,32 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
 
         monkeypatch.setattr(module, name, counted)
     assert canonicalize(rho).family is family
-    eighs = 0 if family is SideFamily.TYPE_I else 2
-    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "eigh": eighs}
+    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "eigh": 0}
+
+
+def test_type2_route_counts(monkeypatch):
+    """A filtered Sigma state takes one `eig` and one null space, for its
+    defective top, and no solve and no Hermitian eigensolve: no lower
+    cluster is solved, the arrow construction solves its 2x2 system in
+    closed form, and ``rhoMinEigenvalue`` has a closed form.  The one
+    `eigvalsh` is the state check in `lambda_from_rho`, which every family
+    makes."""
+    import lorentzsvd.geigen as geigen
+
+    calls = dict.fromkeys(("eig", "null_space_basis", "solve", "eigh", "eigvalsh"), 0)
+    for name in calls:
+        module = geigen if name == "null_space_basis" else np.linalg
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
+    gen = rng(8)
+    res = canonicalize(apply_slocc(rho, random_sl2c(gen, 1.5), random_sl2c(gen, 1.5)))
+    assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
+    assert calls == {"eig": 1, "null_space_basis": 1, "solve": 0, "eigh": 0, "eigvalsh": 1}
 
 
 TOP_VECTOR_STATES = [(rank, random_state(rank, seed=seed)) for rank in (1, 2, 3, 4)
@@ -612,13 +698,11 @@ def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
     """One boost per side and a 3x3 SVD: both factors are Lorentz to
     rounding, the canonical diagonal and the parameters are the
     eigenvalue formulas, and a rank-3 or rank-4 state reads no eigenvector
-    but the top one, completes no frame and polishes no tetrad."""
-    import lorentzsvd.canonical as canonical
+    but the top one and takes no null space, solve or Gram eigensolve."""
     import lorentzsvd.geigen as geigen
 
-    calls = {"null_space_basis": 0, "complete_g_frame": 0, "_g_orthonormalize": 0}
-    targets = {"null_space_basis": geigen, "complete_g_frame": canonical,
-               "_g_orthonormalize": canonical}
+    calls = {"null_space_basis": 0, "solve": 0, "eigh": 0}
+    targets = {"null_space_basis": geigen, "solve": np.linalg, "eigh": np.linalg}
     for name, module in targets.items():
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -839,6 +923,17 @@ def test_canonical_rho_type2_reference_entries():
     assert rho[0, 3] == pytest.approx(0.3)
     assert np.linalg.matrix_rank(rho, tol=1e-12) == 3
     np.testing.assert_allclose(lambda_from_rho(rho), type2_lambda(0.64, 0.6), atol=1e-15)
+
+
+def test_arrow_min_eigenvalue_is_the_spectrum_minimum():
+    """The closed-form smallest eigenvalue of the arrow state matches
+    `eigvalsh` over a (p0, p1) grid that runs up to the edge p1^2 = p0."""
+    for p0 in np.linspace(0.0, 1.0, 21).tolist():
+        for share in (0.0, 0.1, 0.5, 0.9, 1.0):
+            p1 = (share * p0) ** 0.5
+            for side in ("A", "B"):
+                want = float(np.linalg.eigvalsh(canonical_rho_type2(p0, p1, side)).min())
+                assert abs(_arrow_min_eigenvalue(p0, p1) - want) <= 1e-15, (p0, p1)
 
 
 def test_canonical_rho_type2_rejects_r1_squared_above_r0():

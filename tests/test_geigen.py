@@ -177,11 +177,11 @@ def test_invariants_scale_adjusted_under_filtering(seed):
 
 
 def _row_residuals(sys) -> np.ndarray:
-    """||G Omega x - lambda x|| of every returned row, computed here: a
-    solve that stopped at a timelike top records no residual."""
+    """||G Omega x - lambda x|| of every returned row, computed here: the
+    solve records no residual, and every row belongs to the top cluster."""
     k_op = G_METRIC @ sys.omega
-    return np.array([np.linalg.norm(k_op @ x - center * x)
-                     for x, center in zip(sys.eigenvectors, sys.vector_eigenvalues)])
+    center = sys.clusters[0][0]
+    return np.array([np.linalg.norm(k_op @ x - center * x) for x in sys.eigenvectors])
 
 
 def test_eigensystem_werner():
@@ -193,32 +193,32 @@ def test_eigensystem_werner():
     np.testing.assert_allclose(np.abs(sys.eigenvectors[0]), [1, 0, 0, 0], atol=1e-12)
     assert len(sys.clusters) == 1 and sys.clusters[0] == pytest.approx((1.0, 1, 1))
     assert sys.condition_report.defect == 0
-    assert len(sys.condition_report.residuals) == 0
     assert _row_residuals(sys).max() < 1e-12
 
 
 def test_eigensystem_defective_top():
+    """The solve stops after the top cluster for every family: a TypeII top
+    is a double root with one lightlike row, and the spacelike pair below
+    it keeps its eigenvalues but no rows."""
     sys = g_eigensystem(omega_matrices(type2_lambda(0.64, 0.6)).omega_a)
     np.testing.assert_allclose(sys.eigenvalues, [0.64, 0.64, 0.36, 0.36], atol=1e-10)
     assert sys.top_class is VectorClass.NEUTRAL
-    assert sys.clusters[0][1] == 2
-    assert list(sys.norms) == [0, -1, -1]
-    # the only top eigenvector is the lightlike direction (1,0,0,-1)/sqrt(2):
-    # one row for the double root, then the two spacelike rows
+    assert list(sys.norms) == [0]
+    # the only top eigenvector is the lightlike direction (1,0,0,-1)/sqrt(2)
     np.testing.assert_allclose(
         sys.eigenvectors[0], np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), atol=1e-9
     )
-    assert sys.eigenvectors.shape == (3, 4)
-    np.testing.assert_allclose(sys.vector_eigenvalues, [0.64, 0.36, 0.36], atol=1e-10)
+    assert sys.eigenvectors.shape == (1, 4)
     assert sys.condition_report.defect == 1
-    (c0, m0, d0), (c1, m1, d1) = sys.clusters
-    assert (m0, d0) == (2, 1) and (m1, d1) == (2, 2)
-    assert c0 == pytest.approx(0.64, abs=1e-10) and c1 == pytest.approx(0.36, abs=1e-10)
+    ((c0, m0, d0),) = sys.clusters
+    assert (m0, d0) == (2, 1) and c0 == pytest.approx(0.64, abs=1e-10)
+    assert _row_residuals(sys).max() < 1e-8
 
 
 def test_type2_rows_follow_the_geometric_dimensions():
-    """A TypeII eigensystem has one row per geometric eigenvector, not per
-    algebraic eigenvalue, on both sides of filtered Sigma states."""
+    """A TypeII eigensystem has one row per geometric eigenvector of its top
+    cluster, not per algebraic eigenvalue, on both sides of filtered Sigma
+    states: the null top row alone, future-pointing."""
     gen = rng(17)
     rho = rho_from_lambda(sigma_matrix(0.5, 0.1, 0.3))
     for _ in range(5):
@@ -227,12 +227,12 @@ def test_type2_rows_follow_the_geometric_dimensions():
         for omega in (pair.omega_a, pair.omega_b):
             sys = g_eigensystem(omega)
             assert classify_canonical_type(sys) is CanonicalFamily.TYPE_II
-            rows = sum(dim for _, _, dim in sys.clusters)
-            assert rows == 3 and sys.condition_report.defect == 1
-            assert sys.eigenvectors.shape == (rows, 4)
-            assert len(sys.norms) == len(sys.vector_eigenvalues) == rows
-            assert len(sys.condition_report.residuals) == rows
+            ((_, mult, dim),) = sys.clusters
+            assert (mult, dim) == (2, 1) and sys.condition_report.defect == 1
+            assert sys.eigenvectors.shape == (1, 4) and list(sys.norms) == [0]
+            assert sys.eigenvectors[0, 0] > 0.0
             assert len(sys.eigenvalues) == 4
+            assert _row_residuals(sys).max() < 1e-7
 
 
 def test_eigensystem_degenerate_diagonal():
@@ -253,10 +253,9 @@ def test_one_column_cluster_is_its_own_gram_eigenbasis():
     """A one-dimensional cluster skips the Gram eigensolve and returns the
     same bytes it would produce, signed zeros included: U = [[1.0]] and
     basis @ U turns -0.0 into +0.0."""
-    omega = np.diag([1.0, 0.5, 0.25, 0.125])
     for column in ([0.6, -0.0, 0.8, -0.0], [-0.0, 1.0, -0.0, 0.0], [-3e-200, 0.0, -0.0, 2.0]):
         basis = np.array(column)[:, None]
-        fast = _rediagonalize_cluster(omega, basis)
+        fast = _rediagonalize_cluster(basis)
         assert fast.tobytes() == gram_eigenbasis(basis)[1].tobytes()
         assert not np.signbit(fast[fast == 0.0]).any()
 
@@ -269,7 +268,7 @@ def test_timelike_top_of_a_plane_is_its_gram_top_eigenvector():
         omega = omega_matrices(lambda_from_rho(random_state(2, seed=seed))).omega_a
         sys = g_eigensystem(omega)
         assert sys.clusters[0][1:] == (2, 2) and sys.eigenvectors.shape == (1, 4)
-        assert list(sys.norms) == [1] and len(sys.condition_report.residuals) == 0
+        assert list(sys.norms) == [1] and len(sys.condition_report.gram_top) == 0
         k_op = G_METRIC @ omega
         center = sys.clusters[0][0]
         basis = _cluster_vectors(k_op.tolist(), center, 2, center - sys.eigenvalues[-1],
@@ -291,7 +290,7 @@ def test_lightlike_cluster_keeps_its_gram_eigenbasis():
     assert list(sys.norms) == [0, -1, -1]
     assert abs(sys.condition_report.gram_top[0]) < 1e-12
     assert classify_canonical_type(sys) is CanonicalFamily.TYPE_II
-    assert sys.condition_report.residuals.max() < 1e-12
+    assert _row_residuals(sys).max() < 1e-12
 
 
 def test_over_wide_cut_is_refused():
