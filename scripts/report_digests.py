@@ -10,8 +10,7 @@ Write the digests of one checkout, then compare two digest files::
 (``bench/corpus.py``) is recorded as the sha256 of its canonicalization
 report, or as its error class and message, next to a digest of the raw
 bytes of both eigensystems, each solved as `canonicalize` solves side A:
-the top cluster's rows only, and of a timelike top cluster its one
-timelike row.  A refactor that claims unchanged arithmetic must leave
+the one row of the top cluster.  A refactor that claims unchanged arithmetic must leave
 every line equal.  ``compare`` prints each changed case, then
 one line per group with the changed cases tallied by outcome kind, old
 -> new: ``report`` or the error class.
@@ -49,15 +48,18 @@ def _sha(*parts: bytes) -> str:
 
 
 def _eigen_digest(omega: np.ndarray) -> str:
-    """Hash of one eigensystem: the four eigenvalues, the top cluster's rows
-    with their norms, the top cluster and its Gram eigenvalues.
+    """Hash of one eigensystem: the four eigenvalues, the top row with its
+    norm, the top cluster and the row's Gram value.
 
-    The solve reads the top cluster alone: a timelike top gives one row,
-    that direction, with no Gram eigenvalue, and any other top one row
-    per geometric eigenvector.  Digests written while the solve went on
-    below a top that was not timelike differ from these exactly on such
-    sides; on a side with a timelike top the per-row residuals they also
-    hashed were empty, so those digests are unchanged.
+    The solve reads the top cluster alone and gives one row per top
+    cluster, its span's Gram top eigenvector: a timelike row with no Gram
+    value, or a lightlike row with its x^T G x.  On the benchmark corpora
+    every top cluster gave one row also while a top that was not timelike
+    kept a row per geometric eigenvector, so digests written then are
+    unchanged.  Digests written while the solve went on below a top that
+    was not timelike differ from these exactly on such sides; on a side
+    with a timelike top the per-row residuals they also hashed were
+    empty, so those digests are unchanged.
     """
     from lorentzsvd.geigen import g_eigensystem
 

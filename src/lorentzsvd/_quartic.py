@@ -8,10 +8,13 @@ conditioned like the square root of the perturbation, but the cluster's
 mean moves only linearly with it (Kato; Stewart & Sun), so roots are
 reported as cluster means.  Rounding splits the defective double root
 of the non-diagonalizable family into a conjugate pair or into two close
-real roots.  A conjugate pair is a double root at its mean when the
-quartic, from its exact principal-minor coefficients, nearly vanishes
-there; real roots merge by distance.  No caller tolerance enters.
+real roots.  One merge radius decides both: a conjugate pair whose two
+members lie within it is a double root at its mean, and real roots
+within it of each other merge.  No caller tolerance enters.
 
+`charpoly_g` and `polyval` build and evaluate the characteristic
+quartic from its exact principal-minor coefficients.  The spectrum no
+longer uses them; `bench/tracer.py` still wraps both by name.
 Polynomials are coefficient lists in ascending order: c[k] <-> lambda^k,
 on Python floats, because with five coefficients numpy's call overhead
 outweighs the arithmetic.
@@ -26,14 +29,6 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .minkowski import G_METRIC
-
-#: a conjugate eigenvalue pair is a double root at its mean v when the
-#: quartic c nearly vanishes there: |c(v)| at most this fraction of the
-#: size of c's terms at v.  A pair split from a true double root by
-#: rounding leaves |c(v)| at the rounding level of the terms; a genuinely
-#: complex pair leaves c(v) about Im^2 times the size of its other factor
-_PAIR_CLOSURE_REL = 1e-11
-
 
 def _minor_plan() -> tuple[tuple, tuple]:
     """How `charpoly_g` computes each distinct minor once.
@@ -128,34 +123,26 @@ class QuarticRoots:
 def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots:
     """The eigenvalues of G @ omega as real cluster means with multiplicities.
 
-    A conjugate pair with mean v is a double root at v when |c(v)| lies
-    within `_PAIR_CLOSURE_REL` times sum_k |c_k| max(1, |v|)^k, c being
-    `charpoly_g(omega)` (built only when a pair appears); otherwise it
+    A conjugate pair z, conj(z) is a double root at its mean when its two
+    members lie at most cluster_radius apart (2 Im z); otherwise it
     raises NumericalFailure.  Neighbouring roots no more than
     cluster_radius apart then merge into one cluster at their mean.  A
     cluster that is one real root keeps LAPACK's eigenvector.
     """
-    omega = np.asarray(omega, dtype=float)
-    w, vecs = np.linalg.eig(G_METRIC @ omega)
+    w, vecs = np.linalg.eig(G_METRIC @ np.asarray(omega, dtype=float))
     # (root, multiplicity, eigenvector column or None)
     roots: list[tuple[float, int, int | None]] = []
     imag_residue = 0.0
-    c = None
     for col, z in enumerate(w.tolist()):
         if z.imag == 0.0:
             roots.append((z.real, 1, col))
         elif z.imag > 0.0:
             # LAPACK returns each pair as exact conjugates, so z.real is
             # its mean; the partner with z.imag < 0 is skipped
-            if c is None:
-                c = charpoly_g(omega).tolist()
-            v = z.real
-            reach = max(1.0, abs(v))
-            terms = sum(abs(ck) * reach ** k for k, ck in enumerate(c))
-            if abs(polyval(c, v)) > _PAIR_CLOSURE_REL * terms:
+            if 2.0 * z.imag > cluster_radius:
                 raise NumericalFailure(f"complex eigenvalue pair with imaginary part {z.imag:.3e}")
             imag_residue = max(imag_residue, z.imag)
-            roots.append((v, 2, None))
+            roots.append((z.real, 2, None))
 
     values: list[float] = []
     mults: list[int] = []

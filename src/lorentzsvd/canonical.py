@@ -188,10 +188,7 @@ def type1_canonical(
     if lam0 <= zero_tol:
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
 
-    timelike = [v for v, n in zip(sys_a.eigenvectors, sys_a.norms.tolist()) if n == 1]
-    if len(timelike) != 1:
-        raise NotTypeI(f"expected exactly one timelike eigenvector, found {len(timelike)}")
-    a = timelike[0]
+    a = sys_a.eigenvectors[0]
     b = G_METRIC @ lam.T @ a
     bb = float(b @ G_METRIC @ b)
     if not (bb > 0.0 and b[0] > 0.0):

@@ -11,11 +11,12 @@ timelike or lightlike -- decides which canonical form a state admits.
 
 The spectrum comes from LAPACK as cluster means (`_quartic`).  The
 solve then reads the top cluster alone, the only one any construction
-uses: LAPACK's eigenvector when that cluster is one real root, a null
-space at its centre otherwise.  Of a timelike top cluster it keeps the
-timelike row, which the TypeI construction reads; the TypeII
-construction reads the null top row.  `canonical` reads a TypeI or
-TypeII side B off side A, so it solves one form only.
+uses, and of it one row: the Gram top eigenvector of the cluster's
+span, which is LAPACK's eigenvector when the cluster is one real root
+and a null space at its centre otherwise.  The TypeI construction reads
+that row when it is timelike, the TypeII construction when it is null.
+`canonical` reads a TypeI or TypeII side B off side A, so it solves one
+form only.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class ConditionReport:
     symmetry_defect: float
     #: algebraic-minus-geometric multiplicity of the top cluster
     defect: int
-    #: Minkowski Gram eigenvalues of the top cluster, when its rows are kept
+    #: x^T G x of the Euclidean-unit top row x when it is lightlike; empty
+    #: when the row is timelike, since it is then G-normalized
     gram_top: np.ndarray
 
 
@@ -105,13 +107,11 @@ class GEigenSystem:
 
     ``eigenvalues`` are the four algebraic eigenvalues, descending.  The
     solve reads the top cluster alone, and ``clusters`` holds that one
-    entry.  A top cluster above ``tol`` that holds a timelike direction
-    gives one row, that direction, with norm +1 and no Gram eigenvalues.
-    Any other top cluster gives one row per geometric eigenvector,
-    timelike rows first, then lightlike, then spacelike, each normalized
-    so its Minkowski norm is +1, 0 or -1 (``norms[i]``).  A TypeII top is
-    defective: its first row is the null eigenvector, and the shortfall
-    is the condition report's ``defect``.
+    entry.  Every top cluster gives one row, the Gram top eigenvector of
+    its span: timelike and G-normalized (``norms`` [+1]), or lightlike
+    and Euclidean-unit ([0]).  A TypeII top is defective: its row is the
+    null eigenvector, and the shortfall is the condition report's
+    ``defect``.
     """
 
     eigenvalues: np.ndarray
@@ -204,8 +204,8 @@ def _rediagonalize_cluster(basis: np.ndarray) -> np.ndarray:
     return w / np.sqrt(np.abs(gram))
 
 
-def _timelike_top(basis: np.ndarray) -> np.ndarray | None:
-    """The G-normalized timelike row of the top cluster's span, or None.
+def _gram_top(basis: np.ndarray) -> np.ndarray:
+    """The Gram top eigenvector of the top cluster's span.
 
     Every timelike vector of a degenerate top eigenspace is an
     eigenvector; which one is residual gauge (Verstraete, Dehaene, De
@@ -217,40 +217,36 @@ def _timelike_top(basis: np.ndarray) -> np.ndarray | None:
     """
     dim = basis.shape[1]
     if dim == 4:
-        col = _E0
-    elif dim == 2:
+        return _E0
+    if dim == 2:
         v, w = basis.T.tolist()
         s00, s01, s11 = g_inner(v, v), g_inner(v, w), g_inner(w, w)
         theta = 0.5 * math.atan2(2.0 * s01, s00 - s11)
         c, s = math.cos(theta), math.sin(theta)
-        col = np.array([c * vi + s * wi for vi, wi in zip(v, w)])
-    else:
-        col = _rediagonalize_cluster(basis)[:, 0]
-    gam = float(col @ G_METRIC @ col)
-    if gam <= SIGNATURE_TOL:
-        return None
-    return _signed_unit(col / math.sqrt(gam))
+        return np.array([c * vi + s * wi for vi, wi in zip(v, w)])
+    return _rediagonalize_cluster(basis)[:, 0]
 
 
 def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form, up to
     its top cluster.
 
-    Eigenvalues come from ``np.linalg.eig`` as cluster means; the
-    eigenvectors of the top cluster from the same call when it is one
-    real root, otherwise from the null space at its centre, all
-    G-normalized to norm +1/0/-1 with a deterministic sign.  ``tol``
-    plays no part in root finding.  No construction reads a lower
-    cluster: TypeI reads the timelike top row, TypeII the null top row
+    Eigenvalues come from ``np.linalg.eig`` as cluster means.  The top
+    cluster's span is LAPACK's eigenvector when the cluster is one real
+    root, the null space at its centre otherwise, and the whole space for
+    the zero form (every entry at most ``tol``).  ``tol`` plays no other
+    part in the solve.  No construction reads a lower cluster or a second
+    top row: TypeI reads the timelike top row, TypeII the null top row
     and DegenerateProduct the eigenvalues alone.  So the system has all
-    four eigenvalues but the rows of the top cluster only, and of a top
-    cluster above ``tol`` that holds a timelike direction only the row
-    `_timelike_top` picks.
-    Raises NumericalFailure on entries that are not finite, when a
-    complex eigenvalue pair is not a double root within the
-    characteristic quartic's rounding (input violating the
-    positivity-transfer precondition), and when the top cluster holds no
-    timelike or lightlike direction.
+    four eigenvalues and one row, the span's Gram top eigenvector x
+    (`_gram_top`) with a deterministic sign: G-normalized (norm +1) when
+    x^T G x > SIGNATURE_TOL, Euclidean-unit (norm 0) when it lies within
+    SIGNATURE_TOL of zero.
+    Raises NumericalFailure on entries that are not finite, when the two
+    members of a complex eigenvalue pair lie farther apart than the
+    merge radius (input violating the positivity-transfer
+    precondition), and when the top cluster holds no timelike or
+    lightlike direction.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
@@ -262,76 +258,47 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
 
     if float(np.abs(omega).max()) <= tol:
         # the zero form: every direction is an eigenvector at zero
-        return GEigenSystem(
-            eigenvalues=np.zeros(4),
-            eigenvectors=np.eye(4),
-            norms=np.array([1, -1, -1, -1], dtype=int),
-            top_class=VectorClass.POSITIVE,
-            clusters=((0.0, 4, 4),),
-            condition_report=ConditionReport(
-                imag_residue=0.0,
-                symmetry_defect=symmetry_defect,
-                defect=0,
-                gram_top=np.array([1.0, -1.0, -1.0, -1.0]),
-            ),
-            tol=tol,
-            omega=omega,
-        )
-
-    k_op = G_METRIC @ omega
-    trace = abs(float(np.trace(k_op)))
-    quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
-    # distinct cluster means, largest first
-    centers = quartic.values.tolist()[::-1]
-    mults = quartic.multiplicities.tolist()[::-1]
-    center, mult, vector = centers[0], mults[0], quartic.vectors[-1]
-
-    if vector is not None:
-        basis = vector[:, None]
+        centers, mults, basis, imag_residue = [0.0], [4], np.eye(4), 0.0
     else:
-        gap = min((center - c for c in centers[1:]), default=math.inf)
-        basis = _cluster_vectors(k_op.tolist(), center, mult, gap, max(trace, SCALE_FLOOR))
-    top = _timelike_top(basis) if center > tol else None
-    if top is not None:
-        vectors, norms, gram_top = [top], [1], np.zeros(0)
-    else:
-        w = _rediagonalize_cluster(basis)
-        rows: list[tuple[int, np.ndarray]] = []
-        grams: list[float] = []
-        for col in w.T:
-            gam = float(col @ G_METRIC @ col)
-            grams.append(gam)
-            if abs(gam) <= SIGNATURE_TOL:
-                # np.linalg.norm's own arithmetic: a contiguous copy's dot
-                flat = col.ravel()
-                rows.append((0, _signed_unit(col / math.sqrt(flat.dot(flat)))))
-            else:
-                rows.append((1 if gam > 0 else -1, _signed_unit(col / np.sqrt(abs(gam)))))
-        # timelike first, then lightlike, then spacelike; a stable sort keeps
-        # the Gram eigenbasis order within a class
-        rows.sort(key=lambda row: -row[0])
-        vectors = [x for _, x in rows]
-        norms = [cls for cls, _ in rows]
-        gram_top = np.array(sorted(grams, reverse=True))
+        k_op = G_METRIC @ omega
+        trace = abs(float(np.trace(k_op)))
+        quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
+        # distinct cluster means, largest first
+        centers = quartic.values.tolist()[::-1]
+        mults = quartic.multiplicities.tolist()[::-1]
+        imag_residue = quartic.imag_residue
+        if quartic.vectors[-1] is not None:
+            basis = quartic.vectors[-1][:, None]
+        else:
+            gap = min((centers[0] - c for c in centers[1:]), default=math.inf)
+            basis = _cluster_vectors(k_op.tolist(), centers[0], mults[0], gap,
+                                     max(trace, SCALE_FLOOR))
+    center, mult = centers[0], mults[0]
 
-    if 1 in norms:
-        top_class = VectorClass.POSITIVE
-    elif 0 in norms:
-        top_class = VectorClass.NEUTRAL
+    col = _gram_top(basis)
+    gam = float(col @ G_METRIC @ col)
+    if gam > SIGNATURE_TOL:
+        top_class, norm, gram_top = VectorClass.POSITIVE, 1, np.zeros(0)
+        row = col / math.sqrt(gam)
+    elif gam >= -SIGNATURE_TOL:
+        top_class, norm, gram_top = VectorClass.NEUTRAL, 0, np.array([gam])
+        # np.linalg.norm's own arithmetic: a contiguous copy's dot
+        flat = col.ravel()
+        row = col / math.sqrt(flat.dot(flat))
     else:
         raise NumericalFailure(
             "top eigenspace contains no timelike or lightlike direction; "
-            f"Gram eigenvalues {gram_top}, eigenvalue {center:.6g}"
+            f"Gram eigenvalues {np.array([gam])}, eigenvalue {center:.6g}"
         )
 
     return GEigenSystem(
         eigenvalues=np.repeat(centers, mults),
-        eigenvectors=np.array(vectors),
-        norms=np.array(norms, dtype=int),
+        eigenvectors=np.array([_signed_unit(row)]),
+        norms=np.array([norm], dtype=int),
         top_class=top_class,
         clusters=((center, mult, basis.shape[1]),),
         condition_report=ConditionReport(
-            imag_residue=quartic.imag_residue,
+            imag_residue=imag_residue,
             symmetry_defect=symmetry_defect,
             defect=mult - basis.shape[1],
             gram_top=gram_top,

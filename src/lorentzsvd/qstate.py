@@ -111,12 +111,14 @@ def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
     d = rho.diagonal().tolist()
     # np.trace's pairwise order, bit for bit
     tr = (d[0] + d[1]) + (d[2] + d[3])
+    # the hypot that complex abs takes, but inf where abs would raise
+    # OverflowError, so a trace beyond the float range is a defect
     top = max(evals)
     cut = _RANK_REL * max(top, 0.0)
     rank = sum(v > cut for v in evals) if top > 0 else 0
     return ValidityReport(
         hermiticity_defect=herm,
-        trace_defect=abs(tr - 1.0),
+        trace_defect=math.hypot(tr.real - 1.0, tr.imag),
         min_eigenvalue=min(reversed(evals)),
         rank=rank,
         tol=tol,

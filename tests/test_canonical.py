@@ -689,6 +689,32 @@ def test_type2_route_counts(monkeypatch):
     assert calls == {"eig": 1, "null_space_basis": 1, "solve": 0, "eigh": 0, "eigvalsh": 1}
 
 
+def test_conjugate_pairs_close_without_the_quartic(monkeypatch):
+    """A conjugate pair closes by the merge radius alone: a filtered Sigma
+    state and a rank-2 state, whose eigensolves each return one, build no
+    characteristic quartic and evaluate no polynomial."""
+    import lorentzsvd._quartic as quartic
+
+    calls = dict.fromkeys(("charpoly_g", "polyval"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(quartic, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(quartic, name, counted)
+    _, sigma = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
+    gen = rng(1)
+    states = [apply_slocc(sigma, random_sl2c(gen, 1.5), random_sl2c(gen, 1.5)),
+              random_state(2, seed=8)]
+    for rho in states:
+        canonicalize(rho)
+    assert calls == {"charpoly_g": 0, "polyval": 0}
+    for rho in states:
+        sys = g_eigensystem(omega_matrices(lambda_from_rho(rho)).omega_a)
+        assert sys.condition_report.imag_residue > 0.0
+
+
 TOP_VECTOR_STATES = [(rank, random_state(rank, seed=seed)) for rank in (1, 2, 3, 4)
                      for seed in range(12)] + [
     (4, filtered_rank4(seed, rapidity)) for rapidity in (0.7, 1.5) for seed in range(12)]

@@ -235,6 +235,26 @@ def test_verify_names_trace_defect(tmp_path, capsys):
     assert blob["exitCode"] == 2
 
 
+def test_trace_overflow_is_an_invalid_state(tmp_path, capsys):
+    """A rho entry whose trace defect overflows is refused as InvalidState
+    by every state command and in --batch, without a traceback."""
+    doc = json.loads(json.dumps(MIXED))
+    for i in range(4):
+        doc["rho"][i][i] = [0.0, 0.0]
+    doc["rho"][0][0] = [1.5e308, 1.5e308]
+    path = write_state(tmp_path, "huge.json", doc)
+    for command in ("canonicalize", "classify", "verify", "ellipsoid"):
+        code, out, err = run([command, path], capsys)
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["error"] == "InvalidState" and blob["exitCode"] == 2
+        assert "trace defect inf" in blob["message"]
+    code, out, _ = run(["canonicalize", "--batch", str(tmp_path)], capsys)
+    assert code == 2
+    failure = json.loads(out)["failures"]["huge.json"]
+    assert failure["exitCode"] == 2 and failure["message"].startswith("InvalidState:")
+
+
 def test_verify_checks_the_factorization_canonicalize_reports(tmp_path, capsys):
     """`verify` takes the eigensolve `canonicalize` takes, so it checks the
     very factors `canonicalize` reports.  A rank-2 state shows any other

@@ -216,9 +216,9 @@ def test_eigensystem_defective_top():
 
 
 def test_type2_rows_follow_the_geometric_dimensions():
-    """A TypeII eigensystem has one row per geometric eigenvector of its top
-    cluster, not per algebraic eigenvalue, on both sides of filtered Sigma
-    states: the null top row alone, future-pointing."""
+    """A TypeII top cluster on either side of a filtered Sigma state is a
+    double root with one geometric eigenvector, and the eigensystem's one
+    row is that null eigenvector, future-pointing."""
     gen = rng(17)
     rho = rho_from_lambda(sigma_matrix(0.5, 0.1, 0.3))
     for _ in range(5):
@@ -283,14 +283,39 @@ def test_lightlike_cluster_keeps_its_gram_eigenbasis():
     """The arrow form with r1^2 = r0 has one 4-fold eigenvalue whose 3-dim
     eigenspace holds the null top vector and the spacelike pair: its Gram
     matrix has a zero eigenvalue, so the G-normalization that would
-    divide by it is skipped, and the rows keep their causal classes."""
+    divide by it is skipped.  The one row is the Gram top eigenvector,
+    the null direction (1, 0, 0, -1)/sqrt(2), Euclidean-unit."""
     lam = type2_lambda(0.25, 0.5)
     sys = g_eigensystem(omega_matrices(lam).omega_a)
     assert [(mult, dim) for _, mult, dim in sys.clusters] == [(4, 3)]
-    assert list(sys.norms) == [0, -1, -1]
+    assert list(sys.norms) == [0] and sys.eigenvectors.shape == (1, 4)
+    np.testing.assert_allclose(
+        sys.eigenvectors[0], np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12
+    )
+    assert len(sys.condition_report.gram_top) == 1
     assert abs(sys.condition_report.gram_top[0]) < 1e-12
     assert classify_canonical_type(sys) is CanonicalFamily.TYPE_II
     assert _row_residuals(sys).max() < 1e-12
+
+
+def test_degenerate_product_tops_have_one_row():
+    """A pure A marginal next to a mixed B marginal: Omega_A is nilpotent
+    under G, its 4-fold zero cluster a 3-dim span whose Gram top is the
+    null direction of the pure marginal, and Omega_B is the zero form,
+    whose one row is e0."""
+    lam = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.3])
+    pair = omega_matrices(lam)
+    sys_a, sys_b = g_eigensystem(pair.omega_a), g_eigensystem(pair.omega_b)
+    assert [(mult, dim) for _, mult, dim in sys_a.clusters] == [(4, 3)]
+    assert list(sys_a.norms) == [0] and sys_a.eigenvectors.shape == (1, 4)
+    np.testing.assert_allclose(
+        sys_a.eigenvectors[0], np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12
+    )
+    assert sys_b.clusters == ((0.0, 4, 4),) and list(sys_b.norms) == [1]
+    assert sys_b.eigenvectors.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    assert len(sys_b.condition_report.gram_top) == 0
+    for sys in (sys_a, sys_b):
+        assert classify_canonical_type(sys) is CanonicalFamily.DEGENERATE_PRODUCT
 
 
 def test_over_wide_cut_is_refused():

@@ -89,6 +89,17 @@ def test_validity_report():
     assert not rep2.valid and rep2.trace_defect > 1e-3
 
 
+def test_trace_beyond_the_float_range_is_a_defect():
+    """A trace whose distance from 1 overflows is an infinite trace defect,
+    an invalid state, not an OverflowError from complex abs."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.5e308 + 1.5e308j
+    rep = is_valid_state(rho)
+    assert rep.trace_defect == float("inf") and not rep.valid
+    with pytest.raises(InvalidState):
+        lambda_from_rho(rho)
+
+
 def test_sl2c_reference_images():
     np.testing.assert_allclose(sl2c_to_lorentz(np.eye(2)), np.eye(4), atol=1e-15)
     np.testing.assert_allclose(

@@ -1,5 +1,6 @@
-"""The spectrum route (eigvals, pair closure, cluster merge) and the
-characteristic quartic against array-based and 50-digit references."""
+"""The spectrum route (eig, one merge radius for conjugate pairs and real
+roots) and the characteristic quartic against array-based and 50-digit
+references."""
 
 from __future__ import annotations
 
@@ -9,12 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lorentzsvd._quartic import (
-    _PAIR_CLOSURE_REL,
-    charpoly_g,
-    polyval,
-    quartic_real_roots,
-)
+from lorentzsvd._quartic import charpoly_g, polyval, quartic_real_roots
 from lorentzsvd.errors import NumericalFailure
 from lorentzsvd.geigen import CLUSTER_RADIUS_REL, omega_matrices
 from lorentzsvd.minkowski import G_METRIC
@@ -102,8 +98,7 @@ def test_quartic_root_patterns(roots):
 
 #: Omega_B forms of Sigma(b, c, d) states mixed with eps * I/4, whose
 #: spatial block keeps an exact double eigenvalue -omega[1][1].  Rounding
-#: in the characteristic quartic's coefficients splits that root; the
-#: forms were found by search as cases where it did.
+#: splits that root; the forms were found by search as cases where it did.
 SPLIT_DOUBLE_ROOTS = {
     # Sigma(0.2, -0.4, 0.5), eps = 5e-9
     "complex-pair-closure": [
@@ -153,21 +148,19 @@ def pair_form(h: float) -> np.ndarray:
 
 @pytest.mark.parametrize("factor, closes", [(0.5, True), (2.0, False)], ids=["half", "twice"])
 def test_remainder_closure_bound(factor, closes):
-    """A conjugate pair with |c(v)| at `factor` times the closure bound at
-    its mean v: a double root at v within it, a refused pair beyond."""
-    P = np.polynomial.polynomial
+    """A conjugate pair 0.5 +- i*im whose members lie `factor` times the
+    merge radius apart (2 im): a double root at 0.5 within it, a refused
+    pair beyond -- the radius that merges real roots."""
     v = 0.5
-    outer = P.polyfromroots([0.9, 0.1])
-    exact = P.polymul(P.polyfromroots([v, v]), outer)
-    bound = _PAIR_CLOSURE_REL * float(np.abs(exact).sum())  # max(1, |v|) = 1
-    h = factor * bound / abs(P.polyval(v, outer))
-    omega = pair_form(h)
+    im = 0.5 * factor * radius(pair_form(0.0))  # Tr G omega = 2 for every h
+    omega = pair_form(im * im)
     assert sum(z.imag > 0.0 for z in np.linalg.eigvals(G_METRIC @ omega)) == 1
     if closes:
         q = quartic_real_roots(omega, radius(omega))
         assert q.multiplicities.tolist() == [1, 2, 1]
         assert abs(q.values[1] - v) <= 1e-12
-        assert q.imag_residue == pytest.approx(np.sqrt(h), rel=1e-6)
+        # eig's im carries an error of about eps * |omega| / im, here 3e-3 of it
+        assert q.imag_residue == pytest.approx(im, rel=1e-2)
     else:
         with pytest.raises(NumericalFailure, match="complex eigenvalue pair"):
             quartic_real_roots(omega, radius(omega))
