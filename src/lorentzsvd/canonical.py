@@ -9,8 +9,8 @@ with L_A, L_B proper orthochronous Lorentz matrices, N > 0 the
 G-eigensystem of Omega_A = Lambda G Lambda^T:
 
 * diagonalizable family ("TypeI"): Lambda^c is diagonal,
-  diag(1, sqrt(l1/l0), sqrt(l2/l0), +-sqrt(l3/l0)), realized on a
-  Bell-diagonal state;
+  diag(1, d1, d2, d3) with d_i^2 = l_i/l0 and d3 signed by det Lambda,
+  realized on a Bell-diagonal state;
 * non-diagonalizable family ("TypeII", defective top eigenvalue): the
   arrow-shaped pattern with two parameters (r0, r1) on the A side or
   (s0, s1) on the B side, realized on a rank <= 3 state;
@@ -89,7 +89,9 @@ class CanonicalResult:
     ``parameters`` holds the family's scalar data:
     {"lambdas": [...], "detSign": +-1 or 0} for the diagonal family,
     {"r0", "r1", "phi0"} or {"s0", "s1", "chi0"} for the arrow family,
-    {"lambdas": [...]} alone for the degenerate product family.
+    {"lambdas": [...]} alone for the degenerate product family.  A
+    diagonal result's lambdas are the G-eigenvalues of the solve, while
+    its ``canonical_lambda`` and ``detSign`` are read off the factors.
     ``partner`` carries the B-side result when both sides are reported.
     """
 
@@ -108,8 +110,8 @@ class CanonicalResult:
 #: |L_A Lambda L_B^T / N - Lambda^c| of a result, rechecked once both
 #: factors are final.  An arrow result is known only as well as the
 #: defective double root, about sqrt(eps) ~ 1.5e-8; a diagonal result of
-#: a strongly filtered state, whose small eigenvalues carry a relative
-#: error far above eps, may miss by more.
+#: a strongly filtered state, whose top eigenvector carries an error far
+#: above eps, may miss by more.
 _FACTOR_RESIDUAL_FLOOR = 1e-8
 
 
@@ -132,13 +134,6 @@ def _pipeline_rho(build, *params, tol: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # diagonal (TypeI) construction
-
-#: Floor of the tolerance, relative to max(1, max |D|), on the off-diagonal
-#: entries of D = L_A Lambda L_B^T.  The SVD makes D's 3x3 block diagonal
-#: to rounding; row 0 and column 0 are off by the error of the top
-#: eigenvector, which strongly filtered states carry far above eps.
-_DIAGONAL_TOL_FLOOR = 1e-8
-
 
 def _boost(x: np.ndarray) -> np.ndarray:
     """The symmetric boost [[g, p^T], [p, I + p p^T / (1 + g)]] whose row 0
@@ -170,14 +165,17 @@ def type1_canonical(
     the frames of the boosts B(a), B(b), Lambda keeps its row 0 and
     column 0 on the time axis, and the SVD U S V^T of its 3x3 block gives
     L_A = diag(1, U^T) B(a) and L_B = diag(1, V^T) B(b), each rotation
-    made proper by negating its last row.  A B side of another family
-    shows up as a b that is not future timelike or a Lambda that does not
-    come out diagonal.  Signs are then fixed: the first three diagonal
-    entries non-negative and det L_B = +1 (an odd number of flips flips
-    row 3 once more), leaving the last diagonal sign equal to
-    sgn(det Lambda).  The canonical diagonal and the parameters are the
-    eigenvalue ratios sqrt(l_i / l_0); ``rhoMinEigenvalue`` is the
-    smallest Bell weight of the canonical state.
+    made proper by negating its last row.  Signs are then fixed: the
+    first three diagonal entries of D = L_A Lambda L_B^T non-negative and
+    det L_B = +1 (an odd number of flips flips row 3 once more), leaving
+    the sign of D33 equal to sgn(det Lambda).  The canonical diagonal is
+    read off D: d_i = D_ii / D00, with ``detSign`` and d3 zero when
+    |d3| <= tol.  The factorization recheck, max |D_ij| / D00 over
+    i != j, refuses a D that does not come out diagonal, which is how a B
+    side of another family shows up if b is future timelike.
+    ``parameters["lambdas"]`` stays the eigenvalues of the solve;
+    ``rhoMinEigenvalue`` is the smallest Bell weight of the canonical
+    state.
     """
     lam = np.asarray(lam, dtype=float)
     family = classify_canonical_type(sys_a)
@@ -219,22 +217,13 @@ def type1_canonical(
     for rows, side in ((a_rows, "left"), (b_rows, "right")):
         if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
             raise NumericalFailure(f"{side} tetrad failed the Lorentz-group check")
-    off = max(abs(v) for i, row in enumerate(D) for j, v in enumerate(row) if i != j)
-    if off > max(tol, _DIAGONAL_TOL_FLOOR) * max(1.0, max(abs(v) for row in D for v in row)):
-        raise NumericalFailure(
-            f"transformed correlation matrix is not diagonal (largest off-diagonal {off:.3e})"
-        )
 
-    lambdas = sys_a.eigenvalues.tolist()
-    # det Lambda = lam0^2 * d1 * d2 * d3: the cut scales with lam0^2, so the
-    # sign is dropped only when d1 * d2 * d3 itself is below tol, however
-    # far filtering has shrunk lam0
-    det = float(np.linalg.det(lam))
-    det_sign = 0 if abs(det) <= tol * lam0**2 else (1 if det > 0 else -1)
-    _, d1, d2, d3 = [math.sqrt(max(0.0, v / lam0)) for v in lambdas]
-    d3 *= det_sign
-    canon = [[1.0, 0.0, 0.0, 0.0], [0.0, d1, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d3]]
     n_scale = D[0][0]
+    d1, d2, d3 = (D[i][i] / n_scale for i in (1, 2, 3))
+    det_sign = 0 if abs(d3) <= tol else (1 if d3 > 0 else -1)
+    d3 = d3 if det_sign else 0.0
+    canon = [[1.0, 0.0, 0.0, 0.0], [0.0, d1, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d3]]
+    lambdas = sys_a.eigenvalues.tolist()
 
     omega_target = np.diag([lam0, -lambdas[1], -lambdas[2], -lambdas[3]])
     residuals = {

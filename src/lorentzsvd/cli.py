@@ -12,8 +12,10 @@ Subcommands:
 * ``verify``       run the built-in self-check suite on a state
 
 Exit codes: 0 success, 1 malformed input, 2 not a physical state,
-3 numerical failure, 4 verification failure.  Errors are emitted as a
-single JSON object on stderr.  All JSON output is byte-deterministic.
+3 numerical failure, 4 verification failure, 141 (128 + SIGPIPE, with
+nothing on stderr) when the reader of stdout has gone.  Other errors are
+emitted as a single JSON object on stderr.  All JSON output is
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ def _state_rho(kind: str, value: np.ndarray, tol: float) -> np.ndarray:
 def _write_output(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
+        # flushed here, so a closed pipe raises inside `main`
+        sys.stdout.flush()
     else:
         Path(output).write_text(text, encoding="utf-8")
 
@@ -267,7 +271,7 @@ def _run_batch(cmd: str, directory: str, tol: float, extra: dict) -> int:
         "failures": {name: {"exitCode": code, "message": msg}
                      for name, (code, msg) in results.items() if code != 0},
     }
-    sys.stdout.write(dumps(summary))
+    _write_output(dumps(summary), None)
     return max((code for code, _ in results.values()), default=0)
 
 
@@ -351,6 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         }
         sys.stderr.write(dumps(error))
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader of stdout is gone: end quietly with 128 + SIGPIPE, with
+        # stdout on devnull so the interpreter's flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -24,10 +24,10 @@ G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 #:   and positivity of the rho rebuilt from a Lambda;
 #: * the G-eigensystem: the all-zero form and the zero top eigenvalue of
 #:   the degenerate product family;
-#: * the constructions: the TypeI top eigenvalue, the sign of det Lambda,
-#:   the TypeII 00-scale, the Lorentz-group checks of both factors,
-#:   diagonality of the TypeI result, the canonical parameter region and
-#:   the factorization recheck;
+#: * the constructions: the TypeI top eigenvalue and ``detSign`` (zero
+#:   when |d3| <= tol), the TypeII 00-scale, the Lorentz-group checks of
+#:   both factors, the canonical parameter region and the factorization
+#:   recheck (for a TypeI result, its diagonality);
 #: * the CLI's ``verify`` thresholds and its ``sigma`` comparison.
 #:
 #: Most of these take ``max(tol, floor)`` with a floor of their own, so a
@@ -59,9 +59,9 @@ TRANSPORT_ZERO_REL = 1e-7
 
 #: Floor of the tolerance on the canonical parameter region (Bell weights
 #: >= 0; 0 <= p1^2 <= p0 <= 1) for parameters the pipeline computed, in
-#: `canonicalize` and when a report is read back; they are eigenvalue
-#: ratios, which near a defective double root are accurate only to about
-#: sqrt(eps) ~ 1.5e-8.
+#: `canonicalize` and when a report is read back; they are read off
+#: factors built from a top eigenvector, which near a defective double
+#: root is accurate only to about sqrt(eps) ~ 1.5e-8.
 PIPELINE_PARAMETER_FLOOR = 1e-8
 
 #: Least value a scale may take before it divides something or multiplies

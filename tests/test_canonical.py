@@ -49,6 +49,7 @@ from lorentzsvd.qstate import (
     rho_from_lambda,
 )
 
+import mp_reference
 from conftest import random_sl2c, rng, slightly_negative_state
 
 
@@ -192,25 +193,65 @@ def test_det_sign_survives_strong_filtering():
     )
 
 
+#: weakly correlated states, each with the canonical diagonal and the
+#: detSign it must return: Werner states diag(1, -p, -p, -p) for small p,
+#: and diag(1, 1e-3, 1e-3, +-1e-5), whose det Lambda is +-1e-11
+WEAK_DIAGONALS = [
+    pytest.param([1.0, -p, -p, -p], [1.0, p, p, -p], -1, id=f"werner-{p:g}")
+    for p in (4e-4, 3e-4, 1e-4, 1e-6)
+] + [
+    pytest.param([1.0, 1e-3, 1e-3, d3], [1.0, 1e-3, 1e-3, d3], 1 if d3 > 0 else -1, id=f"d3={d3:g}")
+    for d3 in (1e-5, -1e-5)
+]
+
+
+@pytest.mark.parametrize("lam, canonical, det_sign", WEAK_DIAGONALS)
+def test_weakly_correlated_states_keep_their_diagonal(lam, canonical, det_sign):
+    # det Lambda = d1 d2 d3 lies far below tol here, but d3 does not; the
+    # sign and the diagonal are read off the factors, so none is cut to zero
+    res = canonicalize(rho_from_lambda(np.diag(lam)))
+    assert res.family is SideFamily.TYPE_I
+    assert res.parameters["detSign"] == det_sign
+    np.testing.assert_allclose(np.diag(res.canonical_lambda), canonical, rtol=0.0, atol=1e-15)
+
+
+def test_filtered_diagonal_matches_the_50_digit_reference():
+    """The canonical diagonal of rank-4 states filtered at rapidity 2.5,
+    whose small eigenvalues carry an absolute error of about eps |Tr G
+    Omega|, agrees with a 50-digit reference to 1e-9.  Some of these
+    states are refused; every result counts."""
+    errors = []
+    for seed in range(60):
+        rho = filtered_rank4(seed, 2.5)
+        try:
+            res = canonicalize(rho)
+        except NumericalFailure:
+            continue
+        errors.append(mp_reference.forward_error(res, rho))
+    assert len(errors) >= 50
+    assert max(errors) <= 1e-9
+
+
 def test_not_diagonal_refusal_is_typed():
     # a state filtered at rapidity 4 (seed found by search) whose boosted
-    # and rotated Lambda keeps an off-diagonal entry of 2.4e-7
-    with pytest.raises(NumericalFailure, match="not diagonal") as info:
+    # and rotated Lambda does not come out diagonal: the factorization
+    # recheck, max |D_ij| / D00 over i != j, refuses it
+    with pytest.raises(NumericalFailure, match="factorization residual") as info:
         canonicalize(filtered_rank4(191, 4.0))
     assert info.value.exit_code == 3
 
 
-#: Lambda of case 484 of the hard-inputs benchmark corpus at seed 7, a
-#: rank-4 state filtered at rapidity 3.5 whose three small eigenvalues
-#: merge into one cluster; their ratio to the top, 0.378958 three times,
-#: gives a Bell weight of -3.4e-2.  The pipeline computed these
+#: Lambda of case 615 of the hard-inputs benchmark corpus at seed 7, a
+#: Sigma(b, c, d) state filtered at rapidity 2.5 that classifies as TypeI;
+#: the diagonal read off its factors, (1.00015, 0.616839, -0.616839),
+#: gives a Bell weight of -3.7e-5.  The pipeline computed these
 #: parameters, so leaving the region is its numerical failure (exit 3),
 #: not malformed input (exit 1)
 REGION_MISS_LAMBDA = [
-    [1.0, 0.07603981183914918, -0.42196030900454273, -0.9027512064948828],
-    [-0.24007938827232395, -0.01836828161693753, 0.10130575557763105, 0.21672575227043728],
-    [0.0019412346058475297, 1.775489131023919e-05, -0.0007942091407391631, -0.0017707050685559199],
-    [0.9706491378506836, 0.07377988710263958, -0.4095754419732336, -0.8762560152544894],
+    [0.9999999999999999, -0.3521955982150893, 0.2644661867485554, 0.8976059858759055],
+    [0.6919499230754516, -0.244075239765373, 0.18320080677877962, 0.620903764409069],
+    [0.6887804846228831, -0.24226534231644017, 0.18183244328968545, 0.6184693180076253],
+    [-0.21574159605887988, 0.07578117891881138, -0.05749899367969742, -0.19358708127620494],
 ]
 
 
@@ -722,9 +763,10 @@ TOP_VECTOR_STATES = [(rank, random_state(rank, seed=seed)) for rank in (1, 2, 3,
 
 def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
     """One boost per side and a 3x3 SVD: both factors are Lorentz to
-    rounding, the canonical diagonal and the parameters are the
-    eigenvalue formulas, and a rank-3 or rank-4 state reads no eigenvector
-    but the top one and takes no null space, solve or Gram eigensolve."""
+    rounding, the canonical diagonal is read off D = L_A Lambda L_B^T, the
+    parameters keep the eigenvalues, and a rank-3 or rank-4 state reads no
+    eigenvector but the top one and takes no null space, solve or Gram
+    eigensolve."""
     import lorentzsvd.geigen as geigen
 
     calls = {"null_space_basis": 0, "solve": 0, "eigh": 0}
@@ -741,11 +783,13 @@ def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
         res = canonicalize(rho)
         assert res.family is SideFamily.TYPE_I
         assert max(lorentz_defect(res.left_lorentz), lorentz_defect(res.right_lorentz)) <= 1e-14
-        lambdas = g_eigensystem(omega_matrices(lambda_from_rho(rho)).omega_a).eigenvalues
+        lam = lambda_from_rho(rho)
+        lambdas = g_eigensystem(omega_matrices(lam).omega_a).eigenvalues
         assert res.parameters["lambdas"] == lambdas.tolist()
-        d = np.sqrt(np.clip(lambdas / lambdas[0], 0.0, None))
-        d[3] *= res.parameters["detSign"]
-        np.testing.assert_array_equal(res.canonical_lambda, np.diag([1.0, *d[1:]]))
+        D = res.left_lorentz @ lam @ res.right_lorentz.T
+        d = np.diag(D) / D[0, 0]
+        d[3] *= abs(res.parameters["detSign"])
+        np.testing.assert_array_equal(res.canonical_lambda, np.diag(d))
         if rank >= 3:
             assert calls == dict.fromkeys(calls, 0), rank
 

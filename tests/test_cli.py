@@ -283,14 +283,15 @@ FILTERED_RANK4 = {
     ]
 }
 
-# case 244 of the same corpus: a rank-4 state filtered at rapidity 3.5,
-# whose computed canonical form is not a state
-UNFACTORED_RANK4 = {
+# case 615 of the hard-inputs corpus at seed 7, a Sigma(b, c, d) state
+# filtered at rapidity 2.5 that classifies as TypeI and whose computed
+# canonical form is not a state
+UNFACTORED_STATE = {
     "lambda": [
-        [1.0000000000000002, -0.79321645764198334, 0.48641032830336117, 0.29177882947535005],
-        [-0.96362649461009631, 0.76431237827751486, -0.46878068280179153, -0.28118868645688944],
-        [-0.14035833157818997, 0.1114308345512529, -0.068139229238072613, -0.040952248445103472],
-        [-0.22741122444489734, 0.18054573276101935, -0.11043579958122413, -0.06625784454305908],
+        [0.9999999999999999, -0.3521955982150893, 0.2644661867485554, 0.8976059858759055],
+        [0.6919499230754516, -0.244075239765373, 0.18320080677877962, 0.620903764409069],
+        [0.6887804846228831, -0.24226534231644017, 0.18183244328968545, 0.6184693180076253],
+        [-0.21574159605887988, 0.07578117891881138, -0.05749899367969742, -0.19358708127620494],
     ]
 }
 
@@ -308,7 +309,7 @@ def test_classify_stops_at_the_timelike_top(tmp_path, capsys):
 def test_verify_refuses_as_canonicalize_does(tmp_path, capsys):
     """A state `canonicalize` refuses is refused by `verify` with the same
     error class and message."""
-    path = write_state(tmp_path, "unfactored.json", UNFACTORED_RANK4)
+    path = write_state(tmp_path, "unfactored.json", UNFACTORED_STATE)
     code, _, err = run(["verify", path], capsys)
     code_c, _, err_c = run(["canonicalize", path], capsys)
     assert code == code_c == 3
@@ -684,18 +685,42 @@ def test_batch_classify_writes_text(tmp_path, capsys):
 
 
 def test_production_path_leaves_the_oracle_unimported():
-    # the secular-function oracle is a test-side reference: the package
-    # does not ship it, so no production import can reach it
+    # the secular-function oracle and the 50-digit reference are test-side
+    # references: the package does not ship them, so no production import
+    # can reach them
     assert importlib.util.find_spec("lorentzsvd.secular") is None
+    assert importlib.util.find_spec("lorentzsvd.mp_reference") is None
+
+
+def _package_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(importlib.util.find_spec("lorentzsvd").origin).parents[1])
+    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def test_single_file_commands_leave_pool_and_geometry_unimported():
     # a fresh interpreter: the test session itself has imported both
-    src = str(Path(importlib.util.find_spec("lorentzsvd").origin).parents[1])
-    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     probe = ("import sys, lorentzsvd.cli; print([m for m in "
              "('concurrent.futures', 'lorentzsvd.geometry') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_package_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader of stdout that is gone before the output is written (as in
+    `lorentzsvd random | true`) ends the command with exit 141 and an empty
+    stderr, for a single output and for a --batch summary alike."""
+    write_state(tmp_path, "mixed.json", MIXED)
+    commands = (["random", "--rank", "2", "--seed", "7"], ["canonicalize", "--batch", str(tmp_path)])
+    for argv in commands:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "lorentzsvd.cli", *argv],
+                                  env=_package_env(), stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, ""), argv
