@@ -1,13 +1,11 @@
 """Small dense linear-algebra helpers used by the eigensystem and canonical layers.
 
-Everything here operates on tiny (at most 4x4) real matrices, so the
-routines favour determinism and explicit rank decisions over asymptotic
-performance.
+Everything here operates on tiny (at most 4x4) real matrices.  Rank
+decisions are explicit: a threshold relative to the matrix's largest
+entry, applied to LAPACK's singular values.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -15,75 +13,19 @@ from .errors import DegenerateCompletion
 from .minkowski import G_METRIC, SCALE_FLOOR, ZERO_REL, g_inner
 
 
-def null_space_basis(M: np.ndarray | list[list[float]], rtol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of M, an array or
-    nested lists of floats.
+def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical null space of M.
 
-    Full-pivot Gaussian elimination with pivots judged relative to the
-    largest entry of the original matrix; pivots below ``rtol * scale``
-    terminate the elimination, so ``rtol`` is the rank decision
-    threshold.
+    The right singular vectors of M whose singular values are at most
+    ``rtol * max|M|``, so ``rtol`` is the rank decision threshold, and
+    always at least the one of the smallest singular value: the
+    eigensystem passes G Omega - c I at a computed eigenvalue c, singular
+    by construction, where a cut that keeps nothing has cut too fine.
     """
-    # The elimination runs on Python floats, because on a 4x4 matrix numpy's
-    # call overhead dwarfs the arithmetic.  Each update is one rounded
-    # multiply and one rounded subtract, exactly what elementwise numpy
-    # does, so the bits match the array form.  The back-substitution stays
-    # on numpy: its BLAS dot products may fuse multiply and add, which
-    # plain Python cannot reproduce.
-    if isinstance(M, np.ndarray):
-        A = np.asarray(M, dtype=float).tolist()
-    else:
-        A = [list(row) for row in M]  # a copy: the elimination works in place
-    m, n = len(A), len(A[0])
-    scale = max(max(abs(v) for row in A for v in row), SCALE_FLOOR)
-    col_perm = list(range(n))
-    rank = 0
-    for k in range(min(m, n)):
-        # first largest |entry| of A[k:, k:] in row-major order
-        piv, i, j = -1.0, k, k
-        for r in range(k, m):
-            row = A[r]
-            for c in range(k, n):
-                if abs(row[c]) > piv:
-                    piv, i, j = abs(row[c]), r, c
-        if piv <= rtol * scale:
-            break
-        A[k], A[i] = A[i], A[k]
-        if j != k:
-            for row in A:
-                row[k], row[j] = row[j], row[k]
-            col_perm[k], col_perm[j] = col_perm[j], col_perm[k]
-        top = A[k]
-        for row in A[k + 1:]:
-            f = row[k] / top[k]
-            for c in range(k, n):
-                row[c] -= f * top[c]
-        rank += 1
-    if rank == 0:
-        # no pivot above the cut: the whole space, with no back-substitution or QR
-        return np.eye(n)
-    A = np.array(A)
-
-    if rank == n:
-        return np.zeros((n, 0))
-    basis = []
-    for free in range(rank, n):
-        x = np.zeros(n)
-        x[free] = 1.0
-        for i in range(rank - 1, -1, -1):
-            x[i] = -(A[i, i + 1:] @ x[i + 1:]) / A[i, i]
-        y = np.zeros(n)
-        for pos, orig in enumerate(col_perm):
-            y[orig] = x[pos]
-        basis.append(y)
-    if len(basis) == 1:
-        # a single vector only needs its norm; QR would cost more than the elimination
-        y = basis[0]
-        return (y / math.sqrt(y.dot(y)))[:, None]
-    B = np.array(basis).T
-    # orthonormalize (Euclidean) for numerical hygiene
-    Q, _ = np.linalg.qr(B)
-    return Q[:, : B.shape[1]]
+    _, sigma, vt = np.linalg.svd(M)
+    cut = rtol * max(float(np.abs(M).max()), SCALE_FLOOR)
+    rank = min(int(np.count_nonzero(sigma > cut)), vt.shape[0] - 1)
+    return vt[rank:].T
 
 
 def gram_eigenbasis(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

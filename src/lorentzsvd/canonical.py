@@ -60,9 +60,9 @@ from .geigen import (
 )
 from .minkowski import (
     DEFAULT_TOL,
+    DEFECTIVE_ROOT_FLOOR,
     G_METRIC,
     LORENTZ_TOL_FLOOR,
-    PIPELINE_PARAMETER_FLOOR,
     TRANSPORT_ZERO_REL,
     ZERO_REL,
     is_orthochronous_proper_lorentz,
@@ -106,17 +106,8 @@ class CanonicalResult:
     partner: "CanonicalResult | None" = None
 
 
-#: Floor of the tolerance on the factorization residual
-#: |L_A Lambda L_B^T / N - Lambda^c| of a result, rechecked once both
-#: factors are final.  An arrow result is known only as well as the
-#: defective double root, about sqrt(eps) ~ 1.5e-8; a diagonal result of
-#: a strongly filtered state, whose top eigenvector carries an error far
-#: above eps, may miss by more.
-_FACTOR_RESIDUAL_FLOOR = 1e-8
-
-
 def _check_factorization(residual: float, tol: float) -> None:
-    bound = max(tol, _FACTOR_RESIDUAL_FLOOR)
+    bound = max(tol, DEFECTIVE_ROOT_FLOOR)
     if residual > bound:
         raise NumericalFailure(f"factorization residual {residual:.3e} exceeds {bound:.1e}")
 
@@ -127,7 +118,7 @@ def _pipeline_rho(build, *params, tol: float) -> np.ndarray:
     they are a numerical failure of the factorization (exit 3), not the
     malformed input InvalidCanonicalParameters reports (exit 1)."""
     try:
-        return build(*params, tol=max(tol, PIPELINE_PARAMETER_FLOOR))
+        return build(*params, tol=max(tol, DEFECTIVE_ROOT_FLOOR))
     except InvalidCanonicalParameters as exc:
         raise NumericalFailure(f"computed canonical form is not a state: {exc}") from None
 
@@ -398,7 +389,7 @@ def _arrow(
     """
     lam = np.asarray(lam, dtype=float)
     work = lam if side == "A" else lam.T
-    bound = max(tol, _FACTOR_RESIDUAL_FLOOR)
+    bound = max(tol, DEFECTIVE_ROOT_FLOOR)
 
     k_a = _null_frame(u, -1.0)
     B = (k_a @ omega @ k_a.T).tolist()
@@ -622,11 +613,6 @@ def canonical_rho_type2(p0: float, p1: float, side: str, tol: float = _PARAMETER
 # a three-parameter closed-form family of non-diagonalizable states, used
 # as an independent cross-check of the general pipeline
 
-#: Least tolerance of `sigma_equivalence_check`: the closed forms and the
-#: pipeline agree only as well as a defective double root is resolved,
-#: about sqrt(eps) ~ 1.5e-8.
-_SIGMA_CHECK_TOL_FLOOR = 1e-8
-
 #: (b, c) within this of b = c, or of |b| = 1 or |c| = 1, is on the edge of
 #: the closed forms' domain: b = c is the diagonalizable family, which has
 #: no arrow form, and |b| or |c| = 1 a pure product, where the closed
@@ -740,7 +726,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     if bad:
         raise InvalidSigmaParameters("; ".join(bad))
     b, c, d = p.b, p.c, p.d
-    tol = max(tol, _SIGMA_CHECK_TOL_FLOOR)
+    tol = max(tol, DEFECTIVE_ROOT_FLOOR)
     if abs(b - c) < _SIGMA_EDGE:
         raise NotTypeII("b = c gives diagonal quadratic forms (diagonalizable family)")
     if min(1.0 - abs(b), 1.0 - abs(c)) < _SIGMA_EDGE:

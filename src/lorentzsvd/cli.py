@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import (
-    _FACTOR_RESIDUAL_FLOOR,
     SigmaParameters,
     _degenerate_product,
     _factor_solved,
@@ -38,7 +37,7 @@ from .canonical import (
 )
 from .errors import InputFormatError, LorentzSvdError
 from .geigen import CanonicalFamily, classify_canonical_type, g_eigensystem, omega_matrices
-from .minkowski import DEFAULT_TOL, lorentz_defect
+from .minkowski import DEFAULT_TOL, DEFECTIVE_ROOT_FLOOR, lorentz_defect
 from .qstate import lambda_from_rho, random_state, rho_from_lambda
 from .serialize import (
     CONVENTIONS,
@@ -59,14 +58,15 @@ from .serialize import (
 #: |rho(Lambda(rho)) - rho|, or |Lambda(rho(Lambda)) - Lambda| for a
 #: lambda document, entries at most 1: a few ulps of rounding
 _ROUND_TRIP_FLOOR = 1e-10
-#: |spectrum(A) - spectrum(B)| relative to max(1, lambda0): the two sides
-#: agree only as well as a defective double root is resolved, about
-#: sqrt(eps) ~ 1.5e-8
-_SHARED_SPECTRUM_FLOOR = 1e-8
 #: `lorentz_defect` of any of the four factors
 _LORENTZ_DEFECT_FLOOR = 1e-9
 #: how far below zero the canonical state's smallest eigenvalue may reach
 _RHO_POSITIVE_FLOOR = 1e-9
+
+#: Most surface points ``ellipsoid --samples`` draws.  A million take
+#: about 20 s and 300 MB and write a 60 MB CSV; each point costs the same,
+#: so 10**8 would run for half an hour and 10**12 cannot be allocated.
+_MAX_SAMPLES = 10**6
 
 
 def _resolve_tol(value: float | None) -> float:
@@ -124,8 +124,8 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
     if (samples is None) != (csv_path is None):
         given, missing = ("--samples", "--csv") if csv_path is None else ("--csv", "--samples")
         raise InputFormatError(f"{given} needs {missing}: --samples and --csv go together")
-    if samples is not None and samples < 1:
-        raise InputFormatError(f"--samples must be at least 1, got {samples}")
+    if samples is not None and not 1 <= samples <= _MAX_SAMPLES:
+        raise InputFormatError(f"--samples must be from 1 to {_MAX_SAMPLES}, got {samples}")
     doc = loads_json(_read_text(path))
     if isinstance(doc, dict) and "family" in doc:
         # a canonical report carries everything the geometry needs
@@ -196,7 +196,7 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     sys_b = g_eigensystem(pair.omega_b, tol)
     scale = max(1.0, float(sys_a.eigenvalues[0]))
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
-           max(100 * tol, _SHARED_SPECTRUM_FLOOR) * scale)
+           max(100 * tol, DEFECTIVE_ROOT_FLOOR) * scale)
     # a degenerate product side A confirms its family on the B side just solved
     if classify_canonical_type(sys_a) is CanonicalFamily.DEGENERATE_PRODUCT:
         result = _degenerate_product(lam, sys_a, sys_b, tol)
@@ -205,7 +205,7 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     if result.residuals:
         # the floor `canonicalize` rechecks the same residual against
         record("factorization", result.residuals["factorization"],
-               max(100 * tol, _FACTOR_RESIDUAL_FLOOR))
+               max(100 * tol, DEFECTIVE_ROOT_FLOOR))
         sides = [result] + ([result.partner] if result.partner is not None else [])
         defect = max(lorentz_defect(L) for s in sides for L in (s.left_lorentz, s.right_lorentz))
         record("lorentzFactors", defect, max(10 * tol, _LORENTZ_DEFECT_FLOOR))
@@ -302,8 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ell = add_state_command("ellipsoid", "write steering-ellipsoid geometry")
     p_ell.add_argument("--side", choices=("A", "B"), default="A")
     p_ell.add_argument("--samples", type=int, default=None,
-                       help="sample this many surface points into the --csv file "
-                            "(needs --csv)")
+                       help=f"sample this many surface points, at most {_MAX_SAMPLES}, "
+                            "into the --csv file (needs --csv)")
     p_ell.add_argument("--csv", default=None,
                        help="CSV file for the sampled points (needs --samples)")
     add_state_command("verify", "run the self-check suite on a state")

@@ -12,8 +12,10 @@ timelike or lightlike -- decides which canonical form a state admits.
 The spectrum comes from LAPACK as cluster means (`_quartic`).  The
 solve then reads the top cluster alone, the only one any construction
 uses, and of it one row: the Gram top eigenvector of the cluster's
-span, which is LAPACK's eigenvector when the cluster is one real root
-and a null space at its centre otherwise.  The TypeI construction reads
+span.  That span is LAPACK's eigenvector when the cluster is one real
+root, and otherwise the null space of G Omega - c I at its centre c:
+the right singular vectors below one cut, with no second try at a
+wider one.  The TypeI construction reads
 that row when it is timelike, the TypeII construction when it is null.
 `canonical` reads a TypeI or TypeII side B off side A, so it solves one
 form only.
@@ -142,7 +144,7 @@ def _signed_unit(x: np.ndarray) -> np.ndarray:
 
 
 def _cluster_vectors(
-    k_rows: list[list[float]],
+    k_op: np.ndarray,
     center: float,
     mult: int,
     gap: float,
@@ -150,39 +152,29 @@ def _cluster_vectors(
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the eigenspace at a cluster center.
 
-    ``k_rows`` is G @ Omega as nested lists.  The rank decision must
-    swallow the in-cluster eigenvalue smear (at most the merge radius)
-    yet reject directions belonging to the next cluster (at least
-    ``gap`` away), so the threshold is pinched between the two, with
-    progressive widening if the first cut finds nothing.  A cut that
-    finds more directions than the multiplicity has taken a neighbour's
-    and is refused.  ``scale`` is
+    ``k_op`` is G @ Omega.  The rank decision must swallow the in-cluster
+    eigenvalue smear (at most the merge radius) yet reject directions
+    belonging to the next cluster (at least ``gap`` away), so the
+    threshold is pinched between the two.  A cut that finds no direction
+    keeps the smallest singular direction, and the caller's signature
+    test judges it; a cut that finds more directions than the
+    multiplicity has taken a neighbour's and is refused.  ``scale`` is
     |Tr G Omega| without the unit floor of the merge radius: on a form
     whose eigenvalues all lie far below one, a cut at the floored scale
     can take a timelike neighbour into a lightlike top eigenspace.
     """
-    # G Omega - center * I on Python floats: subtracting center * 0.0 off
-    # the diagonal keeps the signed zeros of the array form, bit for bit
-    off = center * 0.0
-    m = [[v - (center if i == j else off) for j, v in enumerate(row)]
-         for i, row in enumerate(k_rows)]
-    mscale = max(max(abs(v) for row in m for v in row), SCALE_FLOOR)
+    m = k_op - center * np.eye(4)
+    mscale = max(float(np.abs(m).max()), SCALE_FLOOR)
     thresh = max(CLUSTER_RADIUS_REL * scale, 64.0 * _EPS * mscale)
     if math.isfinite(gap):
         thresh = max(min(thresh, 0.45 * gap), 64.0 * _EPS * mscale)
-    for widen in range(4):
-        basis = null_space_basis(m, rtol=thresh * 8.0**widen / mscale)
-        if 1 <= basis.shape[1] <= mult:
-            return basis
-        if basis.shape[1] > mult:
-            raise NumericalFailure(
-                f"the cut at eigenvalue {center:.6g} takes a neighbouring direction "
-                f"({basis.shape[1]} null directions, multiplicity {mult})"
-            )
-    raise NumericalFailure(
-        f"no eigenvector found at eigenvalue {center:.6g} "
-        f"(threshold {thresh:.3e}, multiplicity {mult})"
-    )
+    basis = null_space_basis(m, rtol=thresh / mscale)
+    if basis.shape[1] > mult:
+        raise NumericalFailure(
+            f"the cut at eigenvalue {center:.6g} takes a neighbouring direction "
+            f"({basis.shape[1]} null directions, multiplicity {mult})"
+        )
+    return basis
 
 
 def _rediagonalize_cluster(basis: np.ndarray) -> np.ndarray:
@@ -233,8 +225,9 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
 
     Eigenvalues come from ``np.linalg.eig`` as cluster means.  The top
     cluster's span is LAPACK's eigenvector when the cluster is one real
-    root, the null space at its centre otherwise, and the whole space for
-    the zero form (every entry at most ``tol``).  ``tol`` plays no other
+    root, the null space at its centre otherwise (`_cluster_vectors`: one
+    SVD, at least one direction), and the whole space for the zero form
+    (every entry at most ``tol``).  ``tol`` plays no other
     part in the solve.  No construction reads a lower cluster or a second
     top row: TypeI reads the timelike top row, TypeII the null top row
     and DegenerateProduct the eigenvalues alone.  So the system has all
@@ -245,8 +238,9 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     Raises NumericalFailure on entries that are not finite, when the two
     members of a complex eigenvalue pair lie farther apart than the
     merge radius (input violating the positivity-transfer
-    precondition), and when the top cluster holds no timelike or
-    lightlike direction.
+    precondition), when the null space at the top centre has more
+    directions than the cluster has roots, and when the top cluster
+    holds no timelike or lightlike direction.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
@@ -271,8 +265,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
             basis = quartic.vectors[-1][:, None]
         else:
             gap = min((centers[0] - c for c in centers[1:]), default=math.inf)
-            basis = _cluster_vectors(k_op.tolist(), centers[0], mults[0], gap,
-                                     max(trace, SCALE_FLOOR))
+            basis = _cluster_vectors(k_op, centers[0], mults[0], gap, max(trace, SCALE_FLOOR))
     center, mult = centers[0], mults[0]
 
     col = _gram_top(basis)

@@ -57,12 +57,22 @@ ZERO_REL = 1e-12
 #: precision, and a top eigenvalue that small has no usable scale at all.
 TRANSPORT_ZERO_REL = 1e-7
 
-#: Floor of the tolerance on the canonical parameter region (Bell weights
-#: >= 0; 0 <= p1^2 <= p0 <= 1) for parameters the pipeline computed, in
-#: `canonicalize` and when a report is read back; they are read off
-#: factors built from a top eigenvector, which near a defective double
-#: root is accurate only to about sqrt(eps) ~ 1.5e-8.
-PIPELINE_PARAMETER_FLOOR = 1e-8
+#: Floor of the tolerance of every check on what the pipeline computes
+#: from a top eigenvector, which at a defective double root is resolved
+#: only to about sqrt(eps) ~ 1.5e-8:
+#:
+#: * the canonical parameter region (Bell weights >= 0; 0 <= p1^2 <= p0
+#:   <= 1), in `canonicalize` and when a report is read back;
+#: * the factorization residual |L_A Lambda L_B^T / N - Lambda^c| of a
+#:   result, rechecked once both factors are final (a diagonal result of
+#:   a strongly filtered state, whose top eigenvector carries an error
+#:   far above eps, may miss by more), and of ``100 * tol`` for
+#:   ``verify``'s ``factorization``;
+#: * ``sigma_equivalence_check``, whose closed forms and pipeline agree
+#:   only that well;
+#: * of ``100 * tol`` for ``verify``'s ``sharedSpectrum``, the two sides'
+#:   spectra relative to max(1, lambda0).
+DEFECTIVE_ROOT_FLOOR = 1e-8
 
 #: Least value a scale may take before it divides something or multiplies
 #: a relative threshold, so an all-zero input gives a zero ratio or rank

@@ -19,7 +19,7 @@ import numpy as np
 
 from .canonical import CanonicalResult, SideFamily, canonical_rho_type1, canonical_rho_type2
 from .errors import InputFormatError, InvalidCanonicalParameters
-from .minkowski import DEFAULT_TOL, PIPELINE_PARAMETER_FLOOR
+from .minkowski import DEFAULT_TOL, DEFECTIVE_ROOT_FLOOR
 
 CONVENTIONS = {
     "basis": "sigma_0 = I, sigma_1 = X, sigma_2 = Y, sigma_3 = Z; rho in the product basis |00>,|01>,|10>,|11>",
@@ -234,7 +234,7 @@ def parse_canonical_report(doc: Any, tol: float = DEFAULT_TOL) -> CanonicalResul
     ``lambdaCanonical`` must be diag(1, d1, d2, d3), and (d1, d2, d3) or
     the arrow parameters must lie in the canonical region, both checked
     as `canonicalize` checks its own, at ``max(tol,
-    PIPELINE_PARAMETER_FLOOR)``.  The canonical state is rebuilt from
+    DEFECTIVE_ROOT_FLOOR)``.  The canonical state is rebuilt from
     them; other fields are placeholders."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise InputFormatError('canonical report must be a JSON object with a "family" key')
@@ -250,7 +250,7 @@ def parse_canonical_report(doc: Any, tol: float = DEFAULT_TOL) -> CanonicalResul
     if any(k not in params for k in names):
         raise InputFormatError(f"a {family.value} report must carry parameters {names}")
     values = _number_array([params[k] for k in names], "parameters", "real numbers")
-    region_tol = max(tol, PIPELINE_PARAMETER_FLOOR)
+    region_tol = max(tol, DEFECTIVE_ROOT_FLOOR)
     rho_c = np.zeros((4, 4), dtype=complex)
     if names:
         side = "A" if family is SideFamily.TYPE_II_A else "B"

@@ -337,6 +337,33 @@ def test_typei_factorization_miss_is_refused():
     assert float(str(info.value).split()[2]) > 1e-7
 
 
+#: rho of case 762 of the hard-inputs benchmark corpus at seed 7, as
+#: [re, im] pairs: Sigma(b, c, d) at the (b, c, d) below, filtered at
+#: rapidity 2.5.  A null space taken by Gaussian elimination gave its
+#: defective top a row that missed the factorization recheck by 1.4e-3
+FILTERED_SIGMA_BCD = (0.8667113214963709, 0.8006394932073929, 0.3160492333413609)
+FILTERED_SIGMA_RHO = [
+    [[0.5042252411544831, 9.008687204129656e-18], [-0.3394858579417557, -0.18450666744136826],
+     [-0.02681911621352328, 0.25033337342395734], [0.10885875739581434, -0.15861218689378861]],
+    [[-0.3394858579417556, 0.18450666744136823], [0.29608701026488454, 0.0],
+     [-0.07353763474572184, -0.17837164519022938], [-0.015263362742338187, 0.14662950418450793]],
+    [[-0.02681911621352327, -0.25033337342395734], [-0.07353763474572185, 0.17837164519022938],
+     [0.12607789054442867, 0.0], [-0.08478041503557344, -0.04574726422288545]],
+    [[0.10885875739581434, 0.1586121868937886], [-0.015263362742338204, -0.14662950418450793],
+     [-0.08478041503557344, 0.04574726422288545], [0.07360985803620367, -9.008687204129656e-18]],
+]
+
+
+def test_filtered_sigma_state_factors_from_its_svd_null_space():
+    rho = np.array([[complex(*z) for z in row] for row in FILTERED_SIGMA_RHO])
+    res = canonicalize(rho)
+    assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
+    assert res.residuals["factorization"] <= 1e-8
+    b, c, d = FILTERED_SIGMA_BCD
+    ratio = res.parameters["r1"] ** 2 / res.parameters["r0"]
+    assert abs(ratio - d * d / ((1.0 + c) * (1.0 - b))) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # arrow family
 
@@ -707,14 +734,14 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
 
 def test_type2_route_counts(monkeypatch):
     """A filtered Sigma state takes one `eig` and one null space, for its
-    defective top, and no solve and no Hermitian eigensolve: no lower
+    defective top, and no solve, QR or Hermitian eigensolve: no lower
     cluster is solved, the arrow construction solves its 2x2 system in
     closed form, and ``rhoMinEigenvalue`` has a closed form.  The one
     `eigvalsh` is the state check in `lambda_from_rho`, which every family
     makes."""
     import lorentzsvd.geigen as geigen
 
-    calls = dict.fromkeys(("eig", "null_space_basis", "solve", "eigh", "eigvalsh"), 0)
+    calls = dict.fromkeys(("eig", "null_space_basis", "solve", "eigh", "eigvalsh", "qr"), 0)
     for name in calls:
         module = geigen if name == "null_space_basis" else np.linalg
 
@@ -727,7 +754,8 @@ def test_type2_route_counts(monkeypatch):
     gen = rng(8)
     res = canonicalize(apply_slocc(rho, random_sl2c(gen, 1.5), random_sl2c(gen, 1.5)))
     assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
-    assert calls == {"eig": 1, "null_space_basis": 1, "solve": 0, "eigh": 0, "eigvalsh": 1}
+    assert calls == {"eig": 1, "null_space_basis": 1, "solve": 0, "eigh": 0, "eigvalsh": 1,
+                     "qr": 0}
 
 
 def test_conjugate_pairs_close_without_the_quartic(monkeypatch):
@@ -811,6 +839,21 @@ def test_pure_state_top_is_the_time_axis(monkeypatch):
         assert res.left_lorentz[0].tolist() == [1.0, 0.0, 0.0, 0.0]
         assert max(lorentz_defect(res.left_lorentz), lorentz_defect(res.right_lorentz)) <= 1e-14
     assert calls == {"eigh": 0, "qr": 0}
+
+
+def test_rank2_top_takes_no_qr(monkeypatch):
+    """A rank-2 state's (+, -) top plane comes out of one SVD of
+    G Omega - c I already orthonormal, with no QR pass."""
+    calls = {"qr": 0}
+
+    def counted(*args, _fn=np.linalg.qr, **kwargs):
+        calls["qr"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for seed in range(12):
+        assert canonicalize(random_state(2, seed=seed)).family is SideFamily.TYPE_I
+    assert calls == {"qr": 0}
 
 
 def test_rank2_time_row_is_not_chosen_by_rounding():

@@ -514,12 +514,14 @@ def test_generated_payloads_fail_only_with_documented_errors(tmp_path_factory, p
 
 @pytest.mark.parametrize(
     "samples, csv",
-    [("-3", True), ("0", True), (None, True), ("5", False)],
-    ids=["-3", "0", "csv-without-samples", "samples-without-csv"],
+    [("-3", True), ("0", True), ("1000000000000", True), (None, True), ("5", False)],
+    ids=["-3", "0", "1e12", "csv-without-samples", "samples-without-csv"],
 )
 def test_ellipsoid_rejects_samples_below_one(tmp_path, capsys, samples, csv):
-    """--samples below one, and either of --samples and --csv without the
-    other, are malformed input: no output, and no CSV written."""
+    """--samples below one or above the most the command draws, and
+    either of --samples and --csv without the other, are malformed input:
+    no output, and no CSV written.  10**12 points ended in a MemoryError
+    traceback."""
     path = write_state(tmp_path, "t2.json", TYPE2_LAMBDA)
     points = tmp_path / "points.csv"
     flags = (["--samples", samples] if samples else []) + (["--csv", str(points)] if csv else [])

@@ -329,6 +329,16 @@ def test_over_wide_cut_is_refused():
     assert _cluster_vectors(k_rows, 1.0, 2, np.inf, 1.0).shape == (4, 2)
 
 
+def test_cut_that_finds_no_direction_keeps_the_smallest_singular_direction():
+    """A centre 0.1 off the nearest eigenvalue leaves every singular value
+    of G Omega - c I far above the cut at 1e-7: the basis is the smallest
+    singular direction, e0 here, and no cut is widened or refused."""
+    k_op = np.diag([1.0, 2.0, 3.0, 5.0])
+    basis = _cluster_vectors(k_op, 0.9, 1, np.inf, 1.0)
+    assert basis.shape == (4, 1)
+    np.testing.assert_allclose(np.abs(basis[:, 0]), [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
+
+
 def test_eigensystem_zero_form():
     pair = omega_matrices(PURE_PRODUCT)
     np.testing.assert_allclose(pair.omega_a, 0.0, atol=1e-15)

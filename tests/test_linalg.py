@@ -49,15 +49,24 @@ def test_two_dimensional_kernel_stays_orthonormal():
         np.testing.assert_allclose(M @ B, 0.0, atol=1e-12 * np.abs(M).max())
 
 
-def test_null_space_full_rank_is_empty():
-    assert null_space_basis(np.eye(4), rtol=1e-12).shape == (4, 0)
+def test_null_space_full_rank_is_the_smallest_singular_direction():
+    # a cut that keeps no direction returns the one of the smallest
+    # singular value, never an empty basis
+    B = null_space_basis(np.diag([4.0, 3.0, 2.0, 1.0]), rtol=1e-12)
+    assert B.shape == (4, 1)
+    np.testing.assert_allclose(np.abs(B[:, 0]), [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_null_space_threshold_is_relative():
-    # a uniformly tiny matrix is still full rank at a relative threshold
+    # a uniformly tiny matrix is still full rank at a relative threshold:
+    # only its smallest singular direction, (1, -1)/sqrt(2) at 1e-14, is kept
     M = 1e-14 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert null_space_basis(M, rtol=1e-8).shape == (2, 0)
-    # but rank collapses once rtol passes the conditioning
+    B = null_space_basis(M, rtol=1e-8)
+    assert B.shape == (2, 1)
+    assert abs(B[0, 0] + B[1, 0]) <= 1e-15
+    # a cut between the singular values 3e-14 and 1e-14 keeps the same one
+    assert null_space_basis(M, rtol=1.0).shape == (2, 1)
+    # and rank collapses once rtol passes the conditioning
     assert null_space_basis(M, rtol=10.0).shape[1] == 2
 
 
