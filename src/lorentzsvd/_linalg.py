@@ -1,8 +1,8 @@
 """Small dense linear-algebra helpers used by the eigensystem and canonical layers.
 
 Everything here operates on tiny (at most 4x4) real matrices.  Rank
-decisions are explicit: a threshold relative to the matrix's largest
-entry, applied to LAPACK's singular values.
+decisions are explicit: an absolute cut, which the caller scales,
+applied to LAPACK's singular values.
 """
 
 from __future__ import annotations
@@ -10,20 +10,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateCompletion
-from .minkowski import G_METRIC, SCALE_FLOOR, ZERO_REL, g_inner
+from .minkowski import G_METRIC, ZERO_REL, g_inner
 
 
-def null_space_basis(M: np.ndarray, rtol: float) -> np.ndarray:
+def null_space_basis(M: np.ndarray, cut: float) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space of M.
 
     The right singular vectors of M whose singular values are at most
-    ``rtol * max|M|``, so ``rtol`` is the rank decision threshold, and
-    always at least the one of the smallest singular value: the
-    eigensystem passes G Omega - c I at a computed eigenvalue c, singular
-    by construction, where a cut that keeps nothing has cut too fine.
+    ``cut``, an absolute threshold, and always at least the one of the
+    smallest singular value: the eigensystem passes G Omega - c I at a
+    computed eigenvalue c, singular by construction, where a cut that
+    keeps nothing has cut too fine.  The caller scales the cut
+    (`geigen._cluster_vectors` by max|M|).
     """
     _, sigma, vt = np.linalg.svd(M)
-    cut = rtol * max(float(np.abs(M).max()), SCALE_FLOOR)
     rank = min(int(np.count_nonzero(sigma > cut)), vt.shape[0] - 1)
     return vt[rank:].T
 

@@ -2,8 +2,8 @@
 
 det(Omega - lambda * G) is a quartic in lambda whose roots are the
 eigenvalues of G @ Omega.  They come from LAPACK (`np.linalg.eig`),
-which is backward stable, together with an eigenvector per simple real
-root.  A single eigenvalue of a defective cluster is
+which is backward stable, with the eigenvector of a top cluster that
+is one real root.  A single eigenvalue of a defective cluster is
 conditioned like the square root of the perturbation, but the cluster's
 mean moves only linearly with it (Kato; Stewart & Sun), so roots are
 reported as cluster means.  Rounding splits the defective double root
@@ -115,9 +115,9 @@ class QuarticRoots:
     values: np.ndarray          # distinct roots, ascending
     multiplicities: np.ndarray  # matching multiplicities, sum = 4
     imag_residue: float         # largest imaginary part of a closed conjugate pair
-    #: per cluster, the unit eigenvector of a cluster that is one real
-    #: root, as LAPACK returns it; None for every other cluster
-    vectors: list[np.ndarray | None]
+    #: the unit eigenvector of the top cluster, as LAPACK returns it, when
+    #: that cluster is one real root; None otherwise
+    top_vector: np.ndarray | None
 
 
 def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots:
@@ -127,7 +127,7 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
     members lie at most cluster_radius apart (2 Im z); otherwise it
     raises NumericalFailure.  Neighbouring roots no more than
     cluster_radius apart then merge into one cluster at their mean.  A
-    cluster that is one real root keeps LAPACK's eigenvector.
+    top cluster that is one real root keeps LAPACK's eigenvector.
     """
     w, vecs = np.linalg.eig(G_METRIC @ np.asarray(omega, dtype=float))
     # (root, multiplicity, eigenvector column or None)
@@ -146,17 +146,18 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
 
     values: list[float] = []
     mults: list[int] = []
-    columns: list[int | None] = []
+    # the eigenvector column of the last cluster, the top once the loop ends
+    top_col: int | None = None
     for r, m, col in sorted(roots, key=lambda root: root[:2]):
         if values and r - last <= cluster_radius:
             tot = mults[-1] + m
             values[-1] = (values[-1] * mults[-1] + r * m) / tot
             mults[-1] = tot
-            columns[-1] = None
+            top_col = None
         else:
             values.append(r)
             mults.append(m)
-            columns.append(col)
+            top_col = col
         last = r
     # the real part: a real eigenvalue's column has zero imaginary part
     # also when a conjugate pair makes LAPACK return complex columns
@@ -164,5 +165,5 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
         values=np.array(values),
         multiplicities=np.array(mults, dtype=int),
         imag_residue=imag_residue,
-        vectors=[None if col is None else vecs[:, col].real for col in columns],
+        top_vector=None if top_col is None else vecs[:, top_col].real,
     )

@@ -300,14 +300,6 @@ def _null_rotation(B: list[list[float]], lam0: float, sign: float) -> tuple[floa
     return (f1 * m22 - m12 * f2) / det, (m11 * f2 - m12 * f1) / det
 
 
-def _null_top(sys: GEigenSystem) -> np.ndarray:
-    """The future null top eigenvector of a TypeII eigensystem, its first row."""
-    family = classify_canonical_type(sys)
-    if family is not CanonicalFamily.TYPE_II:
-        raise NotTypeII(f"state classifies as {family.value}")
-    return sys.eigenvectors[0]
-
-
 def type2_canonical(
     lam: np.ndarray,
     sys: GEigenSystem,
@@ -326,7 +318,10 @@ def type2_canonical(
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return _arrow(lam, sys.omega, side, _null_top(sys), sys.clusters[0][1] == 4, tol)
+    family = classify_canonical_type(sys)
+    if family is not CanonicalFamily.TYPE_II:
+        raise NotTypeII(f"state classifies as {family.value}")
+    return _arrow(lam, sys.omega, side, sys.eigenvectors[0], sys.clusters[0][1] == 4, tol)
 
 
 def _arrow(
@@ -514,9 +509,13 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
 
 
 def _factor_solved(
-    lam: np.ndarray, sys_a: GEigenSystem, omega_b: np.ndarray, tol: float
+    lam: np.ndarray,
+    sys_a: GEigenSystem,
+    omega_b: np.ndarray,
+    tol: float,
+    sys_b: GEigenSystem | None = None,
 ) -> CanonicalResult:
-    """`canonicalize` after side A's eigensolve.
+    """`canonicalize` after side A's eigensolve: the one family dispatch.
 
     Neither a TypeI nor a TypeII side A solves side B.  A TypeI B tetrad is
     transported through Lambda (see `type1_canonical`).  A TypeII B side
@@ -524,26 +523,21 @@ def _factor_solved(
     eigenvector u: G Omega_B v = G Lambda^T G Omega_A u = lam0 v, so v is
     side B's null top eigenvector, and the two sides share the spectrum.
     A B side of another family shows up in the checks of the B-side
-    construction.  Only a degenerate product side A solves ``omega_b``,
-    to confirm the family on both sides.
+    construction.  Only a degenerate product side A reads side B's
+    eigensystem, to confirm the family on both sides: ``sys_b`` when the
+    caller has solved it already, otherwise the solve of ``omega_b``.
     """
     fam_a = classify_canonical_type(sys_a)
     if fam_a is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
     if fam_a is CanonicalFamily.TYPE_II:
-        u, merged = _null_top(sys_a), sys_a.clusters[0][1] == 4
+        u, merged = sys_a.eigenvectors[0], sys_a.clusters[0][1] == 4
         result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
         # G Lambda^T u is side B's null top eigenvector, and the spectrum is shared
         partner = _arrow(lam, omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
         return replace(result, partner=partner)
-    return _degenerate_product(lam, sys_a, g_eigensystem(omega_b, tol), tol)
-
-
-def _degenerate_product(
-    lam: np.ndarray, sys_a: GEigenSystem, sys_b: GEigenSystem, tol: float
-) -> CanonicalResult:
-    """Report of a degenerate product side A, once the solved side B
-    ``sys_b`` confirms the family."""
+    if sys_b is None:
+        sys_b = g_eigensystem(omega_b, tol)
     fam_b = classify_canonical_type(sys_b)
     if fam_b is not CanonicalFamily.DEGENERATE_PRODUCT:
         raise NumericalFailure(
@@ -722,9 +716,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     side is read off its A-side right factor, as `canonicalize` builds
     it, so only Omega_A is solved.
     """
-    bad = p.violations()
-    if bad:
-        raise InvalidSigmaParameters("; ".join(bad))
+    sigma, _ = sigma_from_bcd(p)
     b, c, d = p.b, p.c, p.d
     tol = max(tol, DEFECTIVE_ROOT_FLOOR)
     if abs(b - c) < _SIGMA_EDGE:
@@ -734,7 +726,6 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
             "b or c at +-1 collapses the state to a pure product (no canonical scale)"
         )
 
-    sigma, _ = sigma_from_bcd(p)
     lam0 = (1.0 + c) * (1.0 - b)
     lam1 = d * d
     expected = np.array(sorted([lam0, lam0, lam1, lam1], reverse=True))

@@ -28,15 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import (
-    SigmaParameters,
-    _degenerate_product,
-    _factor_solved,
-    canonicalize,
-    sigma_equivalence_check,
-)
+from .canonical import SigmaParameters, _factor_solved, canonicalize, sigma_equivalence_check
 from .errors import InputFormatError, LorentzSvdError
-from .geigen import CanonicalFamily, classify_canonical_type, g_eigensystem, omega_matrices
+from .geigen import classify_canonical_type, g_eigensystem, omega_matrices
 from .minkowski import DEFAULT_TOL, DEFECTIVE_ROOT_FLOOR, lorentz_defect
 from .qstate import lambda_from_rho, random_state, rho_from_lambda
 from .serialize import (
@@ -85,12 +79,17 @@ def _resolve_tol(value: float | None) -> float:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from None
 
 
 def _state_rho(kind: str, value: np.ndarray, tol: float) -> np.ndarray:
@@ -104,7 +103,7 @@ def _write_output(text: str, output: str | None) -> None:
         # flushed here, so a closed pipe raises inside `main`
         sys.stdout.flush()
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        _write_text(output, text)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def _run_ellipsoid(path: str, tol: float, side: str, samples: int | None,
     if samples is not None:
         direction = "AtoB" if ell.family.value == "TypeII_B" else "BtoA"
         points = sample_steered_surface(result.canonical_lambda, direction, samples)
-        Path(csv_path).write_text(points_to_csv(points), encoding="utf-8")
+        _write_text(csv_path, points_to_csv(points))
     out = {"conventions": CONVENTIONS}
     out.update(ellipsoid_json_dict(ell))
     return dumps(out)
@@ -198,10 +197,7 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
            max(100 * tol, DEFECTIVE_ROOT_FLOOR) * scale)
     # a degenerate product side A confirms its family on the B side just solved
-    if classify_canonical_type(sys_a) is CanonicalFamily.DEGENERATE_PRODUCT:
-        result = _degenerate_product(lam, sys_a, sys_b, tol)
-    else:
-        result = _factor_solved(lam, sys_a, pair.omega_b, tol)
+    result = _factor_solved(lam, sys_a, pair.omega_b, tol, sys_b)
     if result.residuals:
         # the floor `canonicalize` rechecks the same residual against
         record("factorization", result.residuals["factorization"],
@@ -247,7 +243,7 @@ def _batch_one(cmd: str, in_path: Path, out_path: Path, tol: float,
     """(exit code, message) of one file; never raises."""
     try:
         text, code = _run_state_command(cmd, str(in_path), tol, **extra)
-        out_path.write_text(text, encoding="utf-8")
+        _write_text(out_path, text)
         return code, "verification failed" if code else ""
     except LorentzSvdError as exc:
         return exc.exit_code, f"{type(exc).__name__}: {exc}"

@@ -9,10 +9,11 @@ share the spectrum of the non-symmetric operator G @ Omega, and that
 spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
-The spectrum comes from LAPACK as cluster means (`_quartic`).  The
-solve then reads the top cluster alone, the only one any construction
-uses, and of it one row: the Gram top eigenvector of the cluster's
-span.  That span is LAPACK's eigenvector when the cluster is one real
+`omega_matrices` returns the raw products, and `g_eigensystem` is the
+one place that symmetrizes a form.  The spectrum comes from LAPACK as
+cluster means (`_quartic`).  The solve then reads the top cluster
+alone, the only one any construction uses, and of it one row: the Gram
+top eigenvector of the cluster's span.  That span is LAPACK's eigenvector when the cluster is one real
 root, and otherwise the null space of G Omega - c I at its centre c:
 the right singular vectors below one cut, with no second try at a
 wider one.  The TypeI construction reads
@@ -54,34 +55,23 @@ CLUSTER_RADIUS_REL = 1e-7
 
 @dataclass(frozen=True)
 class OmegaPair:
-    """The pair of symmetric forms attached to a correlation matrix."""
+    """The pair of quadratic forms attached to a correlation matrix."""
 
     omega_a: np.ndarray
     omega_b: np.ndarray
-    #: largest asymmetry removed when the products were symmetrized
-    symmetry_defect: float
 
 
 def omega_matrices(lam: np.ndarray) -> OmegaPair:
-    """Both quadratic forms of a correlation matrix, symmetrized.
+    """Both quadratic forms of a correlation matrix, as the raw products.
 
-    The products are symmetric in exact arithmetic; floating-point
-    noise is averaged away and the removed defect recorded.
+    The products are symmetric in exact arithmetic.  `g_eigensystem` is
+    the one place that symmetrizes a form, and it records the asymmetry
+    it removes.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4, 4):
         raise ValueError(f"expected a 4x4 correlation matrix, got {lam.shape}")
-    oa = lam @ G_METRIC @ lam.T
-    ob = lam.T @ G_METRIC @ lam
-    defect = max(
-        float(np.abs(oa - oa.T).max()),
-        float(np.abs(ob - ob.T).max()),
-    )
-    return OmegaPair(
-        omega_a=0.5 * (oa + oa.T),
-        omega_b=0.5 * (ob + ob.T),
-        symmetry_defect=defect,
-    )
+    return OmegaPair(omega_a=lam @ G_METRIC @ lam.T, omega_b=lam.T @ G_METRIC @ lam)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +145,11 @@ def _cluster_vectors(
     ``k_op`` is G @ Omega.  The rank decision must swallow the in-cluster
     eigenvalue smear (at most the merge radius) yet reject directions
     belonging to the next cluster (at least ``gap`` away), so the
-    threshold is pinched between the two.  A cut that finds no direction
-    keeps the smallest singular direction, and the caller's signature
-    test judges it; a cut that finds more directions than the
+    threshold is pinched between the two, and floored at 64 eps max|M|
+    for M = G Omega - center I.  It goes to `null_space_basis` as an
+    absolute cut: this is the one place it is scaled.  A cut that finds
+    no direction keeps the smallest singular direction, and the caller's
+    signature test judges it; a cut that finds more directions than the
     multiplicity has taken a neighbour's and is refused.  ``scale`` is
     |Tr G Omega| without the unit floor of the merge radius: on a form
     whose eigenvalues all lie far below one, a cut at the floored scale
@@ -168,7 +160,7 @@ def _cluster_vectors(
     thresh = max(CLUSTER_RADIUS_REL * scale, 64.0 * _EPS * mscale)
     if math.isfinite(gap):
         thresh = max(min(thresh, 0.45 * gap), 64.0 * _EPS * mscale)
-    basis = null_space_basis(m, rtol=thresh / mscale)
+    basis = null_space_basis(m, thresh)
     if basis.shape[1] > mult:
         raise NumericalFailure(
             f"the cut at eigenvalue {center:.6g} takes a neighbouring direction "
@@ -177,60 +169,48 @@ def _cluster_vectors(
     return basis
 
 
-def _rediagonalize_cluster(basis: np.ndarray) -> np.ndarray:
-    """The G-diagonal basis of one top cluster: its Gram eigenbasis.
-
-    The columns come out G-orthogonal, and G-normalized unless a Gram
-    eigenvalue is lightlike, as in the top of the arrow form with
-    r1^2 = r0, where the basis is left exactly as the Gram eigenbasis
-    produced it.  On an eigenspace Omega acts as lambda G, so no Omega
-    cross term is left to rotate away.  A single column is its own Gram
-    eigenbasis: ``eigh`` of a 1x1 matrix returns U = [[1.0]], and
-    ``basis @ U`` equals ``basis + 0.0``, which turns -0.0 into +0.0.
-    """
-    if basis.shape[1] == 1:
-        return basis + 0.0
-    gram, w = gram_eigenbasis(basis)
-    if np.any(np.abs(gram) <= SIGNATURE_TOL):
-        return w
-    return w / np.sqrt(np.abs(gram))
-
-
 def _gram_top(basis: np.ndarray) -> np.ndarray:
     """The Gram top eigenvector of the top cluster's span.
 
     Every timelike vector of a degenerate top eigenspace is an
     eigenvector; which one is residual gauge (Verstraete, Dehaene, De
     Moor, PRA 64, 010101(R) (2001)), pinned to the Gram top eigenvector,
-    the x of largest x^T G x over Euclidean-unit x in the span: e0 for
-    the whole space, the major axis of the 2x2 Gram matrix for a plane
-    (on Python floats), and otherwise `_rediagonalize_cluster`'s first
-    column, as for a single vector.
+    the x of largest x^T G x over Euclidean-unit x in the span, by the
+    span's dimension: a single vector is its own, returned as
+    ``basis[:, 0] + 0.0``, the bytes ``eigh`` of its 1x1 Gram matrix
+    would give (U = [[1.0]], and the product turns -0.0 into +0.0); a
+    plane takes the major axis of its 2x2 Gram matrix, on Python floats;
+    a 3-dim span takes the first column of its Gram eigenbasis; and the
+    whole space takes e0.  The caller normalizes the vector.
     """
     dim = basis.shape[1]
-    if dim == 4:
-        return _E0
+    if dim == 1:
+        return basis[:, 0] + 0.0
     if dim == 2:
         v, w = basis.T.tolist()
         s00, s01, s11 = g_inner(v, v), g_inner(v, w), g_inner(w, w)
         theta = 0.5 * math.atan2(2.0 * s01, s00 - s11)
         c, s = math.cos(theta), math.sin(theta)
         return np.array([c * vi + s * wi for vi, wi in zip(v, w)])
-    return _rediagonalize_cluster(basis)[:, 0]
+    if dim == 3:
+        return gram_eigenbasis(basis)[1][:, 0]
+    return _E0
 
 
 def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
-    """Solve the eigenproblem of G @ Omega for a symmetric 4x4 form, up to
-    its top cluster.
+    """Solve the eigenproblem of G @ Omega for a 4x4 form, its symmetric
+    part, up to its top cluster.
 
     Eigenvalues come from ``np.linalg.eig`` as cluster means.  The top
     cluster's span is LAPACK's eigenvector when the cluster is one real
     root, the null space at its centre otherwise (`_cluster_vectors`: one
     SVD, at least one direction), and the whole space for the zero form
     (every entry at most ``tol``).  ``tol`` plays no other
-    part in the solve.  No construction reads a lower cluster or a second
-    top row: TypeI reads the timelike top row, TypeII the null top row
-    and DegenerateProduct the eigenvalues alone.  So the system has all
+    part in the solve.  The form is symmetrized here, and only here; the
+    asymmetry removed is the condition report's ``symmetry_defect``.  No
+    construction reads a lower cluster or a second top row: TypeI reads
+    the timelike top row, TypeII the null top row and DegenerateProduct
+    the eigenvalues alone.  So the system has all
     four eigenvalues and one row, the span's Gram top eigenvector x
     (`_gram_top`) with a deterministic sign: G-normalized (norm +1) when
     x^T G x > SIGNATURE_TOL, Euclidean-unit (norm 0) when it lies within
@@ -261,8 +241,8 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         centers = quartic.values.tolist()[::-1]
         mults = quartic.multiplicities.tolist()[::-1]
         imag_residue = quartic.imag_residue
-        if quartic.vectors[-1] is not None:
-            basis = quartic.vectors[-1][:, None]
+        if quartic.top_vector is not None:
+            basis = quartic.top_vector[:, None]
         else:
             gap = min((centers[0] - c for c in centers[1:]), default=math.inf)
             basis = _cluster_vectors(k_op, centers[0], mults[0], gap, max(trace, SCALE_FLOOR))

@@ -40,11 +40,6 @@ PAULI = np.array(
 #: PAULI_KRON[mu, nu] = sigma_mu (x) sigma_nu, shape (4, 4, 4, 4)
 PAULI_KRON = np.array([[np.kron(PAULI[m], PAULI[n]) for n in range(4)] for m in range(4)])
 
-#: eigenvalues of rho above this fraction of the largest count towards its
-#: rank (reported only); it sits well above the ~1e-16 relative noise of
-#: `eigvalsh`
-_RANK_REL = 1e-9
-
 #: floor of the tolerance on |det A - 1| for an SL(2,C) filter: det A of a
 #: filter with large entries carries rounding well above a small ``tol``
 _UNIT_DET_FLOOR = 1e-9
@@ -61,7 +56,6 @@ class ValidityReport:
     hermiticity_defect: float
     trace_defect: float
     min_eigenvalue: float
-    rank: int
     tol: float
 
     @property
@@ -77,7 +71,7 @@ class ValidityReport:
         return (
             f"{status}: hermiticity defect {self.hermiticity_defect:.3e}, "
             f"trace defect {self.trace_defect:.3e}, "
-            f"min eigenvalue {self.min_eigenvalue:.3e}, rank {self.rank}"
+            f"min eigenvalue {self.min_eigenvalue:.3e}"
         )
 
 
@@ -91,11 +85,7 @@ def _hermitian_eigenvalues(m: np.ndarray) -> list[float]:
 
 
 def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Hermiticity / trace / positivity report for a 4x4 complex matrix.
-
-    Rank counts eigenvalues above `_RANK_REL` times the largest one, which
-    separates genuine rank deficiency from float noise.
-    """
+    """Hermiticity / trace / positivity report for a 4x4 complex matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -113,14 +103,10 @@ def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
     tr = (d[0] + d[1]) + (d[2] + d[3])
     # the hypot that complex abs takes, but inf where abs would raise
     # OverflowError, so a trace beyond the float range is a defect
-    top = max(evals)
-    cut = _RANK_REL * max(top, 0.0)
-    rank = sum(v > cut for v in evals) if top > 0 else 0
     return ValidityReport(
         hermiticity_defect=herm,
         trace_defect=math.hypot(tr.real - 1.0, tr.imag),
         min_eigenvalue=min(reversed(evals)),
-        rank=rank,
         tol=tol,
     )
 

@@ -533,6 +533,28 @@ def test_ellipsoid_rejects_samples_below_one(tmp_path, capsys, samples, csv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t2.json"]
 
 
+@pytest.mark.parametrize("probe", ["not-utf8", "unwritable-output", "unwritable-csv"])
+def test_unreadable_input_and_unwritable_output_are_input_errors(tmp_path, capsys, probe):
+    """A state file that is not UTF-8, and an -o or --csv target in a
+    directory that does not exist, are malformed input: exit 1, one JSON
+    error line, no traceback and no file written.  Each ended in a
+    UnicodeDecodeError or FileNotFoundError traceback."""
+    path = write_state(tmp_path, "s.json", MIXED)
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
+    missing = tmp_path / "missing"
+    argv = {
+        "not-utf8": ["canonicalize", str(tmp_path / "bad.json")],
+        "unwritable-output": ["canonicalize", path, "-o", str(missing / "x.json")],
+        "unwritable-csv": ["ellipsoid", path, "--samples", "5", "--csv", str(missing / "x.csv")],
+    }[probe]
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "InputFormatError"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(["classify", "/no/such/file.json"], capsys)
     assert code == 1
@@ -645,18 +667,23 @@ def test_batch_isolates_failures(tmp_path, capsys):
         run(["random", "--rank", "4", "--seed", str(seed),
              "-o", str(batch / f"s{seed}.json")], capsys)
     (batch / "broken.json").write_text("nope", encoding="utf-8")
+    # not UTF-8: malformed input too, not a numerical failure
+    (batch / "bad.json").write_bytes(b"\xff\xfe")
     code, out, _ = run(["canonicalize", "--batch", str(batch)], capsys)
     summary = json.loads(out)
-    assert summary["processed"] == 4
-    assert list(summary["failures"]) == ["broken.json"]
+    assert summary["processed"] == 5
+    assert list(summary["failures"]) == ["bad.json", "broken.json"]
     assert code == 1
     assert summary["failures"]["broken.json"]["exitCode"] == 1
+    assert summary["failures"]["bad.json"]["exitCode"] == 1
+    assert summary["failures"]["bad.json"]["message"].startswith("InputFormatError")
     for seed in range(3):
         report = (batch / f"s{seed}.canonicalize.json").read_text()
         assert json.loads(report)["family"] == "TypeI"
         # the batch writes what a single-file call prints, byte for byte
         assert report == run(["canonicalize", str(batch / f"s{seed}.json")], capsys)[1]
     assert not (batch / "broken.canonicalize.json").exists()
+    assert not (batch / "bad.canonicalize.json").exists()
 
 
 def test_batch_skips_outputs_of_other_commands(tmp_path, capsys):

@@ -18,7 +18,7 @@ from lorentzsvd.errors import NumericalFailure
 from lorentzsvd.geigen import (
     CanonicalFamily,
     _cluster_vectors,
-    _rediagonalize_cluster,
+    _gram_top,
     _signed_unit,
     classify_canonical_type,
     g_eigensystem,
@@ -104,7 +104,9 @@ def test_omega_pair_reference_values():
     pair = omega_matrices(np.diag([1.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(pair.omega_a, np.diag([1.0, 0, 0, 0]), atol=1e-15)
     np.testing.assert_allclose(pair.omega_b, np.diag([1.0, 0, 0, 0]), atol=1e-15)
-    assert pair.symmetry_defect < 1e-15
+    # the raw products: symmetric as they come, so the solve removes nothing
+    for form in (pair.omega_a, pair.omega_b):
+        assert np.array_equal(form, form.T)
 
     pair = omega_matrices(WERNER_HALF)
     np.testing.assert_allclose(pair.omega_a, np.diag([1.0, -0.25, -0.25, -0.25]), atol=1e-15)
@@ -255,9 +257,22 @@ def test_one_column_cluster_is_its_own_gram_eigenbasis():
     basis @ U turns -0.0 into +0.0."""
     for column in ([0.6, -0.0, 0.8, -0.0], [-0.0, 1.0, -0.0, 0.0], [-3e-200, 0.0, -0.0, 2.0]):
         basis = np.array(column)[:, None]
-        fast = _rediagonalize_cluster(basis)
-        assert fast.tobytes() == gram_eigenbasis(basis)[1].tobytes()
+        fast = _gram_top(basis)
+        assert fast.tobytes() == gram_eigenbasis(basis)[1][:, 0].tobytes()
         assert not np.signbit(fast[fast == 0.0]).any()
+
+
+def test_symmetry_defect_is_recorded_by_the_solve():
+    """The solve is the one place that symmetrizes a form: it solves the
+    symmetric part and records the asymmetry it removed."""
+    omega = omega_matrices(WERNER_HALF).omega_a
+    assert g_eigensystem(omega).condition_report.symmetry_defect == 0.0
+    delta = 2.0**-30
+    skewed = omega.copy()
+    skewed[0, 1] += delta
+    sys = g_eigensystem(skewed)
+    assert sys.condition_report.symmetry_defect == delta
+    assert sys.omega[0, 1] == sys.omega[1, 0] == 0.5 * delta
 
 
 def test_timelike_top_of_a_plane_is_its_gram_top_eigenvector():

@@ -20,7 +20,7 @@ def test_null_space_known_rank():
             [2.0, 0.0, 0.0, 0.0],
         ]
     )
-    B = null_space_basis(M, rtol=1e-12)
+    B = null_space_basis(M, 1e-12 * np.abs(M).max())
     assert B.shape == (4, 2)
     np.testing.assert_allclose(M @ B, 0.0, atol=1e-13)
     np.testing.assert_allclose(B.T @ B, np.eye(2), atol=1e-13)
@@ -30,7 +30,7 @@ def test_one_dimensional_kernel_is_one_unit_column():
     gen = rng(11)
     for _ in range(50):
         M = gen.normal(size=(4, 3)) @ gen.normal(size=(3, 4))
-        B = null_space_basis(M, rtol=1e-12)
+        B = null_space_basis(M, 1e-12 * np.abs(M).max())
         assert B.shape == (4, 1)
         assert abs(np.linalg.norm(B[:, 0]) - 1.0) <= 1e-15
         np.testing.assert_allclose(M @ B, 0.0, atol=1e-12 * np.abs(M).max())
@@ -43,7 +43,7 @@ def test_two_dimensional_kernel_stays_orthonormal():
     gen = rng(13)
     for _ in range(50):
         M = gen.normal(size=(4, 2)) @ gen.normal(size=(2, 4))
-        B = null_space_basis(M, rtol=1e-12)
+        B = null_space_basis(M, 1e-12 * np.abs(M).max())
         assert B.shape == (4, 2)
         np.testing.assert_allclose(B.T @ B, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(M @ B, 0.0, atol=1e-12 * np.abs(M).max())
@@ -52,22 +52,22 @@ def test_two_dimensional_kernel_stays_orthonormal():
 def test_null_space_full_rank_is_the_smallest_singular_direction():
     # a cut that keeps no direction returns the one of the smallest
     # singular value, never an empty basis
-    B = null_space_basis(np.diag([4.0, 3.0, 2.0, 1.0]), rtol=1e-12)
+    B = null_space_basis(np.diag([4.0, 3.0, 2.0, 1.0]), 4e-12)
     assert B.shape == (4, 1)
     np.testing.assert_allclose(np.abs(B[:, 0]), [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-15)
 
 
-def test_null_space_threshold_is_relative():
-    # a uniformly tiny matrix is still full rank at a relative threshold:
-    # only its smallest singular direction, (1, -1)/sqrt(2) at 1e-14, is kept
+def test_null_space_threshold_is_absolute():
+    # the cut is not rescaled by the matrix: a uniformly tiny matrix, with
+    # singular values 3e-14 and 1e-14, keeps only its smallest singular
+    # direction, (1, -1)/sqrt(2), below a cut at 1e-20 or between the two
     M = 1e-14 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    B = null_space_basis(M, rtol=1e-8)
+    B = null_space_basis(M, 1e-20)
     assert B.shape == (2, 1)
     assert abs(B[0, 0] + B[1, 0]) <= 1e-15
-    # a cut between the singular values 3e-14 and 1e-14 keeps the same one
-    assert null_space_basis(M, rtol=1.0).shape == (2, 1)
-    # and rank collapses once rtol passes the conditioning
-    assert null_space_basis(M, rtol=10.0).shape[1] == 2
+    assert null_space_basis(M, 2e-14).shape == (2, 1)
+    # and it is the whole space once the cut passes both
+    assert null_space_basis(M, 1e-8).shape[1] == 2
 
 
 def test_gram_eigenbasis_diagonalizes():

@@ -80,8 +80,7 @@ def test_rho_from_lambda_reference():
 
 def test_validity_report():
     assert is_valid_state(np.eye(4) / 4).valid
-    assert is_valid_state(np.eye(4) / 4).rank == 4
-    assert is_valid_state(PHI_PLUS).rank == 1
+    assert is_valid_state(PHI_PLUS).valid
     rep = is_valid_state(np.diag([0.5, 0.6, 0.0, -0.1]).astype(complex))
     assert not rep.valid
     assert rep.min_eigenvalue < -1e-3
@@ -128,8 +127,10 @@ def test_sl2c_homomorphism(seed):
 def test_round_trip_by_rank(rank):
     for seed in range(60):
         rho = random_state(rank, seed=1000 * rank + seed)
-        rep = is_valid_state(rho)
-        assert rep.valid and rep.rank == rank
+        assert is_valid_state(rho).valid
+        # eigenvalues above float noise, counted here: the report has no rank
+        evals = np.linalg.eigvalsh(rho)
+        assert np.count_nonzero(evals > 1e-9 * evals.max()) == rank
         np.testing.assert_allclose(rho_from_lambda(lambda_from_rho(rho)), rho, atol=1e-12)
 
 
