@@ -62,10 +62,14 @@ def _eigen_digest(omega: np.ndarray) -> str:
     empty, so those digests are unchanged.
     """
     from lorentzsvd.geigen import g_eigensystem
+    from lorentzsvd.minkowski import VectorClass
 
     s = g_eigensystem(omega)
+    # the norm of the row, 1 when timelike and 0 when null, as the solve
+    # once recorded it, so digests written then still compare
+    norms = np.array([int(s.top_class is VectorClass.POSITIVE)], dtype=int)
     return _sha(
-        s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), s.norms.tobytes(),
+        s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), norms.tobytes(),
         repr(s.clusters).encode(), s.condition_report.gram_top.tobytes(),
     )
 

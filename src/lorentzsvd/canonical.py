@@ -51,13 +51,7 @@ from .errors import (
     NumericalFailure,
     SingularTopEigenvalue,
 )
-from .geigen import (
-    CanonicalFamily,
-    GEigenSystem,
-    classify_canonical_type,
-    g_eigensystem,
-    omega_matrices,
-)
+from .geigen import CanonicalFamily, GEigenSystem, g_eigensystem, omega_matrices
 from .minkowski import (
     DEFAULT_TOL,
     DEFECTIVE_ROOT_FLOOR,
@@ -106,12 +100,6 @@ class CanonicalResult:
     partner: "CanonicalResult | None" = None
 
 
-def _check_factorization(residual: float, tol: float) -> None:
-    bound = max(tol, DEFECTIVE_ROOT_FLOOR)
-    if residual > bound:
-        raise NumericalFailure(f"factorization residual {residual:.3e} exceeds {bound:.1e}")
-
-
 def _pipeline_rho(build, *params, tol: float) -> np.ndarray:
     """Canonical state of parameters the pipeline computed, by ``build``
     (`canonical_rho_type1` or `canonical_rho_type2`).  Outside the region
@@ -121,6 +109,46 @@ def _pipeline_rho(build, *params, tol: float) -> np.ndarray:
         return build(*params, tol=max(tol, DEFECTIVE_ROOT_FLOOR))
     except InvalidCanonicalParameters as exc:
         raise NumericalFailure(f"computed canonical form is not a state: {exc}") from None
+
+
+def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[list[float]],
+            canon: np.ndarray, omega: np.ndarray, omega_target: np.ndarray,
+            family_residuals: dict[str, float], rho_args: tuple, parameters: dict[str, Any],
+            tol: float) -> CanonicalResult:
+    """The acceptance tail of both constructions, for D = left W right^T
+    and the canonical form ``canon`` read off D / D00.  In order: the
+    Lorentz-group check of both factors; the factorization and
+    omegaCanonical (left Omega left^T against ``omega_target``) residuals,
+    then the family's own; the canonical state of ``rho_args``
+    (`_pipeline_rho`); and the factorization recheck last, so every
+    refusal before it keeps its own message.  A TypeII_B side, factored
+    as the A side of Lambda^T, is transposed back: its factors swap."""
+    for rows, name in ((left, "left"), (right, "right")):
+        if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
+            raise NumericalFailure(f"{name} tetrad failed the Lorentz-group check")
+    n_scale = D[0][0]
+    residuals = {
+        "factorization": max(abs(v / n_scale - c) for row, crow in zip(D, canon.tolist())
+                             for v, c in zip(row, crow)),
+        "omegaCanonical": float(np.abs(left @ omega @ left.T - omega_target).max()),
+        **family_residuals,
+    }
+    rho_c = _pipeline_rho(*rho_args, tol=tol)
+    residual, bound = residuals["factorization"], max(tol, DEFECTIVE_ROOT_FLOOR)
+    if residual > bound:
+        raise NumericalFailure(f"factorization residual {residual:.3e} exceeds {bound:.1e}")
+    if family is SideFamily.TYPE_II_B:
+        canon, left, right = canon.T, right, left
+    return CanonicalResult(
+        family=family,
+        canonical_lambda=canon,
+        canonical_rho=rho_c,
+        left_lorentz=left,
+        right_lorentz=right,
+        parameters=parameters,
+        normalization_scale=n_scale,
+        residuals=residuals,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +189,16 @@ def type1_canonical(
     det L_B = +1 (an odd number of flips flips row 3 once more), leaving
     the sign of D33 equal to sgn(det Lambda).  The canonical diagonal is
     read off D: d_i = D_ii / D00, with ``detSign`` and d3 zero when
-    |d3| <= tol.  The factorization recheck, max |D_ij| / D00 over
-    i != j, refuses a D that does not come out diagonal, which is how a B
-    side of another family shows up if b is future timelike.
-    ``parameters["lambdas"]`` stays the eigenvalues of the solve;
-    ``rhoMinEigenvalue`` is the smallest Bell weight of the canonical
-    state.
+    |d3| <= tol.  `_accept` checks and reports the result; its
+    factorization recheck, max |D_ij| / D00 over i != j, refuses a D that
+    does not come out diagonal, which is how a B side of another family
+    shows up if b is future timelike.  ``parameters["lambdas"]`` stays
+    the eigenvalues of the solve; ``rhoMinEigenvalue`` is the smallest
+    Bell weight of the canonical state.
     """
     lam = np.asarray(lam, dtype=float)
-    family = classify_canonical_type(sys_a)
-    if family is not CanonicalFamily.TYPE_I:
-        raise NotTypeI(f"side A classifies as {family.value}")
+    if sys_a.family is not CanonicalFamily.TYPE_I:
+        raise NotTypeI(f"side A classifies as {sys_a.family.value}")
     lam0 = float(sys_a.eigenvalues[0])
     zero_tol = max(tol, TRANSPORT_ZERO_REL) * max(1.0, lam0)
     if lam0 <= zero_tol:
@@ -205,38 +232,16 @@ def type1_canonical(
         for row in D:
             row[i] = -row[i]
 
-    for rows, side in ((a_rows, "left"), (b_rows, "right")):
-        if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
-            raise NumericalFailure(f"{side} tetrad failed the Lorentz-group check")
-
-    n_scale = D[0][0]
-    d1, d2, d3 = (D[i][i] / n_scale for i in (1, 2, 3))
+    d1, d2, d3 = (D[i][i] / D[0][0] for i in (1, 2, 3))
     det_sign = 0 if abs(d3) <= tol else (1 if d3 > 0 else -1)
     d3 = d3 if det_sign else 0.0
-    canon = [[1.0, 0.0, 0.0, 0.0], [0.0, d1, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d3]]
     lambdas = sys_a.eigenvalues.tolist()
-
-    omega_target = np.diag([lam0, -lambdas[1], -lambdas[2], -lambdas[3]])
-    residuals = {
-        "factorization": max(abs(v / n_scale - c) for row, crow in zip(D, canon)
-                             for v, c in zip(row, crow)),
-        "omegaCanonical": float(np.abs(a_rows @ sys_a.omega @ a_rows.T - omega_target).max()),
-    }
-    rho_c = _pipeline_rho(canonical_rho_type1, d1, d2, d3, tol=tol)
-    # rho_c is Bell-diagonal: its eigenvalues are the Bell weights
-    residuals["rhoMinEigenvalue"] = min(_bell_weights(d1, d2, d3))
-    # last, so every refusal above keeps its own message
-    _check_factorization(residuals["factorization"], tol)
-
-    return CanonicalResult(
-        family=SideFamily.TYPE_I,
-        canonical_lambda=np.array(canon),
-        canonical_rho=rho_c,
-        left_lorentz=a_rows,
-        right_lorentz=b_rows,
-        parameters={"lambdas": lambdas, "detSign": det_sign},
-        normalization_scale=n_scale,
-        residuals=residuals,
+    return _accept(
+        SideFamily.TYPE_I, a_rows, b_rows, D, np.diag([1.0, d1, d2, d3]), sys_a.omega,
+        np.diag([lam0, -lambdas[1], -lambdas[2], -lambdas[3]]),
+        # rho_c is Bell-diagonal: its eigenvalues are the Bell weights
+        {"rhoMinEigenvalue": min(_bell_weights(d1, d2, d3))},
+        (canonical_rho_type1, d1, d2, d3), {"lambdas": lambdas, "detSign": det_sign}, tol,
     )
 
 
@@ -318,9 +323,8 @@ def type2_canonical(
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    family = classify_canonical_type(sys)
-    if family is not CanonicalFamily.TYPE_II:
-        raise NotTypeII(f"state classifies as {family.value}")
+    if sys.family is not CanonicalFamily.TYPE_II:
+        raise NotTypeII(f"state classifies as {sys.family.value}")
     return _arrow(lam, sys.omega, side, sys.eigenvectors[0], sys.clusters[0][1] == 4, tol)
 
 
@@ -381,6 +385,8 @@ def _arrow(
        and N = D00.  A block of positive determinant (Q > R) has no
        proper rotation to the arrow's (r1, -r1); beyond the
        factorization bound it is refused (positivity transfer).
+    6. `_accept` checks the factors and the residuals and, on side B,
+       transposes the factorization back.
     """
     lam = np.asarray(lam, dtype=float)
     work = lam if side == "A" else lam.T
@@ -441,10 +447,6 @@ def _arrow(
     r1 = max(rot_part, ref_part) / n_scale
     phi0 = n_scale * n_scale
 
-    for rows, name in ((left, "left"), (right, "right")):
-        if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
-            raise NumericalFailure(f"{name} tetrad failed the Lorentz-group check")
-    pattern = _type2_pattern(r0, r1)
     lam0, lam1 = phi0 * r0, phi0 * r1 * r1
     omega_target = np.array(
         [
@@ -454,37 +456,14 @@ def _arrow(
             [phi0 - lam0, 0.0, 0.0, phi0 - 2.0 * lam0],
         ]
     )
-    residuals = {
-        "factorization": max(abs(v / n_scale - c) for row, crow in zip(D, pattern.tolist())
-                             for v, c in zip(row, crow)),
-        "omegaCanonical": float(np.abs(left @ omega @ left.T - omega_target).max()),
+    family_residuals = {
         "lambdaPairSplit": 2.0 * min(rot_part, ref_part) / n_scale,
         "rhoMinEigenvalue": _arrow_min_eigenvalue(r0, r1),
     }
-    rho_c = _pipeline_rho(canonical_rho_type2, r0, r1, side, tol=tol)
-    # last, so every refusal above keeps its own message
-    _check_factorization(residuals["factorization"], tol)
-
-    if side == "A":
-        canon = pattern
-        params = {"r0": r0, "r1": r1, "phi0": phi0}
-        left_out, right_out = left, right
-    else:
-        # transpose the factorization back: right and left swap roles
-        canon = pattern.T
-        params = {"s0": r0, "s1": r1, "chi0": phi0}
-        left_out, right_out = right, left
-
-    return CanonicalResult(
-        family=SideFamily.TYPE_II_A if side == "A" else SideFamily.TYPE_II_B,
-        canonical_lambda=canon,
-        canonical_rho=rho_c,
-        left_lorentz=left_out,
-        right_lorentz=right_out,
-        parameters=params,
-        normalization_scale=n_scale,
-        residuals=residuals,
-    )
+    family, params = ((SideFamily.TYPE_II_A, {"r0": r0, "r1": r1, "phi0": phi0}) if side == "A"
+                      else (SideFamily.TYPE_II_B, {"s0": r0, "s1": r1, "chi0": phi0}))
+    return _accept(family, left, right, D, _type2_pattern(r0, r1), omega, omega_target,
+                   family_residuals, (canonical_rho_type2, r0, r1, side), params, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +506,9 @@ def _factor_solved(
     eigensystem, to confirm the family on both sides: ``sys_b`` when the
     caller has solved it already, otherwise the solve of ``omega_b``.
     """
-    fam_a = classify_canonical_type(sys_a)
-    if fam_a is CanonicalFamily.TYPE_I:
+    if sys_a.family is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
-    if fam_a is CanonicalFamily.TYPE_II:
+    if sys_a.family is CanonicalFamily.TYPE_II:
         u, merged = sys_a.eigenvectors[0], sys_a.clusters[0][1] == 4
         result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
         # G Lambda^T u is side B's null top eigenvector, and the spectrum is shared
@@ -538,10 +516,9 @@ def _factor_solved(
         return replace(result, partner=partner)
     if sys_b is None:
         sys_b = g_eigensystem(omega_b, tol)
-    fam_b = classify_canonical_type(sys_b)
-    if fam_b is not CanonicalFamily.DEGENERATE_PRODUCT:
+    if sys_b.family is not CanonicalFamily.DEGENERATE_PRODUCT:
         raise NumericalFailure(
-            f"the two sides disagree on the family: DegenerateProduct vs {fam_b.value}"
+            f"the two sides disagree on the family: DegenerateProduct vs {sys_b.family.value}"
         )
     return CanonicalResult(
         family=SideFamily.DEGENERATE_PRODUCT,

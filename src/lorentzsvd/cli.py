@@ -11,26 +11,27 @@ Subcommands:
 * ``random``       write a seeded random state document
 * ``verify``       run the built-in self-check suite on a state
 
-Exit codes: 0 success, 1 malformed input, 2 not a physical state,
-3 numerical failure, 4 verification failure, 141 (128 + SIGPIPE, with
-nothing on stderr) when the reader of stdout has gone.  Other errors are
-emitted as a single JSON object on stderr.  All JSON output is
-byte-deterministic.
+Exit codes: 0 success, 1 malformed input (a usage error among them),
+2 not a physical state, 3 numerical failure, 4 verification failure,
+141 (128 + SIGPIPE, with nothing on stderr) when the reader of stdout
+has gone.  Other errors are emitted as a single JSON object on stderr.
+A tolerance, from ``--tol`` or ``CANON_TOL``, lies in (0, 1).  All JSON
+output is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .canonical import SigmaParameters, _factor_solved, canonicalize, sigma_equivalence_check
 from .errors import InputFormatError, LorentzSvdError
-from .geigen import classify_canonical_type, g_eigensystem, omega_matrices
+from .geigen import g_eigensystem, omega_matrices
 from .minkowski import DEFAULT_TOL, DEFECTIVE_ROOT_FLOOR, lorentz_defect
 from .qstate import lambda_from_rho, random_state, rho_from_lambda
 from .serialize import (
@@ -73,8 +74,9 @@ def _resolve_tol(value: float | None) -> float:
                 raise InputFormatError(f"CANON_TOL is not a number: {env!r}") from None
         else:
             value = DEFAULT_TOL
-    if not 0.0 < value < math.inf:
-        raise InputFormatError(f"tolerance must be finite and positive, got {value}")
+    # at 1 the top eigenvalue of every state, at most 1, would count as zero
+    if not 0.0 < value < 1.0:
+        raise InputFormatError(f"tolerance must lie in (0, 1), got {value}")
     return value
 
 
@@ -224,7 +226,7 @@ def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
         lam = lambda_from_rho(_state_rho(*loads_state(_read_text(path)), tol), tol)
         sys_a = g_eigensystem(omega_matrices(lam).omega_a, tol)
         spectrum = ",".join(format_float(v) for v in sys_a.eigenvalues)
-        return f"{classify_canonical_type(sys_a).value}, eigenvalues [{spectrum}]\n", 0
+        return f"{sys_a.family.value}, eigenvalues [{spectrum}]\n", 0
     if cmd == "canonicalize":
         rho = _state_rho(*loads_state(_read_text(path)), tol)
         return dumps(canonical_report(canonicalize(rho, tol))), 0
@@ -275,8 +277,16 @@ def _run_batch(cmd: str, directory: str, tol: float, extra: dict) -> int:
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are malformed input, reported as every
+    other error is; its subparsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorentzsvd",
         description="Canonical SLOCC factorization and steering geometry of two-qubit states",
     )
@@ -319,8 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "random":
             _write_output(_run_random(args.rank, args.seed), args.output)
             return 0

@@ -16,10 +16,12 @@ alone, the only one any construction uses, and of it one row: the Gram
 top eigenvector of the cluster's span.  That span is LAPACK's eigenvector when the cluster is one real
 root, and otherwise the null space of G Omega - c I at its centre c:
 the right singular vectors below one cut, with no second try at a
-wider one.  The TypeI construction reads
-that row when it is timelike, the TypeII construction when it is null.
-`canonical` reads a TypeI or TypeII side B off side A, so it solves one
-form only.
+wider one.  The solve names the family on the system it returns, the
+one place it is decided: TypeI when that row is timelike, TypeII when
+it is null, DegenerateProduct when the top eigenvalue vanishes.  The
+TypeI construction reads the timelike row, the TypeII construction the
+null one.  `canonical` reads a TypeI or TypeII side B off side A, so it
+solves one form only.
 """
 
 from __future__ import annotations
@@ -78,6 +80,12 @@ def omega_matrices(lam: np.ndarray) -> OmegaPair:
 # production eigensystem
 
 
+class CanonicalFamily(Enum):
+    TYPE_I = "TypeI"
+    TYPE_II = "TypeII"
+    DEGENERATE_PRODUCT = "DegenerateProduct"
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Numerical health data attached to a solved eigensystem."""
@@ -86,8 +94,6 @@ class ConditionReport:
     imag_residue: float
     #: asymmetry removed from the input form
     symmetry_defect: float
-    #: algebraic-minus-geometric multiplicity of the top cluster
-    defect: int
     #: x^T G x of the Euclidean-unit top row x when it is lightlike; empty
     #: when the row is timelike, since it is then G-normalized
     gram_top: np.ndarray
@@ -100,20 +106,20 @@ class GEigenSystem:
     ``eigenvalues`` are the four algebraic eigenvalues, descending.  The
     solve reads the top cluster alone, and ``clusters`` holds that one
     entry.  Every top cluster gives one row, the Gram top eigenvector of
-    its span: timelike and G-normalized (``norms`` [+1]), or lightlike
-    and Euclidean-unit ([0]).  A TypeII top is defective: its row is the
-    null eigenvector, and the shortfall is the condition report's
-    ``defect``.
+    its span: timelike and G-normalized (``top_class`` POSITIVE), or
+    lightlike and Euclidean-unit (NEUTRAL).  A TypeII top is defective:
+    its row is the null eigenvector, and the shortfall is the cluster's
+    multiplicity minus its dimension.  ``family`` is the canonical family
+    the solve decided, which every caller reads.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    norms: np.ndarray
     top_class: VectorClass
+    family: CanonicalFamily
     #: (center, algebraic multiplicity, geometric dimension) of the top cluster
     clusters: tuple[tuple[float, int, int], ...]
     condition_report: ConditionReport
-    tol: float
     #: the symmetrized form that was solved
     omega: np.ndarray
 
@@ -205,16 +211,18 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     cluster's span is LAPACK's eigenvector when the cluster is one real
     root, the null space at its centre otherwise (`_cluster_vectors`: one
     SVD, at least one direction), and the whole space for the zero form
-    (every entry at most ``tol``).  ``tol`` plays no other
-    part in the solve.  The form is symmetrized here, and only here; the
-    asymmetry removed is the condition report's ``symmetry_defect``.  No
-    construction reads a lower cluster or a second top row: TypeI reads
-    the timelike top row, TypeII the null top row and DegenerateProduct
-    the eigenvalues alone.  So the system has all
-    four eigenvalues and one row, the span's Gram top eigenvector x
-    (`_gram_top`) with a deterministic sign: G-normalized (norm +1) when
-    x^T G x > SIGNATURE_TOL, Euclidean-unit (norm 0) when it lies within
-    SIGNATURE_TOL of zero.
+    (every entry at most ``tol``).  The form is symmetrized here, and
+    only here; the asymmetry removed is the condition report's
+    ``symmetry_defect``.  No construction reads a lower cluster or a
+    second top row: TypeI reads the timelike top row, TypeII the null top
+    row and DegenerateProduct the eigenvalues alone.  So the system has
+    all four eigenvalues and one row, the span's Gram top eigenvector x
+    (`_gram_top`) with a deterministic sign: G-normalized when x^T G x >
+    SIGNATURE_TOL, Euclidean-unit when it lies within SIGNATURE_TOL of
+    zero.  The family follows the row, TypeI for a timelike one and
+    TypeII for a null one, unless the top eigenvalue is at most ``tol``:
+    then no normalizable canonical form exists, and it is
+    DegenerateProduct.  ``tol`` plays no other part in the solve.
     Raises NumericalFailure on entries that are not finite, when the two
     members of a complex eigenvalue pair lie farther apart than the
     merge radius (input violating the positivity-transfer
@@ -251,10 +259,10 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     col = _gram_top(basis)
     gam = float(col @ G_METRIC @ col)
     if gam > SIGNATURE_TOL:
-        top_class, norm, gram_top = VectorClass.POSITIVE, 1, np.zeros(0)
+        top_class, family, gram_top = VectorClass.POSITIVE, CanonicalFamily.TYPE_I, np.zeros(0)
         row = col / math.sqrt(gam)
     elif gam >= -SIGNATURE_TOL:
-        top_class, norm, gram_top = VectorClass.NEUTRAL, 0, np.array([gam])
+        top_class, family, gram_top = VectorClass.NEUTRAL, CanonicalFamily.TYPE_II, np.array([gam])
         # np.linalg.norm's own arithmetic: a contiguous copy's dot
         flat = col.ravel()
         row = col / math.sqrt(flat.dot(flat))
@@ -263,45 +271,20 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
             "top eigenspace contains no timelike or lightlike direction; "
             f"Gram eigenvalues {np.array([gam])}, eigenvalue {center:.6g}"
         )
+    if center <= tol:
+        # a vanishing top eigenvalue: no normalizable canonical form
+        family = CanonicalFamily.DEGENERATE_PRODUCT
 
     return GEigenSystem(
         eigenvalues=np.repeat(centers, mults),
         eigenvectors=np.array([_signed_unit(row)]),
-        norms=np.array([norm], dtype=int),
         top_class=top_class,
+        family=family,
         clusters=((center, mult, basis.shape[1]),),
         condition_report=ConditionReport(
             imag_residue=imag_residue,
             symmetry_defect=symmetry_defect,
-            defect=mult - basis.shape[1],
             gram_top=gram_top,
         ),
-        tol=tol,
         omega=omega,
     )
-
-
-# ---------------------------------------------------------------------------
-# family classification
-
-
-class CanonicalFamily(Enum):
-    TYPE_I = "TypeI"
-    TYPE_II = "TypeII"
-    DEGENERATE_PRODUCT = "DegenerateProduct"
-
-
-def classify_canonical_type(sys: GEigenSystem) -> CanonicalFamily:
-    """Which canonical family the eigensystem belongs to.
-
-    Order of precedence: a vanishing top eigenvalue short-circuits to
-    the degenerate product family (no normalizable canonical form
-    exists); a timelike direction anywhere in the top eigenspace gives
-    the diagonalizable family; otherwise the top eigenspace is lightlike
-    and the state is of the non-diagonalizable kind.
-    """
-    if sys.eigenvalues[0] <= sys.tol:
-        return CanonicalFamily.DEGENERATE_PRODUCT
-    if sys.top_class is VectorClass.POSITIVE:
-        return CanonicalFamily.TYPE_I
-    return CanonicalFamily.TYPE_II

@@ -17,7 +17,13 @@ from typing import Any
 
 import numpy as np
 
-from .canonical import CanonicalResult, SideFamily, canonical_rho_type1, canonical_rho_type2
+from .canonical import (
+    CanonicalResult,
+    SideFamily,
+    _type2_pattern,
+    canonical_rho_type1,
+    canonical_rho_type2,
+)
 from .errors import InputFormatError, InvalidCanonicalParameters
 from .minkowski import DEFAULT_TOL, DEFECTIVE_ROOT_FLOOR
 
@@ -230,12 +236,14 @@ _ARROW_PARAMETERS = {SideFamily.TYPE_II_A: ("r0", "r1"), SideFamily.TYPE_II_B: (
 
 def parse_canonical_report(doc: Any, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """Rebuild what the geometry commands read from a report: the family,
-    ``lambdaCanonical`` and the arrow parameters.  A TypeI
-    ``lambdaCanonical`` must be diag(1, d1, d2, d3), and (d1, d2, d3) or
-    the arrow parameters must lie in the canonical region, both checked
-    as `canonicalize` checks its own, at ``max(tol,
-    DEFECTIVE_ROOT_FLOOR)``.  The canonical state is rebuilt from
-    them; other fields are placeholders."""
+    ``lambdaCanonical`` and the arrow parameters.  One rule holds for
+    both families, checked as `canonicalize` checks its own, at
+    ``max(tol, DEFECTIVE_ROOT_FLOOR)``: the parameters -- (d1, d2, d3) off
+    a TypeI diagonal, or the arrow's (p0, p1) -- must lie in the
+    canonical region, and ``lambdaCanonical`` must equal the pattern they
+    give, diag(1, d1, d2, d3) or the arrow of (p0, p1), transposed for
+    TypeII_B.  The canonical state is rebuilt from them; other fields are
+    placeholders."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise InputFormatError('canonical report must be a JSON object with a "family" key')
     try:
@@ -249,20 +257,27 @@ def parse_canonical_report(doc: Any, tol: float = DEFAULT_TOL) -> CanonicalResul
     names = _ARROW_PARAMETERS.get(family, ())
     if any(k not in params for k in names):
         raise InputFormatError(f"a {family.value} report must carry parameters {names}")
-    values = _number_array([params[k] for k in names], "parameters", "real numbers")
+    # Python floats, whose arithmetic overflows to inf without a warning
+    values = _number_array([params[k] for k in names], "parameters", "real numbers").tolist()
+    if any(isinstance(v, list) for v in values):
+        raise InputFormatError(f"the parameters {names} must be numbers")
     region_tol = max(tol, DEFECTIVE_ROOT_FLOOR)
-    rho_c = np.zeros((4, 4), dtype=complex)
+    # a DegenerateProduct report has no pattern and no canonical state
+    rho_c, expected = np.zeros((4, 4), dtype=complex), lam_c
     if names:
         side = "A" if family is SideFamily.TYPE_II_A else "B"
         rho_c = canonical_rho_type2(*values, side, tol=region_tol)
+        expected = _type2_pattern(*values) if side == "A" else _type2_pattern(*values).T
     elif family is SideFamily.TYPE_I:
-        diag = np.diag(lam_c)
-        deviation = max(float(np.abs(lam_c - np.diag(diag)).max()), abs(float(diag[0]) - 1.0))
-        if deviation > region_tol:
-            raise InvalidCanonicalParameters(
-                f"a TypeI lambdaCanonical must be diag(1, d1, d2, d3); it deviates by {deviation:.3e}"
-            )
-        rho_c = canonical_rho_type1(*diag[1:], tol=region_tol)
+        diag = np.diag(lam_c)[1:].tolist()
+        rho_c = canonical_rho_type1(*diag, tol=region_tol)
+        expected = np.diag([1.0, *diag])
+    deviation = float(np.abs(lam_c - expected).max())
+    if deviation > region_tol:
+        raise InvalidCanonicalParameters(
+            f"a {family.value} lambdaCanonical deviates by {deviation:.3e} from the pattern "
+            "of its parameters, diag(1, d1, d2, d3) or the arrow of (p0, p1)"
+        )
     return CanonicalResult(
         family=family,
         canonical_lambda=lam_c,

@@ -23,12 +23,7 @@ from lorentzsvd.canonical import (
     sigma_from_bcd,
     type2_canonical,
 )
-from lorentzsvd.geigen import (
-    CanonicalFamily,
-    classify_canonical_type,
-    g_eigensystem,
-    omega_matrices,
-)
+from lorentzsvd.geigen import CanonicalFamily, g_eigensystem, omega_matrices
 from lorentzsvd.geometry import (
     sample_steered_surface,
     steering_ellipsoid,
@@ -292,8 +287,8 @@ def test_criterion_5_type2_fixed_point():
     failures: list[str] = []
     lam = _pattern_a(0.64, 0.6)
     sys = g_eigensystem(omega_matrices(lam).omega_a)
-    if classify_canonical_type(sys) is not CanonicalFamily.TYPE_II:
-        failures.append(f"classified {classify_canonical_type(sys).value}, expected TypeII")
+    if sys.family is not CanonicalFamily.TYPE_II:
+        failures.append(f"classified {sys.family.value}, expected TypeII")
     if abs(sys.eigenvalues[0] - 0.64) > 1e-12 or abs(sys.eigenvalues[1] - 0.64) > 1e-12:
         failures.append(f"top eigenvalues {sys.eigenvalues[:2]}, expected (0.64, 0.64)")
     if sys.clusters[0][1] != 2:

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,11 +414,21 @@ def test_non_number_entries_exit_one(tmp_path, capsys, case):
 
 def test_ellipsoid_refuses_a_report_outside_the_parameter_region(tmp_path, capsys):
     """A report whose arrow parameters leave the canonical region, or whose
-    TypeI lambdaCanonical is not a Bell-diagonal state's, describes no
-    state, so it has no steering ellipsoid (exit 1)."""
+    lambdaCanonical is not the pattern of its parameters (a Bell-diagonal
+    state's diagonal, or the arrow of (p0, p1)), describes no state, so it
+    has no steering ellipsoid (exit 1), no warning and no CSV.  A TypeII
+    lambdaCanonical went unchecked: 1e308 entries overflowed into points
+    far off the reported spheroid (exit 0), diag(1, 5, 0, 1) left the
+    forward cone (exit 3), and r1 = 1e200 overflowed in the region check."""
+    arrow = {"family": "TypeII_A", "parameters": {"r0": 0.5, "r1": 0.2}}
     docs = {
         "arrow": {"family": "TypeII_A", "lambdaCanonical": TYPE2_LAMBDA["lambda"],
                   "parameters": {"r0": 5, "r1": 3}},
+        "arrow-overflow": {**arrow, "lambdaCanonical": [[1, 0, 0, 0], [0, 1e308, 0, 0],
+                                                        [0, 0, -1e308, 0], [0.5, 0, 0, 0.5]]},
+        "arrow-off-pattern": {**arrow, "lambdaCanonical": np.diag([1.0, 5.0, 0.0, 1.0]).tolist()},
+        "arrow-huge-parameter": {"family": "TypeII_B", "parameters": {"s0": 0.5, "s1": 1e200},
+                                 "lambdaCanonical": TYPE2_LAMBDA["lambda"]},
         "outside-the-ball": {"family": "TypeI", "parameters": {},
                              "lambdaCanonical": np.diag([1.0, 5.0, 5.0, 5.0]).tolist()},
         "negative-weight": {"family": "TypeI", "parameters": {},
@@ -427,11 +438,16 @@ def test_ellipsoid_refuses_a_report_outside_the_parameter_region(tmp_path, capsy
     }
     batch = tmp_path / "reports"
     batch.mkdir()
+    points = tmp_path / "points.csv"
     for name, doc in docs.items():
         path = write_state(tmp_path, f"{name}.json", doc)
-        code, out, err = run(["ellipsoid", path], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["ellipsoid", path, "--samples", "3", "--csv", str(points)],
+                                 capsys)
         assert code == 1 and out == "", name
         assert json.loads(err)["error"] == "InvalidCanonicalParameters", name
+        assert not points.exists(), name
         write_state(batch, f"{name}.json", doc)
     code, out, _ = run(["ellipsoid", "--batch", str(batch)], capsys)
     failures = json.loads(out)["failures"]
@@ -512,6 +528,117 @@ def test_generated_payloads_fail_only_with_documented_errors(tmp_path_factory, p
     assert code == blob["exitCode"] == cls.exit_code
 
 
+def _report_text(rho, partner=False):
+    result = canonicalize(rho)
+    return dumps(canonical_report(result.partner if partner else result))
+
+
+#: canonicalization reports of each family, as `canonicalize` writes them
+REPORT_TEXTS = [
+    _report_text(random_state(4, seed=7)),
+    _report_text(sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1]),
+    _report_text(sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1], partner=True),
+    _report_text(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),
+]
+
+#: report documents: a family, any lambdaCanonical and any parameters
+REPORTS = st.fixed_dictionaries({
+    "family": st.sampled_from(["TypeI", "TypeII_A", "TypeII_B", "DegenerateProduct", "TypeIII"]),
+    "lambdaCanonical": st.one_of(
+        _matrix((4, 4), ENTRIES),
+        st.sampled_from([json.loads(t)["lambdaCanonical"] for t in REPORT_TEXTS])),
+    "parameters": st.dictionaries(st.sampled_from(["r0", "r1", "s0", "s1", "phi0"]),
+                                  st.one_of(ENTRIES, st.lists(ENTRIES, max_size=2))),
+})
+
+#: the bytes of an input file: random bytes, a state payload, a valid
+#: state, a report document
+INPUT_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.builds(lambda doc: json.dumps(doc).encode(), PAYLOADS),
+    st.integers(0, 99).map(
+        lambda seed: dumps(state_document(rho=random_state(1 + seed % 4, seed=seed))).encode()),
+    st.builds(lambda doc: json.dumps(doc).encode(), REPORTS),
+    st.sampled_from(REPORT_TEXTS).map(str.encode),
+)
+
+STATE_COMMANDS = ["classify", "canonicalize", "ellipsoid", "verify"]
+#: the package's error class names
+ERROR_NAMES = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.LorentzSvdError)}
+
+
+def _draw_argv(data, root: Path) -> list[str]:
+    """A command line over the files in ``root``: every subcommand and
+    --batch, unknown and missing flags, any --tol, and -o or --csv targets
+    that cannot be written."""
+    pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+    inp, batch = str(root / "in.json"), str(root / "batch")
+    target = st.sampled_from([str(root / "out.txt"), str(root / "missing" / "x.txt"),
+                              str(root), "-"])
+    command = pick(STATE_COMMANDS * 4 + ["sigma", "random", "bogus", None])
+    argv = [] if command is None else [command]
+    if command in STATE_COMMANDS:
+        argv += pick([[inp]] * 4 + [["--batch", batch]] * 2 + [
+            [str(root / "nowhere.json")], [str(root)], ["--batch", inp], [inp, "--batch", batch],
+            []])
+    elif command == "sigma":
+        for flag in ("--b", "--c", "--d"):
+            argv += pick([[flag, "0.5"], [flag, "0.1"], [flag, "0.3"], [flag, "2"], [flag, "x"],
+                          []])
+    elif command == "random":
+        argv += pick([["--rank", "3"], ["--rank", "5"], ["--rank", "x"], []])
+        argv += pick([["--seed", "7"], ["--seed", "-1"], []])
+    flags = st.one_of(
+        st.tuples(st.just("--tol"), st.sampled_from(
+            ["1e-9", "1e-6", "0", "-1", "nan", "inf", "1", "1e300", "x", "1e-300"])),
+        st.tuples(st.just("-o"), target),
+        st.tuples(st.just("--side"), st.sampled_from(["A", "B", "C"])),
+        st.tuples(st.just("--samples"), st.sampled_from(["3", "0", "-3", "1000000000000", "x"]),
+                  st.just("--csv"), target),
+        st.tuples(st.sampled_from(["--samples", "--csv"]), st.sampled_from(["3", "x.csv"])),
+        st.sampled_from([("--bogus",), ("--tol",)]),
+    )
+    for flag in data.draw(st.lists(flags, max_size=2)):
+        argv += flag
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), INPUT_BYTES)
+def test_generated_command_lines_fail_only_with_documented_errors(tmp_path_factory, data, blob):
+    """No exception, SystemExit or warning escapes main() for any command
+    line over any input file.  The exit code is a documented one; stderr
+    is empty or one JSON error line of a package error; and every --batch
+    failure names a package error class, or a verification that failed."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "in.json").write_bytes(blob)
+    (root / "batch").mkdir()
+    (root / "batch" / "in.json").write_bytes(blob)
+    argv = _draw_argv(data, root)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            raise AssertionError(f"{type(exc).__name__} escaped main for {argv}") from exc
+    assert code in (0, 1, 2, 3, 4), argv
+    if err.getvalue():
+        assert err.getvalue().count("\n") == 1, argv
+        error = json.loads(err.getvalue())
+        cls = getattr(errors, error["error"])
+        assert issubclass(cls, errors.LorentzSvdError)
+        assert code == error["exitCode"] == cls.exit_code, argv
+    elif "--batch" in argv:
+        for failure in json.loads(out.getvalue())["failures"].values():
+            message = failure["message"]
+            assert message == "verification failed" or message.split(":")[0] in ERROR_NAMES, argv
+    else:
+        assert code in (0, 4), argv
+
+
 @pytest.mark.parametrize(
     "samples, csv",
     [("-3", True), ("0", True), ("1000000000000", True), (None, True), ("5", False)],
@@ -555,15 +682,50 @@ def test_unreadable_input_and_unwritable_output_are_input_errors(tmp_path, capsy
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_report_parameters_must_be_numbers(tmp_path, capsys):
+    """Arrow parameters given as arrays are malformed input; they ended in
+    a TypeError traceback."""
+    doc = {"family": "TypeII_A", "lambdaCanonical": TYPE2_LAMBDA["lambda"],
+           "parameters": {"r0": [0.64], "r1": [0.6]}}
+    code, out, err = run(["ellipsoid", write_state(tmp_path, "r.json", doc)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["canonicalize"], ["random", "--rank", "x", "--seed", "1"],
+     ["sigma", "--b", "0.5", "--c", "0.1"], ["classify", "s.json", "--bogus"]],
+    ids=["no-subcommand", "no-input", "rank-not-an-int", "missing-d", "unknown-flag"],
+)
+def test_usage_errors_are_input_errors(capsys, argv):
+    """A command line the parser refuses is malformed input: exit 1 with
+    one JSON InputFormatError line.  It exited 2, the code of a state
+    that is not physical, with usage text in place of the JSON error."""
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "usage:" not in err
+    assert json.loads(err)["error"] == "InputFormatError"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["canonicalize", "--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(["classify", "/no/such/file.json"], capsys)
     assert code == 1
 
 
 def test_tolerance_must_be_positive(tmp_path, capsys, monkeypatch):
-    """A tolerance must be finite and positive, from --tol or CANON_TOL.
-    At inf a rank-3 state once came out DegenerateProduct, and nan
-    compares false against every check.  A refused batch writes nothing:
+    """A tolerance must lie in (0, 1), from --tol or CANON_TOL.  At inf a
+    rank-3 state once came out DegenerateProduct, and nan compares false
+    against every check.  At 1 every state's top eigenvalue, at most 1,
+    counted as zero, so every state came out DegenerateProduct; at 1e300
+    a state with rho00 = 1e200 passed validation and overflowed in the
+    quadratic forms.  A refused batch writes nothing:
     neither a bad tolerance nor an output flag that --batch would ignore
     (-o, --csv, --samples) touches a file."""
     doc = state_document(rho=random_state(3, seed=7))
@@ -571,7 +733,8 @@ def test_tolerance_must_be_positive(tmp_path, capsys, monkeypatch):
     batch = tmp_path / "states"
     batch.mkdir()
     write_state(batch, "rank3.json", doc)
-    cases = [(["--tol", value], None) for value in ("-1", "inf", "nan")] + [([], "inf")]
+    cases = ([(["--tol", value], None) for value in ("-1", "inf", "nan", "1", "1e300")]
+             + [([], value) for value in ("inf", "1", "1e300")])
     for tol_args, env in cases:
         if env is not None:
             monkeypatch.setenv("CANON_TOL", env)

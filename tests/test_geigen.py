@@ -20,7 +20,6 @@ from lorentzsvd.geigen import (
     _cluster_vectors,
     _gram_top,
     _signed_unit,
-    classify_canonical_type,
     g_eigensystem,
     omega_matrices,
 )
@@ -191,10 +190,10 @@ def test_eigensystem_werner():
     np.testing.assert_allclose(sys.eigenvalues, [1.0, 0.25, 0.25, 0.25], atol=1e-12)
     assert sys.top_class is VectorClass.POSITIVE
     # the solve stops at the timelike top cluster, with its one row
-    assert list(sys.norms) == [1] and sys.eigenvectors.shape == (1, 4)
+    assert sys.eigenvectors.shape == (1, 4)
     np.testing.assert_allclose(np.abs(sys.eigenvectors[0]), [1, 0, 0, 0], atol=1e-12)
     assert len(sys.clusters) == 1 and sys.clusters[0] == pytest.approx((1.0, 1, 1))
-    assert sys.condition_report.defect == 0
+    assert sys.clusters[0][1] - sys.clusters[0][2] == 0
     assert _row_residuals(sys).max() < 1e-12
 
 
@@ -205,13 +204,12 @@ def test_eigensystem_defective_top():
     sys = g_eigensystem(omega_matrices(type2_lambda(0.64, 0.6)).omega_a)
     np.testing.assert_allclose(sys.eigenvalues, [0.64, 0.64, 0.36, 0.36], atol=1e-10)
     assert sys.top_class is VectorClass.NEUTRAL
-    assert list(sys.norms) == [0]
     # the only top eigenvector is the lightlike direction (1,0,0,-1)/sqrt(2)
     np.testing.assert_allclose(
         sys.eigenvectors[0], np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), atol=1e-9
     )
     assert sys.eigenvectors.shape == (1, 4)
-    assert sys.condition_report.defect == 1
+    assert sys.clusters[0][1] - sys.clusters[0][2] == 1
     ((c0, m0, d0),) = sys.clusters
     assert (m0, d0) == (2, 1) and c0 == pytest.approx(0.64, abs=1e-10)
     assert _row_residuals(sys).max() < 1e-8
@@ -228,10 +226,10 @@ def test_type2_rows_follow_the_geometric_dimensions():
         pair = omega_matrices(lam)
         for omega in (pair.omega_a, pair.omega_b):
             sys = g_eigensystem(omega)
-            assert classify_canonical_type(sys) is CanonicalFamily.TYPE_II
+            assert sys.family is CanonicalFamily.TYPE_II
             ((_, mult, dim),) = sys.clusters
-            assert (mult, dim) == (2, 1) and sys.condition_report.defect == 1
-            assert sys.eigenvectors.shape == (1, 4) and list(sys.norms) == [0]
+            assert (mult, dim) == (2, 1) and sys.clusters[0][1] - sys.clusters[0][2] == 1
+            assert sys.eigenvectors.shape == (1, 4) and sys.top_class is VectorClass.NEUTRAL
             assert sys.eigenvectors[0, 0] > 0.0
             assert len(sys.eigenvalues) == 4
             assert _row_residuals(sys).max() < 1e-7
@@ -245,10 +243,9 @@ def test_eigensystem_degenerate_diagonal():
     assert sys.top_class is VectorClass.POSITIVE
     assert [(mult, dim) for _, mult, dim in sys.clusters] == [(2, 2)]
     # the timelike row of the top plane span(e0, e3) is its Gram top, e0
-    assert list(sys.norms) == [1]
     np.testing.assert_allclose(sys.eigenvectors[0], [1, 0, 0, 0], atol=1e-12)
     assert _row_residuals(sys).max() < 1e-12
-    assert classify_canonical_type(sys) is CanonicalFamily.TYPE_I
+    assert sys.family is CanonicalFamily.TYPE_I
 
 
 def test_one_column_cluster_is_its_own_gram_eigenbasis():
@@ -283,7 +280,7 @@ def test_timelike_top_of_a_plane_is_its_gram_top_eigenvector():
         omega = omega_matrices(lambda_from_rho(random_state(2, seed=seed))).omega_a
         sys = g_eigensystem(omega)
         assert sys.clusters[0][1:] == (2, 2) and sys.eigenvectors.shape == (1, 4)
-        assert list(sys.norms) == [1] and len(sys.condition_report.gram_top) == 0
+        assert sys.top_class is VectorClass.POSITIVE and len(sys.condition_report.gram_top) == 0
         k_op = G_METRIC @ omega
         center = sys.clusters[0][0]
         basis = _cluster_vectors(k_op.tolist(), center, 2, center - sys.eigenvalues[-1],
@@ -303,13 +300,13 @@ def test_lightlike_cluster_keeps_its_gram_eigenbasis():
     lam = type2_lambda(0.25, 0.5)
     sys = g_eigensystem(omega_matrices(lam).omega_a)
     assert [(mult, dim) for _, mult, dim in sys.clusters] == [(4, 3)]
-    assert list(sys.norms) == [0] and sys.eigenvectors.shape == (1, 4)
+    assert sys.top_class is VectorClass.NEUTRAL and sys.eigenvectors.shape == (1, 4)
     np.testing.assert_allclose(
         sys.eigenvectors[0], np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12
     )
     assert len(sys.condition_report.gram_top) == 1
     assert abs(sys.condition_report.gram_top[0]) < 1e-12
-    assert classify_canonical_type(sys) is CanonicalFamily.TYPE_II
+    assert sys.family is CanonicalFamily.TYPE_II
     assert _row_residuals(sys).max() < 1e-12
 
 
@@ -322,15 +319,15 @@ def test_degenerate_product_tops_have_one_row():
     pair = omega_matrices(lam)
     sys_a, sys_b = g_eigensystem(pair.omega_a), g_eigensystem(pair.omega_b)
     assert [(mult, dim) for _, mult, dim in sys_a.clusters] == [(4, 3)]
-    assert list(sys_a.norms) == [0] and sys_a.eigenvectors.shape == (1, 4)
+    assert sys_a.top_class is VectorClass.NEUTRAL and sys_a.eigenvectors.shape == (1, 4)
     np.testing.assert_allclose(
         sys_a.eigenvectors[0], np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12
     )
-    assert sys_b.clusters == ((0.0, 4, 4),) and list(sys_b.norms) == [1]
+    assert sys_b.clusters == ((0.0, 4, 4),) and sys_b.top_class is VectorClass.POSITIVE
     assert sys_b.eigenvectors.tolist() == [[1.0, 0.0, 0.0, 0.0]]
     assert len(sys_b.condition_report.gram_top) == 0
     for sys in (sys_a, sys_b):
-        assert classify_canonical_type(sys) is CanonicalFamily.DEGENERATE_PRODUCT
+        assert sys.family is CanonicalFamily.DEGENERATE_PRODUCT
 
 
 def test_over_wide_cut_is_refused():
@@ -360,7 +357,7 @@ def test_eigensystem_zero_form():
     sys = g_eigensystem(pair.omega_a)
     np.testing.assert_allclose(sys.eigenvalues, 0.0, atol=0)
     assert sys.clusters[0][1] == 4
-    assert classify_canonical_type(sys) is CanonicalFamily.DEGENERATE_PRODUCT
+    assert sys.family is CanonicalFamily.DEGENERATE_PRODUCT
 
 
 def test_pure_product_comes_from_an_actual_state():
@@ -378,7 +375,7 @@ def test_classification_reference_families():
     ]
     for lam, family in cases:
         sys = g_eigensystem(omega_matrices(lam).omega_a)
-        assert classify_canonical_type(sys) is family, family
+        assert sys.family is family, family
 
 
 def test_complex_pair_is_rejected():
@@ -418,7 +415,7 @@ def test_spectrum_invariants(seed, rank):
     assert np.all(ev >= -1e-9 * scale)
     assert np.all(np.diff(ev) <= 1e-12 * scale)
     # a TypeI solve returns the timelike top row alone, G-normalized
-    assert sys.top_class is VectorClass.POSITIVE and list(sys.norms) == [1]
+    assert sys.top_class is VectorClass.POSITIVE
     x = sys.eigenvectors[0]
     assert abs(x @ G_METRIC @ x - 1.0) < 1e-12
     assert _row_residuals(sys).max() <= 1e-8 * scale
