@@ -118,6 +118,8 @@ class QuarticRoots:
     #: the unit eigenvector of the top cluster, as LAPACK returns it, when
     #: that cluster is one real root; None otherwise
     top_vector: np.ndarray | None
+    #: G @ omega, the operator whose eigenvalues these are
+    operator: np.ndarray
 
 
 def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots:
@@ -129,7 +131,8 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
     cluster_radius apart then merge into one cluster at their mean.  A
     top cluster that is one real root keeps LAPACK's eigenvector.
     """
-    w, vecs = np.linalg.eig(G_METRIC @ np.asarray(omega, dtype=float))
+    operator = G_METRIC @ np.asarray(omega, dtype=float)
+    w, vecs = np.linalg.eig(operator)
     # (root, multiplicity, eigenvector column or None)
     roots: list[tuple[float, int, int | None]] = []
     imag_residue = 0.0
@@ -162,8 +165,9 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
     # the real part: a real eigenvalue's column has zero imaginary part
     # also when a conjugate pair makes LAPACK return complex columns
     return QuarticRoots(
-        values=np.array(values),
+        values=np.array(values, dtype=float),
         multiplicities=np.array(mults, dtype=int),
         imag_residue=imag_residue,
         top_vector=None if top_col is None else vecs[:, top_col].real,
+        operator=operator,
     )

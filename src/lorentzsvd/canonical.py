@@ -51,7 +51,7 @@ from .errors import (
     NumericalFailure,
     SingularTopEigenvalue,
 )
-from .geigen import CanonicalFamily, GEigenSystem, g_eigensystem, omega_matrices
+from .geigen import CanonicalFamily, GEigenSystem, OmegaPair, g_eigensystem, omega_matrices
 from .minkowski import (
     DEFAULT_TOL,
     DEFECTIVE_ROOT_FLOOR,
@@ -59,12 +59,13 @@ from .minkowski import (
     LORENTZ_TOL_FLOOR,
     TRANSPORT_ZERO_REL,
     ZERO_REL,
+    det3,
     is_orthochronous_proper_lorentz,
 )
 from .qstate import lambda_from_rho, rho_from_lambda
 
 #: Tolerance on the canonical parameter region (Bell weights >= 0;
-#: 0 <= p1^2 <= p0 <= 1) when a canonical state is built from parameters
+#: 0 <= p1 and p1^2 <= p0 <= 1) when a canonical state is built from parameters
 #: alone.
 _PARAMETER_TOL = 1e-9
 
@@ -111,13 +112,19 @@ def _pipeline_rho(build, *params, tol: float) -> np.ndarray:
         raise NumericalFailure(f"computed canonical form is not a state: {exc}") from None
 
 
+def _max_gap(rows: list[list[float]], target: list[list[float]], scale: float = 1.0) -> float:
+    """max |rows / scale - target| over the entries of two 4x4 matrices
+    given as rows of Python floats."""
+    return max([abs(v / scale - t) for row, trow in zip(rows, target) for v, t in zip(row, trow)])
+
+
 def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[list[float]],
-            canon: np.ndarray, omega: np.ndarray, omega_target: np.ndarray,
+            canon: list[list[float]], omega: np.ndarray, omega_target: list[list[float]],
             family_residuals: dict[str, float], rho_args: tuple, parameters: dict[str, Any],
             tol: float) -> CanonicalResult:
     """The acceptance tail of both constructions, for D = left W right^T
-    and the canonical form ``canon`` read off D / D00.  In order: the
-    Lorentz-group check of both factors; the factorization and
+    and the canonical form ``canon`` read off D / D00, both as rows.  In
+    order: the Lorentz-group check of both factors; the factorization and
     omegaCanonical (left Omega left^T against ``omega_target``) residuals,
     then the family's own; the canonical state of ``rho_args``
     (`_pipeline_rho`); and the factorization recheck last, so every
@@ -128,15 +135,15 @@ def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[lis
             raise NumericalFailure(f"{name} tetrad failed the Lorentz-group check")
     n_scale = D[0][0]
     residuals = {
-        "factorization": max(abs(v / n_scale - c) for row, crow in zip(D, canon.tolist())
-                             for v, c in zip(row, crow)),
-        "omegaCanonical": float(np.abs(left @ omega @ left.T - omega_target).max()),
+        "factorization": _max_gap(D, canon, n_scale),
+        "omegaCanonical": _max_gap((left @ omega @ left.T).tolist(), omega_target),
         **family_residuals,
     }
     rho_c = _pipeline_rho(*rho_args, tol=tol)
     residual, bound = residuals["factorization"], max(tol, DEFECTIVE_ROOT_FLOOR)
     if residual > bound:
         raise NumericalFailure(f"factorization residual {residual:.3e} exceeds {bound:.1e}")
+    canon = np.array(canon, dtype=float)
     if family is SideFamily.TYPE_II_B:
         canon, left, right = canon.T, right, left
     return CanonicalResult(
@@ -154,22 +161,23 @@ def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[lis
 # ---------------------------------------------------------------------------
 # diagonal (TypeI) construction
 
-def _boost(x: np.ndarray) -> np.ndarray:
+def _diagonal(d0: float, d1: float, d2: float, d3: float) -> list[list[float]]:
+    """diag(d0, d1, d2, d3) as rows."""
+    return [[d0, 0.0, 0.0, 0.0], [0.0, d1, 0.0, 0.0], [0.0, 0.0, d2, 0.0], [0.0, 0.0, 0.0, d3]]
+
+
+def _boost(x: list[float]) -> np.ndarray:
     """The symmetric boost [[g, p^T], [p, I + p p^T / (1 + g)]] whose row 0
     is the unit future timelike x = (g, p); it takes x to the time axis."""
-    # on Python floats, which take half the time of numpy's outer product here
-    g, *p = x.tolist()
-    rows = [[g, *p]]
-    for i, pi in enumerate(p):
-        rows.append([pi] + [pi * pj / (1.0 + g) + (1.0 if i == j else 0.0)
-                            for j, pj in enumerate(p)])
-    return np.array(rows)
-
-
-def _det3(r: list[list[float]]) -> float:
-    """Determinant of a 3x3 matrix as the triple product r0 . (r1 x r2)."""
-    (a, b, c), (d, e, f), (g, h, i) = r
-    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+    # on Python floats, which take half the time of numpy's outer product
+    # here; adding 0.0 off the diagonal folds -0.0 into 0.0
+    g, p1, p2, p3 = x
+    h = 1.0 + g
+    o12, o13, o23 = p1 * p2 / h + 0.0, p1 * p3 / h + 0.0, p2 * p3 / h + 0.0
+    return np.array([[g, p1, p2, p3],
+                     [p1, p1 * p1 / h + 1.0, o12, o13],
+                     [p2, o12, p2 * p2 / h + 1.0, o23],
+                     [p3, o13, o23, p3 * p3 / h + 1.0]], dtype=float)
 
 
 def type1_canonical(
@@ -199,7 +207,8 @@ def type1_canonical(
     lam = np.asarray(lam, dtype=float)
     if sys_a.family is not CanonicalFamily.TYPE_I:
         raise NotTypeI(f"side A classifies as {sys_a.family.value}")
-    lam0 = float(sys_a.eigenvalues[0])
+    lambdas = sys_a.eigenvalues.tolist()
+    lam0 = lambdas[0]
     zero_tol = max(tol, TRANSPORT_ZERO_REL) * max(1.0, lam0)
     if lam0 <= zero_tol:
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
@@ -207,16 +216,18 @@ def type1_canonical(
     a = sys_a.eigenvectors[0]
     b = G_METRIC @ lam.T @ a
     bb = float(b @ G_METRIC @ b)
-    if not (bb > 0.0 and b[0] > 0.0):
+    b_list = b.tolist()
+    if not (bb > 0.0 and b_list[0] > 0.0):
         raise NumericalFailure(
             f"transported time leg is not future timelike "
-            f"(Minkowski norm {bb:.3e}, time component {b[0]:.3e})"
+            f"(Minkowski norm {bb:.3e}, time component {b_list[0]:.3e})"
         )
-    a_rows, b_rows = _boost(a), _boost(b / math.sqrt(bb))
+    root = math.sqrt(bb)
+    a_rows, b_rows = _boost(a.tolist()), _boost([v / root for v in b_list])
     u, _, r_b = np.linalg.svd((a_rows @ lam @ b_rows.T)[1:, 1:])
     r_a = u.T
     for r in (r_a, r_b):
-        if _det3(r.tolist()) < 0:
+        if det3(r.tolist()) < 0:
             r[2] = -r[2]
     a_rows[1:] = r_a @ a_rows[1:]
     b_rows[1:] = r_b @ b_rows[1:]
@@ -235,10 +246,9 @@ def type1_canonical(
     d1, d2, d3 = (D[i][i] / D[0][0] for i in (1, 2, 3))
     det_sign = 0 if abs(d3) <= tol else (1 if d3 > 0 else -1)
     d3 = d3 if det_sign else 0.0
-    lambdas = sys_a.eigenvalues.tolist()
     return _accept(
-        SideFamily.TYPE_I, a_rows, b_rows, D, np.diag([1.0, d1, d2, d3]), sys_a.omega,
-        np.diag([lam0, -lambdas[1], -lambdas[2], -lambdas[3]]),
+        SideFamily.TYPE_I, a_rows, b_rows, D, _diagonal(1.0, d1, d2, d3), sys_a.omega,
+        _diagonal(lam0, -lambdas[1], -lambdas[2], -lambdas[3]),
         # rho_c is Bell-diagonal: its eigenvalues are the Bell weights
         {"rhoMinEigenvalue": min(_bell_weights(d1, d2, d3))},
         (canonical_rho_type1, d1, d2, d3), {"lambdas": lambdas, "detSign": det_sign}, tol,
@@ -249,15 +259,18 @@ def type1_canonical(
 # arrow (TypeII) construction
 
 
+def _arrow_rows(r0: float, r1: float) -> list[list[float]]:
+    """The arrow pattern of (r0, r1), as rows."""
+    return [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, r1, 0.0, 0.0],
+        [0.0, 0.0, -r1, 0.0],
+        [1.0 - r0, 0.0, 0.0, r0],
+    ]
+
+
 def _type2_pattern(r0: float, r1: float) -> np.ndarray:
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, r1, 0.0, 0.0],
-            [0.0, 0.0, -r1, 0.0],
-            [1.0 - r0, 0.0, 0.0, r0],
-        ]
-    )
+    return np.array(_arrow_rows(r0, r1), dtype=float)
 
 
 def _rotation_to(w: list[float]) -> list[list[float]]:
@@ -286,7 +299,7 @@ def _null_frame(x: np.ndarray, sign: float) -> np.ndarray:
         )
     scale = sign / math.sqrt(xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2])
     r1, r2, r3 = _rotation_to([v * scale for v in xs])
-    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *r1], [0.0, *r2], [0.0, *r3]])
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *r1], [0.0, *r2], [0.0, *r3]], dtype=float)
 
 
 def _arrow_min_eigenvalue(p0: float, p1: float) -> float:
@@ -408,7 +421,7 @@ def _arrow(
     s = a * a + b * b
     q = math.sqrt(1.0 + s)
     left = np.array([[q, a / q, b / q, -s / q], [a, 1.0, 0.0, -a],
-                     [b, 0.0, 1.0, -b], [0.0, a / q, b / q, 1.0 / q]]) @ k_a
+                     [b, 0.0, 1.0, -b], [0.0, a / q, b / q, 1.0 / q]], dtype=float) @ k_a
 
     k_b = _null_frame(G_METRIC @ (work.T @ u), 1.0)
     d0, d1, d2, d3 = (k_b @ (work.T @ left[0])).tolist()
@@ -424,7 +437,8 @@ def _arrow(
     p = math.sqrt(phi0) / plus
     right = np.array([[0.5 * (p + (1.0 + s) / p), a / p, b / p, 0.5 * (p + (s - 1.0) / p)],
                       [a, 1.0, 0.0, a], [b, 0.0, 1.0, b],
-                      [0.5 * (p - (1.0 + s) / p), -a / p, -b / p, 0.5 * (p - (s - 1.0) / p)]]) @ k_b
+                      [0.5 * (p - (1.0 + s) / p), -a / p, -b / p, 0.5 * (p - (s - 1.0) / p)]],
+                     dtype=float) @ k_b
 
     D = (left @ work @ right.T).tolist()
     (c11, c12), (c21, c22) = D[1][1:3], D[2][1:3]
@@ -439,7 +453,8 @@ def _arrow(
         )
     half = 0.5 * math.atan2(0.5 * (c21 + c12), 0.5 * (c11 - c22))
     turn = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, math.cos(half), math.sin(half), 0.0],
-                     [0.0, -math.sin(half), math.cos(half), 0.0], [0.0, 0.0, 0.0, 1.0]])
+                     [0.0, -math.sin(half), math.cos(half), 0.0], [0.0, 0.0, 0.0, 1.0]],
+                    dtype=float)
     left, right = turn @ left, turn @ right
     D = (left @ work @ right.T).tolist()
     n_scale = D[0][0]
@@ -448,21 +463,19 @@ def _arrow(
     phi0 = n_scale * n_scale
 
     lam0, lam1 = phi0 * r0, phi0 * r1 * r1
-    omega_target = np.array(
-        [
-            [phi0, 0.0, 0.0, phi0 - lam0],
-            [0.0, -lam1, 0.0, 0.0],
-            [0.0, 0.0, -lam1, 0.0],
-            [phi0 - lam0, 0.0, 0.0, phi0 - 2.0 * lam0],
-        ]
-    )
+    omega_target = [
+        [phi0, 0.0, 0.0, phi0 - lam0],
+        [0.0, -lam1, 0.0, 0.0],
+        [0.0, 0.0, -lam1, 0.0],
+        [phi0 - lam0, 0.0, 0.0, phi0 - 2.0 * lam0],
+    ]
     family_residuals = {
         "lambdaPairSplit": 2.0 * min(rot_part, ref_part) / n_scale,
         "rhoMinEigenvalue": _arrow_min_eigenvalue(r0, r1),
     }
     family, params = ((SideFamily.TYPE_II_A, {"r0": r0, "r1": r1, "phi0": phi0}) if side == "A"
                       else (SideFamily.TYPE_II_B, {"s0": r0, "s1": r1, "chi0": phi0}))
-    return _accept(family, left, right, D, _type2_pattern(r0, r1), omega, omega_target,
+    return _accept(family, left, right, D, _arrow_rows(r0, r1), omega, omega_target,
                    family_residuals, (canonical_rho_type2, r0, r1, side), params, tol)
 
 
@@ -481,16 +494,13 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     general.  The degenerate product family yields a report without
     canonical normalization.
     """
-    lam = lambda_from_rho(rho, tol)
-    pair = omega_matrices(lam)
-    sys_a = g_eigensystem(pair.omega_a, tol)
-    return _factor_solved(lam, sys_a, pair.omega_b, tol)
+    pair = omega_matrices(lambda_from_rho(rho, tol))
+    return _factor_solved(pair, g_eigensystem(pair.omega_a, tol), tol)
 
 
 def _factor_solved(
-    lam: np.ndarray,
+    pair: OmegaPair,
     sys_a: GEigenSystem,
-    omega_b: np.ndarray,
     tol: float,
     sys_b: GEigenSystem | None = None,
 ) -> CanonicalResult:
@@ -504,18 +514,20 @@ def _factor_solved(
     A B side of another family shows up in the checks of the B-side
     construction.  Only a degenerate product side A reads side B's
     eigensystem, to confirm the family on both sides: ``sys_b`` when the
-    caller has solved it already, otherwise the solve of ``omega_b``.
+    caller has solved it already, otherwise the solve of Omega_B.  Only
+    these two families read Omega_B, so only they form it.
     """
+    lam = pair.lam
     if sys_a.family is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
     if sys_a.family is CanonicalFamily.TYPE_II:
         u, merged = sys_a.eigenvectors[0], sys_a.clusters[0][1] == 4
         result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
         # G Lambda^T u is side B's null top eigenvector, and the spectrum is shared
-        partner = _arrow(lam, omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
+        partner = _arrow(lam, pair.omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
         return replace(result, partner=partner)
     if sys_b is None:
-        sys_b = g_eigensystem(omega_b, tol)
+        sys_b = g_eigensystem(pair.omega_b, tol)
     if sys_b.family is not CanonicalFamily.DEGENERATE_PRODUCT:
         raise NumericalFailure(
             f"the two sides disagree on the family: DegenerateProduct vs {sys_b.family.value}"
@@ -554,22 +566,24 @@ def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float = _PARAMETER
             f"diagonal parameters ({d1:.6g}, {d2:.6g}, {d3:.6g}) give a "
             f"Bell weight {weight:.3e} < 0"
         )
-    return 0.25 * np.array(
-        [
-            [1.0 + d3, 0.0, 0.0, d1 - d2],
-            [0.0, 1.0 - d3, d1 + d2, 0.0],
-            [0.0, d1 + d2, 1.0 - d3, 0.0],
-            [d1 - d2, 0.0, 0.0, 1.0 + d3],
-        ],
-        dtype=complex,
-    )
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = rho[3, 3] = 0.25 * (1.0 + d3)
+    rho[1, 1] = rho[2, 2] = 0.25 * (1.0 - d3)
+    rho[1, 2] = rho[2, 1] = 0.25 * (d1 + d2)
+    rho[0, 3] = rho[3, 0] = 0.25 * (d1 - d2)
+    return rho
 
 
 def canonical_rho_type2(p0: float, p1: float, side: str, tol: float = _PARAMETER_TOL) -> np.ndarray:
-    """Rank <= 3 state of the arrow canonical form with parameters (p0, p1)."""
-    if not (-tol <= p1 * p1 <= p0 + tol and p0 <= 1.0 + tol):
+    """Rank <= 3 state of the arrow canonical form with parameters (p0, p1).
+
+    The region is 0 <= p1 and p1^2 <= p0 <= 1, each within ``tol``.
+    `canonicalize` writes p1 as the mean of two singular values, never
+    negative, and the steering geometry reads it as a semi-axis.
+    """
+    if not (-tol <= p1 and p1 * p1 <= p0 + tol and p0 <= 1.0 + tol):
         raise InvalidCanonicalParameters(
-            f"arrow parameters require 0 <= p1^2 <= p0 <= 1, got p0={p0:.6g}, p1={p1:.6g}"
+            f"arrow parameters require 0 <= p1 and p1^2 <= p0 <= 1, got p0={p0:.6g}, p1={p1:.6g}"
         )
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5
@@ -744,7 +758,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
         proper = proper and is_orthochronous_proper_lorentz(left_a)
 
     # both sides as `canonicalize` builds them
-    res_a = _factor_solved(sigma, sys_a, pair.omega_b, DEFAULT_TOL)
+    res_a = _factor_solved(pair, sys_a, DEFAULT_TOL)
     res_b = res_a.partner
     if res_b is None:
         raise NotTypeII(f"state classifies as {res_a.family.value}")

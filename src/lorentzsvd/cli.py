@@ -199,7 +199,7 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
            max(100 * tol, DEFECTIVE_ROOT_FLOOR) * scale)
     # a degenerate product side A confirms its family on the B side just solved
-    result = _factor_solved(lam, sys_a, pair.omega_b, tol, sys_b)
+    result = _factor_solved(pair, sys_a, tol, sys_b)
     if result.residuals:
         # the floor `canonicalize` rechecks the same residual against
         record("factorization", result.residuals["factorization"],

@@ -9,23 +9,25 @@ share the spectrum of the non-symmetric operator G @ Omega, and that
 spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
-`omega_matrices` returns the raw products, and `g_eigensystem` is the
-one place that symmetrizes a form.  The spectrum comes from LAPACK as
-cluster means (`_quartic`).  The solve then reads the top cluster
-alone, the only one any construction uses, and of it one row: the Gram
-top eigenvector of the cluster's span.  That span is LAPACK's eigenvector when the cluster is one real
-root, and otherwise the null space of G Omega - c I at its centre c:
-the right singular vectors below one cut, with no second try at a
-wider one.  The solve names the family on the system it returns, the
-one place it is decided: TypeI when that row is timelike, TypeII when
-it is null, DegenerateProduct when the top eigenvalue vanishes.  The
-TypeI construction reads the timelike row, the TypeII construction the
-null one.  `canonical` reads a TypeI or TypeII side B off side A, so it
+`omega_matrices` returns the raw products, Omega_B formed only when
+read, and `g_eigensystem` is the one place that symmetrizes a form.  The
+spectrum comes from LAPACK as cluster means (`_quartic`).  The solve then
+reads the top cluster alone, the only one any construction uses, and of
+it one row: the Gram top eigenvector of the cluster's span.  That span
+is LAPACK's eigenvector when the cluster is one real root, and otherwise
+the null space of G Omega - c I at its centre c: the right singular
+vectors below one cut, with no second try at a wider one.  The solve
+names the family on the system it returns, the one place it is decided:
+TypeI when that row is timelike, TypeII when it is null,
+DegenerateProduct when the top eigenvalue vanishes.  The TypeI
+construction reads the timelike row, the TypeII construction the null
+one.  `canonical` reads a TypeI or TypeII side B off side A, so it
 solves one form only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,12 +57,26 @@ CLUSTER_RADIUS_REL = 1e-7
 # the two quadratic forms
 
 
+def _form(lam: np.ndarray) -> np.ndarray:
+    """The raw product Lambda G Lambda^T: Omega_A of Lambda, and Omega_B of
+    Lambda^T."""
+    return lam @ G_METRIC @ lam.T
+
+
 @dataclass(frozen=True)
 class OmegaPair:
-    """The pair of quadratic forms attached to a correlation matrix."""
+    """The pair of quadratic forms attached to a correlation matrix.
 
+    Omega_B is formed on its first read: only a TypeII or degenerate
+    product side A, and the CLI's ``verify``, read it.
+    """
+
+    lam: np.ndarray
     omega_a: np.ndarray
-    omega_b: np.ndarray
+
+    @functools.cached_property
+    def omega_b(self) -> np.ndarray:
+        return _form(self.lam.T)
 
 
 def omega_matrices(lam: np.ndarray) -> OmegaPair:
@@ -73,7 +89,7 @@ def omega_matrices(lam: np.ndarray) -> OmegaPair:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4, 4):
         raise ValueError(f"expected a 4x4 correlation matrix, got {lam.shape}")
-    return OmegaPair(omega_a=lam @ G_METRIC @ lam.T, omega_b=lam.T @ G_METRIC @ lam)
+    return OmegaPair(lam=lam, omega_a=_form(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +141,10 @@ class GEigenSystem:
 
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
+_EYE4 = np.eye(4)
+_G_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+#: the index pairs above the diagonal of a 4x4 matrix
+_UPPER = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 
 def _signed_unit(x: np.ndarray) -> np.ndarray:
@@ -161,7 +181,7 @@ def _cluster_vectors(
     whose eigenvalues all lie far below one, a cut at the floored scale
     can take a timelike neighbour into a lightlike top eigenspace.
     """
-    m = k_op - center * np.eye(4)
+    m = k_op - center * _EYE4
     mscale = max(float(np.abs(m).max()), SCALE_FLOOR)
     thresh = max(CLUSTER_RADIUS_REL * scale, 64.0 * _EPS * mscale)
     if math.isfinite(gap):
@@ -212,10 +232,11 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     root, the null space at its centre otherwise (`_cluster_vectors`: one
     SVD, at least one direction), and the whole space for the zero form
     (every entry at most ``tol``).  The form is symmetrized here, and
-    only here; the asymmetry removed is the condition report's
-    ``symmetry_defect``.  No construction reads a lower cluster or a
-    second top row: TypeI reads the timelike top row, TypeII the null top
-    row and DegenerateProduct the eigenvalues alone.  So the system has
+    only here (a form symmetric to the bit is its own symmetric part);
+    the asymmetry removed is the condition report's ``symmetry_defect``.
+    No construction reads a lower cluster or a second top row: TypeI
+    reads the timelike top row, TypeII the null top row and
+    DegenerateProduct the eigenvalues alone.  So the system has
     all four eigenvalues and one row, the span's Gram top eigenvector x
     (`_gram_top`) with a deterministic sign: G-normalized when x^T G x >
     SIGNATURE_TOL, Euclidean-unit when it lies within SIGNATURE_TOL of
@@ -233,17 +254,25 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
         raise ValueError(f"expected a 4x4 symmetric form, got {omega.shape}")
-    if not np.isfinite(omega).all():
+    # the passes over 16 entries run on Python floats, which cost less than
+    # numpy's reductions; a sum that is not finite may be an overflow alone
+    m = omega.tolist()
+    entries = m[0] + m[1] + m[2] + m[3]
+    if not math.isfinite(sum(entries)) and not all(map(math.isfinite, entries)):
         raise NumericalFailure("the form has entries that are not finite")
-    symmetry_defect = float(np.abs(omega - omega.T).max())
-    omega = 0.5 * (omega + omega.T)
+    symmetry_defect = max([abs(m[i][j] - m[j][i]) for i, j in _UPPER])
+    if symmetry_defect > 0.0:
+        # a form symmetric to the bit is its own symmetric part
+        omega = 0.5 * (omega + omega.T)
+        m = omega.tolist()
+        entries = m[0] + m[1] + m[2] + m[3]
 
-    if float(np.abs(omega).max()) <= tol:
+    if max(max(entries), -min(entries)) <= tol:
         # the zero form: every direction is an eigenvector at zero
-        centers, mults, basis, imag_residue = [0.0], [4], np.eye(4), 0.0
+        centers, mults, basis, imag_residue = [0.0], [4], _EYE4, 0.0
     else:
-        k_op = G_METRIC @ omega
-        trace = abs(float(np.trace(k_op)))
+        # |Tr G Omega|, summed in np.trace's order
+        trace = abs(((m[0][0] - m[1][1]) - m[2][2]) - m[3][3])
         quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
         # distinct cluster means, largest first
         centers = quartic.values.tolist()[::-1]
@@ -253,11 +282,13 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
             basis = quartic.top_vector[:, None]
         else:
             gap = min((centers[0] - c for c in centers[1:]), default=math.inf)
-            basis = _cluster_vectors(k_op, centers[0], mults[0], gap, max(trace, SCALE_FLOOR))
+            basis = _cluster_vectors(quartic.operator, centers[0], mults[0], gap,
+                                     max(trace, SCALE_FLOOR))
     center, mult = centers[0], mults[0]
 
     col = _gram_top(basis)
-    gam = float(col @ G_METRIC @ col)
+    # x^T (G x): the product G x is exact, so this is the dot x^T G x takes
+    gam = float((col * _G_DIAG) @ col)
     if gam > SIGNATURE_TOL:
         top_class, family, gram_top = VectorClass.POSITIVE, CanonicalFamily.TYPE_I, np.zeros(0)
         row = col / math.sqrt(gam)
@@ -269,15 +300,15 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     else:
         raise NumericalFailure(
             "top eigenspace contains no timelike or lightlike direction; "
-            f"Gram eigenvalues {np.array([gam])}, eigenvalue {center:.6g}"
+            f"Gram value {gam:.6g}, eigenvalue {center:.6g}"
         )
     if center <= tol:
         # a vanishing top eigenvalue: no normalizable canonical form
         family = CanonicalFamily.DEGENERATE_PRODUCT
 
     return GEigenSystem(
-        eigenvalues=np.repeat(centers, mults),
-        eigenvectors=np.array([_signed_unit(row)]),
+        eigenvalues=np.array([c for c, k in zip(centers, mults) for _ in range(k)], dtype=float),
+        eigenvectors=_signed_unit(row)[None],
         top_class=top_class,
         family=family,
         clusters=((center, mult, basis.shape[1]),),

@@ -8,6 +8,7 @@ spacelike legs, mutually G-orthogonal).
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -61,8 +62,8 @@ TRANSPORT_ZERO_REL = 1e-7
 #: from a top eigenvector, which at a defective double root is resolved
 #: only to about sqrt(eps) ~ 1.5e-8:
 #:
-#: * the canonical parameter region (Bell weights >= 0; 0 <= p1^2 <= p0
-#:   <= 1), in `canonicalize` and when a report is read back;
+#: * the canonical parameter region (Bell weights >= 0; 0 <= p1 and
+#:   p1^2 <= p0 <= 1), in `canonicalize` and when a report is read back;
 #: * the factorization residual |L_A Lambda L_B^T / N - Lambda^c| of a
 #:   result, rechecked once both factors are final (a diagonal result of
 #:   a strongly filtered state, whose top eigenvector carries an error
@@ -104,30 +105,65 @@ class VectorClass(Enum):
     NEGATIVE = "Negative"   # spacelike, x^T G x < 0
 
 
-def _defect_and_scale(L: np.ndarray) -> tuple[float, float]:
-    """(`lorentz_defect` of a float 4x4 array, the max(1, max |L|^2) it is
-    relative to)."""
-    scale = max(1.0, float(np.abs(L).max()) ** 2)
-    return float(np.abs(L.T @ G_METRIC @ L - G_METRIC).max()) / scale, scale
-
-
 def lorentz_defect(L: np.ndarray) -> float:
     """max |L^T G L - G| relative to max(1, max |L|^2), the squared size of
     L's largest entry: how far a 4x4 matrix misses the Lorentz group."""
-    return _defect_and_scale(np.asarray(L, dtype=float))[0]
+    L = np.asarray(L, dtype=float)
+    scale = max(1.0, float(np.abs(L).max()) ** 2)
+    return float(np.abs(L.T @ G_METRIC @ L - G_METRIC).max()) / scale
+
+
+def _group_defect(rows: list[list[float]]) -> float:
+    """`lorentz_defect` of a 4x4 matrix given as its rows, on Python floats;
+    numpy's product may fuse multiply and add, so the two can differ in
+    the last bits.  NaN when an entry is not finite or a product
+    overflows: Python's ``max`` drops a NaN that is not its first
+    argument, so the sum of the deviations decides."""
+    (t0, t1, t2, t3), (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = rows
+    # L^T G L - G, the upper triangle of a symmetric matrix
+    devs = (
+        t0 * t0 - x0 * x0 - y0 * y0 - z0 * z0 - 1.0,
+        t0 * t1 - x0 * x1 - y0 * y1 - z0 * z1,
+        t0 * t2 - x0 * x2 - y0 * y2 - z0 * z2,
+        t0 * t3 - x0 * x3 - y0 * y3 - z0 * z3,
+        t1 * t1 - x1 * x1 - y1 * y1 - z1 * z1 + 1.0,
+        t1 * t2 - x1 * x2 - y1 * y2 - z1 * z2,
+        t1 * t3 - x1 * x3 - y1 * y3 - z1 * z3,
+        t2 * t2 - x2 * x2 - y2 * y2 - z2 * z2 + 1.0,
+        t2 * t3 - x2 * x3 - y2 * y3 - z2 * z3,
+        t3 * t3 - x3 * x3 - y3 * y3 - z3 * z3 + 1.0,
+    )
+    if not math.isfinite(sum(devs)):
+        return math.nan
+    flat = rows[0] + rows[1] + rows[2] + rows[3]
+    big = max(max(flat), -min(flat))
+    return max(max(devs), -min(devs)) / max(1.0, big * big)
+
+
+def det3(r: list[list[float]]) -> float:
+    """Determinant of a 3x3 matrix as the triple product r0 . (r1 x r2)."""
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
 
 
 def is_orthochronous_proper_lorentz(L: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when `lorentz_defect` is within tol, det L = +1 and L[0,0] > 0."""
+    """True when `lorentz_defect` is within tol, L[0,0] > 0 and the 3x3
+    spatial block has a positive determinant; False for any entry that is
+    not finite.
+
+    An orthochronous Lorentz matrix is B(q) diag(1, R), a boost times a
+    rotation, and its spatial block (I + q q^T / (1 + gamma)) R has
+    determinant gamma det R: positive exactly when the matrix is proper.
+    The check runs on Python floats.
+    """
     L = np.asarray(L, dtype=float)
     if L.shape != (4, 4):
         return False
-    defect, scale = _defect_and_scale(L)
-    if defect > tol:
+    rows = L.tolist()
+    if not _group_defect(rows) <= tol:  # NaN fails too
         return False
-    if abs(float(np.linalg.det(L)) - 1.0) > tol * scale:
-        return False
-    return float(L[0, 0]) > 0.0
+    (t0, _, _, _), (_, *x), (_, *y), (_, *z) = rows
+    return t0 > 0.0 and det3((x, y, z)) > 0.0
 
 
 def validate_g_orthogonal_tetrad(Y: np.ndarray, tol: float = DEFAULT_TOL) -> float:

@@ -75,13 +75,13 @@ class ValidityReport:
         )
 
 
-def _hermitian_eigenvalues(m: np.ndarray) -> list[float]:
-    """Ascending eigenvalues of the Hermitian part of m, NaN when entries
-    near the float range overflow it and LAPACK gives up."""
+def _hermitian_eigenvalues(h: np.ndarray) -> list[float]:
+    """Ascending eigenvalues of a Hermitian matrix, NaN when entries near
+    the float range overflow it and LAPACK gives up."""
     try:
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().T)).tolist()
+        return np.linalg.eigvalsh(h).tolist()
     except np.linalg.LinAlgError:
-        return [math.nan] * m.shape[0]
+        return [math.nan] * h.shape[0]
 
 
 def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -91,13 +91,15 @@ def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
         raise InvalidState(f"expected a 4x4 matrix, got shape {rho.shape}")
     # entries near the float range overflow to inf or NaN, which the
     # report counts as invalid; that is not worth a warning on stderr
+    adj = rho.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.abs(rho - rho.conj().T).ravel().tolist()
-        evals = _hermitian_eigenvalues(rho)
-    # the reductions run on Python floats, which cost less than numpy's on
-    # 16 and 4 values; only np.max propagates a NaN among the gaps, and
-    # np.min keeps the last of equal values, so -0.0 after 0.0
-    herm = max(gaps) if math.isfinite(sum(gaps)) else float(np.max(gaps))
+        gaps = np.abs(rho - adj).ravel().tolist()
+        # the reductions run on Python floats, which cost less than numpy's
+        # on 16 and 4 values; only np.max propagates a NaN among the gaps,
+        # and np.min keeps the last of equal values, so -0.0 after 0.0
+        herm = max(gaps) if math.isfinite(sum(gaps)) else float(np.max(gaps))
+        # a matrix Hermitian to the bit is its own Hermitian part
+        evals = _hermitian_eigenvalues(rho if herm == 0.0 else 0.5 * (rho + adj))
     d = rho.diagonal().tolist()
     # np.trace's pairwise order, bit for bit
     tr = (d[0] + d[1]) + (d[2] + d[3])
@@ -117,8 +119,7 @@ def lambda_from_rho(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     report = is_valid_state(rho, tol)
     if not report.valid:
         raise InvalidState(report.describe())
-    lam = np.einsum("ij,mnji->mn", rho, PAULI_KRON)
-    return np.real(lam)
+    return np.einsum("ij,mnji->mn", rho, PAULI_KRON).real
 
 
 def rho_from_lambda(lam: np.ndarray, tol: float = DEFAULT_TOL, validate: bool = True) -> np.ndarray:
@@ -134,7 +135,8 @@ def rho_from_lambda(lam: np.ndarray, tol: float = DEFAULT_TOL, validate: bool = 
     # as in `is_valid_state`, overflow to inf or NaN fails validation quietly
     with np.errstate(over="ignore", invalid="ignore"):
         rho = 0.25 * np.einsum("mn,mnij->ij", lam, PAULI_KRON)
-        low = min(reversed(_hermitian_eigenvalues(rho))) if validate else 0.0
+        low = (min(reversed(_hermitian_eigenvalues(0.5 * (rho + rho.conj().T))))
+               if validate else 0.0)
     if not low >= -tol:  # NaN fails too
         raise NotAState(
             f"Lambda is not the parametrization of any state (min eigenvalue {low:.3e})"

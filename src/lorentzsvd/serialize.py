@@ -52,6 +52,12 @@ def _key_text(key: Any) -> str:
 
 
 @functools.lru_cache(maxsize=64)
+def _dict_template(keys: tuple) -> str:
+    """A dict of floats with these keys, as a format string."""
+    return "{" + ",".join([_key_text(k).replace("%", "%%") + ":%.17g" for k in keys]) + "}"
+
+
+@functools.lru_cache(maxsize=64)
 def _grid_template(shape: tuple[int, ...]) -> str:
     inner = _grid_template(shape[1:]) if len(shape) > 1 else "%.17g"
     return "[" + ",".join([inner] * shape[0]) + "]"
@@ -99,7 +105,14 @@ def _emit(obj: Any) -> str:
                 return text
         return "[" + ",".join([format_float(v) if type(v) is float else _emit(v) for v in obj]) + "]"
     if kind is dict or isinstance(obj, dict):
-        return "{" + ",".join([f"{_key_text(k)}:{_emit(v)}" for k, v in obj.items()]) + "}"
+        if obj is CONVENTIONS:
+            return _CONVENTIONS_TEXT
+        values = list(obj.values())
+        # a dict of finite floats, formatted in one call as a grid is
+        if values and set(map(type, values)) == {float} and math.isfinite(sum(values)):
+            return _dict_template(tuple(obj)) % tuple([v + 0.0 for v in values])
+        return "{" + ",".join([f"{_key_text(k)}:{format_float(v) if type(v) is float else _emit(v)}"
+                               for k, v in obj.items()]) + "}"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -111,6 +124,11 @@ def _emit(obj: Any) -> str:
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     raise InputFormatError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+#: the constant block every document carries, rendered once (from a copy,
+#: which `_emit` does not take for the block itself)
+_CONVENTIONS_TEXT = _emit(dict(CONVENTIONS))
 
 
 def dumps(obj: Any) -> str:

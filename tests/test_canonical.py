@@ -23,6 +23,7 @@ from lorentzsvd.canonical import (
     SideFamily,
     SigmaParameters,
     _arrow_min_eigenvalue,
+    _boost,
     _pipeline_rho,
     canonical_rho_type1,
     canonical_rho_type2,
@@ -711,16 +712,19 @@ def test_eps_mixed_sigma_closes_its_split_double_root(eps):
     ],
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
-    """The two Omega forms built once and one eigensolve: the TypeI B
-    time leg and the TypeII B null eigenvector both come from Lambda.  Only
-    a top cluster of two or more dimensions takes a Gram eigensolve
-    (`eigh`): none on a rank-3 or rank-4 TypeI state, whose four roots are
-    simple, and none on a TypeII state, whose defective top has one
-    eigenvector."""
+    """The Omega forms built once and one eigensolve: the TypeI B time leg
+    and the TypeII B null eigenvector both come from Lambda.  Omega_B is
+    formed only where it is read, by the TypeII partner, so a TypeI state
+    forms Omega_A alone.  Only a top cluster of two or more dimensions
+    takes a Gram eigensolve (`eigh`): none on a rank-3 or rank-4 TypeI
+    state, whose four roots are simple, and none on a TypeII state, whose
+    defective top has one eigenvector."""
     import lorentzsvd.canonical as canonical
+    import lorentzsvd.geigen as geigen
 
-    calls = {"g_eigensystem": 0, "omega_matrices": 0, "eigh": 0}
-    targets = {"g_eigensystem": canonical, "omega_matrices": canonical, "eigh": np.linalg}
+    calls = {"g_eigensystem": 0, "omega_matrices": 0, "_form": 0, "eigh": 0}
+    targets = {"g_eigensystem": canonical, "omega_matrices": canonical, "_form": geigen,
+               "eigh": np.linalg}
     for name, module in targets.items():
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -729,7 +733,27 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
 
         monkeypatch.setattr(module, name, counted)
     assert canonicalize(rho).family is family
-    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "eigh": 0}
+    forms = 2 if family is SideFamily.TYPE_II_A else 1
+    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "_form": forms, "eigh": 0}
+
+
+def test_python_float_builders_match_their_numpy_forms():
+    """The boost and the Bell-diagonal canonical state, built on Python
+    floats, are bit for bit the numpy expressions they stand for: the
+    boost [[g, p^T], [p, I + p p^T / (1 + g)]] and 0.25 times the complex
+    Bell-diagonal pattern."""
+    gen = rng(21)
+    for _ in range(200):
+        p = gen.normal(size=3) * gen.uniform(0.0, 30.0)
+        g = float(np.sqrt(1.0 + p @ p))
+        want = np.block([[np.array([[g]]), p[None, :]],
+                         [p[:, None], np.outer(p, p) / (1.0 + g) + np.eye(3)]])
+        assert _boost([g, *p.tolist()]).tobytes() == want.tobytes()
+        d1, d2, d3 = gen.uniform(-1.0, 1.0, size=3).tolist()
+        want = 0.25 * np.array([[1.0 + d3, 0.0, 0.0, d1 - d2], [0.0, 1.0 - d3, d1 + d2, 0.0],
+                                [0.0, d1 + d2, 1.0 - d3, 0.0], [d1 - d2, 0.0, 0.0, 1.0 + d3]],
+                               dtype=complex)
+        assert canonical_rho_type1(d1, d2, d3, tol=2.0).tobytes() == want.tobytes()
 
 
 def test_type2_route_counts(monkeypatch):

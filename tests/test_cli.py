@@ -25,10 +25,10 @@ from lorentzsvd import errors
 from lorentzsvd.canonical import SigmaParameters, canonicalize, sigma_from_bcd
 from lorentzsvd.cli import main
 from lorentzsvd.minkowski import lorentz_defect
-from lorentzsvd.qstate import lambda_from_rho, random_state, rho_from_lambda
+from lorentzsvd.qstate import apply_slocc, lambda_from_rho, random_state, rho_from_lambda
 from lorentzsvd.serialize import canonical_report, dumps, loads_state, state_document
 
-from conftest import slightly_negative_state
+from conftest import random_sl2c, rng, slightly_negative_state
 
 MIXED = {"rho": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
 TYPE2_LAMBDA = {
@@ -457,6 +457,28 @@ def test_ellipsoid_refuses_a_report_outside_the_parameter_region(tmp_path, capsy
         assert failure["message"].startswith("InvalidCanonicalParameters:")
 
 
+@pytest.mark.parametrize("family", ["TypeII_A", "TypeII_B"])
+def test_ellipsoid_refuses_a_negative_r1_report(tmp_path, capsys, family):
+    """An arrow report with r1 < 0 (s1 on side B) whose lambdaCanonical is
+    its pattern describes no canonical form: exit 1 with
+    InvalidCanonicalParameters, and no CSV.  It exited 0 with negative
+    semi-axes, since only r1^2 <= r0 was checked."""
+    arrow = [[1, 0, 0, 0], [0, -0.2, 0, 0], [0, 0, 0.2, 0], [0.5, 0, 0, 0.5]]
+    if family == "TypeII_A":
+        doc = {"family": family, "lambdaCanonical": arrow, "parameters": {"r0": 0.5, "r1": -0.2}}
+    else:
+        doc = {"family": family, "lambdaCanonical": np.array(arrow).T.tolist(),
+               "parameters": {"s0": 0.5, "s1": -0.2}}
+    path = write_state(tmp_path, "negative.json", doc)
+    points = tmp_path / "points.csv"
+    code, out, err = run(["ellipsoid", path, "--samples", "3", "--csv", str(points)], capsys)
+    assert code == 1 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "InvalidCanonicalParameters"
+    assert "0 <= p1" in blob["message"]
+    assert not points.exists()
+
+
 # ---------------------------------------------------------------------------
 # the input boundary under generated payloads
 
@@ -551,15 +573,37 @@ REPORTS = st.fixed_dictionaries({
                                   st.one_of(ENTRIES, st.lists(ENTRIES, max_size=2))),
 })
 
-#: the bytes of an input file: random bytes, a state payload, a valid
-#: state, a report document
-INPUT_BYTES = st.one_of(
-    st.binary(max_size=48),
-    st.builds(lambda doc: json.dumps(doc).encode(), PAYLOADS),
-    st.integers(0, 99).map(
-        lambda seed: dumps(state_document(rho=random_state(1 + seed % 4, seed=seed))).encode()),
-    st.builds(lambda doc: json.dumps(doc).encode(), REPORTS),
-    st.sampled_from(REPORT_TEXTS).map(str.encode),
+#: Sigma(b, c, d) parameters of TypeII states, r1 = 0 among them
+SIGMAS = [SigmaParameters(0.5, 0.1, 0.3), SigmaParameters(0.2, -0.4, 0.5),
+          SigmaParameters(0.9, 0.0, 0.2), SigmaParameters(0.5, 0.1, 0.0)]
+
+
+def _filtered_document(seed: int, rapidity: float) -> bytes:
+    """A state document of a random state of rank 1-4 or of a Sigma(b, c,
+    d) state, filtered on both sides at rapidity up to ``rapidity``."""
+    if seed % 5 == 4:
+        rho = sigma_from_bcd(SIGMAS[seed // 5 % len(SIGMAS)])[1]
+    else:
+        rho = random_state(1 + seed % 4, seed=seed)
+    if rapidity:
+        gen = rng(seed)
+        rho = apply_slocc(rho, random_sl2c(gen, rapidity), random_sl2c(gen, rapidity))
+    return dumps(state_document(rho=rho)).encode()
+
+
+#: valid states that reach the numerical paths: both families and
+#: degenerate tops, filtered at rapidity up to 1.5
+VALID_STATES = st.builds(_filtered_document, st.integers(0, 99), st.sampled_from([0.0, 0.7, 1.5]))
+
+#: the bytes of an input file: a valid state three times in four, else
+#: random bytes, a state payload or a report document
+INPUT_BYTES = st.sampled_from([True, True, True, False]).flatmap(
+    lambda valid: VALID_STATES if valid else st.one_of(
+        st.binary(max_size=48),
+        st.builds(lambda doc: json.dumps(doc).encode(), PAYLOADS),
+        st.builds(lambda doc: json.dumps(doc).encode(), REPORTS),
+        st.sampled_from(REPORT_TEXTS).map(str.encode),
+    )
 )
 
 STATE_COMMANDS = ["classify", "canonicalize", "ellipsoid", "verify"]
@@ -568,11 +612,29 @@ ERROR_NAMES = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.LorentzSvdError)}
 
 
+def _draw_well_formed_argv(data, root: Path) -> list[str]:
+    """A state command over ``root``'s input file or batch directory, with
+    any of a --tol near the bounds of (0, 1), an -o target, and for
+    ``ellipsoid`` a side and a small sample."""
+    pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+    command = pick(STATE_COMMANDS)
+    argv = [command] + pick([[str(root / "in.json")]] * 3 + [["--batch", str(root / "batch")]])
+    argv += pick([[]] + [["--tol", tol] for tol in ("1e-300", "1e-15", "0.5", "0.999")])
+    if "--batch" not in argv:
+        argv += pick([[], ["-o", "-"], ["-o", str(root / "out.txt")]])
+        if command == "ellipsoid":
+            argv += pick([[], ["--side", "B"], ["--samples", "3", "--csv", str(root / "p.csv")]])
+    return argv
+
+
 def _draw_argv(data, root: Path) -> list[str]:
-    """A command line over the files in ``root``: every subcommand and
+    """A command line over the files in ``root``, well formed three times
+    in four (`_draw_well_formed_argv`); otherwise any subcommand and
     --batch, unknown and missing flags, any --tol, and -o or --csv targets
     that cannot be written."""
     pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+    if pick([True, True, True, False]):
+        return _draw_well_formed_argv(data, root)
     inp, batch = str(root / "in.json"), str(root / "batch")
     target = st.sampled_from([str(root / "out.txt"), str(root / "missing" / "x.txt"),
                               str(root), "-"])
@@ -789,38 +851,43 @@ PURE_PRODUCT_LAMBDA = {"lambda": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 
 
 
 @pytest.mark.parametrize(
-    "command, doc, solves",
+    "command, doc, solves, forms",
     [
-        ("canonicalize", RANK4_SEED7, 1),
-        ("verify", RANK4_SEED7, 2),
-        ("canonicalize", TYPE2_SIGMA, 1),
-        ("verify", TYPE2_SIGMA, 2),
-        ("verify", PURE_PRODUCT_LAMBDA, 2),
+        ("canonicalize", RANK4_SEED7, 1, 1),
+        ("verify", RANK4_SEED7, 2, 2),
+        ("canonicalize", TYPE2_SIGMA, 1, 2),
+        ("verify", TYPE2_SIGMA, 2, 2),
+        ("verify", PURE_PRODUCT_LAMBDA, 2, 2),
     ],
     ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII",
          "verify-DegenerateProduct"],
 )
-def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves):
-    """Each state command converts rho once and builds Omega once.
-    `canonicalize` solves side A only; `verify` solves each side once,
-    for its shared spectrum, and a DegenerateProduct state's family check
-    reuses that B solve."""
+def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves,
+                                         forms):
+    """Each state command converts rho once and builds each Omega form at
+    most once: Omega_B only where it is read, so a TypeI `canonicalize`
+    forms Omega_A alone.  `canonicalize` solves side A only; `verify`
+    solves each side once, for its shared spectrum, and a DegenerateProduct
+    state's family check reuses that B solve."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
+    import lorentzsvd.geigen as geigen
 
     calls = {"lambda_from_rho": 0, "omega_matrices": 0, "g_eigensystem": 0}
-    for module in (cli, canonical):
-        for name in calls:
+    targets = [(module, name) for module in (cli, canonical) for name in calls]
+    calls["_form"] = 0
+    for module, name in targets + [(geigen, "_form")]:
 
-            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     path = write_state(tmp_path, "s.json", json.loads(dumps(doc)))
     code, _, err = run([command, path], capsys)
     assert code == 0, err
-    assert calls == {"lambda_from_rho": 1, "omega_matrices": 1, "g_eigensystem": solves}
+    assert calls == {"lambda_from_rho": 1, "omega_matrices": 1, "g_eigensystem": solves,
+                     "_form": forms}
 
 
 def test_batch_isolates_failures(tmp_path, capsys):

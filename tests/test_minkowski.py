@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,12 @@ from lorentzsvd.errors import TriadNotGOrthogonal
 from lorentzsvd.minkowski import (
     DEFAULT_TOL,
     G_METRIC,
+    LORENTZ_TOL_FLOOR,
     VectorClass,
     complete_tetrad_from_neutral_triad,
     g_inner,
     is_orthochronous_proper_lorentz,
+    lorentz_defect,
     minkowski_norm,
     validate_g_orthogonal_tetrad,
 )
@@ -64,6 +68,63 @@ def test_oplg_predicate():
     assert not is_orthochronous_proper_lorentz(-np.eye(4))  # past-pointing
     assert not is_orthochronous_proper_lorentz(2.0 * np.eye(4))
     assert not is_orthochronous_proper_lorentz(np.eye(3))
+
+
+def _determinant_rule(L: np.ndarray, tol: float) -> bool:
+    """The group check by the determinant: `lorentz_defect` within tol,
+    |det L - 1| <= tol max(1, max |L|^2) and L[0,0] > 0."""
+    scale = max(1.0, float(np.abs(L).max()) ** 2)
+    return bool(lorentz_defect(L) <= tol and abs(np.linalg.det(L) - 1.0) <= tol * scale
+                and L[0, 0] > 0.0)
+
+
+def _group_elements() -> list[np.ndarray]:
+    """Rotation x boost x rotation products at rapidity 0 to 3.5."""
+    gen = rng(11)
+    return [random_rotation(gen) @ boost_z(eta) @ random_rotation(gen)
+            for eta in np.linspace(0.0, 3.5, 15) for _ in range(4)]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, LORENTZ_TOL_FLOOR])
+def test_group_check_agrees_with_the_determinant_rule(tol):
+    """The spatial-determinant check gives the determinant rule's verdict
+    on exact group products, on their spatial reflections (det -1) and
+    time reversals (L[0,0] < 0), and on products scaled by 1 +- delta
+    well inside and well outside the tolerance.  Scaling by 1 + delta
+    moves the defect by about 2 delta / max|L|^2 and det L by 4 delta
+    times that scale, so the two rules part only for delta between a
+    quarter and a half of tol max|L|^2; the cases stay clear of it."""
+    reflect, reverse = np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([-1.0, 1.0, 1.0, 1.0])
+    for L in _group_elements():
+        scale = float(np.abs(L).max()) ** 2
+        cases = {"group": (L, True), "reflected": (reflect @ L, False),
+                 "reversed": (reverse @ L, False), "both": (reverse @ reflect @ L, False)}
+        for factor, verdict in ((0.2, True), (5.0, False)):
+            delta = factor * 0.5 * tol * scale
+            cases[f"{factor}+"] = ((1.0 + delta) * L, verdict)
+            cases[f"{factor}-"] = ((1.0 - delta) * L, verdict)
+        for name, (M, verdict) in cases.items():
+            assert is_orthochronous_proper_lorentz(M, tol) is verdict, name
+            assert _determinant_rule(M, tol) is verdict, name
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_group_check_refuses_entries_that_are_not_finite(value):
+    """A NaN or infinite entry in any of the 16 slots fails the check,
+    without a RuntimeWarning: Python's max drops a NaN that is not its
+    first argument, so every slot is tried.  The determinant rule passed
+    the identity with a NaN at (0, 1) or an inf at (2, 3)."""
+    base = _group_elements()[17]
+    for i in range(4):
+        for j in range(4):
+            for L in (np.eye(4), base):
+                M = L.copy()
+                M[i, j] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert is_orthochronous_proper_lorentz(M) is False, (i, j)
+    # entries whose squares overflow: refused, where max|L|^2 raised OverflowError
+    assert is_orthochronous_proper_lorentz(1e200 * np.eye(4)) is False
 
 
 def test_completion_reference_example():

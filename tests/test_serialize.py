@@ -89,10 +89,14 @@ def test_dumps_matches_the_reference_emitter():
         "subclasses": _Floats([1.5, -0.0]),
         1: "int key", True: "bool key", 2.5: "float key", None: "none key",
     })
+    # a dict of floats only, with keys that a format string would misread
+    docs.append({"zero": -0.0, 'per%cent "key"': 1e-300, 3: 2.5, 0.5: -1e308})
     for doc in docs:
         assert dumps(doc) == _reference_emit(doc) + "\n"
     with pytest.raises(InputFormatError, match="non-finite"):
         dumps({"x": [1.0, float("nan")]})
+    with pytest.raises(InputFormatError, match="non-finite"):
+        dumps({"x": 1.0, "y": math.inf})
     with pytest.raises(InputFormatError, match="cannot serialize"):
         dumps({"x": {1, 2}})
 
