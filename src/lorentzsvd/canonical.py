@@ -181,7 +181,7 @@ def _boost(x: list[float]) -> np.ndarray:
 
 
 def type1_canonical(
-    lam: np.ndarray,
+    pair: OmegaPair,
     sys_a: GEigenSystem,
     tol: float = DEFAULT_TOL,
 ) -> CanonicalResult:
@@ -204,7 +204,7 @@ def type1_canonical(
     the eigenvalues of the solve; ``rhoMinEigenvalue`` is the smallest
     Bell weight of the canonical state.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = pair.lam
     if sys_a.family is not CanonicalFamily.TYPE_I:
         raise NotTypeI(f"side A classifies as {sys_a.family.value}")
     lambdas = sys_a.eigenvalues.tolist()
@@ -319,26 +319,29 @@ def _null_rotation(B: list[list[float]], lam0: float, sign: float) -> tuple[floa
 
 
 def type2_canonical(
-    lam: np.ndarray,
-    sys: GEigenSystem,
-    side: str,
+    pair: OmegaPair,
+    sys_a: GEigenSystem,
     tol: float = DEFAULT_TOL,
 ) -> CanonicalResult:
-    """Arrow-shaped canonical form on the requested side ("A" or "B").
+    """Arrow-shaped canonical form of side A, with side B as ``partner``.
 
-    ``sys`` is the eigensystem of that side's form, Omega_A for "A" and
-    Omega_B (the A-side form of the transpose) for "B"; only its null top
-    row, its top cluster and the form ``sys.omega`` are read.
-    Parameters are (r0, r1) with scale phi0 on side A and (s0, s1) with
-    scale chi0 on side B.  `canonicalize` solves no B eigensystem: its B
-    side starts from the image of side A's null top row (see
-    `_factor_solved`).
+    ``sys_a`` is the eigensystem of ``pair.omega_a``; only its null top
+    row u, its top cluster and its form are read.  Side A's parameters
+    are (r0, r1) with scale phi0, side B's (s0, s1) with scale chi0.  No
+    B eigensystem is solved: v = G Lambda^T u, the image of u, satisfies
+    G Omega_B v = G Lambda^T G Omega_A u = lam0 v, so v is side B's null
+    top eigenvector, and the two sides share the spectrum.  A B side of
+    another family shows up in the checks of the B-side construction.
+    Side B from its own eigensystem is side A of Lambda^T, since
+    Omega_A(Lambda^T) = Omega_B(Lambda).
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if sys.family is not CanonicalFamily.TYPE_II:
-        raise NotTypeII(f"state classifies as {sys.family.value}")
-    return _arrow(lam, sys.omega, side, sys.eigenvectors[0], sys.clusters[0][1] == 4, tol)
+    if sys_a.family is not CanonicalFamily.TYPE_II:
+        raise NotTypeII(f"state classifies as {sys_a.family.value}")
+    lam = pair.lam
+    u, merged = sys_a.eigenvectors[0], sys_a.clusters[0][1] == 4
+    result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
+    partner = _arrow(lam, pair.omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
+    return replace(result, partner=partner)
 
 
 def _arrow(
@@ -349,8 +352,8 @@ def _arrow(
     merged: bool,
     tol: float,
 ) -> CanonicalResult:
-    """`type2_canonical` from the future null top eigenvector u of
-    ``omega``, the form of ``side``, onward.
+    """One side of `type2_canonical`, from the future null top eigenvector
+    u of ``omega``, the form of ``side``, onward.
 
     The side is the A side of W = Lambda ("A") or of W = Lambda^T ("B"),
     transposed back.  Every factor is a product of exact Lorentz group
@@ -506,26 +509,18 @@ def _factor_solved(
 ) -> CanonicalResult:
     """`canonicalize` after side A's eigensolve: the one family dispatch.
 
-    Neither a TypeI nor a TypeII side A solves side B.  A TypeI B tetrad is
-    transported through Lambda (see `type1_canonical`).  A TypeII B side
-    starts from v = G Lambda^T u, the image of side A's null top
-    eigenvector u: G Omega_B v = G Lambda^T G Omega_A u = lam0 v, so v is
-    side B's null top eigenvector, and the two sides share the spectrum.
-    A B side of another family shows up in the checks of the B-side
-    construction.  Only a degenerate product side A reads side B's
-    eigensystem, to confirm the family on both sides: ``sys_b`` when the
-    caller has solved it already, otherwise the solve of Omega_B.  Only
-    these two families read Omega_B, so only they form it.
+    Neither a TypeI nor a TypeII side A solves side B: `type1_canonical`
+    transports the B tetrad through Lambda, and `type2_canonical` starts
+    side B from the image of side A's null top eigenvector.  Only a
+    degenerate product side A reads side B's eigensystem, to confirm the
+    family on both sides: ``sys_b`` when the caller has solved it
+    already, otherwise the solve of Omega_B.  Only these two families
+    read Omega_B, so only they form it.
     """
-    lam = pair.lam
     if sys_a.family is CanonicalFamily.TYPE_I:
-        return type1_canonical(lam, sys_a, tol)
+        return type1_canonical(pair, sys_a, tol)
     if sys_a.family is CanonicalFamily.TYPE_II:
-        u, merged = sys_a.eigenvectors[0], sys_a.clusters[0][1] == 4
-        result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
-        # G Lambda^T u is side B's null top eigenvector, and the spectrum is shared
-        partner = _arrow(lam, pair.omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
-        return replace(result, partner=partner)
+        return type2_canonical(pair, sys_a, tol)
     if sys_b is None:
         sys_b = g_eigensystem(pair.omega_b, tol)
     if sys_b.family is not CanonicalFamily.DEGENERATE_PRODUCT:
@@ -534,8 +529,8 @@ def _factor_solved(
         )
     return CanonicalResult(
         family=SideFamily.DEGENERATE_PRODUCT,
-        canonical_lambda=lam.copy(),
-        canonical_rho=rho_from_lambda(lam, tol),
+        canonical_lambda=pair.lam.copy(),
+        canonical_rho=rho_from_lambda(pair.lam, tol),
         left_lorentz=np.eye(4),
         right_lorentz=np.eye(4),
         parameters={"lambdas": [float(v) for v in sys_a.eigenvalues]},
@@ -704,8 +699,8 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     pinned pipeline gauge on the B side (both land on chi0 = 1 - c^2)
     but not on the A side, where only the gauge-invariant combination
     r1^2 / r0 = lambda_1 / lambda_0 can be compared.  The pipeline's B
-    side is read off its A-side right factor, as `canonicalize` builds
-    it, so only Omega_A is solved.
+    side is `type2_canonical`'s partner, as `canonicalize` builds it, so
+    only Omega_A is solved.
     """
     sigma, _ = sigma_from_bcd(p)
     b, c, d = p.b, p.c, p.d
@@ -758,10 +753,8 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
         proper = proper and is_orthochronous_proper_lorentz(left_a)
 
     # both sides as `canonicalize` builds them
-    res_a = _factor_solved(pair, sys_a, DEFAULT_TOL)
+    res_a = type2_canonical(pair, sys_a, DEFAULT_TOL)
     res_b = res_a.partner
-    if res_b is None:
-        raise NotTypeII(f"state classifies as {res_a.family.value}")
     s_res = max(
         abs(res_b.parameters["s0"] - s0),
         abs(res_b.parameters["s1"] - abs(s1)),

@@ -244,22 +244,24 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     TypeII for a null one, unless the top eigenvalue is at most ``tol``:
     then no normalizable canonical form exists, and it is
     DegenerateProduct.  ``tol`` plays no other part in the solve.
-    Raises NumericalFailure on entries that are not finite, when the two
-    members of a complex eigenvalue pair lie farther apart than the
-    merge radius (input violating the positivity-transfer
-    precondition), when the null space at the top centre has more
-    directions than the cluster has roots, and when the top cluster
-    holds no timelike or lightlike direction.
+    Raises NumericalFailure on entries that are not finite or so large
+    that the solve would overflow, when the two members of a complex
+    eigenvalue pair lie farther apart than the merge radius (input
+    violating the positivity-transfer precondition), when the null space
+    at the top centre has more directions than the cluster has roots,
+    and when the top cluster holds no timelike or lightlike direction.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
         raise ValueError(f"expected a 4x4 symmetric form, got {omega.shape}")
     # the passes over 16 entries run on Python floats, which cost less than
-    # numpy's reductions; a sum that is not finite may be an overflow alone
+    # numpy's reductions and overflow without a warning.  Every sum the
+    # solve forms, a cluster's root sum included, is at most four times
+    # sum |entries|, so the form is refused where that overflows
     m = omega.tolist()
     entries = m[0] + m[1] + m[2] + m[3]
-    if not math.isfinite(sum(entries)) and not all(map(math.isfinite, entries)):
-        raise NumericalFailure("the form has entries that are not finite")
+    if not math.isfinite(4.0 * sum(map(abs, entries))):
+        raise NumericalFailure("the form has entries that are not finite or overflow the solve")
     symmetry_defect = max([abs(m[i][j] - m[j][i]) for i, j in _UPPER])
     if symmetry_defect > 0.0:
         # a form symmetric to the bit is its own symmetric part

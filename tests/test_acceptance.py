@@ -264,11 +264,13 @@ def test_criterion_4_closed_form_equivalence():
 
     # spot value for (b, c, d) = (0.5, 0.1, 0.3)
     sigma, _ = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
-    params = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma).omega_b), "B").parameters
-    if abs(params["s0"] - 5.0 / 9.0) > 1e-12:
-        failures.append(f"spot s0 = {params['s0']!r}, expected 0.5555...")
-    if abs(params["s1"] - 0.301511) > 5e-7:
-        failures.append(f"spot s1 = {params['s1']!r}, expected 0.301511")
+    # side B from its own eigensolve: side A of Sigma^T
+    pt = omega_matrices(sigma.T)
+    params = type2_canonical(pt, g_eigensystem(pt.omega_a)).parameters
+    if abs(params["r0"] - 5.0 / 9.0) > 1e-12:
+        failures.append(f"spot s0 = {params['r0']!r}, expected 0.5555...")
+    if abs(params["r1"] - 0.301511) > 5e-7:
+        failures.append(f"spot s1 = {params['r1']!r}, expected 0.301511")
     _verdict(
         4,
         failures,

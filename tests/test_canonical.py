@@ -458,6 +458,54 @@ def test_type2_orbit_ratio_invariant(slocc_seed):
     assert 0.0 <= res.parameters["r1"] ** 2 <= res.parameters["r0"] <= 1.0 + 1e-12
 
 
+def _sample_bcd(gen: np.random.Generator) -> SigmaParameters:
+    """(b, c, d) strictly inside the non-diagonalizable region (b > c,
+    d > 0), drawn as the benchmark corpus draws them."""
+    while True:
+        c = gen.uniform(-0.85, 0.9)
+        lo, hi = c + 0.02, min(0.9, (1.0 + c) / 2.0 - 0.025)
+        if hi <= lo:
+            continue
+        b = gen.uniform(lo, hi)
+        if 1.0 + c - 2.0 * b <= 0.05:
+            continue
+        p = SigmaParameters(b, c, gen.uniform(0.2, 0.95) * np.sqrt((1.0 + c) * (1.0 - b)))
+        if not p.violations():
+            return p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["rank1", "rank2", "rank3", "rank4", "sigma", "sigma-d0"]),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.7, 1.5]), st.sampled_from([0.7, 1.5]))
+def test_canonical_data_is_constant_on_slocc_orbits(kind, seed, rapidity_a, rapidity_b):
+    """A state and its image under two local filters, each of rapidity up
+    to 0.7 or 1.5, factor to the same canonical data: the family (a Sigma
+    state's with its TypeII_B partner), the TypeI diagonal and detSign,
+    the TypeII gauge invariant r1^2 / r0; and the image factors within
+    1e-8 on each side.  Random states of rank 1-4, Sigma(b, c, d) and
+    Sigma(b, c, 0)."""
+    gen = rng(seed)
+    if kind.startswith("rank"):
+        rho = random_state(int(kind[-1]), seed=int(gen.integers(2**62)))
+    else:
+        p = _sample_bcd(gen)
+        rho = sigma_from_bcd(SigmaParameters(p.b, p.c, p.d if kind == "sigma" else 0.0))[1]
+    moved = apply_slocc(rho, random_sl2c(gen, rapidity_a), random_sl2c(gen, rapidity_b))
+    base, res = canonicalize(rho), canonicalize(moved)
+    if kind.startswith("rank"):
+        assert base.family is res.family is SideFamily.TYPE_I
+        diagonal = np.diag(res.canonical_lambda) - np.diag(base.canonical_lambda)
+        assert np.abs(diagonal).max() <= 1e-7
+        assert res.parameters["detSign"] == base.parameters["detSign"]
+    else:
+        assert base.family is res.family is SideFamily.TYPE_II_A
+        assert base.partner.family is res.partner.family is SideFamily.TYPE_II_B
+        ratio = [r.parameters["r1"] ** 2 / r.parameters["r0"] for r in (base, res)]
+        assert abs(ratio[1] - ratio[0]) <= 1e-7
+    for side in filter(None, (res, res.partner)):
+        assert side.residuals["factorization"] <= 1e-8
+
+
 def _null_ray_gauge_leg(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """The gauge rule from scratch: the plane G-orthogonal to a1, a2 holds
     two null rays; each is scaled to unit time component and the sum is
@@ -598,11 +646,13 @@ def test_carried_partner_matches_a_b_side_solve(slocc_seed):
     gen = rng(slocc_seed)
     moved = apply_slocc(rho, random_sl2c(gen), random_sl2c(gen))
     lam = lambda_from_rho(moved)
-    solved = type2_canonical(lam, g_eigensystem(omega_matrices(lam).omega_b), "B")
+    # side B from its own eigensolve is side A of Lambda^T
+    pt = omega_matrices(lam.T)
+    solved = type2_canonical(pt, g_eigensystem(pt.omega_a))
     partner = canonicalize(moved).partner
     assert partner.family is SideFamily.TYPE_II_B
-    for key in ("s0", "s1", "chi0"):
-        assert abs(partner.parameters[key] - solved.parameters[key]) <= 1e-8
+    for key, ref in (("s0", "r0"), ("s1", "r1"), ("chi0", "phi0")):
+        assert abs(partner.parameters[key] - solved.parameters[ref]) <= 1e-8
 
 
 @pytest.mark.parametrize("rapidity", [0.7, 1.5])
@@ -620,8 +670,9 @@ def test_carried_partner_on_the_r1_zero_route(rapidity):
     assert res.parameters["r1"] <= 1e-12 and res.partner.parameters["s1"] <= 1e-12
     assert_factorization(res, lam)
     assert_factorization(res.partner, lam)
-    solved = type2_canonical(lam, g_eigensystem(omega_matrices(lam).omega_b), "B")
-    assert abs(res.partner.parameters["s0"] - solved.parameters["s0"]) <= 1e-8
+    pt = omega_matrices(lam.T)
+    solved = type2_canonical(pt, g_eigensystem(pt.omega_a))
+    assert abs(res.partner.parameters["s0"] - solved.parameters["r0"]) <= 1e-8
 
 
 def test_filtered_r1_zero_state_factors():
@@ -718,13 +769,14 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     forms Omega_A alone.  Only a top cluster of two or more dimensions
     takes a Gram eigensolve (`eigh`): none on a rank-3 or rank-4 TypeI
     state, whose four roots are simple, and none on a TypeII state, whose
-    defective top has one eigenvector."""
+    defective top has one eigenvector.  Each family is one call of its
+    construction, which builds both sides."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.geigen as geigen
 
-    calls = {"g_eigensystem": 0, "omega_matrices": 0, "_form": 0, "eigh": 0}
     targets = {"g_eigensystem": canonical, "omega_matrices": canonical, "_form": geigen,
-               "eigh": np.linalg}
+               "eigh": np.linalg, "type1_canonical": canonical, "type2_canonical": canonical}
+    calls = dict.fromkeys(targets, 0)
     for name, module in targets.items():
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -733,8 +785,9 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
 
         monkeypatch.setattr(module, name, counted)
     assert canonicalize(rho).family is family
-    forms = 2 if family is SideFamily.TYPE_II_A else 1
-    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "_form": forms, "eigh": 0}
+    type2 = family is SideFamily.TYPE_II_A
+    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "_form": 1 + type2, "eigh": 0,
+                     "type1_canonical": 1 - type2, "type2_canonical": int(type2)}
 
 
 def test_python_float_builders_match_their_numpy_forms():
@@ -986,7 +1039,8 @@ def test_sigma_closed_form_side_a_values():
     assert abs(image[3, 3] - 0.2) < 1e-12
     assert abs(image[1, 1] - 0.18090680674665818) < 1e-12
     # same orbit as the pipeline's A side: equal eigenvalue ratio
-    res_a = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma).omega_a), "A")
+    pair = omega_matrices(sigma)
+    res_a = type2_canonical(pair, g_eigensystem(pair.omega_a))
     ratio = res_a.parameters["r1"] ** 2 / res_a.parameters["r0"]
     assert abs(ratio - image[1, 1] ** 2 / image[3, 3]) < 1e-12
 
@@ -1029,7 +1083,8 @@ def test_sigma_equivalence_random_region(seed):
 def test_sigma_eigenvalues_closed_form():
     b, c, d = 0.5, 0.1, 0.3
     sigma, _ = sigma_from_bcd(SigmaParameters(b, c, d))
-    res = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma).omega_a), "A")
+    pair = omega_matrices(sigma)
+    res = type2_canonical(pair, g_eigensystem(pair.omega_a))
     lam0, lam1 = 0.55, 0.09
     assert abs(res.parameters["r0"] * res.parameters["phi0"] - lam0) < 1e-12
     assert abs(res.parameters["r1"] ** 2 * res.parameters["phi0"] - lam1) < 1e-12

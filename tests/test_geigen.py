@@ -8,6 +8,8 @@ closed form.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -399,6 +401,19 @@ def test_non_finite_form_is_refused(value):
     omega[0, 3] = omega[3, 0] = value
     with pytest.raises(NumericalFailure, match="not finite"):
         g_eigensystem(omega)
+
+
+def test_form_that_overflows_the_solve_is_refused():
+    """Finite forms near the float maximum are refused before any sum
+    overflows: no RuntimeWarning, and no LinAlgError from the SVD."""
+    full = np.full((4, 4), 1e308)
+    skew = full.copy()
+    skew[0, 1] = 5e307
+    for omega in (full, skew):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="overflow the solve"):
+                g_eigensystem(omega)
 
 
 # ---------------------------------------------------------------------------
