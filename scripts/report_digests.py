@@ -62,15 +62,15 @@ def _eigen_digest(omega: np.ndarray) -> str:
     empty, so those digests are unchanged.
     """
     from lorentzsvd.geigen import g_eigensystem
-    from lorentzsvd.minkowski import VectorClass
 
     s = g_eigensystem(omega)
-    # the norm of the row, 1 when timelike and 0 when null, as the solve
-    # once recorded it, so digests written then still compare
-    norms = np.array([int(s.top_class is VectorClass.POSITIVE)], dtype=int)
+    # the norm of the row, 1 when timelike (no Gram value) and 0 when null,
+    # and the top cluster as a 1-tuple, as the solve once recorded them,
+    # so digests written then still compare
+    norms = np.array([int(s.condition_report.gram_top.size == 0)], dtype=int)
     return _sha(
-        s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), norms.tobytes(),
-        repr(s.clusters).encode(), s.condition_report.gram_top.tobytes(),
+        s.eigenvalues.tobytes(), s.top_row.tobytes(), norms.tobytes(),
+        repr((s.top_cluster,)).encode(), s.condition_report.gram_top.tobytes(),
     )
 
 
@@ -90,8 +90,9 @@ def write(seeds: list[int], out: Path) -> None:
                 if workload == "cli":
                     rho = loads_state(cliprobe.document_text(rho))[1]
                 report = _outcome(lambda: _sha(dumps(canonical_report(canonicalize(rho))).encode()))
-                pair = omega_matrices(lambda_from_rho(rho))
-                eigen = [_outcome(lambda w=w: _eigen_digest(w)) for w in (pair.omega_a, pair.omega_b)]
+                lam = lambda_from_rho(rho)
+                eigen = [_outcome(lambda w=w: _eigen_digest(omega_matrices(w)))
+                         for w in (lam, lam.T)]
                 records[f"{seed}/{workload}/{k}"] = [report, *eigen]
     out.write_text(json.dumps(records, indent=0), encoding="utf-8")
 

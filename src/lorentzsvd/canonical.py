@@ -51,7 +51,7 @@ from .errors import (
     NumericalFailure,
     SingularTopEigenvalue,
 )
-from .geigen import CanonicalFamily, GEigenSystem, OmegaPair, g_eigensystem, omega_matrices
+from .geigen import CanonicalFamily, GEigenSystem, g_eigensystem, omega_matrices
 from .minkowski import (
     DEFAULT_TOL,
     DEFECTIVE_ROOT_FLOOR,
@@ -63,11 +63,6 @@ from .minkowski import (
     is_orthochronous_proper_lorentz,
 )
 from .qstate import lambda_from_rho, rho_from_lambda
-
-#: Tolerance on the canonical parameter region (Bell weights >= 0;
-#: 0 <= p1 and p1^2 <= p0 <= 1) when a canonical state is built from parameters
-#: alone.
-_PARAMETER_TOL = 1e-9
 
 
 class SideFamily(Enum):
@@ -181,18 +176,18 @@ def _boost(x: list[float]) -> np.ndarray:
 
 
 def type1_canonical(
-    pair: OmegaPair,
+    lam: np.ndarray,
     sys_a: GEigenSystem,
     tol: float = DEFAULT_TOL,
 ) -> CanonicalResult:
     """Diagonal canonical form from the timelike top eigenvector a.
 
-    ``sys_a`` is the eigensystem of Omega_A; only its eigenvalues and a
-    are read.  The B-side time leg is b = G Lambda^T a / sqrt(lam0).  In
-    the frames of the boosts B(a), B(b), Lambda keeps its row 0 and
-    column 0 on the time axis, and the SVD U S V^T of its 3x3 block gives
-    L_A = diag(1, U^T) B(a) and L_B = diag(1, V^T) B(b), each rotation
-    made proper by negating its last row.  Signs are then fixed: the
+    ``sys_a`` is the eigensystem of Omega_A; only its eigenvalues, its
+    form and a are read.  The B-side time leg is b = G Lambda^T a /
+    sqrt(lam0).  In the frames of the boosts B(a), B(b), Lambda keeps its
+    row 0 and column 0 on the time axis, and the SVD U S V^T of its 3x3
+    block gives L_A = diag(1, U^T) B(a) and L_B = diag(1, V^T) B(b), each
+    rotation made proper by negating its last row.  Signs are then fixed: the
     first three diagonal entries of D = L_A Lambda L_B^T non-negative and
     det L_B = +1 (an odd number of flips flips row 3 once more), leaving
     the sign of D33 equal to sgn(det Lambda).  The canonical diagonal is
@@ -204,7 +199,6 @@ def type1_canonical(
     the eigenvalues of the solve; ``rhoMinEigenvalue`` is the smallest
     Bell weight of the canonical state.
     """
-    lam = pair.lam
     if sys_a.family is not CanonicalFamily.TYPE_I:
         raise NotTypeI(f"side A classifies as {sys_a.family.value}")
     lambdas = sys_a.eigenvalues.tolist()
@@ -213,7 +207,7 @@ def type1_canonical(
     if lam0 <= zero_tol:
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
 
-    a = sys_a.eigenvectors[0]
+    a = sys_a.top_row
     b = G_METRIC @ lam.T @ a
     bb = float(b @ G_METRIC @ b)
     b_list = b.tolist()
@@ -319,28 +313,30 @@ def _null_rotation(B: list[list[float]], lam0: float, sign: float) -> tuple[floa
 
 
 def type2_canonical(
-    pair: OmegaPair,
+    lam: np.ndarray,
     sys_a: GEigenSystem,
     tol: float = DEFAULT_TOL,
+    omega_b: np.ndarray | None = None,
 ) -> CanonicalResult:
     """Arrow-shaped canonical form of side A, with side B as ``partner``.
 
-    ``sys_a`` is the eigensystem of ``pair.omega_a``; only its null top
-    row u, its top cluster and its form are read.  Side A's parameters
-    are (r0, r1) with scale phi0, side B's (s0, s1) with scale chi0.  No
+    ``sys_a`` is the eigensystem of Omega_A; only its null top row u, its
+    top cluster and its form are read.  Side A's parameters are (r0, r1)
+    with scale phi0, side B's (s0, s1) with scale chi0.  No
     B eigensystem is solved: v = G Lambda^T u, the image of u, satisfies
     G Omega_B v = G Lambda^T G Omega_A u = lam0 v, so v is side B's null
     top eigenvector, and the two sides share the spectrum.  A B side of
-    another family shows up in the checks of the B-side construction.
-    Side B from its own eigensystem is side A of Lambda^T, since
-    Omega_A(Lambda^T) = Omega_B(Lambda).
+    another family shows up in the checks of the B-side construction,
+    which reads Omega_B: ``omega_b`` when the caller has formed it
+    already, otherwise formed here.  Side B from its own eigensystem is
+    side A of Lambda^T, since Omega_A(Lambda^T) = Omega_B(Lambda).
     """
     if sys_a.family is not CanonicalFamily.TYPE_II:
         raise NotTypeII(f"state classifies as {sys_a.family.value}")
-    lam = pair.lam
-    u, merged = sys_a.eigenvectors[0], sys_a.clusters[0][1] == 4
+    u, merged = sys_a.top_row, sys_a.top_cluster[1] == 4
     result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
-    partner = _arrow(lam, pair.omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
+    omega_b = omega_matrices(lam.T) if omega_b is None else omega_b
+    partner = _arrow(lam, omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
     return replace(result, partner=partner)
 
 
@@ -497,40 +493,43 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     general.  The degenerate product family yields a report without
     canonical normalization.
     """
-    pair = omega_matrices(lambda_from_rho(rho, tol))
-    return _factor_solved(pair, g_eigensystem(pair.omega_a, tol), tol)
+    lam = lambda_from_rho(rho, tol)
+    return _factor_solved(lam, g_eigensystem(omega_matrices(lam), tol), tol)
 
 
 def _factor_solved(
-    pair: OmegaPair,
+    lam: np.ndarray,
     sys_a: GEigenSystem,
     tol: float,
     sys_b: GEigenSystem | None = None,
 ) -> CanonicalResult:
-    """`canonicalize` after side A's eigensolve: the one family dispatch.
+    """`canonicalize` after side A's eigensolve of Omega_A: the one family
+    dispatch.
 
     Neither a TypeI nor a TypeII side A solves side B: `type1_canonical`
     transports the B tetrad through Lambda, and `type2_canonical` starts
     side B from the image of side A's null top eigenvector.  Only a
     degenerate product side A reads side B's eigensystem, to confirm the
     family on both sides: ``sys_b`` when the caller has solved it
-    already, otherwise the solve of Omega_B.  Only these two families
-    read Omega_B, so only they form it.
+    already, otherwise the solve of Omega_B, `omega_matrices` of
+    Lambda^T.  Only `type2_canonical` and this branch read Omega_B, so
+    only they form it, once each; a caller's ``sys_b`` carries the form
+    it solved, which the TypeII partner reads in place of a new one.
     """
     if sys_a.family is CanonicalFamily.TYPE_I:
-        return type1_canonical(pair, sys_a, tol)
+        return type1_canonical(lam, sys_a, tol)
     if sys_a.family is CanonicalFamily.TYPE_II:
-        return type2_canonical(pair, sys_a, tol)
+        return type2_canonical(lam, sys_a, tol, None if sys_b is None else sys_b.omega)
     if sys_b is None:
-        sys_b = g_eigensystem(pair.omega_b, tol)
+        sys_b = g_eigensystem(omega_matrices(lam.T), tol)
     if sys_b.family is not CanonicalFamily.DEGENERATE_PRODUCT:
         raise NumericalFailure(
             f"the two sides disagree on the family: DegenerateProduct vs {sys_b.family.value}"
         )
     return CanonicalResult(
         family=SideFamily.DEGENERATE_PRODUCT,
-        canonical_lambda=pair.lam.copy(),
-        canonical_rho=rho_from_lambda(pair.lam, tol),
+        canonical_lambda=lam.copy(),
+        canonical_rho=rho_from_lambda(lam, tol),
         left_lorentz=np.eye(4),
         right_lorentz=np.eye(4),
         parameters={"lambdas": [float(v) for v in sys_a.eigenvalues]},
@@ -553,7 +552,7 @@ def _bell_weights(d1: float, d2: float, d3: float) -> list[float]:
     ]
 
 
-def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float = _PARAMETER_TOL) -> np.ndarray:
+def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float) -> np.ndarray:
     """Bell-diagonal state with correlation diag(1, d1, d2, d3)."""
     weight = min(_bell_weights(d1, d2, d3))
     if weight < -tol:
@@ -569,7 +568,7 @@ def canonical_rho_type1(d1: float, d2: float, d3: float, tol: float = _PARAMETER
     return rho
 
 
-def canonical_rho_type2(p0: float, p1: float, side: str, tol: float = _PARAMETER_TOL) -> np.ndarray:
+def canonical_rho_type2(p0: float, p1: float, side: str, tol: float) -> np.ndarray:
     """Rank <= 3 state of the arrow canonical form with parameters (p0, p1).
 
     The region is 0 <= p1 and p1^2 <= p0 <= 1, each within ``tol``.
@@ -715,8 +714,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     lam0 = (1.0 + c) * (1.0 - b)
     lam1 = d * d
     expected = np.array(sorted([lam0, lam0, lam1, lam1], reverse=True))
-    pair = omega_matrices(sigma)
-    sys_a = g_eigensystem(pair.omega_a)
+    sys_a = g_eigensystem(omega_matrices(sigma))
     ev_res = float(np.abs(sys_a.eigenvalues - expected).max())
 
     # closed-form B side: a single 03-boost on the left, identity on the right
@@ -724,16 +722,8 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     left_b = _boost_0z(1.0 / g, -c / g)
     s0 = (1.0 - b) / (1.0 - c)
     s1 = d / g
-    target_b = np.array(
-        [
-            [1.0, 0.0, 0.0, 1.0 - s0],
-            [0.0, s1, 0.0, 0.0],
-            [0.0, 0.0, -s1, 0.0],
-            [0.0, 0.0, 0.0, s0],
-        ]
-    )
     image_b = left_b @ sigma
-    b_res = float(np.abs(image_b / image_b[0, 0] - target_b).max())
+    b_res = float(np.abs(image_b / image_b[0, 0] - _type2_pattern(s0, s1).T).max())
 
     # closed-form A side: another 03-boost, then both-sided axis flip to
     # restore the non-negative (3,0) pattern.  This boost only exists on
@@ -753,7 +743,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
         proper = proper and is_orthochronous_proper_lorentz(left_a)
 
     # both sides as `canonicalize` builds them
-    res_a = type2_canonical(pair, sys_a, DEFAULT_TOL)
+    res_a = type2_canonical(sigma, sys_a, DEFAULT_TOL)
     res_b = res_a.partner
     s_res = max(
         abs(res_b.parameters["s0"] - s0),

@@ -192,14 +192,13 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     else:
         round_trip = np.abs(rho_from_lambda(lam, validate=False) - rho).max()
     record("rhoRoundTrip", round_trip, max(tol, _ROUND_TRIP_FLOOR))
-    pair = omega_matrices(lam)
-    sys_a = g_eigensystem(pair.omega_a, tol)
-    sys_b = g_eigensystem(pair.omega_b, tol)
+    sys_a = g_eigensystem(omega_matrices(lam), tol)
+    sys_b = g_eigensystem(omega_matrices(lam.T), tol)
     scale = max(1.0, float(sys_a.eigenvalues[0]))
     record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
            max(100 * tol, DEFECTIVE_ROOT_FLOOR) * scale)
     # a degenerate product side A confirms its family on the B side just solved
-    result = _factor_solved(pair, sys_a, tol, sys_b)
+    result = _factor_solved(lam, sys_a, tol, sys_b)
     if result.residuals:
         # the floor `canonicalize` rechecks the same residual against
         record("factorization", result.residuals["factorization"],
@@ -224,7 +223,7 @@ def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
     """(output text, exit code) of one state subcommand on one input."""
     if cmd == "classify":
         lam = lambda_from_rho(_state_rho(*loads_state(_read_text(path)), tol), tol)
-        sys_a = g_eigensystem(omega_matrices(lam).omega_a, tol)
+        sys_a = g_eigensystem(omega_matrices(lam), tol)
         spectrum = ",".join(format_float(v) for v in sys_a.eigenvalues)
         return f"{sys_a.family.value}, eigenvalues [{spectrum}]\n", 0
     if cmd == "canonicalize":

@@ -9,25 +9,24 @@ share the spectrum of the non-symmetric operator G @ Omega, and that
 spectrum -- real, non-negative, with a top eigenvector that is either
 timelike or lightlike -- decides which canonical form a state admits.
 
-`omega_matrices` returns the raw products, Omega_B formed only when
-read, and `g_eigensystem` is the one place that symmetrizes a form.  The
-spectrum comes from LAPACK as cluster means (`_quartic`).  The solve then
-reads the top cluster alone, the only one any construction uses, and of
-it one row: the Gram top eigenvector of the cluster's span.  That span
-is LAPACK's eigenvector when the cluster is one real root, and otherwise
-the null space of G Omega - c I at its centre c: the right singular
-vectors below one cut, with no second try at a wider one.  The solve
-names the family on the system it returns, the one place it is decided:
-TypeI when that row is timelike, TypeII when it is null,
-DegenerateProduct when the top eigenvalue vanishes.  The TypeI
-construction reads the timelike row, the TypeII construction the null
-one.  `canonical` reads a TypeI or TypeII side B off side A, so it
-solves one form only.
+`omega_matrices` returns one raw product, Omega_A of Lambda or Omega_B
+of Lambda^T, and `g_eigensystem` is the one place that symmetrizes a
+form.  The spectrum comes from LAPACK as cluster means (`_quartic`).
+The solve then reads the top cluster alone, the only one any
+construction uses, and of it one row: the Gram top eigenvector of the
+cluster's span.  That span is LAPACK's eigenvector when the cluster is
+one real root, and otherwise the null space of G Omega - c I at its
+centre c: the right singular vectors below one cut, with no second try
+at a wider one.  The solve names the family on the system it returns,
+the one place it is decided: TypeI when that row is timelike, TypeII
+when it is null, DegenerateProduct when the top eigenvalue vanishes.
+The TypeI construction reads the timelike row, the TypeII construction
+the null one.  `canonical` reads a TypeI or TypeII side B off side A, so
+it solves one form only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,7 @@ import numpy as np
 from ._linalg import gram_eigenbasis, null_space_basis
 from ._quartic import quartic_real_roots
 from .errors import NumericalFailure
-from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, VectorClass, g_inner
+from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, g_inner
 
 _EPS = float(np.finfo(float).eps)
 
@@ -54,42 +53,23 @@ CLUSTER_RADIUS_REL = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# the two quadratic forms
+# the quadratic form
 
 
-def _form(lam: np.ndarray) -> np.ndarray:
+def omega_matrices(lam: np.ndarray) -> np.ndarray:
     """The raw product Lambda G Lambda^T: Omega_A of Lambda, and Omega_B of
-    Lambda^T."""
-    return lam @ G_METRIC @ lam.T
+    Lambda^T.
 
-
-@dataclass(frozen=True)
-class OmegaPair:
-    """The pair of quadratic forms attached to a correlation matrix.
-
-    Omega_B is formed on its first read: only a TypeII or degenerate
-    product side A, and the CLI's ``verify``, read it.
-    """
-
-    lam: np.ndarray
-    omega_a: np.ndarray
-
-    @functools.cached_property
-    def omega_b(self) -> np.ndarray:
-        return _form(self.lam.T)
-
-
-def omega_matrices(lam: np.ndarray) -> OmegaPair:
-    """Both quadratic forms of a correlation matrix, as the raw products.
-
-    The products are symmetric in exact arithmetic.  `g_eigensystem` is
-    the one place that symmetrizes a form, and it records the asymmetry
-    it removes.
+    The product is symmetric in exact arithmetic.  `g_eigensystem` is the
+    one place that symmetrizes a form, and it records the asymmetry it
+    removes.  Only a TypeII or degenerate product side A, and the CLI's
+    ``verify``, read Omega_B.  The name is the one the benchmark's tracer
+    wraps.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4, 4):
         raise ValueError(f"expected a 4x4 correlation matrix, got {lam.shape}")
-    return OmegaPair(lam=lam, omega_a=_form(lam))
+    return lam @ G_METRIC @ lam.T
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +100,21 @@ class GEigenSystem:
     """Solved eigenproblem of G @ Omega for one symmetric form Omega.
 
     ``eigenvalues`` are the four algebraic eigenvalues, descending.  The
-    solve reads the top cluster alone, and ``clusters`` holds that one
-    entry.  Every top cluster gives one row, the Gram top eigenvector of
-    its span: timelike and G-normalized (``top_class`` POSITIVE), or
-    lightlike and Euclidean-unit (NEUTRAL).  A TypeII top is defective:
-    its row is the null eigenvector, and the shortfall is the cluster's
-    multiplicity minus its dimension.  ``family`` is the canonical family
-    the solve decided, which every caller reads.
+    solve reads the top cluster alone, ``top_cluster``.  It gives one
+    row, ``top_row``, the Gram top eigenvector of the cluster's span:
+    timelike and G-normalized (the condition report's ``gram_top`` is
+    empty), or lightlike and Euclidean-unit (``gram_top`` holds its
+    x^T G x).  A TypeII top is defective: its row is the null
+    eigenvector, and the shortfall is the cluster's multiplicity minus
+    its dimension.  ``family`` is the canonical family the solve decided,
+    which every caller reads.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    top_class: VectorClass
+    top_row: np.ndarray
     family: CanonicalFamily
     #: (center, algebraic multiplicity, geometric dimension) of the top cluster
-    clusters: tuple[tuple[float, int, int], ...]
+    top_cluster: tuple[float, int, int]
     condition_report: ConditionReport
     #: the symmetrized form that was solved
     omega: np.ndarray
@@ -292,10 +272,10 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
     # x^T (G x): the product G x is exact, so this is the dot x^T G x takes
     gam = float((col * _G_DIAG) @ col)
     if gam > SIGNATURE_TOL:
-        top_class, family, gram_top = VectorClass.POSITIVE, CanonicalFamily.TYPE_I, np.zeros(0)
+        family, gram_top = CanonicalFamily.TYPE_I, np.zeros(0)
         row = col / math.sqrt(gam)
     elif gam >= -SIGNATURE_TOL:
-        top_class, family, gram_top = VectorClass.NEUTRAL, CanonicalFamily.TYPE_II, np.array([gam])
+        family, gram_top = CanonicalFamily.TYPE_II, np.array([gam])
         # np.linalg.norm's own arithmetic: a contiguous copy's dot
         flat = col.ravel()
         row = col / math.sqrt(flat.dot(flat))
@@ -310,10 +290,9 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
 
     return GEigenSystem(
         eigenvalues=np.array([c for c, k in zip(centers, mults) for _ in range(k)], dtype=float),
-        eigenvectors=_signed_unit(row)[None],
-        top_class=top_class,
+        top_row=_signed_unit(row),
         family=family,
-        clusters=((center, mult, basis.shape[1]),),
+        top_cluster=(center, mult, basis.shape[1]),
         condition_report=ConditionReport(
             imag_residue=imag_residue,
             symmetry_defect=symmetry_defect,

@@ -1,4 +1,4 @@
-"""Minkowski-space utilities: metric, vector classes, frames and completions.
+"""Minkowski-space utilities: metric, frames and completions.
 
 Four-vectors live in R^4 with metric G = diag(1, -1, -1, -1).  A set
 {y0, y1, y2, y3} is a G-orthonormal tetrad when the Gram matrix of the
@@ -9,7 +9,6 @@ spacelike legs, mutually G-orthogonal).
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -97,12 +96,6 @@ def g_inner(x: np.ndarray | list[float], y: np.ndarray | list[float]) -> float:
 def minkowski_norm(x: np.ndarray) -> float:
     """Squared Minkowski norm x^T G x (sign carries the causal class)."""
     return g_inner(x, x)
-
-
-class VectorClass(Enum):
-    POSITIVE = "Positive"   # timelike,  x^T G x > 0
-    NEUTRAL = "Neutral"     # lightlike, x^T G x = 0
-    NEGATIVE = "Negative"   # spacelike, x^T G x < 0
 
 
 def lorentz_defect(L: np.ndarray) -> float:

@@ -380,8 +380,7 @@ def h_derivative_norm_check(
     checks: list[tuple[float, float, str]] = []
     ok = True
     # the clusters from the eigenvalues, which repeat each centre by its
-    # multiplicity: a solve that stops at a timelike top lists only the
-    # top cluster in ``clusters``
+    # multiplicity: the solve keeps only the top cluster, ``top_cluster``
     for idx, (center, run) in enumerate(groupby(sys.eigenvalues.tolist())):
         if len(list(run)) != 1:
             checks.append((center, np.nan, "skipped: degenerate"))

@@ -23,13 +23,13 @@ from lorentzsvd.canonical import (
     sigma_from_bcd,
     type2_canonical,
 )
-from lorentzsvd.geigen import CanonicalFamily, g_eigensystem, omega_matrices
+from lorentzsvd.geigen import SIGNATURE_TOL, CanonicalFamily, g_eigensystem, omega_matrices
 from lorentzsvd.geometry import (
     sample_steered_surface,
     steering_ellipsoid,
     surface_residuals,
 )
-from lorentzsvd.minkowski import G_METRIC, VectorClass, is_orthochronous_proper_lorentz
+from lorentzsvd.minkowski import G_METRIC, is_orthochronous_proper_lorentz
 from lorentzsvd.qstate import (
     apply_slocc,
     is_valid_state,
@@ -85,8 +85,7 @@ def test_criterion_1_spectral_properties(corpus):
     max_imag = 0.0
     neutral_count = 0
     for idx, (rank, _, lam) in enumerate(corpus):
-        pair = omega_matrices(lam)
-        for tag, omega in (("A", pair.omega_a), ("B", pair.omega_b)):
+        for tag, omega in (("A", omega_matrices(lam)), ("B", omega_matrices(lam.T))):
             sys = g_eigensystem(omega)
             low = float(sys.eigenvalues.min())
             min_eig = min(min_eig, low)
@@ -96,11 +95,13 @@ def test_criterion_1_spectral_properties(corpus):
             max_imag = max(max_imag, residue)
             if residue > 1e-9:
                 failures.append(f"state {idx} rank {rank} side {tag}: imag residue {residue:.3e}")
-            if sys.top_class not in (VectorClass.POSITIVE, VectorClass.NEUTRAL):
-                failures.append(f"state {idx} rank {rank} side {tag}: top class {sys.top_class}")
-            if sys.top_class is VectorClass.NEUTRAL:
+            # a timelike top row has no Gram value, a lightlike one its x^T G x
+            gram = sys.condition_report.gram_top
+            if gram.size:
                 neutral_count += 1
-                if sys.clusters[0][1] < 2:
+                if abs(gram[0]) > SIGNATURE_TOL:
+                    failures.append(f"state {idx} rank {rank} side {tag}: top Gram value {gram[0]}")
+                if sys.top_cluster[1] < 2:
                     failures.append(
                         f"state {idx} rank {rank} side {tag}: neutral top with simple eigenvalue"
                     )
@@ -108,7 +109,7 @@ def test_criterion_1_spectral_properties(corpus):
         1,
         failures,
         f"{len(corpus)} states x 2 forms: min eigenvalue {min_eig:.2e} (>= -1e-9), "
-        f"max imag residue {max_imag:.2e} (<= 1e-9), top classes Positive/Neutral "
+        f"max imag residue {max_imag:.2e} (<= 1e-9), top rows timelike or lightlike "
         f"({neutral_count} neutral tops, all with multiplicity >= 2)",
     )
 
@@ -128,9 +129,8 @@ def _power_traces(omega: np.ndarray) -> np.ndarray:
 
 
 def _trace_gap(lam: np.ndarray) -> float:
-    pair = omega_matrices(lam)
-    ta = _power_traces(pair.omega_a)
-    tb = _power_traces(pair.omega_b)
+    ta = _power_traces(omega_matrices(lam))
+    tb = _power_traces(omega_matrices(lam.T))
     return float(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(ta, tb)))
 
 
@@ -265,8 +265,7 @@ def test_criterion_4_closed_form_equivalence():
     # spot value for (b, c, d) = (0.5, 0.1, 0.3)
     sigma, _ = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
     # side B from its own eigensolve: side A of Sigma^T
-    pt = omega_matrices(sigma.T)
-    params = type2_canonical(pt, g_eigensystem(pt.omega_a)).parameters
+    params = type2_canonical(sigma.T, g_eigensystem(omega_matrices(sigma.T))).parameters
     if abs(params["r0"] - 5.0 / 9.0) > 1e-12:
         failures.append(f"spot s0 = {params['r0']!r}, expected 0.5555...")
     if abs(params["r1"] - 0.301511) > 5e-7:
@@ -288,15 +287,15 @@ def test_criterion_4_closed_form_equivalence():
 def test_criterion_5_type2_fixed_point():
     failures: list[str] = []
     lam = _pattern_a(0.64, 0.6)
-    sys = g_eigensystem(omega_matrices(lam).omega_a)
+    sys = g_eigensystem(omega_matrices(lam))
     if sys.family is not CanonicalFamily.TYPE_II:
         failures.append(f"classified {sys.family.value}, expected TypeII")
     if abs(sys.eigenvalues[0] - 0.64) > 1e-12 or abs(sys.eigenvalues[1] - 0.64) > 1e-12:
         failures.append(f"top eigenvalues {sys.eigenvalues[:2]}, expected (0.64, 0.64)")
-    if sys.clusters[0][1] != 2:
-        failures.append(f"top multiplicity {sys.clusters[0][1]}, expected 2")
-    if sys.top_class is not VectorClass.NEUTRAL:
-        failures.append(f"top class {sys.top_class.value}, expected Neutral")
+    if sys.top_cluster[1] != 2:
+        failures.append(f"top multiplicity {sys.top_cluster[1]}, expected 2")
+    if sys.condition_report.gram_top.size != 1:
+        failures.append("top row timelike, expected lightlike")
 
     res = canonicalize(rho_from_lambda(lam))
     if res.family is not SideFamily.TYPE_II_A:
@@ -376,7 +375,7 @@ def test_criterion_7_secular_oracle_agreement():
     eye3 = np.eye(3)
     for i in range(1000):
         lam = lambda_from_rho(random_state(4, seed=7_000_000 + i))
-        omega = omega_matrices(lam).omega_a
+        omega = omega_matrices(lam)
         sys = g_eigensystem(omega)
         oracle = spectral_oracle(omega)
         roots = oracle_eigenvalues(oracle)

@@ -64,10 +64,10 @@ def canonical_density(result: CanonicalResult) -> np.ndarray:
     if result.family is SideFamily.TYPE_I:
         lams = np.asarray(p["lambdas"], dtype=float)
         r = np.sqrt(np.clip(lams / lams[0], 0.0, None))
-        return canonical_rho_type1(r[1], r[2], p["detSign"] * r[3])
+        return canonical_rho_type1(r[1], r[2], p["detSign"] * r[3], tol=1e-9)
     if result.family is SideFamily.TYPE_II_A:
-        return canonical_rho_type2(p["r0"], p["r1"], "A")
-    return canonical_rho_type2(p["s0"], p["s1"], "B")
+        return canonical_rho_type2(p["r0"], p["r1"], "A", tol=1e-9)
+    return canonical_rho_type2(p["s0"], p["s1"], "B", tol=1e-9)
 
 
 def type2_lambda(r0: float, r1: float) -> np.ndarray:
@@ -283,7 +283,7 @@ def test_close_simple_roots_stay_apart():
     res = canonicalize(rho)
     assert res.family is SideFamily.TYPE_I
     assert res.residuals["factorization"] <= 1e-8
-    omega = omega_matrices(lambda_from_rho(rho)).omega_a
+    omega = omega_matrices(lambda_from_rho(rho))
     with mpmath.workdps(50):
         exact = sorted(float(mpmath.re(z)) for z in mpmath.eig(
             mpmath.matrix((G_METRIC @ omega).tolist()), left=False, right=False))
@@ -622,19 +622,19 @@ def test_partner_triad_is_a_b_side_eigenvector_triad(d):
     for _ in range(5):
         moved = apply_slocc(rho, random_sl2c(gen), random_sl2c(gen))
         lam = lambda_from_rho(moved)
-        pair = omega_matrices(lam)
+        omega_b = omega_matrices(lam.T)
         L_B = canonicalize(moved).right_lorentz
         u0 = L_B[0] + L_B[3]
         rows = np.vstack([u0 / np.linalg.norm(u0), L_B[1], L_B[2]])
         np.testing.assert_allclose(
             rows @ G_METRIC @ rows.T, np.diag([0.0, -1.0, -1.0]), atol=1e-12
         )
-        values = g_eigensystem(pair.omega_a).eigenvalues[[0, 2, 2]]
-        k_op = G_METRIC @ pair.omega_b
+        values = g_eigensystem(omega_matrices(lam)).eigenvalues[[0, 2, 2]]
+        k_op = G_METRIC @ omega_b
         for x, c in zip(rows, values):
             assert np.linalg.norm(k_op @ x - c * x) <= 1e-9
-        solved = g_eigensystem(pair.omega_b)
-        assert abs(rows[0] @ solved.eigenvectors[0]) == pytest.approx(1.0, abs=1e-7)
+        solved = g_eigensystem(omega_b)
+        assert abs(rows[0] @ solved.top_row) == pytest.approx(1.0, abs=1e-7)
 
 
 @pytest.mark.parametrize("slocc_seed", range(5))
@@ -647,8 +647,7 @@ def test_carried_partner_matches_a_b_side_solve(slocc_seed):
     moved = apply_slocc(rho, random_sl2c(gen), random_sl2c(gen))
     lam = lambda_from_rho(moved)
     # side B from its own eigensolve is side A of Lambda^T
-    pt = omega_matrices(lam.T)
-    solved = type2_canonical(pt, g_eigensystem(pt.omega_a))
+    solved = type2_canonical(lam.T, g_eigensystem(omega_matrices(lam.T)))
     partner = canonicalize(moved).partner
     assert partner.family is SideFamily.TYPE_II_B
     for key, ref in (("s0", "r0"), ("s1", "r1"), ("chi0", "phi0")):
@@ -670,8 +669,7 @@ def test_carried_partner_on_the_r1_zero_route(rapidity):
     assert res.parameters["r1"] <= 1e-12 and res.partner.parameters["s1"] <= 1e-12
     assert_factorization(res, lam)
     assert_factorization(res.partner, lam)
-    pt = omega_matrices(lam.T)
-    solved = type2_canonical(pt, g_eigensystem(pt.omega_a))
+    solved = type2_canonical(lam.T, g_eigensystem(omega_matrices(lam.T)))
     assert abs(res.partner.parameters["s0"] - solved.parameters["r0"]) <= 1e-8
 
 
@@ -763,7 +761,7 @@ def test_eps_mixed_sigma_closes_its_split_double_root(eps):
     ],
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
-    """The Omega forms built once and one eigensolve: the TypeI B time leg
+    """Each Omega form built once and one eigensolve: the TypeI B time leg
     and the TypeII B null eigenvector both come from Lambda.  Omega_B is
     formed only where it is read, by the TypeII partner, so a TypeI state
     forms Omega_A alone.  Only a top cluster of two or more dimensions
@@ -772,10 +770,9 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     defective top has one eigenvector.  Each family is one call of its
     construction, which builds both sides."""
     import lorentzsvd.canonical as canonical
-    import lorentzsvd.geigen as geigen
 
-    targets = {"g_eigensystem": canonical, "omega_matrices": canonical, "_form": geigen,
-               "eigh": np.linalg, "type1_canonical": canonical, "type2_canonical": canonical}
+    targets = {"g_eigensystem": canonical, "eigh": np.linalg,
+               "type1_canonical": canonical, "type2_canonical": canonical}
     calls = dict.fromkeys(targets, 0)
     for name, module in targets.items():
 
@@ -784,9 +781,19 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    # the side of each form built: Omega_A of Lambda, Omega_B of Lambda^T
+    lam, forms = lambda_from_rho(rho), []
+
+    def counted_form(w, _fn=canonical.omega_matrices):
+        forms.append("A" if np.array_equal(w, lam) else "B" if np.array_equal(w, lam.T) else "?")
+        return _fn(w)
+
+    monkeypatch.setattr(canonical, "omega_matrices", counted_form)
     assert canonicalize(rho).family is family
     type2 = family is SideFamily.TYPE_II_A
-    assert calls == {"g_eigensystem": 1, "omega_matrices": 1, "_form": 1 + type2, "eigh": 0,
+    assert not np.array_equal(lam, lam.T)
+    assert forms == ["A"] + ["B"] * type2
+    assert calls == {"g_eigensystem": 1, "eigh": 0,
                      "type1_canonical": 1 - type2, "type2_canonical": int(type2)}
 
 
@@ -857,7 +864,7 @@ def test_conjugate_pairs_close_without_the_quartic(monkeypatch):
         canonicalize(rho)
     assert calls == {"charpoly_g": 0, "polyval": 0}
     for rho in states:
-        sys = g_eigensystem(omega_matrices(lambda_from_rho(rho)).omega_a)
+        sys = g_eigensystem(omega_matrices(lambda_from_rho(rho)))
         assert sys.condition_report.imag_residue > 0.0
 
 
@@ -889,7 +896,7 @@ def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
         assert res.family is SideFamily.TYPE_I
         assert max(lorentz_defect(res.left_lorentz), lorentz_defect(res.right_lorentz)) <= 1e-14
         lam = lambda_from_rho(rho)
-        lambdas = g_eigensystem(omega_matrices(lam).omega_a).eigenvalues
+        lambdas = g_eigensystem(omega_matrices(lam)).eigenvalues
         assert res.parameters["lambdas"] == lambdas.tolist()
         D = res.left_lorentz @ lam @ res.right_lorentz.T
         d = np.diag(D) / D[0, 0]
@@ -1039,8 +1046,7 @@ def test_sigma_closed_form_side_a_values():
     assert abs(image[3, 3] - 0.2) < 1e-12
     assert abs(image[1, 1] - 0.18090680674665818) < 1e-12
     # same orbit as the pipeline's A side: equal eigenvalue ratio
-    pair = omega_matrices(sigma)
-    res_a = type2_canonical(pair, g_eigensystem(pair.omega_a))
+    res_a = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma)))
     ratio = res_a.parameters["r1"] ** 2 / res_a.parameters["r0"]
     assert abs(ratio - image[1, 1] ** 2 / image[3, 3]) < 1e-12
 
@@ -1083,8 +1089,7 @@ def test_sigma_equivalence_random_region(seed):
 def test_sigma_eigenvalues_closed_form():
     b, c, d = 0.5, 0.1, 0.3
     sigma, _ = sigma_from_bcd(SigmaParameters(b, c, d))
-    pair = omega_matrices(sigma)
-    res = type2_canonical(pair, g_eigensystem(pair.omega_a))
+    res = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma)))
     lam0, lam1 = 0.55, 0.09
     assert abs(res.parameters["r0"] * res.parameters["phi0"] - lam0) < 1e-12
     assert abs(res.parameters["r1"] ** 2 * res.parameters["phi0"] - lam1) < 1e-12
@@ -1095,7 +1100,7 @@ def test_sigma_eigenvalues_closed_form():
 
 
 def test_canonical_rho_type1_is_bell_diagonal():
-    rho = canonical_rho_type1(0.5, 0.5, -0.5)
+    rho = canonical_rho_type1(0.5, 0.5, -0.5, tol=1e-9)
     assert is_valid_state(rho).valid
     np.testing.assert_allclose(
         lambda_from_rho(rho), np.diag([1.0, 0.5, 0.5, -0.5]), atol=1e-15
@@ -1104,11 +1109,11 @@ def test_canonical_rho_type1_is_bell_diagonal():
 
 def test_canonical_rho_type1_rejects_nonpositive():
     with pytest.raises(InvalidCanonicalParameters):
-        canonical_rho_type1(0.9, 0.9, 0.9)
+        canonical_rho_type1(0.9, 0.9, 0.9, tol=1e-9)
 
 
 def test_canonical_rho_type2_reference_entries():
-    rho = canonical_rho_type2(0.64, 0.6, "A")
+    rho = canonical_rho_type2(0.64, 0.6, "A", tol=1e-9)
     assert rho[0, 0] == 0.5
     assert rho[1, 1] == pytest.approx(0.18)
     assert rho[3, 3] == pytest.approx(0.32)
@@ -1124,13 +1129,13 @@ def test_arrow_min_eigenvalue_is_the_spectrum_minimum():
         for share in (0.0, 0.1, 0.5, 0.9, 1.0):
             p1 = (share * p0) ** 0.5
             for side in ("A", "B"):
-                want = float(np.linalg.eigvalsh(canonical_rho_type2(p0, p1, side)).min())
+                want = float(np.linalg.eigvalsh(canonical_rho_type2(p0, p1, side, tol=1e-9)).min())
                 assert abs(_arrow_min_eigenvalue(p0, p1) - want) <= 1e-15, (p0, p1)
 
 
 def test_canonical_rho_type2_rejects_r1_squared_above_r0():
     with pytest.raises(InvalidCanonicalParameters):
-        canonical_rho_type2(0.25, 0.6, "A")
+        canonical_rho_type2(0.25, 0.6, "A", tol=1e-9)
 
 
 def test_canonical_density_round_trip():

@@ -868,15 +868,13 @@ def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command
     most once: Omega_B only where it is read, so a TypeI `canonicalize`
     forms Omega_A alone.  `canonicalize` solves side A only; `verify`
     solves each side once, for its shared spectrum, and a DegenerateProduct
-    state's family check reuses that B solve."""
+    state's family check and a TypeII partner reuse that B solve."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
-    import lorentzsvd.geigen as geigen
 
     calls = {"lambda_from_rho": 0, "omega_matrices": 0, "g_eigensystem": 0}
     targets = [(module, name) for module in (cli, canonical) for name in calls]
-    calls["_form"] = 0
-    for module, name in targets + [(geigen, "_form")]:
+    for module, name in targets:
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -886,8 +884,7 @@ def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command
     path = write_state(tmp_path, "s.json", json.loads(dumps(doc)))
     code, _, err = run([command, path], capsys)
     assert code == 0, err
-    assert calls == {"lambda_from_rho": 1, "omega_matrices": 1, "g_eigensystem": solves,
-                     "_form": forms}
+    assert calls == {"lambda_from_rho": 1, "omega_matrices": forms, "g_eigensystem": solves}
 
 
 def test_batch_isolates_failures(tmp_path, capsys):

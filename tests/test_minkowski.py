@@ -12,7 +12,6 @@ from lorentzsvd.minkowski import (
     DEFAULT_TOL,
     G_METRIC,
     LORENTZ_TOL_FLOOR,
-    VectorClass,
     complete_tetrad_from_neutral_triad,
     g_inner,
     is_orthochronous_proper_lorentz,
@@ -26,8 +25,9 @@ from conftest import boost_z, random_lorentz, random_rotation, rng
 E = np.eye(4)
 
 
-def classify_four_vector(x: np.ndarray, tol: float = DEFAULT_TOL) -> VectorClass:
-    """Causal class of a four-vector.
+def classify_four_vector(x: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Causal class of a four-vector, as the sign of x^T G x: +1 timelike,
+    0 lightlike, -1 spacelike.
 
     The neutral band is |x^T G x| <= tol * max(1, ||x||^2), so the
     classification is scale-aware but never sharper than `tol` in
@@ -37,8 +37,8 @@ def classify_four_vector(x: np.ndarray, tol: float = DEFAULT_TOL) -> VectorClass
     n = minkowski_norm(x)
     scale = max(1.0, float(x @ x))
     if abs(n) <= tol * scale:
-        return VectorClass.NEUTRAL
-    return VectorClass.POSITIVE if n > 0 else VectorClass.NEGATIVE
+        return 0
+    return 1 if n > 0 else -1
 
 
 def test_metric():
@@ -52,12 +52,12 @@ def test_minkowski_norm_values():
 
 
 def test_classification():
-    assert classify_four_vector(E[0]) is VectorClass.POSITIVE
-    assert classify_four_vector(E[1]) is VectorClass.NEGATIVE
-    assert classify_four_vector(np.array([1.0, 0.0, 0.0, 1.0])) is VectorClass.NEUTRAL
+    assert classify_four_vector(E[0]) == 1
+    assert classify_four_vector(E[1]) == -1
+    assert classify_four_vector(np.array([1.0, 0.0, 0.0, 1.0])) == 0
     # neutral band is tolerance-aware
-    assert classify_four_vector(np.array([1.0, 0.0, 0.0, 1.0 + 1e-13])) is VectorClass.NEUTRAL
-    assert classify_four_vector(np.array([1.0, 0.0, 0.0, 1.0 + 1e-4])) is VectorClass.NEGATIVE
+    assert classify_four_vector(np.array([1.0, 0.0, 0.0, 1.0 + 1e-13])) == 0
+    assert classify_four_vector(np.array([1.0, 0.0, 0.0, 1.0 + 1e-4])) == -1
 
 
 def test_oplg_predicate():
@@ -176,5 +176,5 @@ def test_lorentz_invariance_of_class(seed):
     x = gen.normal(size=4)
     assert abs(minkowski_norm(L @ x) - minkowski_norm(x)) < 1e-9 * max(1.0, x @ x)
     cls = classify_four_vector(x, tol=1e-6)
-    if cls is not VectorClass.NEUTRAL:  # near the cone the class may legitimately flip
-        assert classify_four_vector(L @ x, tol=1e-4) in (cls, VectorClass.NEUTRAL)
+    if cls != 0:  # near the cone the class may legitimately flip
+        assert classify_four_vector(L @ x, tol=1e-4) in (cls, 0)

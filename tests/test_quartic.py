@@ -44,7 +44,7 @@ def radius(omega: np.ndarray) -> float:
 
 def test_charpoly_matches_determinant_reference():
     gen = rng(31)
-    forms = [omega_matrices(lambda_from_rho(random_state(r, seed=s))).omega_a
+    forms = [omega_matrices(lambda_from_rho(random_state(r, seed=s)))
              for r in (1, 2, 3, 4) for s in range(10)]
     for _ in range(40):
         a = gen.normal(size=(4, 4))
@@ -175,7 +175,7 @@ def test_quartic_refuses_a_complex_pair():
 def test_simple_roots_match_mpmath_eig():
     """Full-rank Ginibre states have four simple roots, each within 1e-14
     of the 50-digit eigenvalue of the same float G @ omega."""
-    for omega in [omega_matrices(lambda_from_rho(random_state(r, seed=s))).omega_a
+    for omega in [omega_matrices(lambda_from_rho(random_state(r, seed=s)))
                   for r in (3, 4) for s in range(20)]:
         q = quartic_real_roots(omega, radius(omega))
         assert q.multiplicities.tolist() == [1, 1, 1, 1]
