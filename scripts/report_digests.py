@@ -51,26 +51,28 @@ def _eigen_digest(omega: np.ndarray) -> str:
     """Hash of one eigensystem: the four eigenvalues, the top row with its
     norm, the top cluster and the row's Gram value.
 
-    The solve reads the top cluster alone and gives one row per top
-    cluster, its span's Gram top eigenvector: a timelike row with no Gram
-    value, or a lightlike row with its x^T G x.  On the benchmark corpora
-    every top cluster gave one row also while a top that was not timelike
-    kept a row per geometric eigenvector, so digests written then are
-    unchanged.  Digests written while the solve went on below a top that
-    was not timelike differ from these exactly on such sides; on a side
-    with a timelike top the per-row residuals they also hashed were
-    empty, so those digests are unchanged.
+    The solve reads the top cluster alone and gives one row, its span's
+    Gram top eigenvector: a timelike row with no Gram value, or the
+    Euclidean-unit row of a DegenerateProduct side with its x^T G x when
+    it is not timelike.  A TypeII side is not solved: its family and null
+    top eigenvector come from rho's kernel, and the solve refuses it, so
+    its record is that refusal.  Digests of TypeI sides are those the
+    solve wrote while it also named TypeII; on a side with a timelike top
+    the per-row residuals that digests written before the one-row solve
+    also hashed were empty, so those digests are unchanged too.
     """
-    from lorentzsvd.geigen import g_eigensystem
+    from lorentzsvd.geigen import SIGNATURE_TOL, g_eigensystem
 
     s = g_eigensystem(omega)
-    # the norm of the row, 1 when timelike (no Gram value) and 0 when null,
-    # and the top cluster as a 1-tuple, as the solve once recorded them,
-    # so digests written then still compare
-    norms = np.array([int(s.condition_report.gram_top.size == 0)], dtype=int)
+    # the norm of the row, 1 when timelike and 0 otherwise, its Gram value
+    # when not timelike, and the top cluster as a 1-tuple, as the solve
+    # once recorded them, so digests written then still compare
+    x = s.top_row
+    gram = float(x @ (x * np.array([1.0, -1.0, -1.0, -1.0])))
+    timelike = gram > SIGNATURE_TOL
     return _sha(
-        s.eigenvalues.tobytes(), s.top_row.tobytes(), norms.tobytes(),
-        repr((s.top_cluster,)).encode(), s.condition_report.gram_top.tobytes(),
+        s.eigenvalues.tobytes(), x.tobytes(), np.array([int(timelike)], dtype=int).tobytes(),
+        repr((s.top_cluster,)).encode(), b"" if timelike else np.array([gram]).tobytes(),
     )
 
 

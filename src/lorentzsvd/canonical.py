@@ -5,17 +5,21 @@ A valid state's correlation matrix Lambda factors as
     Lambda^c = L_A Lambda L_B^T / N ,
 
 with L_A, L_B proper orthochronous Lorentz matrices, N > 0 the
-00-normalization, and Lambda^c one of three shapes decided by the
-G-eigensystem of Omega_A = Lambda G Lambda^T:
+00-normalization, and Lambda^c one of three shapes:
 
+* non-diagonalizable family ("TypeII", defective top eigenvalue): the
+  arrow-shaped pattern with two parameters (r0, r1) on the A side or
+  (s0, s1) on the B side, realized on a rank <= 3 state.  It is decided
+  on rho's kernel, which holds a product vector exactly for these
+  states (`qstate.read_state`), and no G-eigensystem is solved;
 * diagonalizable family ("TypeI"): Lambda^c is diagonal,
   diag(1, d1, d2, d3) with d_i^2 = l_i/l0 and d3 signed by det Lambda,
   realized on a Bell-diagonal state;
-* non-diagonalizable family ("TypeII", defective top eigenvalue): the
-  arrow-shaped pattern with two parameters (r0, r1) on the A side or
-  (s0, s1) on the B side, realized on a rank <= 3 state;
 * degenerate product family: the top eigenvalue vanishes and no
   00-normalizable canonical form exists.
+
+The G-eigensystem of Omega_A = Lambda G Lambda^T tells the last two
+apart, on every state that is not TypeII.
 
 Both families follow the Lorentz-SVD route Rao et al. take for Mueller
 matrices (J. Mod. Opt. 45, 955 (1998)): one top eigenvector, exact group
@@ -25,9 +29,10 @@ degenerate top eigenspace, where the choice is gauge, its Gram top
 eigenvector): a boost takes a to the time axis on side A, and another
 its image through Lambda on side B, after which the SVD of the
 remaining 3x3 block gives the two rotations.  The TypeII factors need
-the future null top eigenvector u alone: a rotation, a null rotation
-and a boost on each side bring Lambda to the arrow pattern up to its
-1-2 block, whose 2x2 SVD gives the two rotations (see `_arrow`).
+the future null top eigenvector u alone, which rho's kernel gives: a
+rotation, a null rotation and a boost on each side bring Lambda to the
+arrow pattern up to its 1-2 block, whose 2x2 SVD gives the two
+rotations (see `_arrow`).
 Residual gauge freedom in the non-diagonalizable family (the null top
 eigenvector has no preferred scale) is pinned by a fixed rule,
 documented in `_arrow`, chosen so that canonical inputs reproduce their
@@ -51,7 +56,7 @@ from .errors import (
     NumericalFailure,
     SingularTopEigenvalue,
 )
-from .geigen import CanonicalFamily, GEigenSystem, g_eigensystem, omega_matrices
+from .geigen import CanonicalFamily, GEigenSystem, g_eigensystem, g_spectrum, omega_matrices
 from .minkowski import (
     DEFAULT_TOL,
     DEFECTIVE_ROOT_FLOOR,
@@ -62,7 +67,7 @@ from .minkowski import (
     det3,
     is_orthochronous_proper_lorentz,
 )
-from .qstate import lambda_from_rho, rho_from_lambda
+from .qstate import read_state, rho_from_lambda
 
 
 class SideFamily(Enum):
@@ -303,40 +308,36 @@ def _arrow_min_eigenvalue(p0: float, p1: float) -> float:
     return min(0.0, 0.5 * (1.0 - p0), 0.25 * (1.0 + p0 - root))
 
 
-def _null_rotation(B: list[list[float]], lam0: float, sign: float) -> tuple[float, float]:
+def _null_rotation(B: list[list[float]], lam0: float) -> tuple[float, float]:
     """(a, b) solving [[B11 + lam0, B12], [B12, B22 + lam0]] (a, b) =
-    -(B(e1, x), B(e2, x)) / 2 for x = e0 + sign * e3, on Python floats."""
+    -(B(e1, n), B(e2, n)) / 2 for n = e0 + e3, on Python floats."""
     m11, m12, m22 = B[1][1] + lam0, B[1][2], B[2][2] + lam0
-    f1, f2 = -0.5 * (B[1][0] + sign * B[1][3]), -0.5 * (B[2][0] + sign * B[2][3])
+    f1, f2 = -0.5 * (B[1][0] + B[1][3]), -0.5 * (B[2][0] + B[2][3])
     det = m11 * m22 - m12 * m12
     return (f1 * m22 - m12 * f2) / det, (m11 * f2 - m12 * f1) / det
 
 
 def type2_canonical(
     lam: np.ndarray,
-    sys_a: GEigenSystem,
+    u: np.ndarray,
+    merged: bool,
     tol: float = DEFAULT_TOL,
-    omega_b: np.ndarray | None = None,
 ) -> CanonicalResult:
     """Arrow-shaped canonical form of side A, with side B as ``partner``.
 
-    ``sys_a`` is the eigensystem of Omega_A; only its null top row u, its
-    top cluster and its form are read.  Side A's parameters are (r0, r1)
-    with scale phi0, side B's (s0, s1) with scale chi0.  No
-    B eigensystem is solved: v = G Lambda^T u, the image of u, satisfies
+    ``u`` is the future null top eigenvector of G Omega_A and ``merged``
+    says its top cluster holds all four eigenvalues (r1^2 = r0), both as
+    rho's kernel gives them (`qstate.StateKernel`).  Side A's parameters
+    are (r0, r1) with scale phi0, side B's (s0, s1) with scale chi0.  No
+    eigensystem is solved: v = G Lambda^T u, the image of u, satisfies
     G Omega_B v = G Lambda^T G Omega_A u = lam0 v, so v is side B's null
-    top eigenvector, and the two sides share the spectrum.  A B side of
-    another family shows up in the checks of the B-side construction,
-    which reads Omega_B: ``omega_b`` when the caller has formed it
-    already, otherwise formed here.  Side B from its own eigensystem is
-    side A of Lambda^T, since Omega_A(Lambda^T) = Omega_B(Lambda).
+    top eigenvector, and the two sides share the spectrum.  Each side's
+    construction forms its own Omega, where a B side of another family
+    shows up in the checks.  Side B from its own kernel vector is side A
+    of Lambda^T, since Omega_A(Lambda^T) = Omega_B(Lambda).
     """
-    if sys_a.family is not CanonicalFamily.TYPE_II:
-        raise NotTypeII(f"state classifies as {sys_a.family.value}")
-    u, merged = sys_a.top_row, sys_a.top_cluster[1] == 4
-    result = _arrow(lam, sys_a.omega, "A", u, merged, tol)
-    omega_b = omega_matrices(lam.T) if omega_b is None else omega_b
-    partner = _arrow(lam, omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
+    result = _arrow(lam, omega_matrices(lam), "A", u, merged, tol)
+    partner = _arrow(lam, omega_matrices(lam.T), "B", G_METRIC @ lam.T @ u, merged, tol)
     return replace(result, partner=partner)
 
 
@@ -358,20 +359,18 @@ def _arrow(
     1. L_A starts as diag(1, R), R a proper rotation with last row -u^,
        so that row 0 - row 3 is u.  In that frame u is l = e0 - e3, and
        the form B = L_A Omega L_A^T maps l to lam0 n, n = e0 + e3.
-    2. Two null rotations make B block-diagonal, each solving a 2x2
+    2. A null rotation about l (e1 -> e1 + a l, e2 -> e2 + b l) makes B
+       block-diagonal: (a, b) = -(B(e1, n), B(e2, n)) / 2 solves a 2x2
        system whose matrix [[B11 + lam0, B12], [B12, B22 + lam0]] is
-       close to (lam0 - lam1) I, so regular inside the TypeII region.
-       The first, about n (e1 -> e1 + c n, e2 -> e2 + d n), refines u:
-       (c, d) = -(B(e1, l), B(e2, l)) / 2 solved to first order turns l
-       until the 1-2 plane is Omega-orthogonal to it.  A defective
-       eigenvector is fixed only as well as its split double root, and
-       without this step the residual of strongly filtered states grew
-       past 1e-8.  The frame is rebuilt from the refined u.  The second,
-       about l (e1 -> e1 + a l, e2 -> e2 + b l), solves (a, b) = -(B(e1,
-       n), B(e2, n)) / 2 exactly, because B l = lam0 n.  When the
-       top cluster holds all four eigenvalues (lam1 = lam0, r1^2 = r0),
-       every frame with row 0 - row 3 along u is already block-diagonal,
-       and both rotations are the identity.
+       close to (lam0 - lam1) I, so regular inside the TypeII region,
+       and the solve is exact because B l = lam0 n.  u comes from rho's
+       kernel to about eps ||rho|| / gap, so it needs no refining first
+       (a defective eigenvector of G Omega, fixed only as well as its
+       split double root, needed a first-order null rotation about n).
+       When the top
+       cluster holds all four eigenvalues (lam1 = lam0, r1^2 = r0), every
+       frame with row 0 - row 3 along u is already block-diagonal, and the
+       rotation is the identity.
     3. Gauge: the plane of rows 0 and 3 holds two null rays, along u and
        along row 0 + row 3.  Any unit timelike leg in it yields a valid
        canonical form, but with different (r0, r1) -- the boost along u
@@ -407,16 +406,7 @@ def _arrow(
     k_a = _null_frame(u, -1.0)
     B = (k_a @ omega @ k_a.T).tolist()
     lam0 = 0.5 * (B[0][0] - B[3][3])
-    a = b = 0.0
-    if not merged:
-        # step 2: refine u, rebuild the frame, then block-diagonalize
-        c, d = _null_rotation(B, lam0, -1.0)
-        s = c * c + d * d
-        u = np.array([1.0 + s, 2.0 * c, 2.0 * d, s - 1.0]) @ k_a
-        k_a = _null_frame(u, -1.0)
-        B = (k_a @ omega @ k_a.T).tolist()
-        lam0 = 0.5 * (B[0][0] - B[3][3])
-        a, b = _null_rotation(B, lam0, 1.0)
+    a, b = (0.0, 0.0) if merged else _null_rotation(B, lam0)
     s = a * a + b * b
     q = math.sqrt(1.0 + s)
     left = np.array([[q, a / q, b / q, -s / q], [a, 1.0, 0.0, -a],
@@ -485,16 +475,20 @@ def _arrow(
 def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     """Full factorization pipeline for a two-qubit density matrix.
 
-    Dispatches on the classification of side A, the only side whose
-    eigensystem is solved for a TypeI or TypeII state.  The
-    diagonalizable family reports one result (the two sides coincide);
-    the non-diagonalizable family reports the A side with the B side
-    attached as ``partner``, since the two canonical states differ in
-    general.  The degenerate product family yields a report without
-    canonical normalization.
+    The family is decided once.  rho's kernel decides TypeII
+    (`read_state`), and a TypeII state is factored from the null top
+    eigenvector that kernel gives, with no eigensolve.  Every other
+    state solves side A's eigensystem, which decides TypeI or
+    DegenerateProduct (`_factor_solved`).  The diagonalizable family
+    reports one result (the two sides coincide); the non-diagonalizable
+    family reports the A side with the B side attached as ``partner``,
+    since the two canonical states differ in general.  The degenerate
+    product family yields a report without canonical normalization.
     """
-    lam = lambda_from_rho(rho, tol)
-    return _factor_solved(lam, g_eigensystem(omega_matrices(lam), tol), tol)
+    lam, kernel = read_state(rho, tol)
+    if kernel.null_top is not None:
+        return type2_canonical(lam, kernel.null_top, kernel.merged, tol)
+    return _factor_solved(lam, g_eigensystem(omega_matrices(lam), tol, kernel.rank == 1), tol)
 
 
 def _factor_solved(
@@ -503,23 +497,17 @@ def _factor_solved(
     tol: float,
     sys_b: GEigenSystem | None = None,
 ) -> CanonicalResult:
-    """`canonicalize` after side A's eigensolve of Omega_A: the one family
-    dispatch.
+    """`canonicalize` of a state that is not TypeII, after side A's
+    eigensolve of Omega_A: TypeI or DegenerateProduct.
 
-    Neither a TypeI nor a TypeII side A solves side B: `type1_canonical`
-    transports the B tetrad through Lambda, and `type2_canonical` starts
-    side B from the image of side A's null top eigenvector.  Only a
-    degenerate product side A reads side B's eigensystem, to confirm the
-    family on both sides: ``sys_b`` when the caller has solved it
-    already, otherwise the solve of Omega_B, `omega_matrices` of
-    Lambda^T.  Only `type2_canonical` and this branch read Omega_B, so
-    only they form it, once each; a caller's ``sys_b`` carries the form
-    it solved, which the TypeII partner reads in place of a new one.
+    A TypeI side A solves no side B: `type1_canonical` transports the B
+    tetrad through Lambda.  Only a degenerate product side A reads side
+    B's eigensystem, to confirm the family on both sides: ``sys_b`` when
+    the caller has solved it already, otherwise the solve of Omega_B,
+    `omega_matrices` of Lambda^T.
     """
     if sys_a.family is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
-    if sys_a.family is CanonicalFamily.TYPE_II:
-        return type2_canonical(lam, sys_a, tol, None if sys_b is None else sys_b.omega)
     if sys_b is None:
         sys_b = g_eigensystem(omega_matrices(lam.T), tol)
     if sys_b.family is not CanonicalFamily.DEGENERATE_PRODUCT:
@@ -697,11 +685,12 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     The closed forms fix their own boost gauge, which agrees with the
     pinned pipeline gauge on the B side (both land on chi0 = 1 - c^2)
     but not on the A side, where only the gauge-invariant combination
-    r1^2 / r0 = lambda_1 / lambda_0 can be compared.  The pipeline's B
-    side is `type2_canonical`'s partner, as `canonicalize` builds it, so
-    only Omega_A is solved.
+    r1^2 / r0 = lambda_1 / lambda_0 can be compared.  The pipeline runs
+    as `canonicalize` does: the null top eigenvector from the kernel of
+    Sigma's state, both sides built by `type2_canonical`, and no
+    eigensystem solved; the eigenvalues are the spectrum of Omega_A.
     """
-    sigma, _ = sigma_from_bcd(p)
+    sigma, rho = sigma_from_bcd(p)
     b, c, d = p.b, p.c, p.d
     tol = max(tol, DEFECTIVE_ROOT_FLOOR)
     if abs(b - c) < _SIGMA_EDGE:
@@ -714,8 +703,10 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
     lam0 = (1.0 + c) * (1.0 - b)
     lam1 = d * d
     expected = np.array(sorted([lam0, lam0, lam1, lam1], reverse=True))
-    sys_a = g_eigensystem(omega_matrices(sigma))
-    ev_res = float(np.abs(sys_a.eigenvalues - expected).max())
+    kernel = read_state(rho)[1]
+    if kernel.null_top is None:
+        raise NotTypeII("the kernel of Sigma(b, c, d)'s state holds no product vector")
+    ev_res = float(np.abs(g_spectrum(omega_matrices(sigma)) - expected).max())
 
     # closed-form B side: a single 03-boost on the left, identity on the right
     g = np.sqrt(1.0 - c * c)
@@ -743,7 +734,7 @@ def sigma_equivalence_check(p: SigmaParameters, tol: float = DEFAULT_TOL) -> Sig
         proper = proper and is_orthochronous_proper_lorentz(left_a)
 
     # both sides as `canonicalize` builds them
-    res_a = type2_canonical(sigma, sys_a, DEFAULT_TOL)
+    res_a = type2_canonical(sigma, kernel.null_top, kernel.merged, DEFAULT_TOL)
     res_b = res_a.partner
     s_res = max(
         abs(res_b.parameters["s0"] - s0),

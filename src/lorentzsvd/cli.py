@@ -29,11 +29,17 @@ from typing import NoReturn
 
 import numpy as np
 
-from .canonical import SigmaParameters, _factor_solved, canonicalize, sigma_equivalence_check
+from .canonical import (
+    SigmaParameters,
+    _factor_solved,
+    canonicalize,
+    sigma_equivalence_check,
+    type2_canonical,
+)
 from .errors import InputFormatError, LorentzSvdError
-from .geigen import g_eigensystem, omega_matrices
+from .geigen import CanonicalFamily, g_eigensystem, g_spectrum, omega_matrices
 from .minkowski import DEFAULT_TOL, DEFECTIVE_ROOT_FLOOR, lorentz_defect
-from .qstate import lambda_from_rho, random_state, rho_from_lambda
+from .qstate import read_state, random_state, rho_from_lambda
 from .serialize import (
     CONVENTIONS,
     canonical_report,
@@ -175,7 +181,7 @@ def _run_random(rank: int, seed: int) -> str:
 def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     kind, payload = loads_state(_read_text(path))
     rho = _state_rho(kind, payload, tol)
-    lam = lambda_from_rho(rho, tol)  # the Lambda canonicalize would factor
+    lam, kernel = read_state(rho, tol)  # what canonicalize reads
     checks: dict[str, dict] = {}
 
     def record(name: str, value: float, threshold: float) -> None:
@@ -192,13 +198,19 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
     else:
         round_trip = np.abs(rho_from_lambda(lam, validate=False) - rho).max()
     record("rhoRoundTrip", round_trip, max(tol, _ROUND_TRIP_FLOOR))
-    sys_a = g_eigensystem(omega_matrices(lam), tol)
-    sys_b = g_eigensystem(omega_matrices(lam.T), tol)
-    scale = max(1.0, float(sys_a.eigenvalues[0]))
-    record("sharedSpectrum", np.abs(sys_a.eigenvalues - sys_b.eigenvalues).max(),
+    forms = omega_matrices(lam), omega_matrices(lam.T)
+    if kernel.null_top is not None:
+        # a TypeII state solves no eigensystem: its spectra stop at the cluster means
+        spectra = [g_spectrum(omega, tol) for omega in forms]
+        result = type2_canonical(lam, kernel.null_top, kernel.merged, tol)
+    else:
+        sys_a, sys_b = (g_eigensystem(omega, tol, kernel.rank == 1) for omega in forms)
+        spectra = [sys_a.eigenvalues, sys_b.eigenvalues]
+        # a degenerate product side A confirms its family on the B side just solved
+        result = _factor_solved(lam, sys_a, tol, sys_b)
+    scale = max(1.0, float(spectra[0][0]))
+    record("sharedSpectrum", np.abs(spectra[0] - spectra[1]).max(),
            max(100 * tol, DEFECTIVE_ROOT_FLOOR) * scale)
-    # a degenerate product side A confirms its family on the B side just solved
-    result = _factor_solved(lam, sys_a, tol, sys_b)
     if result.residuals:
         # the floor `canonicalize` rechecks the same residual against
         record("factorization", result.residuals["factorization"],
@@ -222,10 +234,15 @@ def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
                        samples: int | None = None, csv_path: str | None = None) -> tuple[str, int]:
     """(output text, exit code) of one state subcommand on one input."""
     if cmd == "classify":
-        lam = lambda_from_rho(_state_rho(*loads_state(_read_text(path)), tol), tol)
-        sys_a = g_eigensystem(omega_matrices(lam), tol)
-        spectrum = ",".join(format_float(v) for v in sys_a.eigenvalues)
-        return f"{sys_a.family.value}, eigenvalues [{spectrum}]\n", 0
+        lam, kernel = read_state(_state_rho(*loads_state(_read_text(path)), tol), tol)
+        omega = omega_matrices(lam)
+        if kernel.null_top is not None:
+            family, eigenvalues = CanonicalFamily.TYPE_II, g_spectrum(omega, tol)
+        else:
+            sys_a = g_eigensystem(omega, tol, kernel.rank == 1)
+            family, eigenvalues = sys_a.family, sys_a.eigenvalues
+        spectrum = ",".join(format_float(v) for v in eigenvalues)
+        return f"{family.value}, eigenvalues [{spectrum}]\n", 0
     if cmd == "canonicalize":
         rho = _state_rho(*loads_state(_read_text(path)), tol)
         return dumps(canonical_report(canonicalize(rho, tol))), 0

@@ -76,6 +76,10 @@ class NumericalFailure(LorentzSvdError):
     """Root finding or eigenvector extraction could not be completed."""
 
 
+class NoTimelikeTop(NumericalFailure):
+    """The top eigenspace of a state that is not TypeII holds no timelike direction."""
+
+
 # ---------------------------------------------------------------------------
 # Canonicalization layer
 

@@ -7,22 +7,26 @@ symmetric forms
 
 share the spectrum of the non-symmetric operator G @ Omega, and that
 spectrum -- real, non-negative, with a top eigenvector that is either
-timelike or lightlike -- decides which canonical form a state admits.
+timelike or lightlike -- goes with the canonical form a state admits.
 
 `omega_matrices` returns one raw product, Omega_A of Lambda or Omega_B
-of Lambda^T, and `g_eigensystem` is the one place that symmetrizes a
-form.  The spectrum comes from LAPACK as cluster means (`_quartic`).
-The solve then reads the top cluster alone, the only one any
-construction uses, and of it one row: the Gram top eigenvector of the
-cluster's span.  That span is LAPACK's eigenvector when the cluster is
-one real root, and otherwise the null space of G Omega - c I at its
-centre c: the right singular vectors below one cut, with no second try
-at a wider one.  The solve names the family on the system it returns,
-the one place it is decided: TypeI when that row is timelike, TypeII
-when it is null, DegenerateProduct when the top eigenvalue vanishes.
-The TypeI construction reads the timelike row, the TypeII construction
-the null one.  `canonical` reads a TypeI or TypeII side B off side A, so
-it solves one form only.
+of Lambda^T, and the solve is the one place that symmetrizes a form.
+The spectrum comes from LAPACK as cluster means (`_quartic`);
+`g_spectrum` stops there.  `g_eigensystem` then reads the top cluster
+alone, the only one any construction uses, and of it one row: the Gram
+top eigenvector of the cluster's span.  That span is LAPACK's
+eigenvector when the cluster is one real root, the whole space when the
+caller's rank decision found the state pure, and otherwise the null
+space of G Omega - c I at its centre c: the right singular vectors below
+one cut, with no second try at a wider one.
+
+The TypeII family is decided on rho's kernel (`qstate.read_state`),
+which also gives its null top eigenvector, so a TypeII state is never
+solved here.  For every other state the solve names the family on the
+system it returns: TypeI when the row is timelike, DegenerateProduct
+when the top eigenvalue vanishes; a top that is neither is refused
+(`NoTimelikeTop`).  `canonical` reads a TypeI side B off side A, so it
+solves one form only.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ import numpy as np
 
 from ._linalg import gram_eigenbasis, null_space_basis
 from ._quartic import quartic_real_roots
-from .errors import NumericalFailure
+from .errors import NoTimelikeTop, NumericalFailure
 from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, g_inner
 
 _EPS = float(np.finfo(float).eps)
 
-#: Minkowski norms of unit eigenvectors at or below this magnitude are
-#: treated as lightlike when reading off the signature of an eigenspace.
+#: A top row whose x^T G x, for Euclidean-unit x, is at most this is not
+#: timelike: a lightlike row reads rounding of about 1e-16, and the top
+#: row of a TypeI state stays far above it.
 SIGNATURE_TOL = 1e-8
 
 #: Relative radius for merging neighbouring eigenvalues into one
@@ -77,6 +82,9 @@ def omega_matrices(lam: np.ndarray) -> np.ndarray:
 
 
 class CanonicalFamily(Enum):
+    """The family of a state: TypeII is decided on rho's kernel, the other
+    two by `g_eigensystem`."""
+
     TYPE_I = "TypeI"
     TYPE_II = "TypeII"
     DEGENERATE_PRODUCT = "DegenerateProduct"
@@ -90,9 +98,6 @@ class ConditionReport:
     imag_residue: float
     #: asymmetry removed from the input form
     symmetry_defect: float
-    #: x^T G x of the Euclidean-unit top row x when it is lightlike; empty
-    #: when the row is timelike, since it is then G-normalized
-    gram_top: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,12 +107,9 @@ class GEigenSystem:
     ``eigenvalues`` are the four algebraic eigenvalues, descending.  The
     solve reads the top cluster alone, ``top_cluster``.  It gives one
     row, ``top_row``, the Gram top eigenvector of the cluster's span:
-    timelike and G-normalized (the condition report's ``gram_top`` is
-    empty), or lightlike and Euclidean-unit (``gram_top`` holds its
-    x^T G x).  A TypeII top is defective: its row is the null
-    eigenvector, and the shortfall is the cluster's multiplicity minus
-    its dimension.  ``family`` is the canonical family the solve decided,
-    which every caller reads.
+    timelike and G-normalized on a TypeI form, Euclidean-unit on a
+    DegenerateProduct one, whose row no construction reads.  ``family``
+    is the family the solve decided, TypeI or DegenerateProduct.
     """
 
     eigenvalues: np.ndarray
@@ -203,33 +205,16 @@ def _gram_top(basis: np.ndarray) -> np.ndarray:
     return _E0
 
 
-def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
-    """Solve the eigenproblem of G @ Omega for a 4x4 form, its symmetric
-    part, up to its top cluster.
+def _clusters(omega: np.ndarray, tol: float) -> tuple:
+    """The spectrum of G @ Omega for the symmetric part of a 4x4 form:
+    (form, symmetry defect, |Tr G Omega|, cluster centres descending,
+    their multiplicities, the `QuarticRoots` or None for the zero form).
 
-    Eigenvalues come from ``np.linalg.eig`` as cluster means.  The top
-    cluster's span is LAPACK's eigenvector when the cluster is one real
-    root, the null space at its centre otherwise (`_cluster_vectors`: one
-    SVD, at least one direction), and the whole space for the zero form
-    (every entry at most ``tol``).  The form is symmetrized here, and
-    only here (a form symmetric to the bit is its own symmetric part);
-    the asymmetry removed is the condition report's ``symmetry_defect``.
-    No construction reads a lower cluster or a second top row: TypeI
-    reads the timelike top row, TypeII the null top row and
-    DegenerateProduct the eigenvalues alone.  So the system has
-    all four eigenvalues and one row, the span's Gram top eigenvector x
-    (`_gram_top`) with a deterministic sign: G-normalized when x^T G x >
-    SIGNATURE_TOL, Euclidean-unit when it lies within SIGNATURE_TOL of
-    zero.  The family follows the row, TypeI for a timelike one and
-    TypeII for a null one, unless the top eigenvalue is at most ``tol``:
-    then no normalizable canonical form exists, and it is
-    DegenerateProduct.  ``tol`` plays no other part in the solve.
-    Raises NumericalFailure on entries that are not finite or so large
-    that the solve would overflow, when the two members of a complex
-    eigenvalue pair lie farther apart than the merge radius (input
-    violating the positivity-transfer precondition), when the null space
-    at the top centre has more directions than the cluster has roots,
-    and when the top cluster holds no timelike or lightlike direction.
+    The form is symmetrized here, and only here (a form symmetric to the
+    bit is its own symmetric part).  Every entry at most ``tol`` is the
+    zero form, one 4-fold cluster at zero.  Otherwise the eigenvalues
+    come from ``np.linalg.eig`` as cluster means, merged within
+    `CLUSTER_RADIUS_REL` times max(1, |Tr G Omega|).
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4, 4):
@@ -248,55 +233,98 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL) -> GEigenSystem:
         omega = 0.5 * (omega + omega.T)
         m = omega.tolist()
         entries = m[0] + m[1] + m[2] + m[3]
-
+    # |Tr G Omega|, summed in np.trace's order
+    trace = abs(((m[0][0] - m[1][1]) - m[2][2]) - m[3][3])
     if max(max(entries), -min(entries)) <= tol:
-        # the zero form: every direction is an eigenvector at zero
-        centers, mults, basis, imag_residue = [0.0], [4], _EYE4, 0.0
-    else:
-        # |Tr G Omega|, summed in np.trace's order
-        trace = abs(((m[0][0] - m[1][1]) - m[2][2]) - m[3][3])
-        quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
-        # distinct cluster means, largest first
-        centers = quartic.values.tolist()[::-1]
-        mults = quartic.multiplicities.tolist()[::-1]
-        imag_residue = quartic.imag_residue
-        if quartic.top_vector is not None:
-            basis = quartic.top_vector[:, None]
-        else:
-            gap = min((centers[0] - c for c in centers[1:]), default=math.inf)
-            basis = _cluster_vectors(quartic.operator, centers[0], mults[0], gap,
-                                     max(trace, SCALE_FLOOR))
+        return omega, symmetry_defect, trace, [0.0], [4], None
+    quartic = quartic_real_roots(omega, cluster_radius=CLUSTER_RADIUS_REL * max(1.0, trace))
+    # distinct cluster means, largest first
+    return (omega, symmetry_defect, trace, quartic.values.tolist()[::-1],
+            quartic.multiplicities.tolist()[::-1], quartic)
+
+
+def _repeated(centers: list[float], mults: list[int]) -> np.ndarray:
+    """The four eigenvalues, each cluster mean repeated by its multiplicity."""
+    return np.array([c for c, k in zip(centers, mults) for _ in range(k)], dtype=float)
+
+
+def g_spectrum(omega: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The four eigenvalues of G @ Omega, descending, as the cluster means
+    `g_eigensystem` reports, without its top row: the spectrum of a TypeII
+    state, whose family and null top eigenvector come from rho's kernel.
+    Raises NumericalFailure as `g_eigensystem` does before its top row."""
+    _, _, _, centers, mults, _ = _clusters(omega, tol)
+    return _repeated(centers, mults)
+
+
+def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL, pure: bool = False) -> GEigenSystem:
+    """Solve the eigenproblem of G @ Omega for a 4x4 form, its symmetric
+    part, up to its top cluster, on a state that is not TypeII.
+
+    The spectrum is `_clusters`'; the asymmetry the solve removed is the
+    condition report's ``symmetry_defect``.  The top cluster's span is
+    LAPACK's eigenvector when the cluster is one real root; the whole
+    space for the zero form, and for a top of all four roots when
+    ``pure`` says the caller's rank decision found rho pure (a pure
+    entangled state's form is N^2 G, so G Omega = N^2 I); and otherwise
+    the null space at its centre (`_cluster_vectors`: one SVD, at least
+    one direction).  No construction reads a lower cluster or a second
+    top row: TypeI reads the timelike top row and DegenerateProduct the
+    eigenvalues alone.  So the system has all four eigenvalues and one
+    row, the span's Gram top eigenvector x (`_gram_top`) with a
+    deterministic sign: G-normalized when timelike, x^T G x >
+    SIGNATURE_TOL, and Euclidean-unit when it is null within SIGNATURE_TOL
+    on a top eigenvalue at most ``tol``.  Such a top eigenvalue makes the
+    family DegenerateProduct (no normalizable canonical form exists), and
+    any other makes it TypeI.  ``tol`` plays no other part in the solve.  Raises NumericalFailure on entries
+    that are not finite or so large that the solve would overflow, when
+    the two members of a complex eigenvalue pair lie farther apart than
+    the merge radius (input violating the positivity-transfer
+    precondition), and when the null space at the top centre has more
+    directions than the cluster has roots; and NoTimelikeTop when the top
+    span holds no timelike direction, other than the null row of a
+    DegenerateProduct side: a top eigenvalue above ``tol`` that is
+    lightlike belongs to a TypeII state, which is decided on rho's
+    kernel, and one that is spacelike to no state at all.
+    """
+    omega, symmetry_defect, trace, centers, mults, quartic = _clusters(omega, tol)
     center, mult = centers[0], mults[0]
+    imag_residue = 0.0 if quartic is None else quartic.imag_residue
+    if quartic is None or (pure and mult == 4):
+        # every direction is an eigenvector at the top
+        basis = _EYE4
+    elif quartic.top_vector is not None:
+        basis = quartic.top_vector[:, None]
+    else:
+        gap = min((center - c for c in centers[1:]), default=math.inf)
+        basis = _cluster_vectors(quartic.operator, center, mult, gap, max(trace, SCALE_FLOOR))
 
     col = _gram_top(basis)
     # x^T (G x): the product G x is exact, so this is the dot x^T G x takes
     gam = float((col * _G_DIAG) @ col)
     if gam > SIGNATURE_TOL:
-        family, gram_top = CanonicalFamily.TYPE_I, np.zeros(0)
         row = col / math.sqrt(gam)
-    elif gam >= -SIGNATURE_TOL:
-        family, gram_top = CanonicalFamily.TYPE_II, np.array([gam])
+    elif center <= tol and gam >= -SIGNATURE_TOL:
+        # the null row of a degenerate product side, Euclidean-unit by
         # np.linalg.norm's own arithmetic: a contiguous copy's dot
         flat = col.ravel()
         row = col / math.sqrt(flat.dot(flat))
     else:
-        raise NumericalFailure(
-            "top eigenspace contains no timelike or lightlike direction; "
-            f"Gram value {gam:.6g}, eigenvalue {center:.6g}"
+        raise NoTimelikeTop(
+            "top eigenspace contains no timelike direction, and rho's kernel holds no "
+            f"product vector; Gram value {gam:.6g}, eigenvalue {center:.6g}"
         )
-    if center <= tol:
-        # a vanishing top eigenvalue: no normalizable canonical form
-        family = CanonicalFamily.DEGENERATE_PRODUCT
+    # a vanishing top eigenvalue: no normalizable canonical form
+    family = CanonicalFamily.DEGENERATE_PRODUCT if center <= tol else CanonicalFamily.TYPE_I
 
     return GEigenSystem(
-        eigenvalues=np.array([c for c, k in zip(centers, mults) for _ in range(k)], dtype=float),
+        eigenvalues=_repeated(centers, mults),
         top_row=_signed_unit(row),
         family=family,
         top_cluster=(center, mult, basis.shape[1]),
         condition_report=ConditionReport(
             imag_residue=imag_residue,
             symmetry_defect=symmetry_defect,
-            gram_top=gram_top,
         ),
         omega=omega,
     )

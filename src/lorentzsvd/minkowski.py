@@ -33,7 +33,8 @@ G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 #: Most of these take ``max(tol, floor)`` with a floor of their own, so a
 #: smaller ``tol`` never asks for more than the arithmetic can deliver.
 #: Root finding (the closure of a double root included), root clustering,
-#: eigenspace signatures and rank decisions do not depend on it.
+#: eigenspace signatures, rank decisions and the TypeII decision on rho's
+#: kernel do not depend on it.
 DEFAULT_TOL = 1e-10
 
 #: Floor of the tolerance at which a factor built or mapped by the package

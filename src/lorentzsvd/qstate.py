@@ -6,8 +6,16 @@ A density matrix rho on C^2 (x) C^2 is encoded by the 4x4 real matrix
 
 with sigma_0 the identity and sigma_1..3 the standard Pauli matrices.
 Local filtering operations A (x) B (SLOCC) act on Lambda through the
-two-to-one homomorphism SL(2,C) -> SO+(1,3), so all structural questions
-about rho become Minkowski-space questions about Lambda.
+two-to-one homomorphism SL(2,C) -> SO+(1,3), so most structural questions
+about rho become Minkowski-space questions about Lambda.  One is answered
+on rho itself: whether the state admits the non-diagonal (TypeII) form.
+A filter K = A (x) B keeps the rank of rho and maps a kernel vector psi
+to K^{-dag} psi, which keeps its Schmidt rank, and the canonical arrow
+states are exactly the rank-deficient states whose kernel holds a
+product vector (Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).
+`read_state` decides it from the one Hermitian eigendecomposition that
+validation runs (`StateKernel`); the G-eigensolve decides TypeI and
+DegenerateProduct for every other state.
 """
 
 from __future__ import annotations
@@ -50,6 +58,45 @@ _UNIT_DET_FLOOR = 1e-9
 #: alone takes it just outside
 _CONE_TOL_FLOOR = 1e-9
 
+_EPS = float(np.finfo(float).eps)
+
+#: The rank certificate: eigh's backward error on a 4x4 Hermitian matrix
+#: relative to its norm.  The computed eigenpairs are exact for rho + E
+#: with ||E||_2 at most about n^2 eps ||rho||_2, n = 4 (Householder
+#: tridiagonalization and QR iteration; Golub & Van Loan, Matrix
+#: Computations, section 8.3; LAPACK Users' Guide, section 4.7), so by
+#: Weyl's inequality every computed eigenvalue lies within this fraction
+#: of lambda_max of the exact one.  rho is certified full rank when
+#: lambda_min exceeds it, and otherwise its eigenvalues at or below it
+#: span the kernel.  On the benchmark corpora (seeds 1, 7 and 11)
+#: lambda_min / lambda_max is at most 2 eps on every rank-deficient state
+#: and at least 248 eps, 15 times this, on every full-rank one.
+_EIGH_BACKWARD_REL = 16.0 * _EPS
+
+#: Kernel cut on |psi^T (sigma_y (x) sigma_y) phi| for kernel columns psi,
+#: phi, in units of delta = _EIGH_BACKWARD_REL lambda_max / gap, the
+#: Davis-Kahan bound on the angle between the computed kernel and the
+#: exact one (gap: the least eigenvalue above the kernel).  sigma_y (x)
+#: sigma_y is unitary, so unit columns moved by at most delta move each
+#: product by at most 2 delta.  A rank-3 kernel vector within it may be a
+#: product vector (concurrence zero), and a rank-2 kernel whose every
+#: product lies within it holds only product vectors (a pure marginal).
+#: Measured on the benchmark corpora: at most 0.05 of the cut on every
+#: TypeII state, at least 1e10 times it on a rank-3 TypeI state; a pure
+#: marginal's products at most 0.14 of it.
+_CONCURRENCE_CUT = 2.0
+
+#: Kernel cut on |det Q| of the 2x2 form Q = Psi^T (sigma_y (x) sigma_y) Psi
+#: on a rank-2 kernel Psi, in units of m delta, m = max |Q_ij| and delta
+#: as above: each Q_ij moves by at most 2 delta, so det Q = Q11 Q22 - Q12^2
+#: moves by at most 8 m delta.  Within it the product directions, the
+#: isotropic directions of Q, may be one double root: the arrow form with
+#: r1^2 = r0.  Beyond it there are two, and the kernel is the span of two
+#: Bell-like vectors (TypeI).  Measured: at most 0.024 of the cut on
+#: filtered arrows with r1^2 = r0 up to rapidity 3.5, at least 8e10 times
+#: it on rank-2 random states.
+_DISCRIMINANT_CUT = 8.0
+
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -75,17 +122,40 @@ class ValidityReport:
         )
 
 
-def _hermitian_eigenvalues(h: np.ndarray) -> list[float]:
-    """Ascending eigenvalues of a Hermitian matrix, NaN when entries near
-    the float range overflow it and LAPACK gives up."""
+@dataclass(frozen=True)
+class StateKernel:
+    """What the kernel of a valid rho decides, from its eigendecomposition.
+
+    ``rank`` is 4 when rho is certified full rank (`_EIGH_BACKWARD_REL`),
+    otherwise 4 less the number of eigenvalues at or below the
+    certificate.  ``null_top`` is set exactly when a kernel of rank 2 or 3
+    holds a product vector alpha (x) beta, the TypeII states: it is the
+    Stokes vector (1, <alpha|sigma|alpha> / <alpha|alpha>) of alpha, the
+    future null top eigenvector of G Omega_A, accurate to eps ||rho|| /
+    gap.  ``merged`` marks a rank-2 kernel whose product direction is a
+    double root (r1^2 = r0: the top cluster of G Omega_A holds all four
+    eigenvalues).  A rank-2 kernel of product vectors only (a pure
+    marginal) and every other state leave the family to the G-eigensolve.
+    """
+
+    rank: int
+    null_top: np.ndarray | None = None
+    merged: bool = False
+
+
+def _hermitian_eigh(h: np.ndarray) -> tuple[list[float], np.ndarray | None]:
+    """Ascending eigenvalues and eigenvector columns of a Hermitian matrix;
+    NaN eigenvalues and no vectors when entries near the float range
+    overflow it and LAPACK gives up."""
     try:
-        return np.linalg.eigvalsh(h).tolist()
+        evals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError:
-        return [math.nan] * h.shape[0]
+        return [math.nan] * h.shape[0], None
+    return evals.tolist(), vecs
 
 
-def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Hermiticity / trace / positivity report for a 4x4 complex matrix."""
+def _validity(rho: np.ndarray, tol: float) -> tuple[ValidityReport, list[float], np.ndarray | None]:
+    """`is_valid_state` with the eigendecomposition it took."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -99,27 +169,92 @@ def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
         # and np.min keeps the last of equal values, so -0.0 after 0.0
         herm = max(gaps) if math.isfinite(sum(gaps)) else float(np.max(gaps))
         # a matrix Hermitian to the bit is its own Hermitian part
-        evals = _hermitian_eigenvalues(rho if herm == 0.0 else 0.5 * (rho + adj))
+        evals, vecs = _hermitian_eigh(rho if herm == 0.0 else 0.5 * (rho + adj))
     d = rho.diagonal().tolist()
     # np.trace's pairwise order, bit for bit
     tr = (d[0] + d[1]) + (d[2] + d[3])
     # the hypot that complex abs takes, but inf where abs would raise
     # OverflowError, so a trace beyond the float range is a defect
-    return ValidityReport(
+    report = ValidityReport(
         hermiticity_defect=herm,
         trace_defect=math.hypot(tr.real - 1.0, tr.imag),
         min_eigenvalue=min(reversed(evals)),
         tol=tol,
     )
+    return report, evals, vecs
+
+
+def is_valid_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> ValidityReport:
+    """Hermiticity / trace / positivity report for a 4x4 complex matrix."""
+    return _validity(rho, tol)[0]
+
+
+#: the decision on a certified full-rank state
+_FULL_RANK = StateKernel(4)
+
+
+def _y_form(p: list[complex], q: list[complex]) -> complex:
+    """p^T (sigma_y (x) sigma_y) q, on Python complex numbers."""
+    return p[1] * q[2] + p[2] * q[1] - p[0] * q[3] - p[3] * q[0]
+
+
+def _stokes(psi: list[complex]) -> np.ndarray:
+    """(1, <a|sigma|a> / <a|a>) of the A factor a of a product vector psi:
+    the larger column of psi as a 2x2 matrix whose rows are the A index."""
+    cols = ((psi[0], psi[2]), (psi[1], psi[3]))
+    a0, a1 = max(cols, key=lambda c: abs(c[0]) ** 2 + abs(c[1]) ** 2)
+    p0, p1, x = abs(a0) ** 2, abs(a1) ** 2, a0.conjugate() * a1
+    n = p0 + p1
+    return np.array([1.0, 2.0 * x.real / n, 2.0 * x.imag / n, (p0 - p1) / n])
+
+
+def _kernel(evals: list[float], vecs: np.ndarray) -> StateKernel:
+    """The family decision on rho's kernel (`StateKernel`).
+
+    A product vector psi is one with psi^T (sigma_y (x) sigma_y) psi = 0
+    (Wootters, PRL 80, 2245 (1998)).  On a rank-3 kernel that is one
+    number; on a rank-2 kernel Psi the product vectors Psi x are the
+    isotropic directions of Q = Psi^T (sigma_y (x) sigma_y) Psi, whose
+    discriminant is det Q.
+    """
+    # the eigenvalues' backward error: at or below it is the kernel
+    noise = _EIGH_BACKWARD_REL * evals[3]
+    if evals[0] > noise:
+        return _FULL_RANK
+    k = sum(1 for w in evals if w <= noise)
+    if k > 2:
+        return StateKernel(4 - k)
+    # the Davis-Kahan angle of the computed kernel, with the cut it sets
+    delta = noise / (evals[k] - evals[k - 1])
+    cut = _CONCURRENCE_CUT * delta
+    if k == 1:
+        psi = vecs[:, 0].tolist()
+        return StateKernel(3, _stokes(psi) if abs(_y_form(psi, psi)) <= cut else None)
+    p, q = vecs[:, :2].T.tolist()
+    q11, q12, q22 = _y_form(p, p), _y_form(p, q), _y_form(q, q)
+    m = max(abs(q11), abs(q12), abs(q22))
+    if m <= cut or abs(q11 * q22 - q12 * q12) > _DISCRIMINANT_CUT * m * delta:
+        # every kernel vector a product, or two product directions
+        return StateKernel(2)
+    # Q has rank one, and its null vector (x, y) is the double root
+    x, y = (q12, -q11) if abs(q11) >= abs(q22) else (q22, -q12)
+    return StateKernel(2, _stokes([x * a + y * b for a, b in zip(p, q)]), merged=True)
+
+
+def read_state(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, StateKernel]:
+    """Lambda of a valid state and what its kernel decides, from the one
+    Hermitian eigendecomposition that validates it; raises InvalidState
+    otherwise."""
+    rho = np.asarray(rho, dtype=complex)
+    report, evals, vecs = _validity(rho, tol)
+    if not report.valid:
+        raise InvalidState(report.describe())
+    return np.einsum("ij,mnji->mn", rho, PAULI_KRON).real, _kernel(evals, vecs)
 
 
 def lambda_from_rho(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real parametrization Lambda[mu, nu] = Tr[rho (sigma_mu (x) sigma_nu)]."""
-    rho = np.asarray(rho, dtype=complex)
-    report = is_valid_state(rho, tol)
-    if not report.valid:
-        raise InvalidState(report.describe())
-    return np.einsum("ij,mnji->mn", rho, PAULI_KRON).real
+    return read_state(rho, tol)[0]
 
 
 def rho_from_lambda(lam: np.ndarray, tol: float = DEFAULT_TOL, validate: bool = True) -> np.ndarray:
@@ -135,7 +270,7 @@ def rho_from_lambda(lam: np.ndarray, tol: float = DEFAULT_TOL, validate: bool = 
     # as in `is_valid_state`, overflow to inf or NaN fails validation quietly
     with np.errstate(over="ignore", invalid="ignore"):
         rho = 0.25 * np.einsum("mn,mnij->ij", lam, PAULI_KRON)
-        low = (min(reversed(_hermitian_eigenvalues(0.5 * (rho + rho.conj().T))))
+        low = (min(reversed(_hermitian_eigh(0.5 * (rho + rho.conj().T))[0]))
                if validate else 0.0)
     if not low >= -tol:  # NaN fails too
         raise NotAState(

@@ -16,7 +16,6 @@ from itertools import groupby
 import numpy as np
 
 from lorentzsvd.errors import LorentzSvdError, NumericalFailure
-from lorentzsvd.geigen import GEigenSystem
 
 _EPS = float(np.finfo(float).eps)
 
@@ -365,7 +364,7 @@ class HDerivativeCheck:
 
 def h_derivative_norm_check(
     oracle: SpectralOracle,
-    sys: GEigenSystem,
+    eigenvalues: np.ndarray,
     tol: float = 1e-9,
 ) -> HDerivativeCheck:
     """Sign consistency of h' with the eigenvector signatures.
@@ -379,9 +378,9 @@ def h_derivative_norm_check(
     poles, _, _ = _active_poles(oracle)
     checks: list[tuple[float, float, str]] = []
     ok = True
-    # the clusters from the eigenvalues, which repeat each centre by its
-    # multiplicity: the solve keeps only the top cluster, ``top_cluster``
-    for idx, (center, run) in enumerate(groupby(sys.eigenvalues.tolist())):
+    # the clusters from the eigenvalues (`g_spectrum`, or a system's
+    # ``eigenvalues``), which repeat each centre by its multiplicity
+    for idx, (center, run) in enumerate(groupby(eigenvalues.tolist())):
         if len(list(run)) != 1:
             checks.append((center, np.nan, "skipped: degenerate"))
             continue

@@ -23,7 +23,7 @@ from lorentzsvd.canonical import (
     sigma_from_bcd,
     type2_canonical,
 )
-from lorentzsvd.geigen import SIGNATURE_TOL, CanonicalFamily, g_eigensystem, omega_matrices
+from lorentzsvd.geigen import CanonicalFamily, g_eigensystem, g_spectrum, omega_matrices
 from lorentzsvd.geometry import (
     sample_steered_surface,
     steering_ellipsoid,
@@ -35,6 +35,7 @@ from lorentzsvd.qstate import (
     is_valid_state,
     lambda_from_rho,
     random_state,
+    read_state,
     rho_from_lambda,
     sl2c_to_lorentz,
 )
@@ -83,7 +84,7 @@ def test_criterion_1_spectral_properties(corpus):
     failures: list[str] = []
     min_eig = np.inf
     max_imag = 0.0
-    neutral_count = 0
+    worst_norm = 0.0
     for idx, (rank, _, lam) in enumerate(corpus):
         for tag, omega in (("A", omega_matrices(lam)), ("B", omega_matrices(lam.T))):
             sys = g_eigensystem(omega)
@@ -95,22 +96,21 @@ def test_criterion_1_spectral_properties(corpus):
             max_imag = max(max_imag, residue)
             if residue > 1e-9:
                 failures.append(f"state {idx} rank {rank} side {tag}: imag residue {residue:.3e}")
-            # a timelike top row has no Gram value, a lightlike one its x^T G x
-            gram = sys.condition_report.gram_top
-            if gram.size:
-                neutral_count += 1
-                if abs(gram[0]) > SIGNATURE_TOL:
-                    failures.append(f"state {idx} rank {rank} side {tag}: top Gram value {gram[0]}")
-                if sys.top_cluster[1] < 2:
-                    failures.append(
-                        f"state {idx} rank {rank} side {tag}: neutral top with simple eigenvalue"
-                    )
+            # random states are TypeI: the top row is timelike, G-normalized
+            x = sys.top_row
+            norm = abs(float(x @ G_METRIC @ x) - 1.0)
+            worst_norm = max(worst_norm, norm)
+            if sys.family is not CanonicalFamily.TYPE_I or norm > 1e-12:
+                failures.append(
+                    f"state {idx} rank {rank} side {tag}: {sys.family.value} top row, "
+                    f"|x^T G x - 1| = {norm:.3e}"
+                )
     _verdict(
         1,
         failures,
         f"{len(corpus)} states x 2 forms: min eigenvalue {min_eig:.2e} (>= -1e-9), "
-        f"max imag residue {max_imag:.2e} (<= 1e-9), top rows timelike or lightlike "
-        f"({neutral_count} neutral tops, all with multiplicity >= 2)",
+        f"max imag residue {max_imag:.2e} (<= 1e-9), top rows timelike "
+        f"(|x^T G x - 1| <= {worst_norm:.2e}, <= 1e-12)",
     )
 
 
@@ -264,8 +264,9 @@ def test_criterion_4_closed_form_equivalence():
 
     # spot value for (b, c, d) = (0.5, 0.1, 0.3)
     sigma, _ = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
-    # side B from its own eigensolve: side A of Sigma^T
-    params = type2_canonical(sigma.T, g_eigensystem(omega_matrices(sigma.T))).parameters
+    # side B from its own kernel vector: side A of Sigma^T
+    kernel = read_state(rho_from_lambda(sigma.T))[1]
+    params = type2_canonical(sigma.T, kernel.null_top, kernel.merged).parameters
     if abs(params["r0"] - 5.0 / 9.0) > 1e-12:
         failures.append(f"spot s0 = {params['r0']!r}, expected 0.5555...")
     if abs(params["r1"] - 0.301511) > 5e-7:
@@ -287,15 +288,21 @@ def test_criterion_4_closed_form_equivalence():
 def test_criterion_5_type2_fixed_point():
     failures: list[str] = []
     lam = _pattern_a(0.64, 0.6)
-    sys = g_eigensystem(omega_matrices(lam))
-    if sys.family is not CanonicalFamily.TYPE_II:
-        failures.append(f"classified {sys.family.value}, expected TypeII")
-    if abs(sys.eigenvalues[0] - 0.64) > 1e-12 or abs(sys.eigenvalues[1] - 0.64) > 1e-12:
-        failures.append(f"top eigenvalues {sys.eigenvalues[:2]}, expected (0.64, 0.64)")
-    if sys.top_cluster[1] != 2:
-        failures.append(f"top multiplicity {sys.top_cluster[1]}, expected 2")
-    if sys.condition_report.gram_top.size != 1:
-        failures.append("top row timelike, expected lightlike")
+    # TypeII is decided on the state's kernel, which gives the null top vector u
+    u = read_state(rho_from_lambda(lam))[1].null_top
+    if u is None:
+        failures.append("kernel holds no product vector, expected TypeII")
+    spectrum = g_spectrum(omega_matrices(lam))
+    if abs(spectrum[0] - 0.64) > 1e-12 or abs(spectrum[1] - 0.64) > 1e-12:
+        failures.append(f"top eigenvalues {spectrum[:2]}, expected (0.64, 0.64)")
+    if spectrum[2] == spectrum[1]:
+        failures.append(f"top multiplicity above 2: {spectrum}")
+    if u is not None:
+        if abs(u @ G_METRIC @ u) > 1e-12:
+            failures.append(f"top vector not neutral: x^T G x = {u @ G_METRIC @ u:.3e}")
+        residual = np.abs(G_METRIC @ omega_matrices(lam) @ u - spectrum[0] * u).max()
+        if residual > 1e-12:
+            failures.append(f"top vector not an eigenvector: residual {residual:.3e}")
 
     res = canonicalize(rho_from_lambda(lam))
     if res.family is not SideFamily.TYPE_II_A:

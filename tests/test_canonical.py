@@ -30,6 +30,7 @@ from lorentzsvd.canonical import (
     canonicalize,
     sigma_equivalence_check,
     sigma_from_bcd,
+    type1_canonical,
     type2_canonical,
 )
 from lorentzsvd.errors import (
@@ -40,13 +41,14 @@ from lorentzsvd.errors import (
     NotTypeII,
     NumericalFailure,
 )
-from lorentzsvd.geigen import g_eigensystem, omega_matrices
+from lorentzsvd.geigen import g_eigensystem, g_spectrum, omega_matrices
 from lorentzsvd.minkowski import G_METRIC, is_orthochronous_proper_lorentz, lorentz_defect
 from lorentzsvd.qstate import (
     apply_slocc,
     is_valid_state,
     lambda_from_rho,
     random_state,
+    read_state,
     rho_from_lambda,
 )
 
@@ -79,6 +81,13 @@ def type2_lambda(r0: float, r1: float) -> np.ndarray:
             [1.0 - r0, 0.0, 0.0, r0],
         ]
     )
+
+
+def kernel_type2(lam: np.ndarray) -> CanonicalResult:
+    """`type2_canonical` of Lambda from its state's kernel, as `canonicalize`
+    calls it; side B of Lambda from its own kernel is side A of Lambda^T."""
+    kernel = read_state(rho_from_lambda(lam))[1]
+    return type2_canonical(lam, kernel.null_top, kernel.merged)
 
 
 def assert_factorization(res: CanonicalResult, lam: np.ndarray, tol: float = 1e-9) -> None:
@@ -243,11 +252,12 @@ def test_not_diagonal_refusal_is_typed():
 
 
 #: Lambda of case 615 of the hard-inputs benchmark corpus at seed 7, a
-#: Sigma(b, c, d) state filtered at rapidity 2.5 that classifies as TypeI;
-#: the diagonal read off its factors, (1.00015, 0.616839, -0.616839),
-#: gives a Bell weight of -3.7e-5.  The pipeline computed these
-#: parameters, so leaving the region is its numerical failure (exit 3),
-#: not malformed input (exit 1)
+#: Sigma(b, c, d) state filtered at rapidity 2.5 whose G-eigensolve
+#: classifies it as TypeI; the diagonal read off the TypeI factors,
+#: (1.00015, 0.616839, -0.616839), gives a Bell weight of -3.7e-5.  The
+#: pipeline computed these parameters, so leaving the region is its
+#: numerical failure (exit 3), not malformed input (exit 1).  Its kernel
+#: holds a product vector, so `canonicalize` factors it as TypeII
 REGION_MISS_LAMBDA = [
     [0.9999999999999999, -0.3521955982150893, 0.2644661867485554, 0.8976059858759055],
     [0.6919499230754516, -0.244075239765373, 0.18320080677877962, 0.620903764409069],
@@ -257,9 +267,11 @@ REGION_MISS_LAMBDA = [
 
 
 def test_computed_parameters_outside_the_region_are_a_numerical_failure():
+    lam = np.array(REGION_MISS_LAMBDA)
     with pytest.raises(NumericalFailure, match="Bell weight") as info:
-        canonicalize(rho_from_lambda(np.array(REGION_MISS_LAMBDA)))
+        type1_canonical(lam, g_eigensystem(omega_matrices(lam)))
     assert info.value.exit_code == 3
+    assert canonicalize(rho_from_lambda(lam)).family is SideFamily.TYPE_II_A
     # the arrow construction's region check refuses the same way
     with pytest.raises(NumericalFailure, match="arrow parameters") as info:
         _pipeline_rho(canonical_rho_type2, 1.5, 0.5, "A", tol=1e-10)
@@ -475,18 +487,21 @@ def _sample_bcd(gen: np.random.Generator) -> SigmaParameters:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(["rank1", "rank2", "rank3", "rank4", "sigma", "sigma-d0"]),
+@given(st.sampled_from(["rank1", "rank2", "rank3", "rank4", "sigma", "sigma-d0", "merged"]),
        st.integers(0, 2**32 - 1), st.sampled_from([0.7, 1.5]), st.sampled_from([0.7, 1.5]))
 def test_canonical_data_is_constant_on_slocc_orbits(kind, seed, rapidity_a, rapidity_b):
     """A state and its image under two local filters, each of rapidity up
-    to 0.7 or 1.5, factor to the same canonical data: the family (a Sigma
-    state's with its TypeII_B partner), the TypeI diagonal and detSign,
-    the TypeII gauge invariant r1^2 / r0; and the image factors within
-    1e-8 on each side.  Random states of rank 1-4, Sigma(b, c, d) and
-    Sigma(b, c, 0)."""
+    to 0.7 or 1.5, factor to the same canonical data: the family (a
+    TypeII state's with its TypeII_B partner), the TypeI diagonal and
+    detSign, the TypeII gauge invariant r1^2 / r0; and the image factors
+    within 1e-8 on each side.  Random states of rank 1-4, Sigma(b, c, d),
+    Sigma(b, c, 0) and the rank-2 arrow with r1^2 = r0 ("merged")."""
     gen = rng(seed)
     if kind.startswith("rank"):
         rho = random_state(int(kind[-1]), seed=int(gen.integers(2**62)))
+    elif kind == "merged":
+        r1 = float(gen.uniform(0.05, 0.95))
+        rho = canonical_rho_type2(r1 * r1, r1, "A", tol=1e-9)
     else:
         p = _sample_bcd(gen)
         rho = sigma_from_bcd(SigmaParameters(p.b, p.c, p.d if kind == "sigma" else 0.0))[1]
@@ -518,6 +533,52 @@ def _null_ray_gauge_leg(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     rays = [p + s * q for s in ((-B + disc) / (2.0 * C), (-B - disc) / (2.0 * C))]
     leg = sum(x / x[0] for x in rays)
     return leg / np.sqrt(leg @ G_METRIC @ leg)
+
+
+# cases 198 and 615 of the hard-inputs benchmark corpus at seed 7: Sigma(b, c, d)
+# states filtered at rapidity 2.5, as rho (real and imaginary parts).  While
+# the G-eigensolve decided the family, both classified as TypeI and were
+# refused as region misses (d1 about 1.0001)
+_SIGMA_198_RE = [
+    [0.2449288583081707, -0.03539838436972531, -0.4089942853502869, 0.07241907699271598],
+    [-0.03539838436972531, 0.012016547210276252, 0.04598985269631467, -0.02013269486116303],
+    [-0.4089942853502869, 0.04598985269631468, 0.708081829360361, -0.10258626481964377],
+    [0.07241907699271598, -0.020132694861163022, -0.10258626481964377, 0.03497276512119205],
+]
+_SIGMA_198_IM = [
+    [-1.7522272504730127e-17, -0.04110782578078868, 0.07814383568700635, 0.05756503951789367],
+    [0.041107825780788664, 0.0, -0.07995048811610758, 0.0038384150481610125],
+    [-0.07814383568700635, 0.07995048811610758, 0.0, -0.11930081507780393],
+    [-0.05756503951789367, -0.0038384150481610138, 0.11930081507780395, 0.0],
+]
+_SIGMA_615_RE = [
+    [0.37206932713520513, -0.06910360482406946, 0.3282134218711302, -0.10647692076376461],
+    [-0.06910360482406948, 0.020059874835354926, -0.015560699118921885, 0.017761539666595615],
+    [0.3282134218711301, -0.015560699118921884, 0.5767336658027475, -0.10699419428347516],
+    [-0.10647692076376461, 0.01776153966659562, -0.10699419428347515, 0.031137132226692385],
+]
+_SIGMA_615_IM = [
+    [0.0, -0.051741798267214485, -0.3268124506576271, 0.01476613388441516],
+    [0.051741798267214485, 2.569517649315005e-19, 0.10636653727380495, -0.01757779165381445],
+    [0.3268124506576271, -0.10636653727380495, 0.0, -0.08049129510706321],
+    [-0.014766133884415151, 0.017577791653814446, 0.08049129510706318, -2.055614119452004e-18],
+]
+HARD_SIGMA_STATES = {
+    198: (_SIGMA_198_RE, _SIGMA_198_IM, (0.8228758413051871, 0.7954136396853245, 0.224630395589624)),
+    615: (_SIGMA_615_RE, _SIGMA_615_IM,
+          (0.8853473855367696, 0.8611102779452552, 0.28491813492261037)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARD_SIGMA_STATES))
+def test_hard_sigma_states_are_typeii_from_their_kernel(case):
+    """Their kernel holds a product vector, so they are TypeII, and the
+    gauge invariant r1^2 / r0 matches d^2 / ((1 + c)(1 - b))."""
+    re, im, (b, c, d) = HARD_SIGMA_STATES[case]
+    res = canonicalize(np.array(re) + 1j * np.array(im))
+    assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
+    ratio = res.parameters["r1"] ** 2 / res.parameters["r0"]
+    assert abs(ratio - d * d / ((1.0 + c) * (1.0 - b))) <= 1e-8
 
 
 @pytest.mark.parametrize("slocc_seed", range(5))
@@ -615,8 +676,9 @@ def test_polished_right_factors_pass_the_lorentz_check(rho):
 def test_partner_triad_is_a_b_side_eigenvector_triad(d):
     """Rows 0 + 3, 1 and 2 of side A's right factor L_B are G-orthonormal,
     made of eigenvectors of G Omega_B at side A's eigenvalues, and the null
-    row is a B solve's null ray.  d = 0 gives a double zero eigenvalue,
-    where the 2x2 SVD of a rounding-level 1-2 block picks rows 1 and 2."""
+    row is the null ray side B's own kernel vector gives (the kernel of
+    the state of Lambda^T).  d = 0 gives a double zero eigenvalue, where
+    the 2x2 SVD of a rounding-level 1-2 block picks rows 1 and 2."""
     gen = rng(29)
     rho = rho_from_lambda(sigma_from_bcd(SigmaParameters(0.5, 0.1, d))[0])
     for _ in range(5):
@@ -629,25 +691,24 @@ def test_partner_triad_is_a_b_side_eigenvector_triad(d):
         np.testing.assert_allclose(
             rows @ G_METRIC @ rows.T, np.diag([0.0, -1.0, -1.0]), atol=1e-12
         )
-        values = g_eigensystem(omega_matrices(lam)).eigenvalues[[0, 2, 2]]
+        values = g_spectrum(omega_matrices(lam))[[0, 2, 2]]
         k_op = G_METRIC @ omega_b
         for x, c in zip(rows, values):
             assert np.linalg.norm(k_op @ x - c * x) <= 1e-9
-        solved = g_eigensystem(omega_b)
-        assert abs(rows[0] @ solved.top_row) == pytest.approx(1.0, abs=1e-7)
+        v = read_state(rho_from_lambda(lam.T))[1].null_top
+        assert abs(rows[0] @ v) / np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("slocc_seed", range(5))
 def test_carried_partner_matches_a_b_side_solve(slocc_seed):
     """The partner, carried over from side A by reading its triad off side
-    A's right factor, agrees with the one built from a B-side eigensolve
-    of its own."""
+    A's right factor, agrees with the one built from side B's own kernel
+    vector."""
     _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))
     gen = rng(slocc_seed)
     moved = apply_slocc(rho, random_sl2c(gen), random_sl2c(gen))
     lam = lambda_from_rho(moved)
-    # side B from its own eigensolve is side A of Lambda^T
-    solved = type2_canonical(lam.T, g_eigensystem(omega_matrices(lam.T)))
+    solved = kernel_type2(lam.T)
     partner = canonicalize(moved).partner
     assert partner.family is SideFamily.TYPE_II_B
     for key, ref in (("s0", "r0"), ("s1", "r1"), ("chi0", "phi0")):
@@ -659,7 +720,7 @@ def test_carried_partner_on_the_r1_zero_route(rapidity):
     """Sigma(0.5, 0.1, 0) has a double zero eigenvalue, so D's 1-2 block is
     rounding noise; its 2x2 SVD is taken like any other, r1 and s1 come
     out at rounding level, and the partner, built from the image of side
-    A's null top row, agrees with one built from a B-side eigensolve."""
+    A's null top vector, agrees with one built from side B's own kernel."""
     _, rho = sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.0))
     gen = rng(3)
     moved = apply_slocc(rho, random_sl2c(gen, rapidity), random_sl2c(gen, rapidity))
@@ -669,7 +730,7 @@ def test_carried_partner_on_the_r1_zero_route(rapidity):
     assert res.parameters["r1"] <= 1e-12 and res.partner.parameters["s1"] <= 1e-12
     assert_factorization(res, lam)
     assert_factorization(res.partner, lam)
-    solved = type2_canonical(lam.T, g_eigensystem(omega_matrices(lam.T)))
+    solved = kernel_type2(lam.T)
     assert abs(res.partner.parameters["s0"] - solved.parameters["r0"]) <= 1e-8
 
 
@@ -761,17 +822,22 @@ def test_eps_mixed_sigma_closes_its_split_double_root(eps):
     ],
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
-    """Each Omega form built once and one eigensolve: the TypeI B time leg
-    and the TypeII B null eigenvector both come from Lambda.  Omega_B is
-    formed only where it is read, by the TypeII partner, so a TypeI state
-    forms Omega_A alone.  Only a top cluster of two or more dimensions
-    takes a Gram eigensolve (`eigh`): none on a rank-3 or rank-4 TypeI
-    state, whose four roots are simple, and none on a TypeII state, whose
-    defective top has one eigenvector.  Each family is one call of its
-    construction, which builds both sides."""
+    """Each Omega form built once and one Hermitian eigensolve, `eigh` of
+    rho, which decides TypeII.  A TypeI state makes one G-eigensolve and
+    a TypeII state none: its null top eigenvector comes from rho's
+    kernel, and the TypeI B time leg and the TypeII B null eigenvector
+    both come from Lambda.  Omega_B is formed only where it is read, by
+    the TypeII partner, so a TypeI state forms Omega_A alone.  A rank-3
+    or rank-4 TypeI state, whose four roots are simple, takes no null
+    space.  Each family is one call of its construction, which builds
+    both sides."""
     import lorentzsvd.canonical as canonical
+    import lorentzsvd.geigen as geigen
 
-    targets = {"g_eigensystem": canonical, "eigh": np.linalg,
+    # the side of each form built: Omega_A of Lambda, Omega_B of Lambda^T
+    lam, forms = lambda_from_rho(rho), []
+    targets = {"g_eigensystem": canonical, "quartic_real_roots": geigen,
+               "null_space_basis": geigen, "eigh": np.linalg, "eigvalsh": np.linalg,
                "type1_canonical": canonical, "type2_canonical": canonical}
     calls = dict.fromkeys(targets, 0)
     for name, module in targets.items():
@@ -781,8 +847,6 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    # the side of each form built: Omega_A of Lambda, Omega_B of Lambda^T
-    lam, forms = lambda_from_rho(rho), []
 
     def counted_form(w, _fn=canonical.omega_matrices):
         forms.append("A" if np.array_equal(w, lam) else "B" if np.array_equal(w, lam.T) else "?")
@@ -793,7 +857,8 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     type2 = family is SideFamily.TYPE_II_A
     assert not np.array_equal(lam, lam.T)
     assert forms == ["A"] + ["B"] * type2
-    assert calls == {"g_eigensystem": 1, "eigh": 0,
+    assert calls == {"g_eigensystem": 1 - type2, "quartic_real_roots": 1 - type2,
+                     "null_space_basis": 0, "eigh": 1, "eigvalsh": 0,
                      "type1_canonical": 1 - type2, "type2_canonical": int(type2)}
 
 
@@ -817,15 +882,15 @@ def test_python_float_builders_match_their_numpy_forms():
 
 
 def test_type2_route_counts(monkeypatch):
-    """A filtered Sigma state takes one `eig` and one null space, for its
-    defective top, and no solve, QR or Hermitian eigensolve: no lower
-    cluster is solved, the arrow construction solves its 2x2 system in
-    closed form, and ``rhoMinEigenvalue`` has a closed form.  The one
-    `eigvalsh` is the state check in `lambda_from_rho`, which every family
-    makes."""
+    """A filtered Sigma state takes no `eig`, null space, SVD, solve or QR:
+    rho's kernel gives its null top eigenvector, the arrow construction
+    solves its 2x2 system in closed form, and ``rhoMinEigenvalue`` has a
+    closed form.  The one `eigh` is the state check, which every family
+    makes and which decides TypeII."""
     import lorentzsvd.geigen as geigen
 
-    calls = dict.fromkeys(("eig", "null_space_basis", "solve", "eigh", "eigvalsh", "qr"), 0)
+    calls = dict.fromkeys(("eig", "null_space_basis", "svd", "solve", "eigh", "eigvalsh", "qr"),
+                          0)
     for name in calls:
         module = geigen if name == "null_space_basis" else np.linalg
 
@@ -838,14 +903,15 @@ def test_type2_route_counts(monkeypatch):
     gen = rng(8)
     res = canonicalize(apply_slocc(rho, random_sl2c(gen, 1.5), random_sl2c(gen, 1.5)))
     assert (res.family, res.partner.family) == (SideFamily.TYPE_II_A, SideFamily.TYPE_II_B)
-    assert calls == {"eig": 1, "null_space_basis": 1, "solve": 0, "eigh": 0, "eigvalsh": 1,
-                     "qr": 0}
+    assert calls == {"eig": 0, "null_space_basis": 0, "svd": 0, "solve": 0, "eigh": 1,
+                     "eigvalsh": 0, "qr": 0}
 
 
 def test_conjugate_pairs_close_without_the_quartic(monkeypatch):
-    """A conjugate pair closes by the merge radius alone: a filtered Sigma
-    state and a rank-2 state, whose eigensolves each return one, build no
-    characteristic quartic and evaluate no polynomial."""
+    """A conjugate pair closes by the merge radius alone: the spectrum of a
+    filtered Sigma state, as `classify` and `verify` take it, and a rank-2
+    state, whose eigensolves each return one, build no characteristic
+    quartic and evaluate no polynomial."""
     import lorentzsvd._quartic as quartic
 
     calls = dict.fromkeys(("charpoly_g", "polyval"), 0)
@@ -862,10 +928,13 @@ def test_conjugate_pairs_close_without_the_quartic(monkeypatch):
               random_state(2, seed=8)]
     for rho in states:
         canonicalize(rho)
+    spectrum = g_spectrum(omega_matrices(lambda_from_rho(states[0])))
     assert calls == {"charpoly_g": 0, "polyval": 0}
-    for rho in states:
-        sys = g_eigensystem(omega_matrices(lambda_from_rho(rho)))
-        assert sys.condition_report.imag_residue > 0.0
+    assert spectrum[0] == spectrum[1]
+    omega = omega_matrices(lambda_from_rho(states[0]))
+    assert quartic.quartic_real_roots(omega, 1e-7).imag_residue > 0.0
+    sys = g_eigensystem(omega_matrices(lambda_from_rho(states[1])))
+    assert sys.condition_report.imag_residue > 0.0
 
 
 TOP_VECTOR_STATES = [(rank, random_state(rank, seed=seed)) for rank in (1, 2, 3, 4)
@@ -878,7 +947,7 @@ def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
     rounding, the canonical diagonal is read off D = L_A Lambda L_B^T, the
     parameters keep the eigenvalues, and a rank-3 or rank-4 state reads no
     eigenvector but the top one and takes no null space, solve or Gram
-    eigensolve."""
+    eigensolve: its one `eigh` is rho's, the state check."""
     import lorentzsvd.geigen as geigen
 
     calls = {"null_space_basis": 0, "solve": 0, "eigh": 0}
@@ -893,6 +962,7 @@ def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
     for rank, rho in TOP_VECTOR_STATES:
         calls.update(dict.fromkeys(calls, 0))
         res = canonicalize(rho)
+        made = dict(calls)
         assert res.family is SideFamily.TYPE_I
         assert max(lorentz_defect(res.left_lorentz), lorentz_defect(res.right_lorentz)) <= 1e-14
         lam = lambda_from_rho(rho)
@@ -903,26 +973,39 @@ def test_type1_factors_come_from_the_top_eigenvector(monkeypatch):
         d[3] *= abs(res.parameters["detSign"])
         np.testing.assert_array_equal(res.canonical_lambda, np.diag(d))
         if rank >= 3:
-            assert calls == dict.fromkeys(calls, 0), rank
+            assert made == {"null_space_basis": 0, "solve": 0, "eigh": 1}, rank
 
 
 def test_pure_state_top_is_the_time_axis(monkeypatch):
-    """A pure state's 4-fold top eigenspace is all of R^4: canonicalize
-    reads e0 off it with no Gram eigensolve (`eigh`) and no QR."""
-    calls = {"eigh": 0, "qr": 0}
-    for name in calls:
+    """A pure state's 4-fold top eigenspace is all of R^4: rho's rank
+    decision says the state is pure, so canonicalize reads e0 off it with
+    no null space (its SVD), no Gram eigensolve and no QR; the one `eigh`
+    per state is rho's.  The factors are those the null space gave."""
+    import lorentzsvd.geigen as geigen
 
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+    states = [random_state(1, seed=seed) for seed in range(12)]
+    # the reference: the solve of the same form through the null space
+    refs = [type1_canonical(lam, g_eigensystem(omega_matrices(lam)))
+            for lam in map(lambda_from_rho, states)]
+    targets = {"null_space_basis": geigen, "eigh": np.linalg, "qr": np.linalg}
+    calls = dict.fromkeys(targets, 0)
+    for name, module in targets.items():
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    for seed in range(12):
-        res = canonicalize(random_state(1, seed=seed))
+        monkeypatch.setattr(module, name, counted)
+    for rho, ref in zip(states, refs):
+        res = canonicalize(rho)
         assert res.family is SideFamily.TYPE_I
         assert res.left_lorentz[0].tolist() == [1.0, 0.0, 0.0, 0.0]
         assert max(lorentz_defect(res.left_lorentz), lorentz_defect(res.right_lorentz)) <= 1e-14
-    assert calls == {"eigh": 0, "qr": 0}
+        for got, want in ((res.left_lorentz, ref.left_lorentz),
+                          (res.right_lorentz, ref.right_lorentz),
+                          (res.canonical_lambda, ref.canonical_lambda)):
+            assert got.tobytes() == want.tobytes()
+    assert calls == {"null_space_basis": 0, "eigh": 12, "qr": 0}
 
 
 def test_rank2_top_takes_no_qr(monkeypatch):
@@ -1046,7 +1129,7 @@ def test_sigma_closed_form_side_a_values():
     assert abs(image[3, 3] - 0.2) < 1e-12
     assert abs(image[1, 1] - 0.18090680674665818) < 1e-12
     # same orbit as the pipeline's A side: equal eigenvalue ratio
-    res_a = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma)))
+    res_a = kernel_type2(sigma)
     ratio = res_a.parameters["r1"] ** 2 / res_a.parameters["r0"]
     assert abs(ratio - image[1, 1] ** 2 / image[3, 3]) < 1e-12
 
@@ -1089,7 +1172,7 @@ def test_sigma_equivalence_random_region(seed):
 def test_sigma_eigenvalues_closed_form():
     b, c, d = 0.5, 0.1, 0.3
     sigma, _ = sigma_from_bcd(SigmaParameters(b, c, d))
-    res = type2_canonical(sigma, g_eigensystem(omega_matrices(sigma)))
+    res = kernel_type2(sigma)
     lam0, lam1 = 0.55, 0.09
     assert abs(res.parameters["r0"] * res.parameters["phi0"] - lam0) < 1e-12
     assert abs(res.parameters["r1"] ** 2 * res.parameters["phi0"] - lam1) < 1e-12

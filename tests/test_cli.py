@@ -284,15 +284,15 @@ FILTERED_RANK4 = {
     ]
 }
 
-# case 615 of the hard-inputs corpus at seed 7, a Sigma(b, c, d) state
-# filtered at rapidity 2.5 that classifies as TypeI and whose computed
-# canonical form is not a state
+# Lambda of case 13 of the hard-inputs corpus at seed 7, a rank-4 state
+# filtered at rapidity 2.5 whose TypeI factors miss the factorization
+# recheck (2.8e-8 against 1e-8)
 UNFACTORED_STATE = {
     "lambda": [
-        [0.9999999999999999, -0.3521955982150893, 0.2644661867485554, 0.8976059858759055],
-        [0.6919499230754516, -0.244075239765373, 0.18320080677877962, 0.620903764409069],
-        [0.6887804846228831, -0.24226534231644017, 0.18183244328968545, 0.6184693180076253],
-        [-0.21574159605887988, 0.07578117891881138, -0.05749899367969742, -0.19358708127620494],
+        [0.9999999999999999, 0.21855252787356377, 0.7081287484080871, 0.6473334721220193],
+        [0.40580662369991577, 0.0889652553276669, 0.2861551006600692, 0.26352209827421935],
+        [0.7844574767332488, 0.17141656172166458, 0.5559830704973446, 0.5073226107423643],
+        [-0.4688066630058859, -0.10226505261112562, -0.3322199581747171, -0.30357308599362465],
     ]
 }
 
@@ -315,7 +315,7 @@ def test_verify_refuses_as_canonicalize_does(tmp_path, capsys):
     code_c, _, err_c = run(["canonicalize", path], capsys)
     assert code == code_c == 3
     assert json.loads(err) == json.loads(err_c)
-    assert "computed canonical form is not a state" in json.loads(err)["message"]
+    assert json.loads(err)["message"].startswith("factorization residual")
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):
@@ -855,8 +855,8 @@ PURE_PRODUCT_LAMBDA = {"lambda": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 
     [
         ("canonicalize", RANK4_SEED7, 1, 1),
         ("verify", RANK4_SEED7, 2, 2),
-        ("canonicalize", TYPE2_SIGMA, 1, 2),
-        ("verify", TYPE2_SIGMA, 2, 2),
+        ("canonicalize", TYPE2_SIGMA, 0, 2),
+        ("verify", TYPE2_SIGMA, 0, 4),
         ("verify", PURE_PRODUCT_LAMBDA, 2, 2),
     ],
     ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII",
@@ -864,15 +864,17 @@ PURE_PRODUCT_LAMBDA = {"lambda": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 
 )
 def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves,
                                          forms):
-    """Each state command converts rho once and builds each Omega form at
-    most once: Omega_B only where it is read, so a TypeI `canonicalize`
-    forms Omega_A alone.  `canonicalize` solves side A only; `verify`
-    solves each side once, for its shared spectrum, and a DegenerateProduct
-    state's family check and a TypeII partner reuse that B solve."""
+    """Each state command reads rho once, and TypeII from its kernel: a
+    TypeII state solves no eigensystem.  Omega_B is formed only where it
+    is read, so a TypeI `canonicalize` forms Omega_A alone.  A TypeI
+    `canonicalize` solves side A only; `verify` solves each side once, for
+    its shared spectrum, and a DegenerateProduct state's family check
+    reuses that B solve.  A TypeII `verify` takes both sides' spectra
+    (`g_spectrum`) and `type2_canonical`, which forms its own two forms."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
 
-    calls = {"lambda_from_rho": 0, "omega_matrices": 0, "g_eigensystem": 0}
+    calls = {"read_state": 0, "omega_matrices": 0, "g_eigensystem": 0}
     targets = [(module, name) for module in (cli, canonical) for name in calls]
     for module, name in targets:
 
@@ -884,7 +886,7 @@ def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command
     path = write_state(tmp_path, "s.json", json.loads(dumps(doc)))
     code, _, err = run([command, path], capsys)
     assert code == 0, err
-    assert calls == {"lambda_from_rho": 1, "omega_matrices": forms, "g_eigensystem": solves}
+    assert calls == {"read_state": 1, "omega_matrices": forms, "g_eigensystem": solves}
 
 
 def test_batch_isolates_failures(tmp_path, capsys):

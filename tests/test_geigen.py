@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentzsvd._linalg import gram_eigenbasis
-from lorentzsvd.errors import NumericalFailure
+from lorentzsvd.errors import NoTimelikeTop, NumericalFailure
 from lorentzsvd.geigen import (
     CanonicalFamily,
     _cluster_vectors,
     _gram_top,
     _signed_unit,
     g_eigensystem,
+    g_spectrum,
     omega_matrices,
 )
 from lorentzsvd.minkowski import G_METRIC
@@ -30,6 +31,7 @@ from lorentzsvd.qstate import (
     apply_slocc,
     lambda_from_rho,
     random_state,
+    read_state,
     rho_from_lambda,
     sl2c_to_lorentz,
 )
@@ -189,7 +191,7 @@ def _row_residuals(sys) -> np.ndarray:
 def test_eigensystem_werner():
     sys = g_eigensystem(omega_matrices(WERNER_HALF))
     np.testing.assert_allclose(sys.eigenvalues, [1.0, 0.25, 0.25, 0.25], atol=1e-12)
-    assert sys.condition_report.gram_top.size == 0
+    assert sys.family is CanonicalFamily.TYPE_I
     # the solve stops at the timelike top cluster, with its one row
     assert sys.top_row.shape == (4,)
     np.testing.assert_allclose(np.abs(sys.top_row), [1, 0, 0, 0], atol=1e-12)
@@ -199,40 +201,35 @@ def test_eigensystem_werner():
 
 
 def test_eigensystem_defective_top():
-    """The solve stops after the top cluster for every family: a TypeII top
-    is a double root with one lightlike row, and the spacelike pair below
-    it keeps its eigenvalues but no rows."""
-    sys = g_eigensystem(omega_matrices(type2_lambda(0.64, 0.6)))
-    np.testing.assert_allclose(sys.eigenvalues, [0.64, 0.64, 0.36, 0.36], atol=1e-10)
-    assert sys.condition_report.gram_top.size == 1
-    # the only top eigenvector is the lightlike direction (1,0,0,-1)/sqrt(2)
-    np.testing.assert_allclose(
-        sys.top_row, np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), atol=1e-9
-    )
-    assert sys.top_row.shape == (4,)
-    assert sys.top_cluster[1] - sys.top_cluster[2] == 1
-    c0, m0, d0 = sys.top_cluster
-    assert (m0, d0) == (2, 1) and c0 == pytest.approx(0.64, abs=1e-10)
-    assert _row_residuals(sys).max() < 1e-8
+    """A TypeII top is a double root with one lightlike eigenvector.  Its
+    family and that eigenvector come from rho's kernel, so the solve,
+    which serves the other families, refuses it by name, while its
+    spectrum stops at the cluster means: the top double root closed, the
+    spacelike pair below it."""
+    omega = omega_matrices(type2_lambda(0.64, 0.6))
+    np.testing.assert_allclose(g_spectrum(omega), [0.64, 0.64, 0.36, 0.36], atol=1e-10)
+    with pytest.raises(NoTimelikeTop, match="no timelike direction") as info:
+        g_eigensystem(omega)
+    assert info.value.exit_code == 3
 
 
 def test_type2_rows_follow_the_geometric_dimensions():
     """A TypeII top cluster on either side of a filtered Sigma state is a
-    double root with one geometric eigenvector, and the eigensystem's one
-    row is that null eigenvector, future-pointing."""
+    double root with one geometric eigenvector, the future null vector
+    the side's kernel gives (side B's from the state of Lambda^T), while
+    the solve refuses it."""
     gen = rng(17)
     rho = rho_from_lambda(sigma_matrix(0.5, 0.1, 0.3))
     for _ in range(5):
         lam = lambda_from_rho(apply_slocc(rho, random_sl2c(gen), random_sl2c(gen)))
-        for omega in (omega_matrices(lam), omega_matrices(lam.T)):
-            sys = g_eigensystem(omega)
-            assert sys.family is CanonicalFamily.TYPE_II
-            _, mult, dim = sys.top_cluster
-            assert (mult, dim) == (2, 1) and sys.top_cluster[1] - sys.top_cluster[2] == 1
-            assert sys.top_row.shape == (4,) and sys.condition_report.gram_top.size == 1
-            assert sys.top_row[0] > 0.0
-            assert len(sys.eigenvalues) == 4
-            assert _row_residuals(sys).max() < 1e-7
+        for side in (lam, lam.T):
+            omega = omega_matrices(side)
+            top = g_spectrum(omega)[0]
+            u = read_state(rho_from_lambda(side))[1].null_top
+            assert u[0] == 1.0 and abs(u @ G_METRIC @ u) < 1e-14
+            assert np.linalg.norm(G_METRIC @ omega @ u - top * u) < 1e-12
+            with pytest.raises(NoTimelikeTop):
+                g_eigensystem(omega)
 
 
 def test_eigensystem_degenerate_diagonal():
@@ -240,7 +237,6 @@ def test_eigensystem_degenerate_diagonal():
     # timelike and one spacelike direction, so the state is diagonalizable
     sys = g_eigensystem(omega_matrices(np.diag([1.0, 0.0, 0.0, 1.0])))
     np.testing.assert_allclose(sys.eigenvalues, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
-    assert sys.condition_report.gram_top.size == 0
     assert sys.top_cluster[1:] == (2, 2)
     # the timelike row of the top plane span(e0, e3) is its Gram top, e0
     np.testing.assert_allclose(sys.top_row, [1, 0, 0, 0], atol=1e-12)
@@ -280,7 +276,7 @@ def test_timelike_top_of_a_plane_is_its_gram_top_eigenvector():
         omega = omega_matrices(lambda_from_rho(random_state(2, seed=seed)))
         sys = g_eigensystem(omega)
         assert sys.top_cluster[1:] == (2, 2) and sys.top_row.shape == (4,)
-        assert sys.family is CanonicalFamily.TYPE_I and len(sys.condition_report.gram_top) == 0
+        assert sys.family is CanonicalFamily.TYPE_I
         k_op = G_METRIC @ omega
         center = sys.top_cluster[0]
         basis = _cluster_vectors(k_op.tolist(), center, 2, center - sys.eigenvalues[-1],
@@ -294,20 +290,22 @@ def test_timelike_top_of_a_plane_is_its_gram_top_eigenvector():
 def test_lightlike_cluster_keeps_its_gram_eigenbasis():
     """The arrow form with r1^2 = r0 has one 4-fold eigenvalue whose 3-dim
     eigenspace holds the null top vector and the spacelike pair: its Gram
-    matrix has a zero eigenvalue, so the G-normalization that would
-    divide by it is skipped.  The one row is the Gram top eigenvector,
-    the null direction (1, 0, 0, -1)/sqrt(2), Euclidean-unit."""
+    top eigenvector is the null direction (1, 0, 0, -1)/sqrt(2), taken
+    from its Gram eigenbasis.  The solve refuses that top; the state's
+    kernel decides it, with the same null direction."""
     lam = type2_lambda(0.25, 0.5)
-    sys = g_eigensystem(omega_matrices(lam))
-    assert sys.top_cluster[1:] == (4, 3)
-    assert sys.top_row.shape == (4,)
-    np.testing.assert_allclose(
-        sys.top_row, np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12
-    )
-    assert len(sys.condition_report.gram_top) == 1
-    assert abs(sys.condition_report.gram_top[0]) < 1e-12
-    assert sys.family is CanonicalFamily.TYPE_II
-    assert _row_residuals(sys).max() < 1e-12
+    omega = omega_matrices(lam)
+    k_op = G_METRIC @ omega
+    basis = _cluster_vectors(k_op, 0.25, 4, np.inf, abs(np.trace(k_op)))
+    assert basis.shape == (4, 3)
+    x = _gram_top(basis)
+    x = _signed_unit(x / np.linalg.norm(x))
+    np.testing.assert_allclose(x, np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12)
+    assert abs(x @ G_METRIC @ x) < 1e-12
+    with pytest.raises(NoTimelikeTop):
+        g_eigensystem(omega)
+    kernel = read_state(rho_from_lambda(lam))[1]
+    assert kernel.merged and kernel.null_top.tolist() == [1.0, 0.0, 0.0, -1.0]
 
 
 def test_degenerate_product_tops_have_one_row():
@@ -318,13 +316,12 @@ def test_degenerate_product_tops_have_one_row():
     lam = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.3])
     sys_a, sys_b = g_eigensystem(omega_matrices(lam)), g_eigensystem(omega_matrices(lam.T))
     assert sys_a.top_cluster[1:] == (4, 3)
-    assert sys_a.condition_report.gram_top.size == 1 and sys_a.top_row.shape == (4,)
+    assert sys_a.top_row.shape == (4,)
     np.testing.assert_allclose(
         sys_a.top_row, np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12
     )
     assert sys_b.top_cluster == (0.0, 4, 4)
     assert sys_b.top_row.tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert len(sys_b.condition_report.gram_top) == 0
     for sys in (sys_a, sys_b):
         assert sys.family is CanonicalFamily.DEGENERATE_PRODUCT
 
@@ -365,6 +362,8 @@ def test_pure_product_comes_from_an_actual_state():
 
 
 def test_classification_reference_families():
+    """TypeII from the state's kernel, the other families from the solve,
+    as `classify` decides them."""
     cases = [
         (WERNER_HALF, CanonicalFamily.TYPE_I),
         (np.diag([1.0, 0.0, 0.0, 0.0]), CanonicalFamily.TYPE_I),
@@ -373,8 +372,12 @@ def test_classification_reference_families():
         (PURE_PRODUCT, CanonicalFamily.DEGENERATE_PRODUCT),
     ]
     for lam, family in cases:
-        sys = g_eigensystem(omega_matrices(lam))
-        assert sys.family is family, family
+        kernel = read_state(rho_from_lambda(lam))[1]
+        if kernel.null_top is not None:
+            got = CanonicalFamily.TYPE_II
+        else:
+            got = g_eigensystem(omega_matrices(lam), pure=kernel.rank == 1).family
+        assert got is family, family
 
 
 def test_complex_pair_is_rejected():
@@ -427,7 +430,7 @@ def test_spectrum_invariants(seed, rank):
     assert np.all(ev >= -1e-9 * scale)
     assert np.all(np.diff(ev) <= 1e-12 * scale)
     # a TypeI solve returns the timelike top row alone, G-normalized
-    assert sys.condition_report.gram_top.size == 0
+    assert sys.family is CanonicalFamily.TYPE_I
     x = sys.top_row
     assert abs(x @ G_METRIC @ x - 1.0) < 1e-12
     assert _row_residuals(sys).max() <= 1e-8 * scale
@@ -532,12 +535,12 @@ def test_oracle_agrees_with_production(rank):
             np.testing.assert_allclose(
                 np.sort(raw.real)[::-1], sys.eigenvalues, atol=1e-7 * scale
             )
-            check = h_derivative_norm_check(orc, sys)
+            check = h_derivative_norm_check(orc, sys.eigenvalues)
             assert check, check.checks
 
 
 def test_slope_signs_on_reference_states():
     for lam in (WERNER_HALF, type2_lambda(0.64, 0.6), sigma_matrix(0.5, 0.1, 0.3)):
         omega = omega_matrices(lam)
-        check = h_derivative_norm_check(spectral_oracle(omega), g_eigensystem(omega))
+        check = h_derivative_norm_check(spectral_oracle(omega), g_spectrum(omega))
         assert check, check.checks

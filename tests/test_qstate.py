@@ -19,6 +19,7 @@ from lorentzsvd.qstate import (
     is_valid_state,
     lambda_from_rho,
     random_state,
+    read_state,
     rho_from_lambda,
     sl2c_to_lorentz,
     steer,
@@ -207,3 +208,111 @@ def test_positivity_transfer(seed):
         q = steer(lam, p, direction)
         assert q[0] > 0
         assert q @ G_METRIC @ q >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# the family decision on rho's kernel: one test per branch
+
+
+def _filtered(rho: np.ndarray, seed: int, rapidity: float = 1.5) -> np.ndarray:
+    gen = rng(seed)
+    return apply_slocc(rho, random_sl2c(gen, rapidity), random_sl2c(gen, rapidity))
+
+
+def _sigma_rho(b: float, c: float, d: float) -> np.ndarray:
+    return rho_from_lambda(sigma_matrix(b, c, d))
+
+
+def _canonical_family(rho: np.ndarray) -> str:
+    from lorentzsvd.canonical import canonicalize
+
+    return canonicalize(rho).family.value
+
+
+def _assert_null_top(rho: np.ndarray, kernel) -> None:
+    """u is a future null eigenvector of G Omega_A at its top eigenvalue."""
+    from lorentzsvd.geigen import g_spectrum, omega_matrices
+
+    u = kernel.null_top
+    omega = omega_matrices(lambda_from_rho(rho))
+    assert u[0] == 1.0 and abs(u @ G_METRIC @ u) <= 1e-15
+    assert np.linalg.norm(G_METRIC @ omega @ u - g_spectrum(omega)[0] * u) <= 1e-12
+
+
+def test_full_rank_near_the_merge_radius_is_certified():
+    """Sigma(0.2, -0.4, 0.5) mixed with 1e-12 I/4 and filtered: its top pair
+    of G Omega is split by about 15 times the merge radius, and its least
+    eigenvalue, 2.5e-13 of the largest before the filter, is certified:
+    full rank, so no TypeII decision, and the solve gives TypeI."""
+    rho = 0.25e-12 * np.eye(4) + (1.0 - 1e-12) * _sigma_rho(0.2, -0.4, 0.5)
+    for seed in range(5):
+        moved = _filtered(rho, seed, 0.7)
+        evals = np.linalg.eigvalsh(moved)
+        assert evals[0] > 100.0 * np.finfo(float).eps * evals[-1]
+        kernel = read_state(moved)[1]
+        assert (kernel.rank, kernel.null_top, kernel.merged) == (4, None, False)
+        assert _canonical_family(moved) == "TypeI"
+
+
+def test_rank3_entangled_kernel_is_not_typeii():
+    """A random rank-3 state's kernel vector is entangled, filtered or not."""
+    for seed in range(10):
+        for rho in (random_state(3, seed=seed), _filtered(random_state(3, seed=seed), seed)):
+            kernel = read_state(rho)[1]
+            assert (kernel.rank, kernel.null_top) == (3, None)
+            assert _canonical_family(rho) == "TypeI"
+
+
+@pytest.mark.parametrize("d", [0.3, 0.0])
+def test_rank3_product_kernel_is_typeii(d):
+    """Filtered Sigma(b, c, d), and Sigma(b, c, 0), keep a product kernel
+    vector: TypeII, not merged, with u the null top eigenvector."""
+    for seed in range(10):
+        rho = _filtered(_sigma_rho(0.5, 0.1, d), seed)
+        kernel = read_state(rho)[1]
+        assert kernel.rank == 3 and not kernel.merged
+        _assert_null_top(rho, kernel)
+        assert _canonical_family(rho) == "TypeII_A"
+
+
+def test_rank2_double_root_is_merged_typeii():
+    """A filtered arrow with r1^2 = r0 has rank 2, and the product vectors
+    of its kernel plane are one double root: TypeII, merged."""
+    from lorentzsvd.canonical import canonicalize
+
+    for seed, r1 in enumerate((0.2, 0.5, 0.8)):
+        rho = _filtered(rho_from_lambda(np.array(
+            [[1.0, 0.0, 0.0, 0.0], [0.0, r1, 0.0, 0.0], [0.0, 0.0, -r1, 0.0],
+             [1.0 - r1 * r1, 0.0, 0.0, r1 * r1]])), seed)
+        kernel = read_state(rho)[1]
+        assert kernel.rank == 2 and kernel.merged
+        _assert_null_top(rho, kernel)
+        res = canonicalize(rho)
+        assert res.family.value == "TypeII_A" and res.partner.family.value == "TypeII_B"
+        assert abs(res.parameters["r1"] ** 2 / res.parameters["r0"] - 1.0) <= 1e-8
+
+
+def test_rank2_pure_marginal_is_left_to_the_solve():
+    """rho_A (x) |b><b|: every vector of its kernel plane C^2 (x) |b-perp>
+    is a product, so the determinant quadratic vanishes identically and
+    the solve decides: DegenerateProduct."""
+    gen = rng(3)
+    for seed in range(5):
+        m = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
+        rho_a = m @ m.conj().T
+        b = gen.normal(size=2) + 1j * gen.normal(size=2)
+        rho = np.kron(rho_a / np.trace(rho_a).real, np.outer(b, b.conj()) / (b.conj() @ b).real)
+        rho = _filtered(rho, seed, 0.7)
+        kernel = read_state(rho)[1]
+        assert (kernel.rank, kernel.null_top) == (2, None)
+        assert _canonical_family(rho) == "DegenerateProduct"
+
+
+def test_pure_entangled_state_is_rank_one():
+    """A pure entangled state: rank 1, no TypeII decision, TypeI."""
+    for seed in range(5):
+        rho = random_state(1, seed=seed)
+        assert read_state(rho)[1] == read_state(_filtered(rho, seed))[1]
+        kernel = read_state(rho)[1]
+        assert (kernel.rank, kernel.null_top) == (1, None)
+        assert _canonical_family(rho) == "TypeI"
