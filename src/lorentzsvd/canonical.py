@@ -42,7 +42,7 @@ own parameters exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -121,7 +121,7 @@ def _max_gap(rows: list[list[float]], target: list[list[float]], scale: float = 
 def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[list[float]],
             canon: list[list[float]], omega: np.ndarray, omega_target: list[list[float]],
             family_residuals: dict[str, float], rho_args: tuple, parameters: dict[str, Any],
-            tol: float) -> CanonicalResult:
+            tol: float, partner: CanonicalResult | None = None) -> CanonicalResult:
     """The acceptance tail of both constructions, for D = left W right^T
     and the canonical form ``canon`` read off D / D00, both as rows.  In
     order: the Lorentz-group check of both factors; the factorization and
@@ -129,7 +129,8 @@ def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[lis
     then the family's own; the canonical state of ``rho_args``
     (`_pipeline_rho`); and the factorization recheck last, so every
     refusal before it keeps its own message.  A TypeII_B side, factored
-    as the A side of Lambda^T, is transposed back: its factors swap."""
+    as the A side of Lambda^T, is transposed back: its factors swap.  A
+    TypeII_A side carries its built B side as ``partner``."""
     for rows, name in ((left, "left"), (right, "right")):
         if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
             raise NumericalFailure(f"{name} tetrad failed the Lorentz-group check")
@@ -155,6 +156,7 @@ def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[lis
         parameters=parameters,
         normalization_scale=n_scale,
         residuals=residuals,
+        partner=partner,
     )
 
 
@@ -286,11 +288,11 @@ def _rotation_to(w: list[float]) -> list[list[float]]:
             [w1, w2, w3]]
 
 
-def _null_frame(x: np.ndarray, sign: float) -> np.ndarray:
+def _null_frame(x: list[float], sign: float) -> np.ndarray:
     """diag(1, R) for a future null x, R a proper rotation whose last row is
     ``sign`` times the unit spatial direction of x: row 0 + sign * row 3
     is x scaled to unit time component."""
-    x0, *xs = x.tolist()
+    x0, *xs = x
     if not x0 > 0.0:
         raise NumericalFailure(
             f"null eigenvector is not future-pointing (time component {x0:.3e}); "
@@ -334,11 +336,12 @@ def type2_canonical(
     top eigenvector, and the two sides share the spectrum.  Each side's
     construction forms its own Omega, where a B side of another family
     shows up in the checks.  Side B from its own kernel vector is side A
-    of Lambda^T, since Omega_A(Lambda^T) = Omega_B(Lambda).
+    of Lambda^T, since Omega_A(Lambda^T) = Omega_B(Lambda).  Side B is
+    built first, so side A's result takes it as its partner.
     """
-    result = _arrow(lam, omega_matrices(lam), "A", u, merged, tol)
-    partner = _arrow(lam, omega_matrices(lam.T), "B", G_METRIC @ lam.T @ u, merged, tol)
-    return replace(result, partner=partner)
+    omega_a, omega_b = omega_matrices(lam), omega_matrices(lam.T)
+    partner = _arrow(lam, omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
+    return _arrow(lam, omega_a, "A", u, merged, tol, partner)
 
 
 def _arrow(
@@ -348,6 +351,7 @@ def _arrow(
     u: np.ndarray,
     merged: bool,
     tol: float,
+    partner: CanonicalResult | None = None,
 ) -> CanonicalResult:
     """One side of `type2_canonical`, from the future null top eigenvector
     u of ``omega``, the form of ``side``, onward.
@@ -397,13 +401,12 @@ def _arrow(
        proper rotation to the arrow's (r1, -r1); beyond the
        factorization bound it is refused (positivity transfer).
     6. `_accept` checks the factors and the residuals and, on side B,
-       transposes the factorization back.
+       transposes the factorization back; side A takes ``partner``.
     """
-    lam = np.asarray(lam, dtype=float)
     work = lam if side == "A" else lam.T
     bound = max(tol, DEFECTIVE_ROOT_FLOOR)
 
-    k_a = _null_frame(u, -1.0)
+    k_a = _null_frame(u.tolist(), -1.0)
     B = (k_a @ omega @ k_a.T).tolist()
     lam0 = 0.5 * (B[0][0] - B[3][3])
     a, b = (0.0, 0.0) if merged else _null_rotation(B, lam0)
@@ -412,7 +415,9 @@ def _arrow(
     left = np.array([[q, a / q, b / q, -s / q], [a, 1.0, 0.0, -a],
                      [b, 0.0, 1.0, -b], [0.0, a / q, b / q, 1.0 / q]], dtype=float) @ k_a
 
-    k_b = _null_frame(G_METRIC @ (work.T @ u), 1.0)
+    # v = G W^T u: negating the spatial part of W^T u is exact
+    v0, v1, v2, v3 = (work.T @ u).tolist()
+    k_b = _null_frame([v0, -v1, -v2, -v3], 1.0)
     d0, d1, d2, d3 = (k_b @ (work.T @ left[0])).tolist()
     plus = d0 + d3
     phi0 = plus * (d0 - d3) - d1 * d1 - d2 * d2
@@ -465,7 +470,7 @@ def _arrow(
     family, params = ((SideFamily.TYPE_II_A, {"r0": r0, "r1": r1, "phi0": phi0}) if side == "A"
                       else (SideFamily.TYPE_II_B, {"s0": r0, "s1": r1, "chi0": phi0}))
     return _accept(family, left, right, D, _arrow_rows(r0, r1), omega, omega_target,
-                   family_residuals, (canonical_rho_type2, r0, r1, side), params, tol)
+                   family_residuals, (canonical_rho_type2, r0, r1, side), params, tol, partner)
 
 
 # ---------------------------------------------------------------------------

@@ -86,15 +86,12 @@ def sample_steered_surface(
 ) -> np.ndarray:
     """Conditional Bloch vectors steered through lam, one per sphere sample.
 
-    Each unit vector x becomes the neutral probe p = (1, x); the steered
-    output is renormalized by its time component, whose positivity is
-    enforced inside steer().
+    Each unit vector x becomes the neutral probe p = (1, x), all of them
+    steered as one stack; each steered output is renormalized by its time
+    component, whose positivity is enforced inside steer().
     """
-    points = np.empty((count, 3))
-    for i, x in enumerate(fibonacci_sphere(count)):
-        q = steer(lam, np.concatenate([[1.0], x]), direction)
-        points[i] = q[1:] / q[0]
-    return points
+    q = steer(lam, np.column_stack([np.ones(count), fibonacci_sphere(count)]), direction)
+    return q[:, 1:] / q[:, :1]
 
 
 def surface_residuals(points: np.ndarray, ellipsoid: SteeringEllipsoid) -> np.ndarray:
@@ -114,10 +111,16 @@ def surface_residuals(points: np.ndarray, ellipsoid: SteeringEllipsoid) -> np.nd
 
 
 def points_to_csv(points: np.ndarray) -> str:
-    lines = ["x,y,z"]
-    for p in np.atleast_2d(points):
-        lines.append(",".join(format_float(v) for v in p))
-    return "\n".join(lines) + "\n"
+    """An x,y,z header and one row per point, each value as `format_float`
+    writes it, in one formatting call; the first value that is not finite,
+    in row order, is refused as `format_float` refuses it."""
+    grid = np.atleast_2d(np.asarray(points, dtype=float))
+    finite = np.isfinite(grid)
+    if not finite.all():
+        format_float(grid[~finite][0])
+    line = ",".join(["%.17g"] * grid.shape[1]) + "\n"
+    # adding 0.0 folds -0.0 into 0.0, which format_float writes as "0"
+    return "x,y,z\n" + line * len(grid) % tuple((grid + 0.0).ravel().tolist())
 
 
 def ellipsoid_json_dict(ellipsoid: SteeringEllipsoid) -> dict:

@@ -33,7 +33,7 @@ from .errors import (
     NotUnitDeterminant,
     PositivityTransferViolated,
 )
-from .minkowski import DEFAULT_TOL, LORENTZ_TOL_FLOOR, is_orthochronous_proper_lorentz, minkowski_norm
+from .minkowski import DEFAULT_TOL, LORENTZ_TOL_FLOOR, is_orthochronous_proper_lorentz
 
 PAULI = np.array(
     [
@@ -300,7 +300,9 @@ def apply_slocc(
 ) -> np.ndarray:
     """Normalized local filtering (A (x) B) rho (A (x) B)^dag / trace."""
     rho = np.asarray(rho, dtype=complex)
-    K = np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    # A (x) B, K[2i + j, 2k + l] = A[i, k] B[j, l], as one broadcast product
+    K = (A[:, None, :, None] * B[None, :, None, :]).reshape(4, 4)
     out = K @ rho @ K.conj().T
     tr = float(np.real(np.trace(out)))
     if tr <= tol:
@@ -325,21 +327,34 @@ def steer(
     so it must satisfy p0 > 0 and p^T G p >= -tol.  The same must hold for
     the output whenever Lambda parametrizes a state; a violation means the
     supplied Lambda is broken and raises PositivityTransferViolated.
+
+    p may be one probe or a stack of them, one per row, which gives the
+    stack of outputs.  Each output is the sum of p_mu times row mu of
+    Lambda (AtoB) or of Lambda^T (BtoA), added in the order of mu on whole
+    columns, so a probe's output does not depend on the stack it is in.
+    The first probe that fails either check, in stack order, raises.
     """
     direction = SteerDirection(direction)
     lam = np.asarray(lam, dtype=float)
-    p = np.asarray(p, dtype=float)
-    scale = max(1.0, float(p @ p))
-    if p[0] <= 0.0 or minkowski_norm(p) < -tol * scale:
-        raise ValueError("p does not encode a non-negative qubit operator")
-    q = lam.T @ p if direction is SteerDirection.A_TO_B else lam @ p
-    qscale = max(1.0, float(q @ q))
-    if q[0] <= 0.0 or minkowski_norm(q) < -max(tol, _CONE_TOL_FLOOR) * qscale:
+    probes = np.asarray(p, dtype=float)
+    rows = lam if direction is SteerDirection.A_TO_B else lam.T
+    p0, p1, p2, p3 = np.atleast_2d(probes).T
+    scale = np.maximum(1.0, p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+    bad_p = (p0 <= 0.0) | (p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3 < -tol * scale)
+    q = (p0[:, None] * rows[0] + p1[:, None] * rows[1]
+         + p2[:, None] * rows[2] + p3[:, None] * rows[3])
+    q0, q1, q2, q3 = q.T
+    qscale = np.maximum(1.0, q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    norm = q0 * q0 - q1 * q1 - q2 * q2 - q3 * q3
+    bad = bad_p | (q0 <= 0.0) | (norm < -max(tol, _CONE_TOL_FLOOR) * qscale)
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_p[i]:
+            raise ValueError("p does not encode a non-negative qubit operator")
         raise PositivityTransferViolated(
-            f"steering output left the forward cone: q0={q[0]:.3e}, "
-            f"norm={minkowski_norm(q):.3e}"
+            f"steering output left the forward cone: q0={q0[i]:.3e}, norm={norm[i]:.3e}"
         )
-    return q
+    return q if probes.ndim == 2 else q[0]
 
 
 def random_state(rank: int, seed: int) -> np.ndarray:

@@ -46,15 +46,15 @@ def format_float(x: float) -> str:
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def _key_text(key: Any) -> str:
-    """A dict key, or a string, as JSON text."""
-    return json.dumps(str(key))
+def _text(value: Any) -> str:
+    """A dict key, or a string, as JSON text escaped for a ``%`` template."""
+    return json.dumps(str(value)).replace("%", "%%")
 
 
 @functools.lru_cache(maxsize=64)
-def _dict_template(keys: tuple) -> str:
-    """A dict of floats with these keys, as a format string."""
-    return "{" + ",".join([_key_text(k).replace("%", "%%") + ":%.17g" for k in keys]) + "}"
+def _dict_template(keys: tuple[str, ...]) -> str:
+    """A dict of floats whose keys have these `_text` forms, as a template."""
+    return "{" + ",".join([k + ":%.17g" for k in keys]) + "}"
 
 
 @functools.lru_cache(maxsize=64)
@@ -63,62 +63,69 @@ def _grid_template(shape: tuple[int, ...]) -> str:
     return "[" + ",".join([inner] * shape[0]) + "]"
 
 
-def _float_grid(obj: list | tuple) -> str | None:
-    """A rectangular grid of floats (a list of floats, or of equal-length
-    lists, at any depth) as text, formatted in one call; None for anything
-    else, which then takes the per-value path.
-
-    ``%.17g`` is `format_float`'s format, and adding 0.0 folds -0.0 into
-    0.0 and changes no other value.  A grid with a value that is not
-    finite (or whose sum overflows) is left to the per-value path too,
-    which raises on the first non-finite value as `format_float` does.
-    """
-    shape = [len(obj)]
-    cells = obj
-    while type(cells[0]) is list:
-        width = len(cells[0])
-        flat: list = []
-        for cell in cells:
-            if type(cell) is not list or len(cell) != width:
-                return None
-            flat += cell
-        if not flat:
-            return None
-        shape.append(width)
-        cells = flat
-    if set(map(type, cells)) != {float} or not math.isfinite(sum(cells)):
-        return None
-    return _grid_template(tuple(shape)) % tuple([v + 0.0 for v in cells])
+def _template(obj: Any, parts: list[str], values: list) -> bool:
+    """Append obj to ``parts`` as pieces of a ``%`` template and its values,
+    in order, to ``values``; False when it holds what only the per-value
+    path writes (`dumps`).  A list is a rectangular grid at any depth,
+    and it and a dict of floats go in whole, with their cached
+    templates.  `dumps` checks that every value taken is a float."""
+    kind = type(obj)
+    if kind is dict:
+        if obj is CONVENTIONS:
+            parts.append(_CONVENTIONS_TEMPLATE)
+        elif obj and set(map(type, obj.values())) == {float}:
+            parts.append(_dict_template(tuple(map(_text, obj))))
+            values += obj.values()
+        else:
+            sep = "{"
+            for k, v in obj.items():
+                parts.append(sep + _text(k) + ":")
+                if not _template(v, parts, values):
+                    return False
+                sep = ","
+            parts.append("}" if obj else "{}")
+    elif kind is list:
+        shape = [len(obj)]
+        cells = obj
+        while cells and type(cells[0]) is list:
+            try:
+                widths = set(map(len, cells))
+                # concatenation refuses a row that is not a list; it is
+                # quadratic in the row count, at most 16 in a report
+                cells = sum(cells, [])
+            except TypeError:
+                return False
+            if len(widths) != 1:
+                return False
+            shape.append(widths.pop())
+        parts.append(_grid_template(tuple(shape)))
+        values += cells
+    elif kind is float:
+        parts.append("%.17g")
+        values.append(obj)
+    elif kind is str:
+        parts.append(_text(obj))
+    elif kind is int:
+        parts.append(str(obj))
+    else:
+        return False
+    return True
 
 
 def _emit(obj: Any) -> str:
-    # exact types first: a report is mostly grids of floats
-    kind = type(obj)
-    if kind is float:
-        return format_float(obj)
-    if kind is str:
-        return _key_text(obj)
-    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
-        if obj and type(obj[0]) in (float, list):
-            text = _float_grid(obj)
-            if text is not None:
-                return text
-        return "[" + ",".join([format_float(v) if type(v) is float else _emit(v) for v in obj]) + "]"
-    if kind is dict or isinstance(obj, dict):
-        if obj is CONVENTIONS:
-            return _CONVENTIONS_TEXT
-        values = list(obj.values())
-        # a dict of finite floats, formatted in one call as a grid is
-        if values and set(map(type, values)) == {float} and math.isfinite(sum(values)):
-            return _dict_template(tuple(obj)) % tuple([v + 0.0 for v in values])
-        return "{" + ",".join([f"{_key_text(k)}:{format_float(v) if type(v) is float else _emit(v)}"
-                               for k, v in obj.items()]) + "}"
+    """obj as JSON text, value by value: the path of a document that holds
+    something `_template` does not write, or a value that is not finite,
+    which `format_float` refuses."""
+    if isinstance(obj, dict):
+        return "{" + ",".join([f"{json.dumps(str(k))}:{_emit(v)}" for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([_emit(v) for v in obj]) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+        return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -126,13 +133,27 @@ def _emit(obj: Any) -> str:
     raise InputFormatError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-#: the constant block every document carries, rendered once (from a copy,
-#: which `_emit` does not take for the block itself)
-_CONVENTIONS_TEXT = _emit(dict(CONVENTIONS))
+#: the constant block every document carries, as a template piece
+_CONVENTIONS_TEMPLATE = _emit(CONVENTIONS).replace("%", "%%")
 
 
 def dumps(obj: Any) -> str:
-    """Serialize to a single deterministic JSON line (newline-terminated)."""
+    """Serialize to a single deterministic JSON line (newline-terminated).
+
+    The document is walked once into one ``%`` template and one list of
+    its floats, formatted in one call: ``%.17g`` is `format_float`'s
+    format, and adding 0.0 folds -0.0 into 0.0 and changes no other
+    value.  A document holding anything else (bools, None, numpy values,
+    tuples, subclasses, a grid cell that is not a float) or a value that
+    is not finite (or a sum that overflows) takes the per-value path,
+    which raises on the first non-finite value as `format_float` does.
+    """
+    parts: list[str] = []
+    values: list = []
+    if (_template(obj, parts, values) and set(map(type, values)) <= {float}
+            and math.isfinite(sum(values))):
+        parts.append("\n")
+        return "".join(parts) % tuple([v + 0.0 for v in values])
     return _emit(obj) + "\n"
 
 
@@ -233,10 +254,11 @@ def canonical_report(result: CanonicalResult, include_conventions: bool = True) 
     if include_conventions:
         doc["conventions"] = CONVENTIONS
     doc["family"] = result.family.value
-    doc["lambdaCanonical"] = real_matrix(result.canonical_lambda)
-    doc["rhoCanonical"] = complex_matrix(result.canonical_rho)
-    doc["leftLorentz"] = real_matrix(result.left_lorentz)
-    doc["rightLorentz"] = real_matrix(result.right_lorentz)
+    # the result's float and complex arrays, each converted in one call
+    doc["lambdaCanonical"] = result.canonical_lambda.tolist()
+    doc["rhoCanonical"] = result.canonical_rho.view(float).reshape(4, 4, 2).tolist()
+    doc["leftLorentz"] = result.left_lorentz.tolist()
+    doc["rightLorentz"] = result.right_lorentz.tolist()
     doc["parameters"] = {
         k: ([float(x) for x in v] if isinstance(v, list) else v)
         for k, v in result.parameters.items()

@@ -195,6 +195,47 @@ def test_steer_guards():
         steer(broken, np.array([1.0, 0.0, 0.0, 0.0]), "BtoA")
 
 
+def _steer_outcome(lam, p, direction):
+    try:
+        return steer(lam, p, direction).tobytes()
+    except (ValueError, PositivityTransferViolated) as exc:
+        return type(exc), str(exc)
+
+
+def test_steer_on_a_stack_is_steer_per_probe():
+    """A stack of probes steers each row bit for bit as the probe alone
+    does, and refuses with the error of its first bad probe: one outside
+    the forward cone (ValueError), or one steered outside it through a
+    broken Lambda (PositivityTransferViolated)."""
+    gen = rng(41)
+    broken = np.diag([1.0, 0.0, 0.0, 0.0])
+    broken[3, 0] = 2.0
+    lams = [lambda_from_rho(random_state(rank, seed=rank)) for rank in (1, 2, 3, 4)]
+    lams += [sigma_matrix(0.5, 0.1, 0.3), np.diag([1.0, 0.5, -0.5, 0.5])]
+    for lam in lams:
+        x = gen.normal(size=(200, 3))
+        probes = np.column_stack([np.ones(200), x / np.linalg.norm(x, axis=1)[:, None]])
+        probes[:100] *= gen.uniform(0.5, 2.0, size=(100, 1))
+        for direction in ("AtoB", "BtoA"):
+            q = steer(lam, probes, direction)
+            assert q.shape == (200, 4)
+            for row, p in zip(q, probes):
+                assert row.tobytes() == steer(lam, p, direction).tobytes()
+    good = np.array([[1.0, 0.0, 0.0, 0.5], [1.0, 0.3, 0.0, 0.0]])
+    outside, negative = [1.0, 0.0, 0.0, 2.0], [-1.0, 0.0, 0.0, 0.0]
+    for lam in (broken, lams[3]):
+        for stack in ([good[0], outside, negative], [negative, good[1]], [good[1], good[0]],
+                      [good[0], [1.0, 0.0, 0.0, -1.0], outside]):
+            stack = np.array(stack)
+            per_probe = [_steer_outcome(lam, p, "BtoA") for p in stack]
+            first_bad = next((o for o in per_probe if not isinstance(o, bytes)), None)
+            got = _steer_outcome(lam, stack, "BtoA")
+            if first_bad is None:
+                assert got == b"".join(per_probe)
+            else:
+                assert got == first_bad
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
 def test_positivity_transfer(seed):

@@ -74,14 +74,20 @@ class _Floats(list):
 
 def test_dumps_matches_the_reference_emitter():
     gen = np.random.default_rng(11)
+    pure_product = np.zeros((4, 4), dtype=complex)
+    pure_product[0, 0] = 1.0
     docs = [
         canonical_report(canonicalize(rho))
         for rho in (
             random_state(4, seed=2),
             rho_from_lambda(np.diag([1.0, 0.5, -0.5, 0.5])),
             sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1],
+            pure_product,
         )
     ]
+    # one report of each family, the TypeII_A one with its TypeII_B partner
+    assert [d["family"] for d in docs] == ["TypeI", "TypeI", "TypeII_A", "DegenerateProduct"]
+    assert docs[2]["partner"]["family"] == "TypeII_B"
     docs.append({
         "floats": [-0.0, 0.0, 1e-300, -2.5, 1e300] + gen.normal(size=8).tolist(),
         "numpy": [np.float64(-0.0), np.float32(0.5), np.int64(-3), np.arange(3), np.eye(2)],
@@ -91,6 +97,12 @@ def test_dumps_matches_the_reference_emitter():
     })
     # a dict of floats only, with keys that a format string would misread
     docs.append({"zero": -0.0, 'per%cent "key"': 1e-300, 3: 2.5, 0.5: -1e308})
+    # keys equal as values but not as text: 1, True and 1.0 are one dict key
+    docs += [{1: 0.5}, {True: 0.5}, {1.0: 0.5}]
+    # a --batch summary, whose failure messages may hold %; empty containers
+    docs.append({"command": "canonicalize", "processed": 2, "failures": {
+        "100%.json": {"exitCode": 3, "message": "NumericalFailure: 5% off, %s %d %%"}}})
+    docs += [{}, [], {"empty": {}, "none": [], "rows": [[], []]}]
     for doc in docs:
         assert dumps(doc) == _reference_emit(doc) + "\n"
     with pytest.raises(InputFormatError, match="non-finite"):
