@@ -9,11 +9,11 @@ Write the digests of one checkout, then compare two digest files::
 ``bench/run.py``'s default seed.  Every case of every benchmark corpus
 (``bench/corpus.py``) is recorded as the sha256 of its canonicalization
 report, or as its error class and message, next to a digest of the raw
-bytes of both eigensystems, each solved as `canonicalize` solves side A:
-the one row of the top cluster.  A refactor that claims unchanged arithmetic must leave
-every line equal.  ``compare`` prints each changed case, then
-one line per group with the changed cases tallied by outcome kind, old
--> new: ``report`` or the error class.
+bytes of both eigensystems, each solved as `canonicalize` solves side A,
+with rho's rank: the one row of the top cluster.  A refactor that claims
+unchanged arithmetic must leave every line equal.  ``compare`` prints
+each changed case, then one line per group with the changed cases
+tallied by outcome kind, old -> new: ``report`` or the error class.
 """
 
 from __future__ import annotations
@@ -47,33 +47,31 @@ def _sha(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def _eigen_digest(omega: np.ndarray) -> str:
-    """Hash of one eigensystem: the four eigenvalues, the top row with its
-    norm, the top cluster and the row's Gram value.
+def _eigen_digest(omega: np.ndarray, rank: int) -> str:
+    """Hash of one eigensystem of a state of rho's ``rank``: the four
+    eigenvalues, the top row with its norm and the top cluster.
 
-    The solve reads the top cluster alone and gives one row, its span's
-    Gram top eigenvector: a timelike row with no Gram value, or the
-    Euclidean-unit row of a DegenerateProduct side with its x^T G x when
-    it is not timelike.  A TypeII side is not solved: its family and null
-    top eigenvector come from rho's kernel, and the solve refuses it, so
-    its record is that refusal.  Digests of TypeI sides are those the
-    solve wrote while it also named TypeII; on a side with a timelike top
-    the per-row residuals that digests written before the one-row solve
-    also hashed were empty, so those digests are unchanged too.
+    The solve reads the top cluster alone.  A TypeI side gives one row,
+    its span's timelike Gram top eigenvector; a DegenerateProduct side
+    forms no span and has no row, so it is hashed from its eigenvalues and
+    top cluster.  A TypeII side is not solved: its family and null top
+    eigenvector come from rho's kernel, and the solve refuses it, so its
+    record is that refusal.  Digests of TypeI sides are those the solve
+    wrote while it also named TypeII; on a side with a timelike top the
+    per-row residuals that digests written before the one-row solve also
+    hashed were empty, so those digests are unchanged too.
     """
-    from lorentzsvd.geigen import SIGNATURE_TOL, g_eigensystem
+    from lorentzsvd.geigen import g_eigensystem
 
-    s = g_eigensystem(omega)
-    # the norm of the row, 1 when timelike and 0 otherwise, its Gram value
-    # when not timelike, and the top cluster as a 1-tuple, as the solve
-    # once recorded them, so digests written then still compare
-    x = s.top_row
-    gram = float(x @ (x * np.array([1.0, -1.0, -1.0, -1.0])))
-    timelike = gram > SIGNATURE_TOL
-    return _sha(
-        s.eigenvalues.tobytes(), x.tobytes(), np.array([int(timelike)], dtype=int).tobytes(),
-        repr((s.top_cluster,)).encode(), b"" if timelike else np.array([gram]).tobytes(),
-    )
+    s = g_eigensystem(omega, rank=rank)
+    # the top cluster as a 1-tuple, as the solve once recorded it
+    cluster = repr((s.top_cluster,)).encode()
+    if s.top_row is None:
+        return _sha(s.eigenvalues.tobytes(), cluster)
+    # the norm of the timelike row, 1, as the solve once recorded it, so
+    # digests written then still compare
+    return _sha(s.eigenvalues.tobytes(), s.top_row.tobytes(),
+                np.array([1], dtype=int).tobytes(), cluster)
 
 
 def write(seeds: list[int], out: Path) -> None:
@@ -81,7 +79,7 @@ def write(seeds: list[int], out: Path) -> None:
     import corpus
     from lorentzsvd.canonical import canonicalize
     from lorentzsvd.geigen import omega_matrices
-    from lorentzsvd.qstate import lambda_from_rho
+    from lorentzsvd.qstate import read_state
     from lorentzsvd.serialize import canonical_report, dumps, loads_state
 
     records = {}
@@ -92,8 +90,8 @@ def write(seeds: list[int], out: Path) -> None:
                 if workload == "cli":
                     rho = loads_state(cliprobe.document_text(rho))[1]
                 report = _outcome(lambda: _sha(dumps(canonical_report(canonicalize(rho))).encode()))
-                lam = lambda_from_rho(rho)
-                eigen = [_outcome(lambda w=w: _eigen_digest(omega_matrices(w)))
+                lam, kernel = read_state(rho)
+                eigen = [_outcome(lambda w=w: _eigen_digest(omega_matrices(w), kernel.rank))
                          for w in (lam, lam.T)]
                 records[f"{seed}/{workload}/{k}"] = [report, *eigen]
     out.write_text(json.dumps(records, indent=0), encoding="utf-8")

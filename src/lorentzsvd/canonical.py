@@ -15,11 +15,12 @@ with L_A, L_B proper orthochronous Lorentz matrices, N > 0 the
 * diagonalizable family ("TypeI"): Lambda^c is diagonal,
   diag(1, d1, d2, d3) with d_i^2 = l_i/l0 and d3 signed by det Lambda,
   realized on a Bell-diagonal state;
-* degenerate product family: the top eigenvalue vanishes and no
-  00-normalizable canonical form exists.
+* degenerate product family: the top eigenvalue vanishes on a state of
+  rank at most 2 (a pure marginal) and no 00-normalizable canonical
+  form exists.
 
-The G-eigensystem of Omega_A = Lambda G Lambda^T tells the last two
-apart, on every state that is not TypeII.
+The spectrum of Omega_A = Lambda G Lambda^T and rho's rank tell the last
+two apart, on every state that is not TypeII.
 
 Both families follow the Lorentz-SVD route Rao et al. take for Mueller
 matrices (J. Mod. Opt. 45, 955 (1998)): one top eigenvector, exact group
@@ -483,8 +484,8 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     The family is decided once.  rho's kernel decides TypeII
     (`read_state`), and a TypeII state is factored from the null top
     eigenvector that kernel gives, with no eigensolve.  Every other
-    state solves side A's eigensystem, which decides TypeI or
-    DegenerateProduct (`_factor_solved`).  The diagonalizable family
+    state solves side A's eigensystem with rho's rank, which decides
+    TypeI or DegenerateProduct (`_factor_solved`).  The diagonalizable family
     reports one result (the two sides coincide); the non-diagonalizable
     family reports the A side with the B side attached as ``partner``,
     since the two canonical states differ in general.  The degenerate
@@ -493,32 +494,19 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalResult:
     lam, kernel = read_state(rho, tol)
     if kernel.null_top is not None:
         return type2_canonical(lam, kernel.null_top, kernel.merged, tol)
-    return _factor_solved(lam, g_eigensystem(omega_matrices(lam), tol, kernel.rank == 1), tol)
+    return _factor_solved(lam, g_eigensystem(omega_matrices(lam), tol, kernel.rank), tol)
 
 
-def _factor_solved(
-    lam: np.ndarray,
-    sys_a: GEigenSystem,
-    tol: float,
-    sys_b: GEigenSystem | None = None,
-) -> CanonicalResult:
+def _factor_solved(lam: np.ndarray, sys_a: GEigenSystem, tol: float) -> CanonicalResult:
     """`canonicalize` of a state that is not TypeII, after side A's
     eigensolve of Omega_A: TypeI or DegenerateProduct.
 
-    A TypeI side A solves no side B: `type1_canonical` transports the B
-    tetrad through Lambda.  Only a degenerate product side A reads side
-    B's eigensystem, to confirm the family on both sides: ``sys_b`` when
-    the caller has solved it already, otherwise the solve of Omega_B,
-    `omega_matrices` of Lambda^T.
+    Neither solves side B.  `type1_canonical` transports the B tetrad
+    through Lambda, and a DegenerateProduct side A decides the family
+    for both sides, since Omega_A and Omega_B share one spectrum.
     """
     if sys_a.family is CanonicalFamily.TYPE_I:
         return type1_canonical(lam, sys_a, tol)
-    if sys_b is None:
-        sys_b = g_eigensystem(omega_matrices(lam.T), tol)
-    if sys_b.family is not CanonicalFamily.DEGENERATE_PRODUCT:
-        raise NumericalFailure(
-            f"the two sides disagree on the family: DegenerateProduct vs {sys_b.family.value}"
-        )
     return CanonicalResult(
         family=SideFamily.DEGENERATE_PRODUCT,
         canonical_lambda=lam.copy(),

@@ -205,10 +205,9 @@ def _run_verify(path: str, tol: float) -> tuple[str, bool]:
         spectra = [g_spectrum(omega, tol) for omega in forms]
         result = type2_canonical(lam, kernel.null_top, kernel.merged, tol)
     else:
-        sys_a, sys_b = (g_eigensystem(omega, tol, kernel.rank == 1) for omega in forms)
+        sys_a, sys_b = (g_eigensystem(omega, tol, kernel.rank) for omega in forms)
         spectra = [sys_a.eigenvalues, sys_b.eigenvalues]
-        # a degenerate product side A confirms its family on the B side just solved
-        result = _factor_solved(lam, sys_a, tol, sys_b)
+        result = _factor_solved(lam, sys_a, tol)
     scale = max(1.0, float(spectra[0][0]))
     record("sharedSpectrum", np.abs(spectra[0] - spectra[1]).max(),
            max(100 * tol, DEFECTIVE_ROOT_FLOOR) * scale)
@@ -240,7 +239,7 @@ def _run_state_command(cmd: str, path: str, tol: float, side: str = "A",
         if kernel.null_top is not None:
             family, eigenvalues = CanonicalFamily.TYPE_II, g_spectrum(omega, tol)
         else:
-            sys_a = g_eigensystem(omega, tol, kernel.rank == 1)
+            sys_a = g_eigensystem(omega, tol, kernel.rank)
             family, eigenvalues = sys_a.family, sys_a.eigenvalues
         spectrum = ",".join(format_float(v) for v in eigenvalues)
         return f"{family.value}, eigenvalues [{spectrum}]\n", 0

@@ -12,20 +12,21 @@ timelike or lightlike -- goes with the canonical form a state admits.
 `omega_matrices` returns one raw product, Omega_A of Lambda or Omega_B
 of Lambda^T, and the solve is the one place that symmetrizes a form.
 The spectrum comes from LAPACK as cluster means (`_quartic`);
-`g_spectrum` stops there.  `g_eigensystem` then reads the top cluster
-alone, the only one any construction uses, and of it one row: the Gram
-top eigenvector of the cluster's span.  That span is LAPACK's
-eigenvector when the cluster is one real root, the whole space when the
-caller's rank decision found the state pure, and otherwise the null
-space of G Omega - c I at its centre c: the right singular vectors below
-one cut, with no second try at a wider one.
+`g_spectrum` stops there.
 
 The TypeII family is decided on rho's kernel (`qstate.read_state`),
 which also gives its null top eigenvector, so a TypeII state is never
-solved here.  For every other state the solve names the family on the
-system it returns: TypeI when the row is timelike, DegenerateProduct
-when the top eigenvalue vanishes; a top that is neither is refused
-(`NoTimelikeTop`).  `canonical` reads a TypeI side B off side A, so it
+solved here.  For every other state `g_eigensystem` names the family
+from the spectrum and rho's rank: DegenerateProduct when the top
+eigenvalue vanishes on a state of rank at most 2, which forms no span,
+and TypeI otherwise.  A TypeI solve reads the top cluster alone, the
+only one any construction uses, and of it one row: the Gram top
+eigenvector of the cluster's span, which must be timelike
+(`NoTimelikeTop`).  That span is LAPACK's eigenvector when the cluster
+is one real root, the whole space when the caller's rank decision found
+the state pure, and otherwise the null space of G Omega - c I at its
+centre c: the right singular vectors below one cut, with no second try
+at a wider one.  `canonical` reads a TypeI side B off side A, so it
 solves one form only.
 """
 
@@ -40,7 +41,7 @@ import numpy as np
 from ._linalg import gram_eigenbasis, null_space_basis
 from ._quartic import quartic_real_roots
 from .errors import NoTimelikeTop, NumericalFailure
-from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, ZERO_REL, g_inner
+from .minkowski import DEFAULT_TOL, G_METRIC, SCALE_FLOOR, g_inner
 
 _EPS = float(np.finfo(float).eps)
 
@@ -67,9 +68,8 @@ def omega_matrices(lam: np.ndarray) -> np.ndarray:
 
     The product is symmetric in exact arithmetic.  `g_eigensystem` is the
     one place that symmetrizes a form, and it records the asymmetry it
-    removes.  Only a TypeII or degenerate product side A, and the CLI's
-    ``verify``, read Omega_B.  The name is the one the benchmark's tracer
-    wraps.
+    removes.  Only a TypeII state and the CLI's ``verify`` read Omega_B.
+    The name is the one the benchmark's tracer wraps.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4, 4):
@@ -105,17 +105,18 @@ class GEigenSystem:
     """Solved eigenproblem of G @ Omega for one symmetric form Omega.
 
     ``eigenvalues`` are the four algebraic eigenvalues, descending.  The
-    solve reads the top cluster alone, ``top_cluster``.  It gives one
-    row, ``top_row``, the Gram top eigenvector of the cluster's span:
-    timelike and G-normalized on a TypeI form, Euclidean-unit on a
-    DegenerateProduct one, whose row no construction reads.  ``family``
-    is the family the solve decided, TypeI or DegenerateProduct.
+    solve reads the top cluster alone, ``top_cluster``.  On a TypeI form
+    it gives one row, ``top_row``, the Gram top eigenvector of the
+    cluster's span, timelike and G-normalized; a DegenerateProduct form
+    forms no span and has no row.  ``family`` is the family the solve
+    decided, TypeI or DegenerateProduct.
     """
 
     eigenvalues: np.ndarray
-    top_row: np.ndarray
+    top_row: np.ndarray | None
     family: CanonicalFamily
-    #: (center, algebraic multiplicity, geometric dimension) of the top cluster
+    #: (center, algebraic multiplicity, dimension of its span) of the top
+    #: cluster; the dimension is 0 on a DegenerateProduct form
     top_cluster: tuple[float, int, int]
     condition_report: ConditionReport
     #: the symmetrized form that was solved
@@ -127,18 +128,6 @@ _EYE4 = np.eye(4)
 _G_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 #: the index pairs above the diagonal of a 4x4 matrix
 _UPPER = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-
-
-def _signed_unit(x: np.ndarray) -> np.ndarray:
-    """Deterministic overall sign: time component non-negative when it is
-    significant, otherwise the largest-magnitude component non-negative."""
-    values = x.tolist()
-    mags = [abs(v) for v in values]
-    big = max(mags)
-    if big == 0.0:
-        return x
-    k = 0 if mags[0] > ZERO_REL * big else mags.index(big)
-    return x if values[k] > 0 else -x
 
 
 def _cluster_vectors(
@@ -257,40 +246,43 @@ def g_spectrum(omega: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _repeated(centers, mults)
 
 
-def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL, pure: bool = False) -> GEigenSystem:
+def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL, rank: int = 4) -> GEigenSystem:
     """Solve the eigenproblem of G @ Omega for a 4x4 form, its symmetric
-    part, up to its top cluster, on a state that is not TypeII.
+    part, up to its top cluster, on a state of rho's ``rank`` that is not
+    TypeII.
 
     The spectrum is `_clusters`'; the asymmetry the solve removed is the
-    condition report's ``symmetry_defect``.  The top cluster's span is
-    LAPACK's eigenvector when the cluster is one real root; the whole
-    space for the zero form, and for a top of all four roots when
-    ``pure`` says the caller's rank decision found rho pure (a pure
+    condition report's ``symmetry_defect``.  A top eigenvalue at most
+    ``tol`` on a state of rank at most 2 (a pure marginal) makes the
+    family DegenerateProduct: no normalizable canonical form exists, and
+    the system has no row and a top cluster of dimension 0.  Every other
+    state is TypeI.  Its top cluster's span is LAPACK's eigenvector when
+    the cluster is one real root; the whole space for the zero form, and
+    for a top of all four roots on a pure state (``rank`` 1: a pure
     entangled state's form is N^2 G, so G Omega = N^2 I); and otherwise
     the null space at its centre (`_cluster_vectors`: one SVD, at least
     one direction).  No construction reads a lower cluster or a second
-    top row: TypeI reads the timelike top row and DegenerateProduct the
-    eigenvalues alone.  So the system has all four eigenvalues and one
-    row, the span's Gram top eigenvector x (`_gram_top`) with a
-    deterministic sign: G-normalized when timelike, x^T G x >
-    SIGNATURE_TOL, and Euclidean-unit when it is null within SIGNATURE_TOL
-    on a top eigenvalue at most ``tol``.  Such a top eigenvalue makes the
-    family DegenerateProduct (no normalizable canonical form exists), and
-    any other makes it TypeI.  ``tol`` plays no other part in the solve.  Raises NumericalFailure on entries
-    that are not finite or so large that the solve would overflow, when
-    the two members of a complex eigenvalue pair lie farther apart than
-    the merge radius (input violating the positivity-transfer
-    precondition), and when the null space at the top centre has more
-    directions than the cluster has roots; and NoTimelikeTop when the top
-    span holds no timelike direction, other than the null row of a
-    DegenerateProduct side: a top eigenvalue above ``tol`` that is
-    lightlike belongs to a TypeII state, which is decided on rho's
-    kernel, and one that is spacelike to no state at all.
+    top row, so the system has all four eigenvalues and one row, the
+    span's Gram top eigenvector x (`_gram_top`), G-normalized with a
+    positive time component.  ``tol`` plays no other part in the solve.
+    Raises NumericalFailure on entries that are not finite or so large
+    that the solve would overflow, when the two members of a complex
+    eigenvalue pair lie farther apart than the merge radius (input
+    violating the positivity-transfer precondition), and when the null
+    space at the top centre has more directions than the cluster has
+    roots; and NoTimelikeTop when x is not timelike, x^T G x at most
+    SIGNATURE_TOL: a lightlike top belongs to a TypeII state, which is
+    decided on rho's kernel, and a spacelike one to no state at all.
     """
     omega, symmetry_defect, trace, centers, mults, quartic = _clusters(omega, tol)
     center, mult = centers[0], mults[0]
+    eigenvalues = _repeated(centers, mults)
     imag_residue = 0.0 if quartic is None else quartic.imag_residue
-    if quartic is None or (pure and mult == 4):
+    condition_report = ConditionReport(imag_residue, symmetry_defect)
+    if center <= tol and rank <= 2:
+        return GEigenSystem(eigenvalues, None, CanonicalFamily.DEGENERATE_PRODUCT,
+                            (center, mult, 0), condition_report, omega)
+    if quartic is None or (rank == 1 and mult == 4):
         # every direction is an eigenvector at the top
         basis = _EYE4
     elif quartic.top_vector is not None:
@@ -302,29 +294,12 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL, pure: bool = Fals
     col = _gram_top(basis)
     # x^T (G x): the product G x is exact, so this is the dot x^T G x takes
     gam = float((col * _G_DIAG) @ col)
-    if gam > SIGNATURE_TOL:
-        row = col / math.sqrt(gam)
-    elif center <= tol and gam >= -SIGNATURE_TOL:
-        # the null row of a degenerate product side, Euclidean-unit by
-        # np.linalg.norm's own arithmetic: a contiguous copy's dot
-        flat = col.ravel()
-        row = col / math.sqrt(flat.dot(flat))
-    else:
+    if not gam > SIGNATURE_TOL:
         raise NoTimelikeTop(
             "top eigenspace contains no timelike direction, and rho's kernel holds no "
             f"product vector; Gram value {gam:.6g}, eigenvalue {center:.6g}"
         )
-    # a vanishing top eigenvalue: no normalizable canonical form
-    family = CanonicalFamily.DEGENERATE_PRODUCT if center <= tol else CanonicalFamily.TYPE_I
-
-    return GEigenSystem(
-        eigenvalues=_repeated(centers, mults),
-        top_row=_signed_unit(row),
-        family=family,
-        top_cluster=(center, mult, basis.shape[1]),
-        condition_report=ConditionReport(
-            imag_residue=imag_residue,
-            symmetry_defect=symmetry_defect,
-        ),
-        omega=omega,
-    )
+    row = col / math.sqrt(gam)
+    # future-pointing: a timelike row's time component never vanishes
+    return GEigenSystem(eigenvalues, row if row[0] > 0.0 else -row, CanonicalFamily.TYPE_I,
+                        (center, mult, basis.shape[1]), condition_report, omega)

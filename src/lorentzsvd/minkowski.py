@@ -22,8 +22,9 @@ G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 #:
 #: * whether a matrix is a state: hermiticity, trace and positivity of rho,
 #:   and positivity of the rho rebuilt from a Lambda;
-#: * the G-eigensystem: the all-zero form and the zero top eigenvalue of
-#:   the degenerate product family;
+#: * the G-eigensystem: the all-zero form and the zero top eigenvalue,
+#:   which names the degenerate product family on a state of rank at
+#:   most 2 (a TypeI top that small is refused as SingularTopEigenvalue);
 #: * the constructions: the TypeI top eigenvalue and ``detSign`` (zero
 #:   when |d3| <= tol), the TypeII 00-scale, the Lorentz-group checks of
 #:   both factors, the canonical parameter region and the factorization

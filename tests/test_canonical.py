@@ -819,6 +819,9 @@ def test_eps_mixed_sigma_closes_its_split_double_root(eps):
         (random_state(4, seed=5), SideFamily.TYPE_I),
         (sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1], SideFamily.TYPE_II_A),
         (random_state(3, seed=5), SideFamily.TYPE_I),
+        # |0><0| (x) rho_B with a mixed rho_B: rank 2, Omega_A nilpotent under G
+        (rho_from_lambda(np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.3])),
+         SideFamily.DEGENERATE_PRODUCT),
     ],
 )
 def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
@@ -829,8 +832,11 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     both come from Lambda.  Omega_B is formed only where it is read, by
     the TypeII partner, so a TypeI state forms Omega_A alone.  A rank-3
     or rank-4 TypeI state, whose four roots are simple, takes no null
-    space.  Each family is one call of its construction, which builds
-    both sides."""
+    space.  A DegenerateProduct state, whose vanishing top on a state of
+    rank at most 2 names the family before any span is formed, makes one
+    G-eigensolve of Omega_A, no null space and no construction; its one
+    more `eigh` validates the reported state.  Each family is one call of
+    its construction, which builds both sides."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.geigen as geigen
 
@@ -855,11 +861,13 @@ def test_canonicalize_solves_each_side_once(monkeypatch, rho, family):
     monkeypatch.setattr(canonical, "omega_matrices", counted_form)
     assert canonicalize(rho).family is family
     type2 = family is SideFamily.TYPE_II_A
+    degenerate = family is SideFamily.DEGENERATE_PRODUCT
     assert not np.array_equal(lam, lam.T)
     assert forms == ["A"] + ["B"] * type2
     assert calls == {"g_eigensystem": 1 - type2, "quartic_real_roots": 1 - type2,
-                     "null_space_basis": 0, "eigh": 1, "eigvalsh": 0,
-                     "type1_canonical": 1 - type2, "type2_canonical": int(type2)}
+                     "null_space_basis": 0, "eigh": 1 + degenerate, "eigvalsh": 0,
+                     "type1_canonical": int(family is SideFamily.TYPE_I),
+                     "type2_canonical": int(type2)}
 
 
 def test_python_float_builders_match_their_numpy_forms():

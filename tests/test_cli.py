@@ -848,6 +848,8 @@ RANK4_SEED7 = state_document(rho=random_state(4, seed=7))
 TYPE2_SIGMA = state_document(rho=sigma_from_bcd(SigmaParameters(0.5, 0.1, 0.3))[1])
 #: the pure product |00>, a DegenerateProduct state
 PURE_PRODUCT_LAMBDA = {"lambda": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}
+#: |0><0| (x) rho_B with a mixed rho_B: a rank-2 DegenerateProduct state
+PURE_A_MARGINAL_LAMBDA = {"lambda": [[1, 0, 0, 0.3], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0.3]]}
 
 
 @pytest.mark.parametrize(
@@ -858,19 +860,22 @@ PURE_PRODUCT_LAMBDA = {"lambda": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 
         ("canonicalize", TYPE2_SIGMA, 0, 2),
         ("verify", TYPE2_SIGMA, 0, 4),
         ("verify", PURE_PRODUCT_LAMBDA, 2, 2),
+        ("canonicalize", PURE_A_MARGINAL_LAMBDA, 1, 1),
+        ("verify", PURE_A_MARGINAL_LAMBDA, 2, 2),
     ],
     ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII",
-         "verify-DegenerateProduct"],
+         "verify-DegenerateProduct", "canonicalize-DegenerateProduct-rank2",
+         "verify-DegenerateProduct-rank2"],
 )
 def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves,
                                          forms):
     """Each state command reads rho once, and TypeII from its kernel: a
     TypeII state solves no eigensystem.  Omega_B is formed only where it
-    is read, so a TypeI `canonicalize` forms Omega_A alone.  A TypeI
-    `canonicalize` solves side A only; `verify` solves each side once, for
-    its shared spectrum, and a DegenerateProduct state's family check
-    reuses that B solve.  A TypeII `verify` takes both sides' spectra
-    (`g_spectrum`) and `type2_canonical`, which forms its own two forms."""
+    is read, so a TypeI or DegenerateProduct `canonicalize` forms Omega_A
+    alone and solves side A only: side A's spectrum and rho's rank decide
+    the family.  `verify` solves each side once, for its shared spectrum.
+    A TypeII `verify` takes both sides' spectra (`g_spectrum`) and
+    `type2_canonical`, which forms its own two forms."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
 

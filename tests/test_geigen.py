@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentzsvd._linalg import gram_eigenbasis
-from lorentzsvd.errors import NoTimelikeTop, NumericalFailure
+from lorentzsvd.canonical import type1_canonical
+from lorentzsvd.errors import NoTimelikeTop, NumericalFailure, SingularTopEigenvalue
 from lorentzsvd.geigen import (
     CanonicalFamily,
     _cluster_vectors,
     _gram_top,
-    _signed_unit,
     g_eigensystem,
     g_spectrum,
     omega_matrices,
@@ -282,7 +282,8 @@ def test_timelike_top_of_a_plane_is_its_gram_top_eigenvector():
         basis = _cluster_vectors(k_op.tolist(), center, 2, center - sys.eigenvalues[-1],
                                  abs(np.trace(k_op)))
         gram, w = gram_eigenbasis(basis)
-        top = _signed_unit(w[:, 0] / np.sqrt(gram[0]))
+        top = w[:, 0] / np.sqrt(gram[0])
+        top = top if top[0] > 0 else -top
         np.testing.assert_allclose(sys.top_row, top, rtol=0, atol=1e-13)
         assert _row_residuals(sys).max() < 1e-12 * max(1.0, center)
 
@@ -299,7 +300,8 @@ def test_lightlike_cluster_keeps_its_gram_eigenbasis():
     basis = _cluster_vectors(k_op, 0.25, 4, np.inf, abs(np.trace(k_op)))
     assert basis.shape == (4, 3)
     x = _gram_top(basis)
-    x = _signed_unit(x / np.linalg.norm(x))
+    x = x / np.linalg.norm(x)
+    x = x if x[0] > 0 else -x
     np.testing.assert_allclose(x, np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12)
     assert abs(x @ G_METRIC @ x) < 1e-12
     with pytest.raises(NoTimelikeTop):
@@ -308,22 +310,24 @@ def test_lightlike_cluster_keeps_its_gram_eigenbasis():
     assert kernel.merged and kernel.null_top.tolist() == [1.0, 0.0, 0.0, -1.0]
 
 
-def test_degenerate_product_tops_have_one_row():
-    """A pure A marginal next to a mixed B marginal: Omega_A is nilpotent
-    under G, its 4-fold zero cluster a 3-dim span whose Gram top is the
-    null direction of the pure marginal, and Omega_B is the zero form,
-    whose one row is e0."""
+def test_degenerate_product_side_forms_no_span():
+    """A pure A marginal next to a mixed B marginal, a rank-2 state:
+    Omega_A is nilpotent under G (its 4-fold top, the mean of LAPACK's
+    roots, is rounding of 1e-17) and Omega_B is the zero form, so both
+    sides' top eigenvalue vanishes and both are DegenerateProduct, with
+    no span and no row.  At rank 4 the same forms are TypeI candidates:
+    side A's 3-dim span has the null direction of the pure marginal as
+    its Gram top, which is refused."""
     lam = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.3])
-    sys_a, sys_b = g_eigensystem(omega_matrices(lam)), g_eigensystem(omega_matrices(lam.T))
-    assert sys_a.top_cluster[1:] == (4, 3)
-    assert sys_a.top_row.shape == (4,)
-    np.testing.assert_allclose(
-        sys_a.top_row, np.array([1.0, 0, 0, -1.0]) / np.sqrt(2), rtol=0, atol=1e-12
-    )
-    assert sys_b.top_cluster == (0.0, 4, 4)
-    assert sys_b.top_row.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert read_state(rho_from_lambda(lam))[1].rank == 2
+    sys_a, sys_b = (g_eigensystem(omega_matrices(side), rank=2) for side in (lam, lam.T))
+    assert sys_a.top_cluster[1:] == (4, 0) and abs(sys_a.top_cluster[0]) < 1e-15
+    assert sys_b.top_cluster == (0.0, 4, 0)
     for sys in (sys_a, sys_b):
+        assert sys.top_row is None
         assert sys.family is CanonicalFamily.DEGENERATE_PRODUCT
+    with pytest.raises(NoTimelikeTop):
+        g_eigensystem(omega_matrices(lam), rank=4)
 
 
 def test_over_wide_cut_is_refused():
@@ -350,10 +354,24 @@ def test_cut_that_finds_no_direction_keeps_the_smallest_singular_direction():
 def test_eigensystem_zero_form():
     omega = omega_matrices(PURE_PRODUCT)
     np.testing.assert_allclose(omega, 0.0, atol=1e-15)
-    sys = g_eigensystem(omega)
+    rank = read_state(rho_from_lambda(PURE_PRODUCT))[1].rank
+    sys = g_eigensystem(omega, rank=rank)
     np.testing.assert_allclose(sys.eigenvalues, 0.0, atol=0)
     assert sys.top_cluster[1] == 4
     assert sys.family is CanonicalFamily.DEGENERATE_PRODUCT
+
+
+def test_zero_form_of_a_full_rank_state_is_typei():
+    """A vanishing top is DegenerateProduct only on a state of rank at
+    most 2: at rank 4 the zero form's whole-space span gives the timelike
+    row e0, so the family is TypeI and `type1_canonical` refuses the
+    vanishing top as SingularTopEigenvalue."""
+    sys = g_eigensystem(omega_matrices(PURE_PRODUCT), rank=4)
+    assert sys.family is CanonicalFamily.TYPE_I
+    assert sys.top_cluster == (0.0, 4, 4)
+    assert sys.top_row.tolist() == [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(SingularTopEigenvalue):
+        type1_canonical(PURE_PRODUCT, sys)
 
 
 def test_pure_product_comes_from_an_actual_state():
@@ -376,7 +394,7 @@ def test_classification_reference_families():
         if kernel.null_top is not None:
             got = CanonicalFamily.TYPE_II
         else:
-            got = g_eigensystem(omega_matrices(lam), pure=kernel.rank == 1).family
+            got = g_eigensystem(omega_matrices(lam), rank=kernel.rank).family
         assert got is family, family
 
 
