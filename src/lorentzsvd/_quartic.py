@@ -131,7 +131,7 @@ def quartic_real_roots(omega: np.ndarray, cluster_radius: float) -> QuarticRoots
     cluster_radius apart then merge into one cluster at their mean.  A
     top cluster that is one real root keeps LAPACK's eigenvector.
     """
-    operator = G_METRIC @ np.asarray(omega, dtype=float)
+    operator = G_METRIC.dot(np.asarray(omega, dtype=float))
     w, vecs = np.linalg.eig(operator)
     # (root, multiplicity, eigenvector column or None)
     roots: list[tuple[float, int, int | None]] = []

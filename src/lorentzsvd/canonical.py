@@ -67,6 +67,7 @@ from .minkowski import (
     ZERO_REL,
     det3,
     is_orthochronous_proper_lorentz,
+    is_proper_lorentz_rows,
 )
 from .qstate import read_state, rho_from_lambda
 
@@ -133,12 +134,12 @@ def _accept(family: SideFamily, left: np.ndarray, right: np.ndarray, D: list[lis
     as the A side of Lambda^T, is transposed back: its factors swap.  A
     TypeII_A side carries its built B side as ``partner``."""
     for rows, name in ((left, "left"), (right, "right")):
-        if not is_orthochronous_proper_lorentz(rows, tol=max(tol, LORENTZ_TOL_FLOOR)):
+        if not is_proper_lorentz_rows(rows.tolist(), tol=max(tol, LORENTZ_TOL_FLOOR)):
             raise NumericalFailure(f"{name} tetrad failed the Lorentz-group check")
     n_scale = D[0][0]
     residuals = {
         "factorization": _max_gap(D, canon, n_scale),
-        "omegaCanonical": _max_gap((left @ omega @ left.T).tolist(), omega_target),
+        "omegaCanonical": _max_gap(left.dot(omega).dot(left.T).tolist(), omega_target),
         **family_residuals,
     }
     rho_c = _pipeline_rho(*rho_args, tol=tol)
@@ -216,8 +217,8 @@ def type1_canonical(
         raise SingularTopEigenvalue(f"top eigenvalue {lam0:.3e} <= {zero_tol:.1e}")
 
     a = sys_a.top_row
-    b = G_METRIC @ lam.T @ a
-    bb = float(b @ G_METRIC @ b)
+    b = G_METRIC.dot(lam.T).dot(a)
+    bb = float(b.dot(G_METRIC).dot(b))
     b_list = b.tolist()
     if not (bb > 0.0 and b_list[0] > 0.0):
         raise NumericalFailure(
@@ -226,15 +227,15 @@ def type1_canonical(
         )
     root = math.sqrt(bb)
     a_rows, b_rows = _boost(a.tolist()), _boost([v / root for v in b_list])
-    u, _, r_b = np.linalg.svd((a_rows @ lam @ b_rows.T)[1:, 1:])
+    u, _, r_b = np.linalg.svd(a_rows.dot(lam).dot(b_rows.T)[1:, 1:])
     r_a = u.T
     for r in (r_a, r_b):
         if det3(r.tolist()) < 0:
             r[2] = -r[2]
-    a_rows[1:] = r_a @ a_rows[1:]
-    b_rows[1:] = r_b @ b_rows[1:]
+    a_rows[1:] = r_a.dot(a_rows[1:])
+    b_rows[1:] = r_b.dot(b_rows[1:])
 
-    D = (a_rows @ lam @ b_rows.T).tolist()
+    D = a_rows.dot(lam).dot(b_rows.T).tolist()
     # B(b) and diag(1, r_b) are proper, so det L_B is the parity of the
     # flips; the Lorentz check below verifies it
     flips = [i for i in (1, 2, 3) if D[i][i] < 0]
@@ -301,7 +302,7 @@ def _null_frame(x: list[float], sign: float) -> np.ndarray:
         )
     scale = sign / math.sqrt(xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2])
     r1, r2, r3 = _rotation_to([v * scale for v in xs])
-    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *r1], [0.0, *r2], [0.0, *r3]], dtype=float)
+    return np.array([1.0, 0.0, 0.0, 0.0, 0.0, *r1, 0.0, *r2, 0.0, *r3], dtype=float).reshape(4, 4)
 
 
 def _arrow_min_eigenvalue(p0: float, p1: float) -> float:
@@ -341,7 +342,7 @@ def type2_canonical(
     built first, so side A's result takes it as its partner.
     """
     omega_a, omega_b = omega_matrices(lam), omega_matrices(lam.T)
-    partner = _arrow(lam, omega_b, "B", G_METRIC @ lam.T @ u, merged, tol)
+    partner = _arrow(lam, omega_b, "B", G_METRIC.dot(lam.T).dot(u), merged, tol)
     return _arrow(lam, omega_a, "A", u, merged, tol, partner)
 
 
@@ -408,18 +409,22 @@ def _arrow(
     bound = max(tol, DEFECTIVE_ROOT_FLOOR)
 
     k_a = _null_frame(u.tolist(), -1.0)
-    B = (k_a @ omega @ k_a.T).tolist()
+    B = k_a.dot(omega).dot(k_a.T).tolist()
     lam0 = 0.5 * (B[0][0] - B[3][3])
     a, b = (0.0, 0.0) if merged else _null_rotation(B, lam0)
     s = a * a + b * b
     q = math.sqrt(1.0 + s)
     left = np.array([[q, a / q, b / q, -s / q], [a, 1.0, 0.0, -a],
-                     [b, 0.0, 1.0, -b], [0.0, a / q, b / q, 1.0 / q]], dtype=float) @ k_a
+                     [b, 0.0, 1.0, -b], [0.0, a / q, b / q, 1.0 / q]], dtype=float).dot(k_a)
 
-    # v = G W^T u: negating the spatial part of W^T u is exact
+    # v = G W^T u: negating the spatial part of W^T u is exact.  W^T, the
+    # transpose of the real part of a complex array, is strided and not
+    # BLAS-able, so its two vector products keep `@`: `.dot` would copy it
+    # and round differently
     v0, v1, v2, v3 = (work.T @ u).tolist()
     k_b = _null_frame([v0, -v1, -v2, -v3], 1.0)
-    d0, d1, d2, d3 = (k_b @ (work.T @ left[0])).tolist()
+    # W^T again, not BLAS-able: `@`, as above
+    d0, d1, d2, d3 = k_b.dot(work.T @ left[0]).tolist()
     plus = d0 + d3
     phi0 = plus * (d0 - d3) - d1 * d1 - d2 * d2
     if not (plus > 0.0 and phi0 > max(tol, ZERO_REL) * max(1.0, lam0)):
@@ -433,9 +438,9 @@ def _arrow(
     right = np.array([[0.5 * (p + (1.0 + s) / p), a / p, b / p, 0.5 * (p + (s - 1.0) / p)],
                       [a, 1.0, 0.0, a], [b, 0.0, 1.0, b],
                       [0.5 * (p - (1.0 + s) / p), -a / p, -b / p, 0.5 * (p - (s - 1.0) / p)]],
-                     dtype=float) @ k_b
+                     dtype=float).dot(k_b)
 
-    D = (left @ work @ right.T).tolist()
+    D = left.dot(work).dot(right.T).tolist()
     (c11, c12), (c21, c22) = D[1][1:3], D[2][1:3]
     rot_part = math.hypot(0.5 * (c11 + c22), 0.5 * (c21 - c12))
     ref_part = math.hypot(0.5 * (c11 - c22), 0.5 * (c21 + c12))
@@ -450,8 +455,8 @@ def _arrow(
     turn = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, math.cos(half), math.sin(half), 0.0],
                      [0.0, -math.sin(half), math.cos(half), 0.0], [0.0, 0.0, 0.0, 1.0]],
                     dtype=float)
-    left, right = turn @ left, turn @ right
-    D = (left @ work @ right.T).tolist()
+    left, right = turn.dot(left), turn.dot(right)
+    D = left.dot(work).dot(right.T).tolist()
     n_scale = D[0][0]
     r0 = D[3][3] / n_scale
     r1 = max(rot_part, ref_part) / n_scale
@@ -513,7 +518,7 @@ def _factor_solved(lam: np.ndarray, sys_a: GEigenSystem, tol: float) -> Canonica
         canonical_rho=rho_from_lambda(lam, tol),
         left_lorentz=np.eye(4),
         right_lorentz=np.eye(4),
-        parameters={"lambdas": [float(v) for v in sys_a.eigenvalues]},
+        parameters={"lambdas": sys_a.eigenvalues.tolist()},
         normalization_scale=1.0,
         residuals={},
     )

@@ -74,7 +74,7 @@ def omega_matrices(lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4, 4):
         raise ValueError(f"expected a 4x4 correlation matrix, got {lam.shape}")
-    return lam @ G_METRIC @ lam.T
+    return lam.dot(G_METRIC).dot(lam.T)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def g_eigensystem(omega: np.ndarray, tol: float = DEFAULT_TOL, rank: int = 4) ->
 
     col = _gram_top(basis)
     # x^T (G x): the product G x is exact, so this is the dot x^T G x takes
-    gam = float((col * _G_DIAG) @ col)
+    gam = float((col * _G_DIAG).dot(col))
     if not gam > SIGNATURE_TOL:
         raise NoTimelikeTop(
             "top eigenspace contains no timelike direction, and rho's kernel holds no "

@@ -11,6 +11,8 @@ sampled surfaces (Fibonacci sphere, no RNG) for external plotters.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +28,10 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 #: a TypeI ellipsoid whose semi-axes (ratios, at most 1) are all at or
 #: below this is a point: its correlation diagonal is zero up to rounding
 _POINT_SEMI_AXIS = 1e-12
+
+#: rows per formatting call of `csv_chunks`: a chunk's floats and text
+#: take a few hundred kB, so a CSV is written without holding it whole
+_CSV_CHUNK_ROWS = 4096
 
 
 class GeometryFamily(Enum):
@@ -110,17 +116,25 @@ def surface_residuals(points: np.ndarray, ellipsoid: SteeringEllipsoid) -> np.nd
     return np.abs(quad - 1.0)
 
 
-def points_to_csv(points: np.ndarray) -> str:
-    """An x,y,z header and one row per point, each value as `format_float`
-    writes it, in one formatting call; the first value that is not finite,
-    in row order, is refused as `format_float` refuses it."""
+def csv_chunks(points: np.ndarray) -> Iterator[str]:
+    """An x,y,z header, then one row per point, each value as
+    `format_float` writes it, in chunks of `_CSV_CHUNK_ROWS` rows, one
+    formatting call each.  The first value that is not finite, in row
+    order, is refused as `format_float` refuses it, before any chunk is
+    made."""
     grid = np.atleast_2d(np.asarray(points, dtype=float))
     finite = np.isfinite(grid)
     if not finite.all():
         format_float(grid[~finite][0])
     line = ",".join(["%.17g"] * grid.shape[1]) + "\n"
     # adding 0.0 folds -0.0 into 0.0, which format_float writes as "0"
-    return "x,y,z\n" + line * len(grid) % tuple((grid + 0.0).ravel().tolist())
+    blocks = (grid[i:i + _CSV_CHUNK_ROWS] + 0.0 for i in range(0, len(grid), _CSV_CHUNK_ROWS))
+    return itertools.chain(["x,y,z\n"], (line * len(b) % tuple(b.ravel().tolist()) for b in blocks))
+
+
+def points_to_csv(points: np.ndarray) -> str:
+    """The whole CSV of `csv_chunks` as one string."""
+    return "".join(csv_chunks(points))
 
 
 def ellipsoid_json_dict(ellipsoid: SteeringEllipsoid) -> dict:

@@ -149,12 +149,14 @@ def is_orthochronous_proper_lorentz(L: np.ndarray, tol: float = DEFAULT_TOL) -> 
     An orthochronous Lorentz matrix is B(q) diag(1, R), a boost times a
     rotation, and its spatial block (I + q q^T / (1 + gamma)) R has
     determinant gamma det R: positive exactly when the matrix is proper.
-    The check runs on Python floats.
+    The check runs on Python floats (`is_proper_lorentz_rows`).
     """
     L = np.asarray(L, dtype=float)
-    if L.shape != (4, 4):
-        return False
-    rows = L.tolist()
+    return L.shape == (4, 4) and is_proper_lorentz_rows(L.tolist(), tol)
+
+
+def is_proper_lorentz_rows(rows: list[list[float]], tol: float = DEFAULT_TOL) -> bool:
+    """`is_orthochronous_proper_lorentz` of a 4x4 matrix given as its rows."""
     if not _group_defect(rows) <= tol:  # NaN fails too
         return False
     (t0, _, _, _), (_, *x), (_, *y), (_, *z) = rows

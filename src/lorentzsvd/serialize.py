@@ -259,12 +259,12 @@ def canonical_report(result: CanonicalResult, include_conventions: bool = True) 
     doc["rhoCanonical"] = result.canonical_rho.view(float).reshape(4, 4, 2).tolist()
     doc["leftLorentz"] = result.left_lorentz.tolist()
     doc["rightLorentz"] = result.right_lorentz.tolist()
-    doc["parameters"] = {
-        k: ([float(x) for x in v] if isinstance(v, list) else v)
-        for k, v in result.parameters.items()
-    }
-    doc["normalizationScale"] = float(result.normalization_scale)
-    doc["residuals"] = {k: float(v) for k, v in result.residuals.items()}
+    # the scalars are Python floats already; the lists are copied, so the
+    # report does not alias the result
+    doc["parameters"] = {k: (list(v) if isinstance(v, list) else v)
+                         for k, v in result.parameters.items()}
+    doc["normalizationScale"] = result.normalization_scale
+    doc["residuals"] = dict(result.residuals)
     if result.partner is not None:
         doc["partner"] = canonical_report(result.partner, include_conventions=False)
     return doc

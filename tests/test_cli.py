@@ -853,33 +853,34 @@ PURE_A_MARGINAL_LAMBDA = {"lambda": [[1, 0, 0, 0.3], [0, 0, 0, 0], [0, 0, 0, 0],
 
 
 @pytest.mark.parametrize(
-    "command, doc, solves, forms",
+    "command, doc, solves, spectra, forms",
     [
-        ("canonicalize", RANK4_SEED7, 1, 1),
-        ("verify", RANK4_SEED7, 2, 2),
-        ("canonicalize", TYPE2_SIGMA, 0, 2),
-        ("verify", TYPE2_SIGMA, 0, 4),
-        ("verify", PURE_PRODUCT_LAMBDA, 2, 2),
-        ("canonicalize", PURE_A_MARGINAL_LAMBDA, 1, 1),
-        ("verify", PURE_A_MARGINAL_LAMBDA, 2, 2),
+        ("canonicalize", RANK4_SEED7, 1, 0, 1),
+        ("verify", RANK4_SEED7, 1, 1, 2),
+        ("canonicalize", TYPE2_SIGMA, 0, 0, 2),
+        ("verify", TYPE2_SIGMA, 0, 2, 4),
+        ("verify", PURE_PRODUCT_LAMBDA, 1, 1, 2),
+        ("canonicalize", PURE_A_MARGINAL_LAMBDA, 1, 0, 1),
+        ("verify", PURE_A_MARGINAL_LAMBDA, 1, 1, 2),
     ],
     ids=["canonicalize-TypeI", "verify-TypeI", "canonicalize-TypeII", "verify-TypeII",
          "verify-DegenerateProduct", "canonicalize-DegenerateProduct-rank2",
          "verify-DegenerateProduct-rank2"],
 )
 def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command, doc, solves,
-                                         forms):
+                                         spectra, forms):
     """Each state command reads rho once, and TypeII from its kernel: a
     TypeII state solves no eigensystem.  Omega_B is formed only where it
     is read, so a TypeI or DegenerateProduct `canonicalize` forms Omega_A
     alone and solves side A only: side A's spectrum and rho's rank decide
-    the family.  `verify` solves each side once, for its shared spectrum.
-    A TypeII `verify` takes both sides' spectra (`g_spectrum`) and
-    `type2_canonical`, which forms its own two forms."""
+    the family.  `verify` solves side A alone and takes side B's spectrum,
+    all its shared-spectrum check reads, from `g_spectrum`.  A TypeII
+    `verify` takes both sides' spectra and `type2_canonical`, which forms
+    its own two forms."""
     import lorentzsvd.canonical as canonical
     import lorentzsvd.cli as cli
 
-    calls = {"read_state": 0, "omega_matrices": 0, "g_eigensystem": 0}
+    calls = {"read_state": 0, "omega_matrices": 0, "g_eigensystem": 0, "g_spectrum": 0}
     targets = [(module, name) for module in (cli, canonical) for name in calls]
     for module, name in targets:
 
@@ -891,7 +892,34 @@ def test_conversions_and_solves_per_state(tmp_path, capsys, monkeypatch, command
     path = write_state(tmp_path, "s.json", json.loads(dumps(doc)))
     code, _, err = run([command, path], capsys)
     assert code == 0, err
-    assert calls == {"read_state": 1, "omega_matrices": forms, "g_eigensystem": solves}
+    assert calls == {"read_state": 1, "omega_matrices": forms, "g_eigensystem": solves,
+                     "g_spectrum": spectra}
+
+
+#: a near-pure Bell-diagonal state, filtered at rapidity 1.0 on both sides:
+#: TypeI, with side A's Gram top timelike and side B's spacelike (a solve of
+#: side B raises NoTimelikeTop), its two spectra equal to 5.6e-17
+NEAR_PURE_FILTERED_LAMBDA = {"lambda": [
+    [1, 0.85944309933573426, 0.21439411877910591, -0.29759959695383514],
+    [-0.19959733064207102, -0.12936677455106471, -0.38676843160684171, 0.018457928738429996],
+    [-0.85490449463238183, -0.89789466597518175, -0.13205222153721774, 0.18448916161729792],
+    [-0.32011224815120021, -0.20620108414460148, -0.075923651777822523, 0.42545946378267396],
+]}
+
+
+def test_verify_passes_where_canonicalize_factors(tmp_path, capsys):
+    """`verify` checks the state `canonicalize` factors and reads side B's
+    spectrum alone, so a side B whose own solve would find no timelike top
+    does not refuse it."""
+    path = write_state(tmp_path, "near_pure.json", NEAR_PURE_FILTERED_LAMBDA)
+    code, out, err = run(["canonicalize", path], capsys)
+    assert code == 0, err
+    assert json.loads(out)["family"] == "TypeI"
+    code, out, err = run(["verify", path], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["family"] == "TypeI"
+    assert report["checks"]["sharedSpectrum"]["value"] < 1e-15
 
 
 def test_batch_isolates_failures(tmp_path, capsys):

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from lorentzsvd.canonical import canonicalize
 from lorentzsvd.errors import DegenerateProductGeometry
 from lorentzsvd.geometry import (
+    _CSV_CHUNK_ROWS,
     GeometryFamily,
+    csv_chunks,
     ellipsoid_json_dict,
     fibonacci_sphere,
     points_to_csv,
@@ -25,6 +27,7 @@ from lorentzsvd.geometry import (
     surface_residuals,
 )
 from lorentzsvd.qstate import SteerDirection, lambda_from_rho, random_state, rho_from_lambda
+from lorentzsvd.serialize import format_float
 
 
 def type2_lambda(r0, r1):
@@ -178,6 +181,18 @@ def test_csv_emission_shape():
     assert lines[1].split(",")[2] == "0.33333333333333331"
     # negative zero is normalized away
     assert lines[2].split(",")[0] == "0"
+
+
+def test_csv_chunks_are_one_format_float_row_per_point():
+    """Across chunk boundaries the rows read as one `format_float` row per
+    point, and no chunk holds more than `_CSV_CHUNK_ROWS` rows."""
+    pts = sample_steered_surface(lambda_from_rho(random_state(4, seed=3)), "BtoA",
+                                 2 * _CSV_CHUNK_ROWS + 3)
+    chunks = list(csv_chunks(pts))
+    assert [c.count("\n") for c in chunks] == [1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS, 3]
+    rows = "".join(",".join(map(format_float, row)) + "\n" for row in pts.tolist())
+    assert "".join(chunks) == "x,y,z\n" + rows
+    assert points_to_csv(pts) == "".join(chunks)
 
 
 def test_ellipsoid_json_dict():
