@@ -11,6 +11,7 @@ cannot silently mismatch conventions.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import Any
@@ -45,16 +46,25 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _text(value: Any) -> str:
-    """A dict key, or a string, as JSON text escaped for a ``%`` template."""
-    return json.dumps(str(value)).replace("%", "%%")
+@functools.lru_cache(maxsize=256)
+def _text(value: str) -> str:
+    """A string as JSON text escaped for a ``%`` template."""
+    return json.dumps(value).replace("%", "%%")
 
 
 @functools.lru_cache(maxsize=64)
-def _dict_template(keys: tuple[str, ...]) -> str:
-    """A dict of floats whose keys have these `_text` forms, as a template."""
-    return "{" + ",".join([k + ":%.17g" for k in keys]) + "}"
+def _key_pieces(names: tuple[str, ...]) -> tuple[str, ...]:
+    """The ``{"key":`` and ``,"key":`` template pieces of a dict whose keys
+    have these `str` forms.  A JSON key's text is a function of ``str(k)``
+    alone, so keys that are equal as values but not as text, such as 1,
+    True and 1.0, never share a cache entry."""
+    return tuple([("," if i else "{") + _text(k) + ":" for i, k in enumerate(names)])
+
+
+@functools.lru_cache(maxsize=64)
+def _dict_template(names: tuple[str, ...]) -> str:
+    """A dict of floats whose keys have these `str` forms, as a template."""
+    return "%.17g".join(_key_pieces(names)) + "%.17g}"
 
 
 @functools.lru_cache(maxsize=64)
@@ -63,27 +73,39 @@ def _grid_template(shape: tuple[int, ...]) -> str:
     return "[" + ",".join([inner] * shape[0]) + "]"
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _template(obj: Any, parts: list[str], values: list) -> bool:
     """Append obj to ``parts`` as pieces of a ``%`` template and its values,
     in order, to ``values``; False when it holds what only the per-value
     path writes (`dumps`).  A list is a rectangular grid at any depth,
-    and it and a dict of floats go in whole, with their cached
-    templates.  `dumps` checks that every value taken is a float."""
+    and it, a float64 array and a dict of floats go in whole, with their
+    cached templates.  Every value taken is a Python float: each source
+    checks its own (the float branch, a grid's cells, a dict's values,
+    an array's dtype), so no value is scanned twice."""
     kind = type(obj)
     if kind is dict:
         if obj is CONVENTIONS:
             parts.append(_CONVENTIONS_TEMPLATE)
-        elif obj and set(map(type, obj.values())) == {float}:
-            parts.append(_dict_template(tuple(map(_text, obj))))
+            return True
+        names = tuple(map(str, obj))
+        if obj and set(map(type, obj.values())) == {float}:
+            parts.append(_dict_template(names))
             values += obj.values()
-        else:
-            sep = "{"
-            for k, v in obj.items():
-                parts.append(sep + _text(k) + ":")
-                if not _template(v, parts, values):
-                    return False
-                sep = ","
-            parts.append("}" if obj else "{}")
+            return True
+        for piece, v in zip(_key_pieces(names), obj.values()):
+            parts.append(piece)
+            if not _template(v, parts, values):
+                return False
+        parts.append("}" if obj else "{}")
+    elif kind is np.ndarray:
+        # native float64 alone, whose tolist gives Python floats; a 0-d
+        # array is a scalar, not a grid
+        if obj.dtype != _FLOAT64 or not obj.ndim:
+            return False
+        parts.append(_grid_template(obj.shape))
+        values += obj.ravel().tolist()
     elif kind is list:
         shape = [len(obj)]
         cells = obj
@@ -91,13 +113,15 @@ def _template(obj: Any, parts: list[str], values: list) -> bool:
             try:
                 widths = set(map(len, cells))
                 # concatenation refuses a row that is not a list; it is
-                # quadratic in the row count, at most 16 in a report
+                # quadratic in the row count, at most 16 in what the package writes
                 cells = sum(cells, [])
             except TypeError:
                 return False
             if len(widths) != 1:
                 return False
             shape.append(widths.pop())
+        if not set(map(type, cells)) <= {float}:
+            return False
         parts.append(_grid_template(tuple(shape)))
         values += cells
     elif kind is float:
@@ -143,15 +167,16 @@ def dumps(obj: Any) -> str:
     The document is walked once into one ``%`` template and one list of
     its floats, formatted in one call: ``%.17g`` is `format_float`'s
     format, and adding 0.0 folds -0.0 into 0.0 and changes no other
-    value.  A document holding anything else (bools, None, numpy values,
-    tuples, subclasses, a grid cell that is not a float) or a value that
-    is not finite (or a sum that overflows) takes the per-value path,
-    which raises on the first non-finite value as `format_float` does.
+    value.  A float64 array of one or more dimensions goes in whole, as
+    a grid.  A document holding anything else (bools, None, numpy
+    scalars, other arrays, tuples, subclasses, a grid cell that is not a
+    float) or a value that is not finite (or a sum that overflows) takes
+    the per-value path, which raises on the first non-finite value as
+    `format_float` does.
     """
     parts: list[str] = []
     values: list = []
-    if (_template(obj, parts, values) and set(map(type, values)) <= {float}
-            and math.isfinite(sum(values))):
+    if _template(obj, parts, values) and math.isfinite(sum(values)):
         parts.append("\n")
         return "".join(parts) % tuple([v + 0.0 for v in values])
     return _emit(obj) + "\n"
@@ -182,9 +207,16 @@ def _number_array(payload: Any, key: str, entries: str) -> np.ndarray:
     """Nested JSON arrays of numbers as a float array.
 
     Every leaf must be a JSON number: a string that spells one, a boolean
-    or null is refused rather than converted.
+    or null is refused rather than converted.  A payload of lists alone
+    is flattened one level at a time and its leaves' types checked at
+    once; any other payload is walked item by item, which names the
+    first refused leaf.
     """
-    stack = [payload]
+    leaves, kinds = [payload], {type(payload)}
+    while kinds == {list}:
+        leaves = list(itertools.chain.from_iterable(leaves))
+        kinds = set(map(type, leaves))
+    stack = [] if kinds <= {int, float} else [payload]
     while stack:
         item = stack.pop()
         if isinstance(item, list):
@@ -250,21 +282,26 @@ def loads_state(text: str) -> tuple[str, np.ndarray]:
 
 
 def canonical_report(result: CanonicalResult, include_conventions: bool = True) -> dict:
+    """The report `dumps` writes for a canonical result.
+
+    The result's arrays go in as they are (the canonical Lambda, the
+    float64 view of the canonical state as [re, im] pairs, and both
+    Lorentz factors), and so do its ``parameters`` and ``residuals``
+    dicts: the report shares the result's data, and a change to one is a
+    change to the other.  `dumps` writes each float64 array whole, as a
+    grid.
+    """
     doc: dict[str, Any] = {}
     if include_conventions:
         doc["conventions"] = CONVENTIONS
     doc["family"] = result.family.value
-    # the result's float and complex arrays, each converted in one call
-    doc["lambdaCanonical"] = result.canonical_lambda.tolist()
-    doc["rhoCanonical"] = result.canonical_rho.view(float).reshape(4, 4, 2).tolist()
-    doc["leftLorentz"] = result.left_lorentz.tolist()
-    doc["rightLorentz"] = result.right_lorentz.tolist()
-    # the scalars are Python floats already; the lists are copied, so the
-    # report does not alias the result
-    doc["parameters"] = {k: (list(v) if isinstance(v, list) else v)
-                         for k, v in result.parameters.items()}
+    doc["lambdaCanonical"] = result.canonical_lambda
+    doc["rhoCanonical"] = result.canonical_rho.view(np.float64).reshape(4, 4, 2)
+    doc["leftLorentz"] = result.left_lorentz
+    doc["rightLorentz"] = result.right_lorentz
+    doc["parameters"] = result.parameters
     doc["normalizationScale"] = result.normalization_scale
-    doc["residuals"] = dict(result.residuals)
+    doc["residuals"] = result.residuals
     if result.partner is not None:
         doc["partner"] = canonical_report(result.partner, include_conventions=False)
     return doc

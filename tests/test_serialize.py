@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from lorentzsvd import serialize
 from lorentzsvd.canonical import SigmaParameters, canonicalize, sigma_from_bcd
 from lorentzsvd.errors import InputFormatError, InvalidCanonicalParameters
 from lorentzsvd.geometry import steering_ellipsoid
@@ -72,8 +73,9 @@ class _Floats(list):
     pass
 
 
-def test_dumps_matches_the_reference_emitter():
-    gen = np.random.default_rng(11)
+def _family_reports():
+    """One report of each family, the TypeII_A one with its TypeII_B
+    partner; the last is the pure product |00>."""
     pure_product = np.zeros((4, 4), dtype=complex)
     pure_product[0, 0] = 1.0
     docs = [
@@ -85,9 +87,44 @@ def test_dumps_matches_the_reference_emitter():
             pure_product,
         )
     ]
-    # one report of each family, the TypeII_A one with its TypeII_B partner
     assert [d["family"] for d in docs] == ["TypeI", "TypeI", "TypeII_A", "DegenerateProduct"]
     assert docs[2]["partner"]["family"] == "TypeII_B"
+    return docs
+
+
+def _float_arrays():
+    """float64 arrays that `dumps` writes whole, and arrays it writes
+    value by value: other dtypes, byte orders, subclasses and 0-d."""
+    gen = np.random.default_rng(5)
+    z = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    m = gen.normal(size=(4, 6))
+    whole = {
+        "2-D": m,
+        "complex-view": z.view(np.float64).reshape(4, 4, 2),
+        "transposed": m.T,
+        "strided": m[::2, 1::3],
+        "reversed": m[::-1, ::-2],
+        "empty": np.zeros(0),
+        "empty-rows": np.zeros((2, 0)),
+        "no-rows": np.zeros((0, 2)),
+        # -0.0 folds into 0; subnormals keep 17 digits
+        "signed-zeros": np.array([[-0.0, 0.0], [5e-324, -2.2250738585072e-310]]),
+    }
+    per_value = {
+        "0-d": np.array(-0.0),
+        "0-d-value": np.array(2.5),
+        "int": np.arange(6).reshape(2, 3),
+        "float32": np.linspace(-1, 1, 5, dtype=np.float32),
+        "bool": np.array([True, False]),
+        "subclass": m.view(type("Floats", (np.ndarray,), {})),
+        "big-endian": m.astype(">f8"),
+    }
+    return whole, per_value
+
+
+def test_dumps_matches_the_reference_emitter():
+    gen = np.random.default_rng(11)
+    docs = _family_reports()
     docs.append({
         "floats": [-0.0, 0.0, 1e-300, -2.5, 1e300] + gen.normal(size=8).tolist(),
         "numpy": [np.float64(-0.0), np.float32(0.5), np.int64(-3), np.arange(3), np.eye(2)],
@@ -103,14 +140,49 @@ def test_dumps_matches_the_reference_emitter():
     docs.append({"command": "canonicalize", "processed": 2, "failures": {
         "100%.json": {"exitCode": 3, "message": "NumericalFailure: 5% off, %s %d %%"}}})
     docs += [{}, [], {"empty": {}, "none": [], "rows": [[], []]}]
+    whole, per_value = _float_arrays()
+    arrays = {**whole, **per_value}
+    docs += list(arrays.values())
+    docs += [arrays, {"mixed": [np.eye(2), np.array(3.0), [0.5, np.float32(1.5)]]}]
     for doc in docs:
         assert dumps(doc) == _reference_emit(doc) + "\n"
     with pytest.raises(InputFormatError, match="non-finite"):
         dumps({"x": [1.0, float("nan")]})
     with pytest.raises(InputFormatError, match="non-finite"):
         dumps({"x": 1.0, "y": math.inf})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputFormatError, match="non-finite"):
+            dumps({"m": np.array([[0.5, bad], [1.0, 2.0]])})
     with pytest.raises(InputFormatError, match="cannot serialize"):
         dumps({"x": {1, 2}})
+    # a complex array is refused, as its values are
+    with pytest.raises(InputFormatError, match="cannot serialize object of type complex"):
+        dumps({"z": np.eye(2, dtype=complex)})
+
+
+def _no_per_value_path(monkeypatch):
+    def refuse(obj):
+        raise AssertionError(f"per-value path taken for {obj!r}")
+
+    monkeypatch.setattr(serialize, "_emit", refuse)
+
+
+def test_reports_and_float64_arrays_take_the_template_path(monkeypatch):
+    """The per-value path writes the same bytes, so only refusing it shows
+    that reports of every family, and float64 arrays, never reach it."""
+    docs = _family_reports()
+    whole, _ = _float_arrays()
+    _no_per_value_path(monkeypatch)
+    for doc in [*docs, *whole.values(), whole]:
+        assert dumps(doc) == _reference_emit(doc) + "\n"
+
+
+def test_keys_equal_as_values_keep_their_own_text(monkeypatch):
+    """1, True and 1.0 are one dict key as values, and "1" is the text
+    of 1; each keeps its own JSON key through the cached key pieces."""
+    _no_per_value_path(monkeypatch)
+    for doc in ({1: [0.5]}, {True: [0.5]}, {1.0: [0.5]}, {"1": [0.5]}):
+        assert dumps(doc) == _reference_emit(doc) + "\n"
 
 
 GRIDS = {
@@ -167,6 +239,35 @@ def test_state_document_round_trip():
     kind, back = parse_state_document(json.loads(dumps(state_document(lam=lam))))
     assert kind == "lambda"
     np.testing.assert_array_equal(back, lam)
+
+
+#: payloads whose first refused leaf the message names, whichever check finds it
+REFUSED_LEAVES = {
+    "bool-leaf": ([[1.0, True], [0.0, 1.0]], "got bool"),
+    "string-leaf": ([[1.0, 0.5], ["0.5", 1.0]], "got str"),
+    "null-leaf": ([[1.0, None]], "got NoneType"),
+    "dict-row": ([[1.0, 2.0], {}], "got dict"),
+    "string-row": ([[1.0, 2.0], ""], "got str"),
+    "dict": ({"a": 1}, "got dict"),
+    "ragged": ([[1.0, 2.0], [3.0]], "entries must be real numbers: "),
+    "mixed-depth": ([[1.0, 2.0], 3.0], "entries must be real numbers: "),
+    "list-after-number": ([1.0, [2.0]], "entries must be real numbers: "),
+}
+
+
+@pytest.mark.parametrize("payload, message", REFUSED_LEAVES.values(), ids=REFUSED_LEAVES.keys())
+def test_state_payload_leaves_must_be_numbers(payload, message):
+    with pytest.raises(InputFormatError) as got:
+        parse_state_document({"lambda": payload})
+    assert str(got.value).startswith('"lambda" entries must be real numbers')
+    assert message in str(got.value)
+
+
+def test_state_payload_check_is_linear_in_its_rows():
+    # flattened one level at a time; concatenating 10**5 rows one by one
+    # would copy about 5e9 references
+    with pytest.raises(InputFormatError, match=r"got shape \(100000, 1\)"):
+        parse_state_document({"lambda": [[0.5]] * 100_000})
 
 
 def test_state_document_requires_exactly_one_payload():
